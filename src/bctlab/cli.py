@@ -6,14 +6,14 @@ Input is either an S-box file (--file) or a family specification
 default reduction polynomial. Output goes to stdout or --out, CSV for
 tables by default, JSON elsewhere ("schema": 1). Exit codes: 0 success,
 1 failed reproduction claims, 2 usage or input errors. Output is
-byte-identical across --threads values and across BCT algorithms.
+byte-identical across BCT algorithms. There is no thread option: the
+library picks its own parallelism, and none of it changes a byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .gf2n import parse_field
@@ -60,12 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=os.cpu_count() or 1,
-            help="worker threads (result is independent of the value)",
-        )
 
     add_common(sub.add_parser("ddt", help="difference distribution table"))
     add_common(sub.add_parser("bct", help="boomerang connectivity table"), with_algo=True)
@@ -97,12 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--claim", action="append", help="run only this claim id (repeatable)")
     p.add_argument("--audit", type=int, help="append the per-case audit for this n")
     p.add_argument("--budget", type=float, default=600.0, help="per-claim budget (s)")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="claims per pool (result is independent of the value)",
-    )
     p.add_argument("--out", help="output path (default: stdout)")
     return parser
 
@@ -139,7 +127,7 @@ def _dispatch(args) -> int:
         if args.claim:
             reports = [reproduce(cid, args.budget) for cid in args.claim]
         else:
-            reports = reproduce_all(args.tier, args.budget, threads=args.threads)
+            reports = reproduce_all(args.tier, args.budget)
         if args.audit is not None:
             reports.extend(appendix_case_audit(args.audit))
         _emit_json([r.to_json() for r in reports], args.out)
@@ -156,11 +144,7 @@ def _dispatch(args) -> int:
         return 0
 
     if verb in ("ddt", "bct"):
-        table = (
-            ddt(f, threads=args.threads)
-            if verb == "ddt"
-            else bct(f, algorithm=args.algo, threads=args.threads)
-        )
+        table = ddt(f) if verb == "ddt" else bct(f, algorithm=args.algo)
         if args.json:
             payload = {"schema": 1, "field": f.spec.label()}
             payload.update(ktable_to_json(table))
@@ -170,7 +154,7 @@ def _dispatch(args) -> int:
         return 0
 
     if verb == "uniformity":
-        rep = boomerang_uniformity(f, algorithm=args.algo, threads=args.threads)
+        rep = boomerang_uniformity(f, algorithm=args.algo)
         _emit_json(
             {
                 "schema": 1,

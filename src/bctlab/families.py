@@ -321,6 +321,37 @@ FAMILY_PARAMETERS: Mapping[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
 }
 
 
+def _from_q(builder):
+    """Adapt a GF(q^2) constructor to (q, gamma, field), gamma defaulting."""
+
+    def build(q: int, gamma: int | None, field: FieldSpec | None) -> SBox:
+        m = q.bit_length() - 1
+        if q != 1 << m:
+            raise ValueError(f"q must be a power of two, got {q}")
+        spec = _field_for(2 * m, field)
+        if gamma is None:
+            gamma = zieve_gamma_candidates(spec)[0]
+        return builder(spec, gamma)
+
+    return build
+
+
+# each constructor takes its FAMILY_PARAMETERS in order (None if absent), then field
+_FAMILY_BUILDERS = {
+    "gold": gold,
+    "kasami": kasami,
+    "welch": welch,
+    "niho": niho,
+    "inverse": inverse_fn,
+    "dobbertin": dobbertin,
+    "bracken_leander": bracken_leander,
+    "btt": btt,
+    "modified_inverse": modified_inverse,
+    "zieve_binomial": _from_q(zieve_binomial),
+    "zieve_binomial_inverse": _from_q(zieve_binomial_inverse),
+}
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A family name plus its integer parameters, validated on build."""
@@ -358,35 +389,5 @@ class FamilySpec:
 
     def build(self, field: FieldSpec | None = None) -> SBox:
         p = dict(self.params)
-        name = self.name
-        if name == "gold":
-            return gold(p["n"], p["i"], field)
-        if name == "kasami":
-            return kasami(p["n"], p["i"], field)
-        if name == "welch":
-            return welch(p["k"], field)
-        if name == "niho":
-            return niho(p["k"], field)
-        if name == "inverse":
-            return inverse_fn(p["n"], field)
-        if name == "dobbertin":
-            return dobbertin(p["k"], field)
-        if name == "bracken_leander":
-            return bracken_leander(p["k"], field)
-        if name == "btt":
-            return btt(p["k"], p["s"], p.get("alpha"), field)
-        if name == "modified_inverse":
-            return modified_inverse(p["n"], field)
-        if name in ("zieve_binomial", "zieve_binomial_inverse"):
-            q = p["q"]
-            m = q.bit_length() - 1
-            if q != 1 << m:
-                raise ValueError(f"q must be a power of two, got {q}")
-            spec = _field_for(2 * m, field)
-            gamma = p.get("gamma")
-            if gamma is None:
-                cands = zieve_gamma_candidates(spec)
-                gamma = cands[0]
-            builder = zieve_binomial if name == "zieve_binomial" else zieve_binomial_inverse
-            return builder(spec, gamma)
-        raise ValueError(f"unknown family {name!r}")  # pragma: no cover
+        required, optional = FAMILY_PARAMETERS[self.name]
+        return _FAMILY_BUILDERS[self.name](*(p.get(k) for k in required + optional), field)

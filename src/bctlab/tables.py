@@ -18,14 +18,17 @@ Three BCT builders with identical output:
     bct_fast    sum(|X(c,b)|^2) <= Delta * 2^2n, any function
 
 bct_fast buckets inputs x by b = f(x)+f(x+c) for every c; each ordered
-bucket pair (x, x') contributes one solution at a = x+x'. Builders accept
-a thread count; work is partitioned by rows (or by c) into disjoint
-accumulators merged by addition, so the output is bit-identical for every
-thread count. Counts fit 32-bit (n <= 16).
+bucket pair (x, x') contributes one solution at a = x+x'. From n = 11 on,
+and only when called on the main thread, it splits the c loop over one
+thread per CPU into disjoint accumulators merged by addition, so the
+output does not depend on the split. Every other builder is a plain loop.
+Counts fit 32-bit (n <= 16).
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -52,6 +55,7 @@ __all__ = [
 ]
 
 _PAIR_CHUNK = 8_000_000  # flush threshold for bct_fast key buffers
+_SPLIT_MIN_N = 11  # smallest n where splitting bct_fast over threads pays
 
 
 class KTable:
@@ -90,41 +94,17 @@ class UniformityReport:
     algorithm: str
 
 
-def _partition(total: int, parts: int) -> list[range]:
-    parts = max(1, min(parts, total))
-    step = (total + parts - 1) // parts
-    return [range(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-
-def _run_partitioned(worker, total: int, threads: int):
-    """Sum worker(range) over a partition of range(total); order-free merge."""
-    chunks = _partition(total, threads)
-    if len(chunks) == 1:
-        return worker(chunks[0])
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(pool.map(worker, chunks))
-    out = parts[0]
-    for p in parts[1:]:
-        out += p
-    return out
-
-
 # -- DDT -------------------------------------------------------------------------
 
 
-def ddt(f: SBox, threads: int = 1) -> KTable:
+def ddt(f: SBox) -> KTable:
     """Difference distribution table: counts(a, b) = #{x : f(x+a)+f(x) = b}."""
     N = f.spec.size
     table = f.table
     idx = np.arange(N)
-
-    def worker(rows):
-        part = np.zeros((N, N), dtype=np.int64)
-        for a in rows:
-            part[a] = np.bincount(table ^ table[idx ^ a], minlength=N)
-        return part
-
-    counts = _run_partitioned(worker, N, threads)
+    counts = np.zeros((N, N), dtype=np.int64)
+    for a in range(N):
+        counts[a] = np.bincount(table ^ table[idx ^ a], minlength=N)
     return KTable(f.spec, "DDT", counts, "ddt")
 
 
@@ -138,7 +118,7 @@ def differential_uniformity(t: KTable) -> int:
 # -- BCT builders -----------------------------------------------------------------
 
 
-def bct_naive(f: SBox, threads: int = 1) -> KTable:
+def bct_naive(f: SBox) -> KTable:
     """Inverse-based reference count, O(2^3n); requires a permutation.
 
     Entry (a, b) counts the x with finv(f(x)+b) + finv(f(x+a)+b) = a,
@@ -150,33 +130,23 @@ def bct_naive(f: SBox, threads: int = 1) -> KTable:
     idx = np.arange(N)
     # M[x, b] = finv(f(x) + b), shared across rows
     M = g[table[:, None] ^ idx[None, :]]
-
-    def worker(rows):
-        part = np.zeros((N, N), dtype=np.int64)
-        for a in rows:
-            part[a] = ((M ^ M[idx ^ a, :]) == a).sum(axis=0)
-        return part
-
-    counts = _run_partitioned(worker, N, threads)
+    counts = np.zeros((N, N), dtype=np.int64)
+    for a in range(N):
+        counts[a] = ((M ^ M[idx ^ a, :]) == a).sum(axis=0)
     return KTable(f.spec, "BCT", counts, "naive")
 
 
-def bct_system(f: SBox, threads: int = 1) -> KTable:
+def bct_system(f: SBox) -> KTable:
     """Literal pair count of the two-equation system, O(2^3n); any function."""
     N = f.spec.size
     table = f.table
     idx = np.arange(N)
     B1 = table[:, None] ^ table[None, :]
-
-    def worker(rows):
-        part = np.zeros((N, N), dtype=np.int64)
-        for a in rows:
-            fa = table[idx ^ a]
-            mask = B1 == (fa[:, None] ^ fa[None, :])
-            part[a] = np.bincount(B1[mask], minlength=N)
-        return part
-
-    counts = _run_partitioned(worker, N, threads)
+    counts = np.zeros((N, N), dtype=np.int64)
+    for a in range(N):
+        fa = table[idx ^ a]
+        mask = B1 == (fa[:, None] ^ fa[None, :])
+        counts[a] = np.bincount(B1[mask], minlength=N)
     return KTable(f.spec, "BCT", counts, "system")
 
 
@@ -201,8 +171,13 @@ def _fast_keys(table: np.ndarray, idx: np.ndarray, c: int, N: int) -> np.ndarray
     return (left ^ right) * N + np.repeat(bvals, sq)
 
 
-def bct_fast(f: SBox, threads: int = 1) -> KTable:
-    """Bucketed pair enumeration; cost sum(|X(c,b)|^2) <= Delta * 2^2n."""
+def bct_fast(f: SBox) -> KTable:
+    """Bucketed pair enumeration; cost sum(|X(c,b)|^2) <= Delta * 2^2n.
+
+    From n = 11 on, a call on the main thread splits the c loop over one
+    thread per CPU; below that, or on any other thread (a claim pool, say),
+    it runs serially, so pools never nest.
+    """
     N = f.spec.size
     table = f.table
     idx = np.arange(N)
@@ -221,8 +196,16 @@ def bct_fast(f: SBox, threads: int = 1) -> KTable:
             part += np.bincount(np.concatenate(buf), minlength=N * N)
         return part
 
-    counts = _run_partitioned(worker, N, threads).reshape(N, N)
-    return KTable(f.spec, "BCT", counts, "fast")
+    if f.spec.n < _SPLIT_MIN_N or threading.current_thread() is not threading.main_thread():
+        counts = worker(range(N))
+    else:
+        workers = os.cpu_count() or 1
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = pool.map(worker, (range(w, N, workers) for w in range(workers)))
+            counts = next(parts)
+            for part in parts:
+                counts += part
+    return KTable(f.spec, "BCT", counts.reshape(N, N), "fast")
 
 
 def bct_row(f: SBox, a: int) -> np.ndarray:
@@ -242,13 +225,13 @@ def bct_row(f: SBox, a: int) -> np.ndarray:
 _BCT_BUILDERS = {"naive": bct_naive, "system": bct_system, "fast": bct_fast}
 
 
-def bct(f: SBox, algorithm: str = "fast", threads: int = 1) -> KTable:
+def bct(f: SBox, algorithm: str = "fast") -> KTable:
     """Build the BCT with a selectable algorithm (naive | system | fast)."""
     try:
         builder = _BCT_BUILDERS[algorithm]
     except KeyError:
         raise ValueError(f"unknown BCT algorithm {algorithm!r}") from None
-    return builder(f, threads=threads)
+    return builder(f)
 
 
 def _argmax_pair(sub: np.ndarray, off_a: int, off_b: int) -> tuple[int, int]:
@@ -256,12 +239,10 @@ def _argmax_pair(sub: np.ndarray, off_a: int, off_b: int) -> tuple[int, int]:
     return (flat // sub.shape[1] + off_a, flat % sub.shape[1] + off_b)
 
 
-def boomerang_uniformity(
-    f: SBox, algorithm: str = "fast", threads: int = 1
-) -> UniformityReport:
+def boomerang_uniformity(f: SBox, algorithm: str = "fast") -> UniformityReport:
     """Full-table boomerang and differential uniformities with witnesses."""
-    bt = bct(f, algorithm=algorithm, threads=threads)
-    dt = ddt(f, threads=threads)
+    bt = bct(f, algorithm=algorithm)
+    dt = ddt(f)
     bsub = bt.counts[1:, 1:]
     dsub = dt.counts[1:, :]
     return UniformityReport(

@@ -12,7 +12,9 @@ at desk scale no matter the budget.
 from __future__ import annotations
 
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -251,20 +253,14 @@ def reproduce(claim_id: str, budget_seconds: float = 600.0) -> ClaimReport:
     return ClaimReport(claim_id, claim.expected, computed, status, ms)
 
 
-def reproduce_all(
-    tier: str = "fast", budget_seconds: float = 600.0, threads: int = 1
-) -> list[ClaimReport]:
+def reproduce_all(tier: str = "fast", budget_seconds: float = 600.0) -> list[ClaimReport]:
     """Run every claim in the tier; report order follows the registry.
 
-    Claims are independent pure computations, so they may run on a thread
-    pool; the report list is identical for every thread count.
+    Claims are independent pure computations, so they run on a pool of one
+    thread per CPU; each claim's own builders run serially on its thread.
     """
     ids = claim_ids(tier)
-    if threads <= 1:
-        return [reproduce(cid, budget_seconds) for cid in ids]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
         return list(pool.map(lambda cid: reproduce(cid, budget_seconds), ids))
 
 

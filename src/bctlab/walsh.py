@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .gf2n import _PARITY16
 from .sbox import SBox
 from .tables import KTable, bct_fast
 
@@ -39,19 +40,6 @@ __all__ = [
 ]
 
 _MAX_SPECTRUM_N = 12  # full spectrum is 4^n int64 cells
-_PARITY16 = None
-
-
-def _parity16():
-    global _PARITY16
-    if _PARITY16 is None:
-        p = np.arange(1 << 16, dtype=np.uint32)
-        p ^= p >> 8
-        p ^= p >> 4
-        p ^= p >> 2
-        p ^= p >> 1
-        _PARITY16 = (p & 1).astype(np.int64)
-    return _PARITY16
 
 
 def _fwht(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -91,9 +79,8 @@ def walsh_spectrum(f: SBox) -> WalshSpectrum:
             f"full spectrum needs 4^{n} cells; capped at n <= {_MAX_SPECTRUM_N}"
         )
     N = f.spec.size
-    par = _parity16()
     # signs[x, v] = (-1)^(v . f(x)); transform over x gives W[u, v]
-    signs = 1 - 2 * par[np.bitwise_and.outer(f.table, np.arange(N))]
+    signs = 1 - 2 * _PARITY16[np.bitwise_and.outer(f.table, np.arange(N))]
     return WalshSpectrum(f.spec, _fwht(signs, axis=0))
 
 
@@ -116,11 +103,9 @@ def bct_moment_direct(f: SBox, j: int, table: KTable | None = None) -> int:
 
 
 def _fourth_power_sum(W: np.ndarray) -> int:
-    # |W| <= 2^n, so W^4 summed over 4^n cells stays far below 2^63 for n <= 6;
-    # guard with object arithmetic beyond that.
-    if W.shape[0] <= 64:
-        return int((W.astype(np.int64) ** 4).sum())
-    return int((W.astype(object) ** 4).sum())
+    """sum of W^4, exactly: count each |W| = v, then add count * v^4 as ints."""
+    counts = np.bincount(np.abs(W).ravel())
+    return sum(c * v**4 for v, c in enumerate(counts.tolist()) if c)
 
 
 def _constrained_quad_sum(W: np.ndarray, n: int) -> int:

@@ -45,10 +45,22 @@ def test_bct_algorithms_byte_identical(tmp_path, capsys):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_threads_byte_identical(capsys):
-    a = run_cli(capsys, "ddt", "--family", "gold n=5 i=1", "--threads", "1")
-    b = run_cli(capsys, "ddt", "--family", "gold n=5 i=1", "--threads", "4")
-    assert a == b
+def test_threads_option_exits_2(capsys):
+    code, out, err = run_cli(capsys, "ddt", "--family", "gold n=5 i=1", "--threads", "4")
+    assert code == 2
+    assert out == ""
+    assert "--threads" in err
+    fam = ["--family", "gold n=3 i=1"]
+    for argv in (
+        ["bct", *fam],
+        ["uniformity", *fam],
+        ["walsh", *fam],
+        ["moment", *fam],
+        ["certify", *fam, "--two-uniform"],
+        ["family", *fam],
+        ["reproduce", "--tier", "fast"],
+    ):
+        assert run_cli(capsys, *argv, "--threads", "1")[0] == 2
 
 
 def test_ddt_csv_shape(capsys):

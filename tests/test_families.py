@@ -33,7 +33,7 @@ from bctlab import (
     zieve_binomial_inverse,
     zieve_gamma_candidates,
 )
-from bctlab.families import cube_condition_roots
+from bctlab.families import FAMILY_PARAMETERS, cube_condition_roots
 
 from conftest import system_solutions
 
@@ -339,6 +339,44 @@ def test_family_spec_parse_and_build():
         spec6, first
     )
     assert FamilySpec.parse("inverse n=0x4").build() == inverse_fn(4)
+
+
+def _gamma(i: int) -> int:
+    return zieve_gamma_candidates(make_field(6))[i]
+
+
+def _alpha() -> int:
+    """A primitive element of GF(2^6) other than the default one."""
+    spec = make_field(6)
+    return spec.pow(spec.primitive_element, 5)
+
+
+# one spec per family name, with the constructor call it must equal
+_SPEC_BUILDS = {
+    "gold": ("gold n=5 i=2", lambda: gold(5, 2)),
+    "kasami": ("kasami n=7 i=3", lambda: kasami(7, 3)),
+    "welch": ("welch k=2", lambda: welch(2)),
+    "niho": ("niho k=3", lambda: niho(3)),
+    "inverse": ("inverse n=6", lambda: inverse_fn(6)),
+    "dobbertin": ("dobbertin k=1", lambda: dobbertin(1)),
+    "bracken_leander": ("bracken_leander k=1", lambda: bracken_leander(1)),
+    "btt": (f"btt k=2 s=4 alpha={_alpha()}", lambda: btt(2, 4, _alpha())),
+    "modified_inverse": ("modified_inverse n=5", lambda: modified_inverse(5)),
+    "zieve_binomial": (
+        f"zieve_binomial q=8 gamma={_gamma(1)}",
+        lambda: zieve_binomial(make_field(6), _gamma(1)),
+    ),
+    "zieve_binomial_inverse": (
+        "zieve_binomial_inverse q=8",
+        lambda: zieve_binomial_inverse(make_field(6), _gamma(0)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_PARAMETERS))
+def test_family_spec_builds_every_family_like_its_constructor(name):
+    text, direct = _SPEC_BUILDS[name]
+    assert FamilySpec.parse(text).build() == direct()
 
 
 def test_family_spec_parse_errors():

@@ -1,5 +1,8 @@
 """DDT/BCT builders, uniformity extraction, exports, and table invariants."""
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -253,13 +256,15 @@ def test_representation_independence():
             assert r0.differential_uniformity == r1.differential_uniformity
 
 
-def test_thread_count_does_not_change_results(rng):
-    spec = make_field(5)
-    f = random_permutation(spec, rng)
-    for builder in (ddt, bct_naive, bct_system, bct_fast):
-        one = builder(f, threads=1).counts
-        many = builder(f, threads=4).counts
-        assert np.array_equal(one, many)
+def test_bct_fast_split_matches_serial(rng, monkeypatch):
+    # on the main thread n = 11 splits the c loop (forced to two threads
+    # here, whatever the machine); on a pool thread the same call is serial
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    f = random_permutation(make_field(11), rng)
+    split = bct_fast(f).counts
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        serial = pool.submit(bct_fast, f).result().counts
+    assert np.array_equal(split, serial)
 
 
 # -- exports -----------------------------------------------------------------------

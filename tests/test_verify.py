@@ -114,9 +114,9 @@ def test_appendix_case_audit_range():
         appendix_case_audit(11)
 
 
-def test_reproduce_all_thread_pool_matches_serial():
-    serial = reproduce_all("fast")
-    pooled = reproduce_all("fast", threads=4)
-    assert [(r.claim_id, r.expected, r.computed, r.status) for r in serial] == [
-        (r.claim_id, r.expected, r.computed, r.status) for r in pooled
+def test_reproduce_all_pool_matches_one_by_one():
+    pooled = reproduce_all("fast")
+    serial = [reproduce(cid) for cid in claim_ids("fast")]
+    assert [(r.claim_id, r.expected, r.computed, r.status) for r in pooled] == [
+        (r.claim_id, r.expected, r.computed, r.status) for r in serial
     ]

@@ -23,7 +23,7 @@ from bctlab import (
     walsh_spectrum,
     welch,
 )
-from bctlab.walsh import _constrained_quad_sum
+from bctlab.walsh import _constrained_quad_sum, _fourth_power_sum
 
 from conftest import walsh_oracle
 
@@ -274,9 +274,15 @@ def test_delta_certificate_rational_phi():
 
 
 def test_moment_first_order_wide_field():
-    # n = 7 exercises the arbitrary-precision path of the fourth-power sum
+    # n = 7: a wider field than the other moment tests
     f = inverse_fn(7)
     assert bct_moment_walsh(f, 1) == bct_moment_direct(f, 1)
+
+
+@pytest.mark.parametrize("n", [7, 10])
+def test_fourth_power_sum_matches_object_arithmetic(rng, n):
+    W = walsh_spectrum(random_permutation(make_field(n), rng)).values
+    assert _fourth_power_sum(W) == int((W.astype(object) ** 4).sum())
 
 
 def test_moment_rejects_ddt_table():
