@@ -3,22 +3,27 @@
 Verbs: ddt, bct, uniformity, walsh, moment, certify, family, reproduce.
 Input is either an S-box file (--file) or a family specification
 (--family "name key=value ..."); --field n:reduction-hex overrides the
-default reduction polynomial. Output goes to stdout or --out, CSV for
-tables by default, JSON elsewhere ("schema": 1). Exit codes: 0 success,
-1 failed reproduction claims, 2 usage or input errors. Output is
-byte-identical across BCT algorithms. There is no thread option: the
-library picks its own parallelism, and none of it changes a byte.
+default reduction polynomial. Output goes to stdout or --out: ddt, bct and
+walsh print CSV, or JSON with --json; family prints the S-box file format;
+every other verb prints JSON ("schema": 1) and takes no --json. Exit codes:
+0 success, 1 failed reproduction claims, 2 usage or input errors. CSV is
+byte-identical across BCT algorithms, and JSON differs only in its
+"algorithm" field. There is no thread option: the library picks its own
+parallelism, and none of it changes a byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
+from dataclasses import asdict
 
 from .gf2n import parse_field
 from .sbox import SBox, read_sbox, write_sbox
 from .tables import (
+    _matrix_csv,
     bct,
     boomerang_uniformity,
     ddt,
@@ -38,6 +43,80 @@ from .verify import appendix_case_audit, reproduce, reproduce_all
 __all__ = ["main"]
 
 
+# -- verb handlers: (S-box, args) -> CSV/S-box text or a JSON payload -------------
+
+
+def _table_out(t, args):
+    if not args.json:
+        return ktable_to_csv(t)
+    return {"schema": 1, "field": t.spec.label(), **ktable_to_json(t)}
+
+
+def _ddt(f: SBox, args):
+    return _table_out(ddt(f), args)
+
+
+def _bct(f: SBox, args):
+    return _table_out(bct(f, algorithm=args.algo), args)
+
+
+def _uniformity(f: SBox, args):
+    rep = boomerang_uniformity(f, algorithm=args.algo)
+    return {"schema": 1, "n": f.spec.n, "field": f.spec.label(), **asdict(rep)}
+
+
+def _walsh(f: SBox, args):
+    values = walsh_spectrum(f).values
+    if not args.json:
+        return _matrix_csv("u\\v", values)
+    return {
+        "schema": 1,
+        "n": f.spec.n,
+        "field": f.spec.label(),
+        "values": values.ravel().tolist(),
+    }
+
+
+def _moment(f: SBox, args):
+    direct = bct_moment_direct(f, args.j)
+    spectrum_side = bct_moment_walsh(f, args.j)
+    return {
+        "schema": 1,
+        "n": f.spec.n,
+        "j": args.j,
+        "direct": direct,
+        "walsh": spectrum_side,
+        "equal": direct == spectrum_side,
+    }
+
+
+def _certify(f: SBox, args):
+    if args.two_uniform:
+        lhs, rhs, gap = two_uniform_certificate(f)
+        return {
+            "schema": 1,
+            "n": f.spec.n,
+            "lhs": lhs,
+            "rhs": rhs,
+            "gap": gap,
+            "is_two_uniform": gap == 0,
+        }
+    value, is_zero = delta_uniform_certificate(f, args.delta)
+    return {
+        "schema": 1,
+        "delta": args.delta,
+        "value_numerator": value.numerator,
+        "value_denominator": value.denominator,
+        "is_zero": is_zero,
+    }
+
+
+def _family(f: SBox, args):
+    buf = io.StringIO()
+    write_sbox(f, buf)
+    return buf.getvalue()
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bctlab",
@@ -45,12 +124,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p, with_input=True, with_algo=False):
-        if with_input:
-            src = p.add_mutually_exclusive_group(required=True)
-            src.add_argument("--file", help="S-box file (n=<int> header + 2^n values)")
-            src.add_argument("--family", help='family spec, e.g. "kasami n=6 i=2"')
-            p.add_argument("--field", help="override reduction: n:hex, e.g. 3:b")
+    def add_verb(name, help_, run, with_algo=False, with_json=False):
+        p = sub.add_parser(name, help=help_)
+        p.set_defaults(run=run)
+        src = p.add_mutually_exclusive_group(required=True)
+        src.add_argument("--file", help="S-box file (n=<int> header + 2^n values)")
+        src.add_argument("--family", help='family spec, e.g. "kasami n=6 i=2"')
+        p.add_argument("--field", help="override reduction: n:hex, e.g. 3:b")
         if with_algo:
             p.add_argument(
                 "--algo",
@@ -59,22 +139,21 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="BCT construction algorithm",
             )
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
+        if with_json:
+            p.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
+        return p
 
-    add_common(sub.add_parser("ddt", help="difference distribution table"))
-    add_common(sub.add_parser("bct", help="boomerang connectivity table"), with_algo=True)
-    add_common(
-        sub.add_parser("uniformity", help="differential and boomerang uniformities"),
-        with_algo=True,
+    add_verb("ddt", "difference distribution table", _ddt, with_json=True)
+    add_verb("bct", "boomerang connectivity table", _bct, with_algo=True, with_json=True)
+    add_verb(
+        "uniformity", "differential and boomerang uniformities", _uniformity, with_algo=True
     )
-    add_common(sub.add_parser("walsh", help="full Walsh spectrum"))
+    add_verb("walsh", "full Walsh spectrum", _walsh, with_json=True)
 
-    p = sub.add_parser("moment", help="BCT moment, table-side vs spectrum-side")
-    add_common(p)
+    p = add_verb("moment", "BCT moment, table-side vs spectrum-side", _moment)
     p.add_argument("--j", type=int, default=1, choices=(1, 2), help="moment order")
 
-    p = sub.add_parser("certify", help="uniformity certificates from moments")
-    add_common(p)
+    p = add_verb("certify", "uniformity certificates from moments", _certify)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--delta", type=int, help="certify boomerang uniformity <= delta")
     mode.add_argument(
@@ -83,8 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="spectrum-only test for boomerang uniformity 2",
     )
 
-    p = sub.add_parser("family", help="emit a family S-box in file format")
-    add_common(p)
+    add_verb("family", "emit a family S-box in file format", _family)
 
     p = sub.add_parser("reproduce", help="run the reference-value registry")
     p.add_argument("--tier", choices=("fast", "full"), default="fast")
@@ -96,13 +174,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_sbox(args) -> SBox:
-    field = parse_field(args.field) if getattr(args, "field", None) else None
+    field = parse_field(args.field) if args.field else None
     if args.file:
         return read_sbox(args.file, field)
     return FamilySpec.parse(args.family).build(field)
 
 
-def _emit(text: str, out_path) -> None:
+def _write(result, out_path) -> None:
+    """Write text as is, or anything else as indented JSON, to out_path or stdout."""
+    text = result if isinstance(result, str) else json.dumps(result, indent=2) + "\n"
     if out_path:
         with open(out_path, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -110,127 +190,16 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(payload, out_path) -> None:
-    _emit(json.dumps(payload, indent=2) + "\n", out_path)
-
-
-def _spectrum_csv(sp) -> str:
-    lines = ["u\\v," + ",".join(str(v) for v in range(sp.spec.size))]
-    for u in range(sp.spec.size):
-        lines.append(f"{u}," + ",".join(str(int(x)) for x in sp.values[u]))
-    return "\n".join(lines) + "\n"
-
-
-def _dispatch(args) -> int:
-    verb = args.verb
-    if verb == "reproduce":
-        if args.claim:
-            reports = [reproduce(cid, args.budget) for cid in args.claim]
-        else:
-            reports = reproduce_all(args.tier, args.budget)
-        if args.audit is not None:
-            reports.extend(appendix_case_audit(args.audit))
-        _emit_json([r.to_json() for r in reports], args.out)
-        return 1 if any(r.status == "fail" for r in reports) else 0
-
-    f = _load_sbox(args)
-
-    if verb == "family":
-        import io
-
-        buf = io.StringIO()
-        write_sbox(f, buf)
-        _emit(buf.getvalue(), args.out)
-        return 0
-
-    if verb in ("ddt", "bct"):
-        table = ddt(f) if verb == "ddt" else bct(f, algorithm=args.algo)
-        if args.json:
-            payload = {"schema": 1, "field": f.spec.label()}
-            payload.update(ktable_to_json(table))
-            _emit_json(payload, args.out)
-        else:
-            _emit(ktable_to_csv(table), args.out)
-        return 0
-
-    if verb == "uniformity":
-        rep = boomerang_uniformity(f, algorithm=args.algo)
-        _emit_json(
-            {
-                "schema": 1,
-                "n": f.spec.n,
-                "field": f.spec.label(),
-                "differential_uniformity": rep.differential_uniformity,
-                "boomerang_uniformity": rep.boomerang_uniformity,
-                "ddt_argmax": list(rep.ddt_argmax),
-                "bct_argmax": list(rep.bct_argmax),
-                "algorithm": rep.algorithm,
-            },
-            args.out,
-        )
-        return 0
-
-    if verb == "walsh":
-        sp = walsh_spectrum(f)
-        if args.json:
-            _emit_json(
-                {
-                    "schema": 1,
-                    "n": f.spec.n,
-                    "field": f.spec.label(),
-                    "values": [int(v) for v in sp.values.ravel()],
-                },
-                args.out,
-            )
-        else:
-            _emit(_spectrum_csv(sp), args.out)
-        return 0
-
-    if verb == "moment":
-        direct = bct_moment_direct(f, args.j)
-        spectrum_side = bct_moment_walsh(f, args.j)
-        _emit_json(
-            {
-                "schema": 1,
-                "n": f.spec.n,
-                "j": args.j,
-                "direct": direct,
-                "walsh": spectrum_side,
-                "equal": direct == spectrum_side,
-            },
-            args.out,
-        )
-        return 0
-
-    if verb == "certify":
-        if args.two_uniform:
-            lhs, rhs, gap = two_uniform_certificate(f)
-            _emit_json(
-                {
-                    "schema": 1,
-                    "n": f.spec.n,
-                    "lhs": lhs,
-                    "rhs": rhs,
-                    "gap": gap,
-                    "is_two_uniform": gap == 0,
-                },
-                args.out,
-            )
-        else:
-            value, is_zero = delta_uniform_certificate(f, args.delta)
-            _emit_json(
-                {
-                    "schema": 1,
-                    "delta": args.delta,
-                    "value_numerator": value.numerator,
-                    "value_denominator": value.denominator,
-                    "is_zero": is_zero,
-                },
-                args.out,
-            )
-        return 0
-
-    raise ValueError(f"unknown verb {verb!r}")  # pragma: no cover
+def _reproduce(args) -> int:
+    """The one verb without an S-box: exits 1 when any claim fails."""
+    if args.claim:
+        reports = [reproduce(cid, args.budget) for cid in args.claim]
+    else:
+        reports = reproduce_all(args.tier, args.budget)
+    if args.audit is not None:
+        reports.extend(appendix_case_audit(args.audit))
+    _write([r.to_json() for r in reports], args.out)
+    return 1 if any(r.status == "fail" for r in reports) else 0
 
 
 def main(argv=None) -> int:
@@ -240,7 +209,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
     try:
-        return _dispatch(args)
+        if args.verb == "reproduce":
+            return _reproduce(args)
+        _write(args.run(_load_sbox(args), args), args.out)
+        return 0
     except (ValueError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,9 @@ bucket pair (x, x') contributes one solution at a = x+x'. From n = 11 on,
 and only when called on the main thread, it splits the c loop over one
 thread per CPU into disjoint accumulators merged by addition, so the
 output does not depend on the split. Every other builder is a plain loop.
-Counts fit 32-bit (n <= 16).
+Counts are stored as int32, and KTable refuses any count above its
+maximum: every count is at most 4^n, which fits up to n = 15, but BCT(0, 0)
+of a constant map is exactly 4^n and does not fit at n = 16.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ __all__ = [
 
 _PAIR_CHUNK = 8_000_000  # flush threshold for bct_fast key buffers
 _SPLIT_MIN_N = 11  # smallest n where splitting bct_fast over threads pays
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 class KTable:
@@ -64,9 +67,13 @@ class KTable:
     def __init__(self, spec: FieldSpec, kind: str, counts, algorithm: str):
         if kind not in ("DDT", "BCT"):
             raise ValueError(f"kind must be 'DDT' or 'BCT', got {kind!r}")
-        arr = np.asarray(counts, dtype=np.int32)
+        arr = np.asarray(counts)
         if arr.shape != (spec.size, spec.size):
             raise ValueError("counts must be a 2^n x 2^n matrix")
+        peak = int(arr.max())
+        if peak > _INT32_MAX:
+            raise ValueError(f"count {peak} exceeds the int32 maximum {_INT32_MAX}")
+        arr = np.asarray(arr, dtype=np.int32)
         arr.flags.writeable = False
         self.spec = spec
         self.kind = kind
@@ -287,13 +294,17 @@ def quadratic_bound_check(f: SBox) -> bool:
 # -- exports ---------------------------------------------------------------------
 
 
+def _matrix_csv(corner: str, m: np.ndarray) -> str:
+    """CSV with header "<corner>,0,1,..." and one row "i,m[i,0],m[i,1],..." per i."""
+    lines = [corner + "," + ",".join(map(str, range(m.shape[1])))]
+    for i, row in enumerate(m):  # a whole-table .tolist() would raise peak memory
+        lines.append(f"{i}," + ",".join(map(str, row.tolist())))
+    return "\n".join(lines) + "\n"
+
+
 def ktable_to_csv(t: KTable) -> str:
     r"""CSV with header "a\b,0,1,..." and one row of plain decimal counts per a."""
-    N = t.spec.size
-    lines = ["a\\b," + ",".join(str(b) for b in range(N))]
-    for a in range(N):
-        lines.append(f"{a}," + ",".join(str(int(v)) for v in t.counts[a]))
-    return "\n".join(lines) + "\n"
+    return _matrix_csv("a\\b", t.counts)
 
 
 def ktable_to_json(t: KTable) -> dict:
@@ -303,5 +314,5 @@ def ktable_to_json(t: KTable) -> dict:
         "n": t.spec.n,
         "algorithm": t.algorithm,
         "max_nonzero": t.max_nonzero(),
-        "counts": [int(v) for v in t.counts.ravel()],
+        "counts": t.counts.ravel().tolist(),
     }

@@ -1,10 +1,13 @@
 """Command-line interface: verbs, formats, exit codes, determinism."""
 
+import hashlib
 import json
+import re
 
+import numpy as np
 import pytest
 
-from bctlab import identity_sbox, make_field, write_sbox
+from bctlab import KTable, cli, gold, identity_sbox, make_field, walsh_spectrum, write_sbox
 from bctlab.cli import main
 
 
@@ -36,13 +39,22 @@ def test_uniformity_on_identity_file(tmp_path, capsys):
 
 
 def test_bct_algorithms_byte_identical(tmp_path, capsys):
-    args = ["bct", "--family", "modified_inverse n=4"]
-    outputs = []
+    fam = ["--family", "modified_inverse n=4"]
+    outputs, payloads = [], {"bct": [], "uniformity": []}
     for algo in ("naive", "system", "fast"):
-        code, out, _ = run_cli(capsys, *args, "--algo", algo)
+        code, out, _ = run_cli(capsys, "bct", *fam, "--algo", algo)
         assert code == 0
         outputs.append(out)
+        # JSON differs across algorithms only in its "algorithm" field
+        for argv in (["bct", *fam, "--json"], ["uniformity", *fam]):
+            code, out, _ = run_cli(capsys, *argv, "--algo", algo)
+            assert code == 0
+            payload = json.loads(out)
+            assert payload.pop("algorithm") == algo
+            payloads[argv[0]].append(payload)
     assert outputs[0] == outputs[1] == outputs[2]
+    for same in payloads.values():
+        assert same[0] == same[1] == same[2]
 
 
 def test_threads_option_exits_2(capsys):
@@ -61,6 +73,31 @@ def test_threads_option_exits_2(capsys):
         ["reproduce", "--tier", "fast"],
     ):
         assert run_cli(capsys, *argv, "--threads", "1")[0] == 2
+
+
+def test_json_option_only_on_table_verbs(capsys):
+    fam = ["--family", "gold n=3 i=1"]
+    for argv in (
+        ["uniformity", *fam],
+        ["moment", *fam],
+        ["certify", *fam, "--two-uniform"],
+        ["family", *fam],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--json")
+        assert code == 2
+        assert out == ""
+        assert "--json" in err
+
+
+def test_count_overflow_exits_2(capsys, monkeypatch):
+    def overflowing_ddt(f):
+        return KTable(f.spec, "DDT", np.full((f.spec.size,) * 2, 2**32), "ddt")
+
+    monkeypatch.setattr(cli, "ddt", overflowing_ddt)
+    code, out, err = run_cli(capsys, "ddt", "--family", "gold n=3 i=1")
+    assert code == 2
+    assert out == ""
+    assert "exceeds the int32 maximum" in err
 
 
 def test_ddt_csv_shape(capsys):
@@ -211,3 +248,57 @@ def test_walsh_cap_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "walsh", "--file", str(path))
     assert code == 2
     assert "capped" in err
+
+
+# SHA-256 of stdout for one small input per verb and format. `reproduce`
+# output has its wall-clock `runtime_ms` fields removed before hashing.
+_STDOUT_SHA256 = [
+    (("ddt", "--family", "gold n=5 i=1"),
+     "f1bb4bd6b01022ccb1e9f9a7387d179f064b0faf28662c56f2a7b7b32e09b4f8"),
+    (("bct", "--family", "modified_inverse n=4"),
+     "47680da51d570393b9a8a12594ac31966ec411431d0cad75316fbce87ca7dfc1"),
+    (("bct", "--family", "kasami n=5 i=2", "--json"),
+     "b387730333a153b82e5fa35b822a736d88312f6758bef957526c7690e953de80"),
+    (("uniformity", "--family", "inverse n=4"),
+     "7c346820b359a0ffc9cbe9b53b5114240d524bef609fe3ea3bdeaa349a227571"),
+    (("walsh", "--family", "gold n=3 i=1"),
+     "ded174db393b622589ba24c5a8a228f9759896857ab84e0f4c435e64adda0fa2"),
+    (("walsh", "--family", "gold n=4 i=1", "--json"),
+     "dd33cd897accb73394dcb5edf970248f9792e37ce4c8f6af5f2f234ca7d7ac13"),
+    (("moment", "--family", "gold n=5 i=1", "--j", "1"),
+     "2a76508b8bcd2dcd785948d43e57387d7f60141b06fb78a52bd188e027bd47bb"),
+    (("certify", "--family", "modified_inverse n=4", "--delta", "6"),
+     "1389733f907e03e7ff4043efa58f32517bd1855a2c4c95b56200b701873b43b7"),
+    (("certify", "--family", "gold n=5 i=1", "--two-uniform"),
+     "288d24fb47bbc4218e331dc45f41ffaa3d0b23333a26c40878ff3e57b6fa002d"),
+    (("family", "--family", "kasami n=5 i=2"),
+     "8f79f26d1f43096655c6b1f3271ae2b63d6f33ded37bedc24749c9d145a3a744"),
+    (("reproduce", "--claim", "thm9.n4"),
+     "e896ba53557a70d881ca7f49a20c55b821ecc44992faae1bea1ed45d8f55c329"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", _STDOUT_SHA256, ids=[" ".join(argv) for argv, _ in _STDOUT_SHA256]
+)
+def test_stdout_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    out = re.sub(r',\n[ ]*"runtime_ms": -?[0-9][0-9.eE+-]*', "", out)
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+def test_walsh_csv_matches_spectrum_and_json(capsys):
+    fam = ["--family", "gold n=3 i=1"]
+    code, out, _ = run_cli(capsys, "walsh", *fam)
+    assert code == 0
+    lines = out.rstrip("\n").split("\n")
+    assert lines[0] == "u\\v," + ",".join(str(v) for v in range(8))
+    values = walsh_spectrum(gold(3, 1)).values
+    rows = [[int(x) for x in line.split(",")] for line in lines[1:]]
+    assert [r[0] for r in rows] == list(range(8))
+    assert [r[1:] for r in rows] == values.tolist()
+    assert min(min(r[1:]) for r in rows) < 0
+    code, out, _ = run_cli(capsys, "walsh", *fam, "--json")
+    assert code == 0
+    assert json.loads(out)["values"] == [x for r in rows for x in r[1:]]

@@ -278,6 +278,15 @@ def test_ktable_validation():
         KTable(spec, "DDT", np.zeros((4, 8)), "t")
 
 
+def test_ktable_refuses_counts_above_int32():
+    spec = make_field(2)
+    with pytest.raises(ValueError, match="count 4294967296 exceeds"):
+        KTable(spec, "BCT", np.full((4, 4), 2**32), "x")
+    top = KTable(spec, "BCT", np.full((4, 4), 2**31 - 1), "x")
+    assert top.counts.dtype == np.int32
+    assert int(top.counts[0, 0]) == 2**31 - 1
+
+
 def test_csv_export():
     t = ddt(identity_sbox(make_field(2)))
     text = ktable_to_csv(t)
