@@ -6,10 +6,11 @@ Input is either an S-box file (--file) or a family specification
 default reduction polynomial. Output goes to stdout or --out: ddt, bct and
 walsh print CSV, or JSON with --json; family prints the S-box file format;
 every other verb prints JSON ("schema": 1) and takes no --json. Exit codes:
-0 success, 1 failed reproduction claims, 2 usage or input errors. CSV is
-byte-identical across BCT algorithms, and JSON differs only in its
-"algorithm" field. There is no thread option: the library picks its own
-parallelism, and none of it changes a byte.
+0 success, 1 failed reproduction claims, 2 usage or input errors and
+tables too large for physical memory. CSV is byte-identical across BCT
+algorithms, and JSON differs only in its "algorithm" field. There is no
+thread option: only `reproduce` of a whole tier runs its claims on a
+pool, and no output byte depends on it.
 """
 
 from __future__ import annotations
@@ -213,7 +214,7 @@ def main(argv=None) -> int:
             return _reproduce(args)
         _write(args.run(_load_sbox(args), args), args.out)
         return 0
-    except (ValueError, OSError, ZeroDivisionError) as exc:
+    except (ValueError, OSError, ZeroDivisionError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

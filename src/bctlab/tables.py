@@ -15,13 +15,13 @@ Three BCT builders with identical output:
 
     bct_naive   O(2^3n), permutations only, the oracle
     bct_system  O(2^3n), any function, literal pair counting
-    bct_fast    sum(|X(c,b)|^2) <= Delta * 2^2n, any function
+    bct_fast    representative pairs, zero for APN maps; any function
 
-bct_fast buckets inputs x by b = f(x)+f(x+c) for every c; each ordered
-bucket pair (x, x') contributes one solution at a = x+x'. From n = 11 on,
-and only when called on the main thread, it splits the c loop over one
-thread per CPU into disjoint accumulators merged by addition, so the
-output does not depend on the split. Every other builder is a plain loop.
+bct_fast takes c = 0 and the pairs {x, x}, {x, x+c} in closed form from
+the DDT rows and enumerates only unordered pairs of representatives of
+X(c, b) = {x : f(x)+f(x+c) = b} under x -> x+c, none when Delta = 2. It is
+one serial pass and refuses, before allocating, a table whose estimated
+peak exceeds physical memory. No builder starts a thread.
 Counts are stored as int32, and KTable refuses any count above its
 maximum: every count is at most 4^n, which fits up to n = 15, but BCT(0, 0)
 of a constant map is exactly 4^n and does not fit at n = 16.
@@ -30,8 +30,6 @@ of a constant map is exactly 4^n and does not fit at n = 16.
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +54,8 @@ __all__ = [
     "ktable_to_json",
 ]
 
-_PAIR_CHUNK = 8_000_000  # flush threshold for bct_fast key buffers
-_SPLIT_MIN_N = 11  # smallest n where splitting bct_fast over threads pays
+_BLOCK = 1 << 20  # derivative values f(r)+f(r+c) per bct_fast block
+_PAIR_CHUNK = 1 << 20  # representative pairs per bct_fast accumulation
 _INT32_MAX = np.iinfo(np.int32).max
 
 
@@ -157,62 +155,86 @@ def bct_system(f: SBox) -> KTable:
     return KTable(f.spec, "BCT", counts, "system")
 
 
-def _fast_keys(table: np.ndarray, idx: np.ndarray, c: int, N: int) -> np.ndarray:
-    """Flattened (a, b) keys of all bucket pairs for one input difference c."""
-    D = table ^ table[idx ^ c]
-    order = np.argsort(D, kind="stable")
-    Ds = D[order]
-    change = np.flatnonzero(Ds[1:] != Ds[:-1]) + 1
-    starts = np.concatenate(([0], change))
-    sizes = np.diff(np.concatenate((starts, [N])))
-    bvals = Ds[starts]
-    # left element: each x in a size-m bucket appears m times consecutively
-    reps = np.repeat(sizes, sizes)
-    left = np.repeat(order, reps)
-    # right element: the whole bucket tiled m times, via block-local indices
-    sq = sizes * sizes
-    block = np.repeat(np.arange(sizes.size), sq)
-    offsets = np.concatenate(([0], np.cumsum(sq)[:-1]))
-    local = np.arange(int(sq.sum())) - offsets[block]
-    right = order[starts[block] + local % sizes[block]]
-    return (left ^ right) * N + np.repeat(bvals, sq)
+def _memory_budget() -> int:
+    """Physical memory in bytes: the most one table build may plan to use."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _fast_dtype(n: int):
+    """Every count is at most 4^n, which fits int32 up to n = 15."""
+    return np.int32 if 4**n <= _INT32_MAX else np.int64
+
+
+def _fast_peak_bytes(n: int) -> int:
+    """Upper estimate of the bytes bct_fast allocates at dimension n: the
+    accumulator plus about 20 int64 arrays of one block or one pair chunk."""
+    return np.dtype(_fast_dtype(n)).itemsize * 4**n + 160 * max(_BLOCK, _PAIR_CHUNK)
 
 
 def bct_fast(f: SBox) -> KTable:
-    """Bucketed pair enumeration; cost sum(|X(c,b)|^2) <= Delta * 2^2n.
+    """Pairs of orbit representatives; cost sum over (c, b) of C(DDT(c,b)/2, 2).
 
-    From n = 11 on, a call on the main thread splits the c loop over one
-    thread per CPU; below that, or on any other thread (a claim pool, say),
-    it runs serially, so pools never nest.
+    BCT(a, b) counts the pairs x, x' of one X(c, b) = {x : f(x)+f(x+c) = b}
+    with x+x' = a. X(0, 0) is every x: +2^n down column b = 0. For c != 0,
+    X(c, b) is closed under x -> x+c; its representatives r have the top
+    bit of c clear. Each r with itself adds DDT(c, b) at (0, b) and (c, b),
+    and each unordered pair {r, r'} adds 4 at (r+r', b) and (r+r'+c, b).
+    The c values sharing a top bit share the representatives and run as
+    blocks of about _BLOCK derivative values. Raises MemoryError, before
+    allocating, when the estimated peak exceeds physical memory.
     """
-    N = f.spec.size
-    table = f.table
-    idx = np.arange(N)
+    n, N, table = f.spec.n, f.spec.size, f.table
+    need, budget = _fast_peak_bytes(n), _memory_budget()
+    if need > budget:
+        raise MemoryError(
+            f"bct_fast at n = {n} needs about {need} bytes; "
+            f"physical memory is {budget} bytes"
+        )
+    counts = np.zeros((N, N), dtype=_fast_dtype(n))
+    counts[:, 0] = N
+    idx, rows = np.arange(N), max(1, _BLOCK // (N // 2))
+    for k in range(n):
+        top = 1 << k
+        reps = idx[(idx & top) == 0]
+        frep = table[reps]
+        for c0 in range(top, 2 * top, rows):
+            cs = np.arange(c0, min(c0 + rows, 2 * top))
+            # key = (c - c0) * N + b for the element (c, r), b = f(r)+f(r+c)
+            key = ((cs - c0)[:, None] * N + (frep ^ table[reps ^ cs[:, None]])).ravel()
+            reps_per_bucket = np.bincount(key, minlength=cs.size * N)
+            ddt_rows = 2 * reps_per_bucket.reshape(cs.size, N)
+            counts[c0 : c0 + cs.size] += ddt_rows
+            counts[0] += ddt_rows.sum(axis=0)
+            shared = np.flatnonzero(reps_per_bucket[key] >= 2)
+            if shared.size:
+                _add_pairs(counts.reshape(-1), shared[np.argsort(key[shared])], key, reps, c0, n)
+    return KTable(f.spec, "BCT", counts, "fast")
 
-    def worker(crange):
-        part = np.zeros(N * N, dtype=np.int64)
-        buf, buffered = [], 0
-        for c in crange:
-            keys = _fast_keys(table, idx, c, N)
-            buf.append(keys)
-            buffered += keys.size
-            if buffered >= _PAIR_CHUNK:
-                part += np.bincount(np.concatenate(buf), minlength=N * N)
-                buf, buffered = [], 0
-        if buf:
-            part += np.bincount(np.concatenate(buf), minlength=N * N)
-        return part
 
-    if f.spec.n < _SPLIT_MIN_N or threading.current_thread() is not threading.main_thread():
-        counts = worker(range(N))
-    else:
-        workers = os.cpu_count() or 1
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(worker, (range(w, N, workers) for w in range(workers)))
-            counts = next(parts)
-            for part in parts:
-                counts += part
-    return KTable(f.spec, "BCT", counts.reshape(N, N), "fast")
+def _add_pairs(flat, order, key, reps, c0, n) -> None:
+    """Add 4 at (r+r', b) and (r+r'+c, b) for each pair in a sorted bucket run.
+
+    order lists block positions (c - c0) * |reps| + j sorted by bucket key,
+    so each bucket is one run; a position pairs with the rest of its run
+    after it. Pairs go in chunks of about _PAIR_CHUNK, one position at least.
+    """
+    ks = key[order]
+    pos = np.arange(ks.size)
+    starts = np.flatnonzero(np.diff(ks, prepend=-1))
+    sizes = np.diff(starts, append=ks.size)
+    later = np.repeat(starts + sizes, sizes) - pos - 1
+    done = np.concatenate(([0], np.cumsum(later)))
+    s = 0
+    while s < ks.size:
+        e = max(s + 1, int(np.searchsorted(done, done[s] + _PAIR_CHUNK, "right")) - 1)
+        left = np.repeat(pos[s:e], later[s:e])
+        right = left + 1 + np.arange(left.size) - np.repeat(done[s:e] - done[s], later[s:e])
+        p, q = order[left], order[right]
+        rr = reps[p % reps.size] ^ reps[q % reps.size]
+        b = ks[left] & (2**n - 1)
+        c = (ks[left] >> n) + c0
+        np.add.at(flat, np.concatenate((rr << n | b, (rr ^ c) << n | b)), flat.dtype.type(4))
+        s = e
 
 
 def bct_row(f: SBox, a: int) -> np.ndarray:

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from bctlab import KTable, cli, gold, identity_sbox, make_field, walsh_spectrum, write_sbox
+from bctlab import KTable, cli, gold, identity_sbox, make_field, tables, walsh_spectrum, write_sbox
 from bctlab.cli import main
 
 
@@ -98,6 +98,16 @@ def test_count_overflow_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "exceeds the int32 maximum" in err
+
+
+def test_table_over_memory_budget_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(tables, "_memory_budget", lambda: 1024)
+    for verb in ("bct", "uniformity"):
+        code, out, err = run_cli(capsys, verb, "--family", "gold n=3 i=1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bct_fast at n = 3 needs about ")
+        assert "physical memory is 1024 bytes" in err
 
 
 def test_ddt_csv_shape(capsys):

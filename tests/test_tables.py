@@ -1,7 +1,6 @@
 """DDT/BCT builders, uniformity extraction, exports, and table invariants."""
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +31,7 @@ from bctlab import (
     random_permutation,
     SBox,
 )
+from bctlab import tables
 
 from conftest import system_solutions
 
@@ -256,15 +256,97 @@ def test_representation_independence():
             assert r0.differential_uniformity == r1.differential_uniformity
 
 
-def test_bct_fast_split_matches_serial(rng, monkeypatch):
-    # on the main thread n = 11 splits the c loop (forced to two threads
-    # here, whatever the machine); on a pool thread the same call is serial
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    f = random_permutation(make_field(11), rng)
-    split = bct_fast(f).counts
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        serial = pool.submit(bct_fast, f).result().counts
-    assert np.array_equal(split, serial)
+def test_bct_fast_matches_system_on_degenerate_maps(rng):
+    # buckets of three or more representatives exercise the pair decode
+    for n in range(2, 8):
+        spec = make_field(n)
+        idx = np.arange(spec.size)
+        for table in (np.zeros(spec.size, dtype=int), idx, idx & 3,
+                      rng.integers(0, spec.size, spec.size)):
+            f = SBox(spec, table)
+            assert np.array_equal(bct_fast(f).counts, bct_system(f).counts)
+
+
+def test_bct_fast_pair_chunks_split_runs(monkeypatch):
+    # a constant map has one bucket of 2^(n-1) representatives per c; a
+    # chunk of 5 pairs cuts each bucket's run into many pieces
+    f = SBox(make_field(5), [3] * 32)
+    whole = bct_fast(f).counts
+    monkeypatch.setattr(tables, "_PAIR_CHUNK", 5)
+    assert np.array_equal(bct_fast(f).counts, whole)
+    assert np.array_equal(whole, bct_system(f).counts)
+
+
+def _identity_corpus(rng):
+    for n in (3, 4, 5, 6):
+        spec = make_field(n)
+        yield random_permutation(spec, rng)
+        yield SBox(spec, rng.integers(0, spec.size, spec.size))
+    yield inverse_fn(4)
+    yield modified_inverse(5)
+    yield kasami(6, 2)
+
+
+def test_bct_row_zero_is_ddt_column_sums(rng):
+    for f in _identity_corpus(rng):
+        assert np.array_equal(bct_system(f).counts[0], ddt(f).counts.sum(axis=0))
+
+
+def test_bct_congruent_to_ddt_mod_4(rng):
+    for f in _identity_corpus(rng):
+        t, d = bct_system(f).counts[1:, 1:], ddt(f).counts[1:, 1:]
+        assert ((t - d) % 4 == 0).all()
+
+
+def test_bct_equals_ddt_off_boundary_when_apn():
+    # x^3 is APN for every n and a permutation only for odd n
+    funcs = [from_monomial(make_field(n), 3) for n in (3, 4, 5, 6)]
+    funcs += [inverse_fn(5), gold(5, 2), gold(7, 3)]
+    assert not funcs[1].is_permutation() and not funcs[3].is_permutation()
+    for f in funcs:
+        d = ddt(f)
+        assert differential_uniformity(d) == 2
+        assert np.array_equal(bct_system(f).counts[1:, 1:], d.counts[1:, 1:])
+
+
+def test_bct_fast_enumerates_no_pair_for_apn_maps(monkeypatch):
+    def no_pairs(*args):
+        raise AssertionError("an APN map has no bucket of two representatives")
+
+    f = gold(7, 3)
+    expect = bct_system(f).counts
+    monkeypatch.setattr(tables, "_add_pairs", no_pairs)
+    assert np.array_equal(bct_fast(f).counts, expect)
+
+
+def test_bct_column_zero_of_permutation(rng):
+    for n in (3, 4, 5, 6):
+        f = random_permutation(make_field(n), rng)
+        assert (bct_system(f).counts[:, 0] == 2**n).all()
+
+
+def test_bct_fast_refuses_tables_over_the_memory_budget(monkeypatch):
+    f = gold(5, 1)
+    need = tables._fast_peak_bytes(5)
+    monkeypatch.setattr(tables, "_memory_budget", lambda: need - 1)
+    with pytest.raises(MemoryError, match=f"needs about {need} bytes"):
+        bct_fast(f)
+    monkeypatch.setattr(tables, "_memory_budget", lambda: need)
+    assert bct_fast(f).max_nonzero() == 2
+
+
+def test_bct_fast_peak_estimate_covers_allocations(rng):
+    # numpy reports its buffers to tracemalloc; a pair-heavy map and a
+    # random permutation stay under the estimate the preflight uses
+    for f in (SBox(make_field(9), np.arange(512) & 3), random_permutation(make_field(11), rng)):
+        tracemalloc.start()
+        try:
+            bct_fast(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= tables._fast_peak_bytes(f.spec.n)
+    assert tables._fast_peak_bytes(16) > 8 * 4**16  # int64 where 4^n overflows int32
 
 
 # -- exports -----------------------------------------------------------------------
