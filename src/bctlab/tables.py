@@ -20,11 +20,16 @@ Three BCT builders with identical output:
 bct_fast takes c = 0 and the pairs {x, x}, {x, x+c} in closed form from
 the DDT rows and enumerates only unordered pairs of representatives of
 X(c, b) = {x : f(x)+f(x+c) = b} under x -> x+c, none when Delta = 2. It is
-one serial pass and refuses, before allocating, a table whose estimated
-peak exceeds physical memory. No builder starts a thread.
+one serial pass. bct_fast and ddt refuse, before allocating, a table whose
+estimated peak exceeds physical memory. No builder starts a thread.
 Counts are stored as int32, and KTable refuses any count above its
 maximum: every count is at most 4^n, which fits up to n = 15, but BCT(0, 0)
 of a constant map is exactly 4^n and does not fit at n = 16.
+
+bct_row computes one row. For maps with f(x^2) = f(x)^2 (power maps, the
+modified inverse) and a in {0, 1} it counts one c per squaring coset,
+O(2^2n / n); otherwise it is the plain O(2^2n) loop over every c.
+monomial_boomerang_uniformity reads a power map's uniformity off row 1.
 """
 
 from __future__ import annotations
@@ -103,11 +108,16 @@ class UniformityReport:
 
 
 def ddt(f: SBox) -> KTable:
-    """Difference distribution table: counts(a, b) = #{x : f(x+a)+f(x) = b}."""
-    N = f.spec.size
-    table = f.table
+    """Difference distribution table: counts(a, b) = #{x : f(x+a)+f(x) = b}.
+
+    Counts are at most 2^n, so the table accumulates int32 and KTable keeps
+    it without a copy. Raises MemoryError, before allocating, when the
+    estimated peak exceeds physical memory.
+    """
+    n, N, table = f.spec.n, f.spec.size, f.table
+    _require_memory("ddt", n, _ddt_peak_bytes(n))
     idx = np.arange(N)
-    counts = np.zeros((N, N), dtype=np.int64)
+    counts = np.zeros((N, N), dtype=np.int32)
     for a in range(N):
         counts[a] = np.bincount(table ^ table[idx ^ a], minlength=N)
     return KTable(f.spec, "DDT", counts, "ddt")
@@ -160,6 +170,22 @@ def _memory_budget() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _require_memory(builder: str, n: int, need: int) -> None:
+    """Raise MemoryError when a build's estimated peak exceeds the budget."""
+    budget = _memory_budget()
+    if need > budget:
+        raise MemoryError(
+            f"{builder} at n = {n} needs about {need} bytes; "
+            f"physical memory is {budget} bytes"
+        )
+
+
+def _ddt_peak_bytes(n: int) -> int:
+    """Upper estimate of the bytes ddt allocates at dimension n: the int32
+    table plus about 8 int64 arrays of one row."""
+    return 4 * 4**n + 64 * 2**n
+
+
 def _fast_dtype(n: int):
     """Every count is at most 4^n, which fits int32 up to n = 15."""
     return np.int32 if 4**n <= _INT32_MAX else np.int64
@@ -184,12 +210,7 @@ def bct_fast(f: SBox) -> KTable:
     allocating, when the estimated peak exceeds physical memory.
     """
     n, N, table = f.spec.n, f.spec.size, f.table
-    need, budget = _fast_peak_bytes(n), _memory_budget()
-    if need > budget:
-        raise MemoryError(
-            f"bct_fast at n = {n} needs about {need} bytes; "
-            f"physical memory is {budget} bytes"
-        )
+    _require_memory("bct_fast", n, _fast_peak_bytes(n))
     counts = np.zeros((N, N), dtype=_fast_dtype(n))
     counts[:, 0] = N
     idx, rows = np.arange(N), max(1, _BLOCK // (N // 2))
@@ -237,17 +258,55 @@ def _add_pairs(flat, order, key, reps, c0, n) -> None:
         s = e
 
 
+def _squaring_cosets(f: SBox):
+    """(sq, reps, sizes) when f(x^2) = f(x)^2, else None.
+
+    sq[x] = x^2; reps are the least elements of the cosets {c, c^2, c^4, ...}
+    and sizes their lengths, from n passes of sq.
+    """
+    n, N = f.spec.n, f.spec.size
+    idx = np.arange(N)
+    sq = f.spec.mul_vec(idx, idx)
+    if not np.array_equal(f.table[sq], sq[f.table]):
+        return None
+    image, least, size = idx, idx, np.zeros(N, dtype=np.int64)
+    for j in range(1, n + 1):
+        image = sq[image]
+        least = np.minimum(least, image)
+        size = np.where((size == 0) & (image == idx), j, size)
+    reps = np.flatnonzero(least == idx)
+    return sq, reps, size[reps]
+
+
 def bct_row(f: SBox, a: int) -> np.ndarray:
-    """One BCT row T(a, .) in O(2^2n): sum over c of coincidence counts."""
-    N = f.spec.size
-    table = f.table
+    """One BCT row T(a, .): sum over c of coincidence counts.
+
+    The plain loop is O(2^2n). When f(x^2) = f(x)^2 (every power map, the
+    modified inverse) and a is 0 or 1, substituting x = z^2 shows that c^2
+    contributes at b^2 what c contributes at b, so only one c per squaring
+    coset is counted, O(2^2n / n), and n gathers spread each partial row
+    over its coset.
+    """
+    n, N, table = f.spec.n, f.spec.size, f.table
     idx = np.arange(N)
     shifted = idx ^ a
-    row = np.zeros(N, dtype=np.int64)
-    for c in range(N):
+    cosets = _squaring_cosets(f) if a in (0, 1) else None
+    if cosets is None:
+        sq, reps, sizes = idx, idx, np.ones(N, dtype=np.int64)
+    else:
+        sq, reps, sizes = cosets
+    by_size = np.zeros((n + 1, N), dtype=np.int64)
+    for c, m in zip(reps.tolist(), sizes.tolist()):
         D = table ^ table[idx ^ c]
         mask = D == D[shifted]
-        row += np.bincount(D[mask], minlength=N)
+        by_size[m] += np.bincount(D[mask], minlength=N)
+    # a coset of size m adds its representative's partial row P at b^(2^j)
+    # for j < m: row[b^(2^j)] += P[b]
+    row = np.zeros(N, dtype=np.int64)
+    power = idx
+    for j in range(n):
+        row[power] += by_size[j + 1 :].sum(axis=0)
+        power = sq[power]
     return row
 
 
@@ -263,22 +322,25 @@ def bct(f: SBox, algorithm: str = "fast") -> KTable:
     return builder(f)
 
 
-def _argmax_pair(sub: np.ndarray, off_a: int, off_b: int) -> tuple[int, int]:
+def _peak(sub: np.ndarray, off_a: int, off_b: int) -> tuple[int, tuple[int, int]]:
+    """Maximum of sub and its first position, shifted by (off_a, off_b)."""
     flat = int(np.argmax(sub))
-    return (flat // sub.shape[1] + off_a, flat % sub.shape[1] + off_b)
+    return int(sub.flat[flat]), (flat // sub.shape[1] + off_a, flat % sub.shape[1] + off_b)
 
 
 def boomerang_uniformity(f: SBox, algorithm: str = "fast") -> UniformityReport:
-    """Full-table boomerang and differential uniformities with witnesses."""
-    bt = bct(f, algorithm=algorithm)
-    dt = ddt(f)
-    bsub = bt.counts[1:, 1:]
-    dsub = dt.counts[1:, :]
+    """Full-table boomerang and differential uniformities with witnesses.
+
+    The BCT is reduced to its maximum before the DDT is built, so the two
+    tables are never held at once and each builder's memory check is true.
+    """
+    boom, bct_arg = _peak(bct(f, algorithm=algorithm).counts[1:, 1:], 1, 1)
+    delta, ddt_arg = _peak(ddt(f).counts[1:, :], 1, 0)
     return UniformityReport(
-        differential_uniformity=int(dsub.max()),
-        boomerang_uniformity=int(bsub.max()),
-        ddt_argmax=_argmax_pair(dsub, 1, 0),
-        bct_argmax=_argmax_pair(bsub, 1, 1),
+        differential_uniformity=delta,
+        boomerang_uniformity=boom,
+        ddt_argmax=ddt_arg,
+        bct_argmax=bct_arg,
         algorithm=algorithm,
     )
 
@@ -288,7 +350,8 @@ def monomial_boomerang_uniformity(spec: FieldSpec, d: int) -> UniformityReport:
 
     For f = x^d, T(a, b) = T(1, b * a^-d), so the maximum over the whole
     table equals the maximum of the single row a=1 (and likewise for the
-    DDT). Costs O(2^2n) instead of a full table build.
+    DDT). x^d commutes with squaring, so bct_row counts one c per squaring
+    coset: O(2^2n / n) instead of a full table build.
     """
     from .sbox import from_monomial
 

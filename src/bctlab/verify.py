@@ -195,11 +195,11 @@ def _build_registry() -> dict[str, _Claim]:
     for k, i, val, est in (
         (3, 2, 4, 0.1), (3, 4, 4, 0.1),
         (5, 2, 44, 1.0), (5, 4, 44, 1.0), (5, 6, 44, 1.0),
-        (7, 2, 24, 20.0), (7, 4, 16, 20.0), (7, 6, 16, 20.0),
+        (7, 2, 24, 1.0), (7, 4, 16, 1.0), (7, 6, 16, 1.0),
     ):
         add(f"table3.k{k}.i{i}", val, lambda k=k, i=i: _kasami_delta(k, i), 2 * k, est)
     add("table4.k1", 4, lambda: _bracken_leander_delta(1), 4, 0.1)
-    add("table4.k3", 14, lambda: _bracken_leander_delta(3), 12, 10.0)
+    add("table4.k3", 14, lambda: _bracken_leander_delta(3), 12, 0.1)
     for n, val in ((3, 8), (4, 6), (5, 6), (6, 10), (7, 6), (8, 6), (9, 8)):
         add(f"example.n{n}", val, lambda n=n: _modified_inverse_delta(n), n, 1.0)
     for n in range(3, 13):

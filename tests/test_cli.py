@@ -110,6 +110,17 @@ def test_table_over_memory_budget_exits_2(capsys, monkeypatch):
         assert "physical memory is 1024 bytes" in err
 
 
+def test_ddt_over_memory_budget_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(tables, "_memory_budget", lambda: 512)
+    # bct_system has no preflight, so uniformity reaches ddt's
+    for argv in (["ddt"], ["uniformity", "--algo", "system"]):
+        code, out, err = run_cli(capsys, *argv, "--family", "gold n=3 i=1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ddt at n = 3 needs about ")
+        assert "physical memory is 512 bytes" in err
+
+
 def test_ddt_csv_shape(capsys):
     code, out, _ = run_cli(capsys, "ddt", "--family", "gold n=3 i=1")
     assert code == 0

@@ -127,6 +127,63 @@ def test_bct_row():
         assert np.array_equal(bct_row(k, a), t[a])
 
 
+def _squaring(spec):
+    idx = np.arange(spec.size)
+    return spec.mul_vec(idx, idx)
+
+
+def _equivariant_corpus():
+    """Maps with f(x^2) = f(x)^2: x^d over every d at n <= 6 (x^0 and the
+    non-permutations x^3 at even n among them) and the modified inverse."""
+    for n in (3, 4, 5, 6):
+        spec = make_field(n)
+        for d in range(spec.size):
+            yield from_monomial(spec, d)
+    for n in (3, 4, 5, 6, 7):
+        yield modified_inverse(n)
+    yield from_monomial(make_field(7), 13)
+
+
+def test_bct_is_invariant_under_squaring_both_indices():
+    # T(a^2, b^2) = T(a, b) when f commutes with squaring; the row engine
+    # sums one c per squaring coset on this identity
+    for f in _equivariant_corpus():
+        sq = _squaring(f.spec)
+        t = bct_system(f).counts
+        assert np.array_equal(t[sq][:, sq], t)
+
+
+def test_squaring_cosets_detect_equivariant_maps(rng):
+    for f in _equivariant_corpus():
+        sq, reps, sizes = tables._squaring_cosets(f)
+        assert np.array_equal(sq, _squaring(f.spec))
+        # the cosets of the representatives partition the field
+        members = []
+        for c, m in zip(reps.tolist(), sizes.tolist()):
+            coset = [c]
+            while len(coset) < m:
+                coset.append(int(sq[coset[-1]]))
+            assert int(sq[coset[-1]]) == c and min(coset) == c
+            members += coset
+        assert sorted(members) == list(range(f.spec.size))
+    for n in (5, 6, 7, 8):
+        assert tables._squaring_cosets(random_permutation(make_field(n), rng)) is None
+    assert tables._squaring_cosets(SBox(make_field(5), np.full(32, 5))) is None
+
+
+def test_bct_row_matches_system_rows(rng):
+    equivariant = [from_monomial(make_field(n), d) for n, d in ((4, 0), (4, 3), (6, 3), (6, 7), (7, 13))]
+    equivariant += [modified_inverse(n) for n in (5, 6, 7)]
+    others = [random_permutation(make_field(n), rng) for n in (4, 5, 6, 7)]
+    others += [SBox(make_field(n), np.full(2**n, 6)) for n in (3, 6)]  # constant != 0, 1
+    assert all(tables._squaring_cosets(f) is not None for f in equivariant)
+    assert all(tables._squaring_cosets(f) is None for f in others)
+    for f in equivariant + others:
+        t = bct_system(f).counts
+        for a in (0, 1, f.spec.size - 3):
+            assert np.array_equal(bct_row(f, a), t[a]), (f, a)
+
+
 def test_bct_known_values():
     assert bct_fast(modified_inverse(6)).max_nonzero() == 10
     assert bct_naive(modified_inverse(6)).max_nonzero() == 10
@@ -347,6 +404,30 @@ def test_bct_fast_peak_estimate_covers_allocations(rng):
             tracemalloc.stop()
         assert peak <= tables._fast_peak_bytes(f.spec.n)
     assert tables._fast_peak_bytes(16) > 8 * 4**16  # int64 where 4^n overflows int32
+
+
+def test_ddt_refuses_tables_over_the_memory_budget(monkeypatch):
+    f = gold(5, 1)
+    need = tables._ddt_peak_bytes(5)
+    monkeypatch.setattr(tables, "_memory_budget", lambda: need - 1)
+    with pytest.raises(MemoryError, match=f"ddt at n = 5 needs about {need} bytes"):
+        ddt(f)
+    monkeypatch.setattr(tables, "_memory_budget", lambda: need)
+    assert differential_uniformity(ddt(f)) == 2
+
+
+def test_ddt_peak_estimate_covers_allocations(rng):
+    # the int32 table is kept by KTable without a copy; an int64 table or a
+    # copy would exceed the estimate at this n
+    for f in (SBox(make_field(10), np.zeros(1024, dtype=np.int64)), random_permutation(make_field(10), rng)):
+        tracemalloc.start()
+        try:
+            t = ddt(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.counts.dtype == np.int32
+        assert peak <= tables._ddt_peak_bytes(10)
 
 
 # -- exports -----------------------------------------------------------------------
