@@ -10,7 +10,10 @@ every other verb prints JSON ("schema": 1) and takes no --json. Exit codes:
 tables too large for physical memory. CSV is byte-identical across BCT
 algorithms, and JSON differs only in its "algorithm" field. There is no
 thread option: only `reproduce` of a whole tier runs its claims on a
-pool, and no output byte depends on it.
+pool, and no output byte depends on it. Table values are written from a
+lookup of decimal strings over their span, and a JSON table is never built
+as a list of Python ints; the text equals json.dumps(indent=2) of the
+plain lists.
 """
 
 from __future__ import annotations
@@ -21,15 +24,18 @@ import json
 import sys
 from dataclasses import asdict
 
+import numpy as np
+
 from .gf2n import parse_field
 from .sbox import SBox, read_sbox, write_sbox
 from .tables import (
+    _decimal_rows,
+    _ktable_fields,
     _matrix_csv,
     bct,
     boomerang_uniformity,
     ddt,
     ktable_to_csv,
-    ktable_to_json,
 )
 from .walsh import (
     bct_moment_direct,
@@ -50,7 +56,7 @@ __all__ = ["main"]
 def _table_out(t, args):
     if not args.json:
         return ktable_to_csv(t)
-    return {"schema": 1, "field": t.spec.label(), **ktable_to_json(t)}
+    return {"schema": 1, "field": t.spec.label(), **_ktable_fields(t)}
 
 
 def _ddt(f: SBox, args):
@@ -74,7 +80,7 @@ def _walsh(f: SBox, args):
         "schema": 1,
         "n": f.spec.n,
         "field": f.spec.label(),
-        "values": values.ravel().tolist(),
+        "values": values,
     }
 
 
@@ -181,9 +187,30 @@ def _load_sbox(args) -> SBox:
     return FamilySpec.parse(args.family).build(field)
 
 
+def _json_value(v) -> str:
+    """One top-level field value as json.dumps(indent=2) writes it inside a dict."""
+    if not isinstance(v, np.ndarray):
+        return json.dumps(v, indent=2).replace("\n", "\n  ")
+    if v.size == 0:
+        return "[]"
+    return "[\n    " + ",\n    ".join(",\n    ".join(r) for r in _decimal_rows(v)) + "\n  ]"
+
+
 def _write(result, out_path) -> None:
-    """Write text as is, or anything else as indented JSON, to out_path or stdout."""
-    text = result if isinstance(result, str) else json.dumps(result, indent=2) + "\n"
+    """Write text as is, or anything else as indented JSON, to out_path or stdout.
+
+    The text equals json.dumps(indent=2) of the payload with each integer
+    ndarray as its row-major list. A dict payload is written field by field,
+    so a table goes out through the lookup of _decimal_rows and is never
+    built as a list of Python ints; any other payload is plain json.dumps.
+    """
+    if isinstance(result, str):
+        text = result
+    elif isinstance(result, dict) and result:
+        fields = [f"  {json.dumps(k)}: {_json_value(v)}" for k, v in result.items()]
+        text = "{\n" + ",\n".join(fields) + "\n}\n"
+    else:
+        text = json.dumps(result, indent=2) + "\n"
     if out_path:
         with open(out_path, "w", encoding="ascii") as fh:
             fh.write(text)

@@ -187,7 +187,7 @@ def write_sbox(f: SBox, dest) -> None:
             write_sbox(f, fh)
         return
     dest.write(f"n={f.spec.n}\n")
-    vals = [str(int(v)) for v in f.table]
+    vals = list(map(str, f.table.tolist()))
     for i in range(0, len(vals), 16):
         dest.write(" ".join(vals[i : i + 16]) + "\n")
 

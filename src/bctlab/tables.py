@@ -30,6 +30,11 @@ bct_row computes one row. For maps with f(x^2) = f(x)^2 (power maps, the
 modified inverse) and a in {0, 1} it counts one c per squaring coset,
 O(2^2n / n); otherwise it is the plain O(2^2n) loop over every c.
 monomial_boomerang_uniformity reads a power map's uniformity off row 1.
+
+Exports are byte-identical to str() per cell: each row's decimal strings
+are looked up in one table over the value span (str per value only when
+the span is wider than the table has cells), and the CLI writes JSON tables
+from the same rows without building a list of Python ints.
 """
 
 from __future__ import annotations
@@ -379,11 +384,31 @@ def quadratic_bound_check(f: SBox) -> bool:
 # -- exports ---------------------------------------------------------------------
 
 
+def _decimal_rows(m: np.ndarray):
+    """Yield each row of an integer array (a 1-D array is one row) as decimal strings.
+
+    Counts and Walsh values span few integers, so each row is a lookup in one
+    table of strings over [min, max]. When that span is wider than the array
+    has cells (BCT(0, 0) = 4^n of a constant map), each value goes through
+    str instead, so the table is never larger than the array itself.
+    """
+    m = np.atleast_2d(m)
+    if m.size == 0:
+        return
+    lo, hi = int(m.min()), int(m.max())
+    if hi - lo >= m.size:
+        for row in m:
+            yield list(map(str, row.tolist()))
+        return
+    lut = np.array(list(map(str, range(lo, hi + 1))), dtype=object)
+    for row in m:  # row by row: a whole-table list would raise peak memory
+        yield lut[row - lo].tolist()
+
+
 def _matrix_csv(corner: str, m: np.ndarray) -> str:
     """CSV with header "<corner>,0,1,..." and one row "i,m[i,0],m[i,1],..." per i."""
     lines = [corner + "," + ",".join(map(str, range(m.shape[1])))]
-    for i, row in enumerate(m):  # a whole-table .tolist() would raise peak memory
-        lines.append(f"{i}," + ",".join(map(str, row.tolist())))
+    lines += [f"{i}," + ",".join(row) for i, row in enumerate(_decimal_rows(m))]
     return "\n".join(lines) + "\n"
 
 
@@ -392,12 +417,17 @@ def ktable_to_csv(t: KTable) -> str:
     return _matrix_csv("a\\b", t.counts)
 
 
-def ktable_to_json(t: KTable) -> dict:
-    """JSON payload: kind, n, algorithm, headline max, row-major counts."""
+def _ktable_fields(t: KTable) -> dict:
+    """The JSON fields of a table, with the counts left as the 2-D array."""
     return {
         "kind": t.kind,
         "n": t.spec.n,
         "algorithm": t.algorithm,
         "max_nonzero": t.max_nonzero(),
-        "counts": t.counts.ravel().tolist(),
+        "counts": t.counts,
     }
+
+
+def ktable_to_json(t: KTable) -> dict:
+    """JSON payload: kind, n, algorithm, headline max, row-major counts."""
+    return {**_ktable_fields(t), "counts": t.counts.ravel().tolist()}

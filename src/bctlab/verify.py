@@ -203,7 +203,7 @@ def _build_registry() -> dict[str, _Claim]:
     for n, val in ((3, 8), (4, 6), (5, 6), (6, 10), (7, 6), (8, 6), (9, 8)):
         add(f"example.n{n}", val, lambda n=n: _modified_inverse_delta(n), n, 1.0)
     for n in range(3, 13):
-        est = {11: 10.0, 12: 40.0}.get(n, 1.0)
+        est = 5.0 if n == 12 else 1.0
         add(
             f"thm9.n{n}",
             modified_inverse_expected_delta(n),
@@ -211,8 +211,8 @@ def _build_registry() -> dict[str, _Claim]:
             n,
             est,
         )
-    add("thm10.q8", 4, lambda: _zieve_delta_all(8), 6, 2.0)
-    add("thm10.q32", 4, lambda: _zieve_delta_first(32), 10, 3.0)
+    add("thm10.q8", 4, lambda: _zieve_delta_all(8), 6, 0.2)
+    add("thm10.q32", 4, lambda: _zieve_delta_first(32), 10, 1.0)
     add("corollary11.q8", 0, lambda: _inverse_roundtrip_mismatches(8), 6, 0.5)
     add("corollary11.q32", 0, lambda: _inverse_roundtrip_mismatches(32), 10, 1.0)
     add("btt.k2", 4, _btt_delta, 6, 0.5)
@@ -220,7 +220,7 @@ def _build_registry() -> dict[str, _Claim]:
     add("btt.k10", -1, lambda: -1, 30, math.inf)
     add("quadbound.gold.n5", 2, lambda: _gold_apn_delta(5, 1), 5, 0.2)
     add("quadbound.gold.n6", 1, lambda: _gold_bound_holds(6, 2), 6, 0.5)
-    add("quadbound.gold.n10", 1, lambda: _gold_bound_holds(10, 2), 10, 5.0)
+    add("quadbound.gold.n10", 1, lambda: _gold_bound_holds(10, 2), 10, 1.0)
     for n in range(3, 9):
         add(f"sets.n{n}", 0, lambda n=n: _condition_set_violations(n), n, 1.0)
     return reg

@@ -323,3 +323,52 @@ def test_walsh_csv_matches_spectrum_and_json(capsys):
     code, out, _ = run_cli(capsys, "walsh", *fam, "--json")
     assert code == 0
     assert json.loads(out)["values"] == [x for r in rows for x in r[1:]]
+
+
+def _as_lists(payload):
+    """The payload as json.dumps sees it: every ndarray as its row-major list."""
+    if isinstance(payload, dict):
+        return {k: _as_lists(v) for k, v in payload.items()}
+    if isinstance(payload, list):
+        return [_as_lists(v) for v in payload]
+    if isinstance(payload, np.ndarray):
+        return payload.ravel().tolist()
+    return payload
+
+
+_WRITER_PAYLOADS = {
+    "1-d": {"schema": 1, "values": np.arange(-3, 9)},
+    "2-d negatives": {"n": 2, "values": np.array([[4, -4], [0, -2]], dtype=np.int32)},
+    "empty arrays": {"a": np.zeros(0, dtype=np.int32), "b": np.zeros((0, 3), dtype=np.int64)},
+    "one cell": {"a": np.array([[7]]), "b": np.array([-1])},
+    "wide span": {"counts": np.array([[0, 10**6], [-5, 3]], dtype=np.int64)},
+    "nested": {
+        "schema": 1,
+        "table": np.arange(6, dtype=np.int32).reshape(2, 3),
+        "report": {"witness": [1, [2, 3]], "ok": True, "none": None, "empty": {}},
+        "list": [],
+        "text": "a\nb \"q\"",
+        "ratio": 0.5,
+    },
+    "empty dict": {},
+    "list payload": [{"claim_id": "thm9.n4", "computed": 6}, True, None, "x\ny"],
+}
+
+
+@pytest.mark.parametrize("payload", _WRITER_PAYLOADS.values(), ids=_WRITER_PAYLOADS.keys())
+def test_json_writer_matches_json_dumps(capsys, tmp_path, payload):
+    expected = json.dumps(_as_lists(payload), indent=2) + "\n"
+    cli._write(payload, None)
+    assert capsys.readouterr().out == expected
+    path = tmp_path / "out.json"
+    cli._write(payload, str(path))
+    assert path.read_text(encoding="ascii") == expected
+
+
+def test_budget_30_skips_only_the_out_of_reach_claim(capsys):
+    # the skip reads the registry estimates only, so this does not depend on
+    # the speed of the machine
+    code, out, _ = run_cli(capsys, "reproduce", "--tier", "full", "--budget", "30")
+    assert code == 1  # table4.k1 fails by design
+    skipped = [r["claim_id"] for r in json.loads(out) if r["status"] == "skipped(cost)"]
+    assert skipped == ["btt.k10"]

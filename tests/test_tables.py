@@ -30,6 +30,7 @@ from bctlab import (
     quadratic_bound_check,
     random_permutation,
     SBox,
+    walsh_spectrum,
 )
 from bctlab import tables
 
@@ -457,6 +458,40 @@ def test_csv_export():
     assert lines[0] == "a\\b,0,1,2,3"
     assert lines[1] == "0,4,0,0,0"
     assert len(lines) == 5
+
+
+def _csv_per_cell(corner, m):
+    lines = [corner + "," + ",".join(str(v) for v in range(m.shape[1]))]
+    lines += [f"{i}," + ",".join(str(int(v)) for v in row) for i, row in enumerate(m)]
+    return "\n".join(lines) + "\n"
+
+
+def test_matrix_csv_matches_str_per_cell(rng):
+    f = random_permutation(make_field(8), rng)
+    spectrum = walsh_spectrum(f).values
+    assert spectrum.min() < 0
+    const = SBox(make_field(5), [3] * 32)
+    const_bct = bct_fast(const).counts
+    assert int(const_bct.max()) - int(const_bct.min()) >= const_bct.size  # the str fallback
+    cases = [
+        ("a\\b", bct_fast(f).counts),
+        ("u\\v", spectrum),
+        ("a\\b", ddt(const).counts),
+        ("a\\b", const_bct),
+    ]
+    for corner, m in cases:
+        assert tables._matrix_csv(corner, m) == _csv_per_cell(corner, m)
+
+
+def test_decimal_rows_lookup_is_no_larger_than_the_array():
+    wide = np.array([[0, 10**6], [-5, 7]], dtype=np.int64)
+    tracemalloc.start()
+    rows = list(tables._decimal_rows(wide))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert rows == [["0", "1000000"], ["-5", "7"]]
+    assert peak < 100_000  # a lookup over [-5, 10^6] would take tens of MB
+    assert list(tables._decimal_rows(np.array([2, -1, 2]))) == [["2", "-1", "2"]]
 
 
 def test_json_export():
