@@ -15,7 +15,10 @@ over all 4j-tuples whose a/b and g/e halves each XOR to zero. The boundary
 correction assumes a permutation (rows a=0 and b=0 all equal 2^n); for
 non-permutations the two routes legitimately differ.
 
-Everything here is exact integer or Fraction arithmetic; no floats.
+Everything here is exact integer or Fraction arithmetic; no floats. The
+spectrum is held as int32: |W(u, v)| <= 2^n, and the transform's partial
+sums are bounded the same way. Sums of products of spectrum values are
+taken in int64 or Python ints.
 """
 
 from __future__ import annotations
@@ -39,28 +42,37 @@ __all__ = [
     "delta_uniform_certificate",
 ]
 
-_MAX_SPECTRUM_N = 12  # full spectrum is 4^n int64 cells
+_MAX_SPECTRUM_N = 12  # full spectrum is 4^n int32 cells (|W| <= 2^n)
 
 
 def _fwht(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform along one power-of-two axis."""
-    a = np.moveaxis(np.array(a, dtype=np.int64, copy=True), axis, -1)
-    n = a.shape[-1]
+    """Unnormalized Walsh-Hadamard transform along one power-of-two axis.
+
+    Makes one C-ordered copy of a, in a's dtype, and runs the butterflies
+    (x, y) -> (x + y, x - y) in place on views of it. Integer arithmetic
+    wraps, so the result is exact whenever the transform fits the dtype.
+    """
+    out = np.array(a, order="C", copy=True)
+    axis = axis % out.ndim
+    size = out.shape[axis]
+    lead = (slice(None),) * (axis + 1)
     h = 1
-    while h < n:
-        shaped = a.reshape(a.shape[:-1] + (n // (2 * h), 2, h))
-        top = shaped[..., 0, :] + shaped[..., 1, :]
-        bot = shaped[..., 0, :] - shaped[..., 1, :]
-        a = np.stack((top, bot), axis=-2).reshape(a.shape)
+    while h < size:
+        pairs = out.reshape(out.shape[:axis] + (size // (2 * h), 2, h) + out.shape[axis + 1 :])
+        top, bot = pairs[lead + (0,)], pairs[lead + (1,)]
+        top += bot
+        bot *= -2
+        bot += top
         h *= 2
-    return np.moveaxis(a, -1, axis)
+    return out
 
 
 class WalshSpectrum:
-    """Full table of Walsh coefficients, values[u, v], exact int64."""
+    """Full table of Walsh coefficients, values[u, v]: C-ordered, read-only
+    int32, which is exact because |W(u, v)| <= 2^n."""
 
     def __init__(self, spec, values):
-        arr = np.asarray(values, dtype=np.int64)
+        arr = np.ascontiguousarray(values, dtype=np.int32)
         if arr.shape != (spec.size, spec.size):
             raise ValueError("spectrum must be a 2^n x 2^n matrix")
         arr.flags.writeable = False
@@ -79,8 +91,11 @@ def walsh_spectrum(f: SBox) -> WalshSpectrum:
             f"full spectrum needs 4^{n} cells; capped at n <= {_MAX_SPECTRUM_N}"
         )
     N = f.spec.size
-    # signs[x, v] = (-1)^(v . f(x)); transform over x gives W[u, v]
-    signs = 1 - 2 * _PARITY16[np.bitwise_and.outer(f.table, np.arange(N))]
+    # signs[x, v] = (-1)^(v . f(x)); transform over x gives W[u, v]. int32
+    # throughout: the index table and the signs are 4^n cells each
+    sign = 1 - 2 * _PARITY16.astype(np.int32)
+    idx = np.arange(N, dtype=np.int32)
+    signs = sign[np.bitwise_and.outer(f.table.astype(np.int32), idx)]
     return WalshSpectrum(f.spec, _fwht(signs, axis=0))
 
 
@@ -114,9 +129,11 @@ def _constrained_quad_sum(W: np.ndarray, n: int) -> int:
     Factorization: with V_t(g, a) = W(g, a) * W(g^t, a), the sum equals
     sum over (t, s) of Q(t, s)^2 where Q(t, .) is the XOR-autocorrelation
     over a of V_t summed over g. Each autocorrelation is two transforms;
-    intermediates are bounded by 2^(8n) and stay in int64 for n <= 5.
+    intermediates are bounded by 2^(8n), so W is cast to int64 first and
+    they stay exact for n <= 5.
     """
     N = 1 << n
+    W = np.asarray(W, dtype=np.int64)
     gidx = np.arange(N)
     total = 0
     for t in range(N):

@@ -335,6 +335,17 @@ def test_bct_fast_pair_chunks_split_runs(monkeypatch):
     assert np.array_equal(whole, bct_system(f).counts)
 
 
+def test_bct_fast_does_not_depend_on_block_size(monkeypatch, rng):
+    # one c per block against the default, which holds every c of a top
+    # bit in one block at n = 8
+    funcs = [random_permutation(make_field(8), rng), SBox(make_field(8), np.arange(256) & 3)]
+    whole = [bct_fast(f).counts for f in funcs]
+    monkeypatch.setattr(tables, "_BLOCK", 1)
+    for f, expect in zip(funcs, whole):
+        assert np.array_equal(bct_fast(f).counts, expect)
+    assert np.array_equal(whole[1], bct_system(funcs[1]).counts)
+
+
 def _identity_corpus(rng):
     for n in (3, 4, 5, 6):
         spec = make_field(n)
@@ -429,6 +440,38 @@ def test_ddt_peak_estimate_covers_allocations(rng):
             tracemalloc.stop()
         assert t.counts.dtype == np.int32
         assert peak <= tables._ddt_peak_bytes(10)
+
+
+def _first_argmax(m):
+    i, j = np.unravel_index(np.argmax(m), m.shape)
+    return int(m[i, j]), (int(i), int(j))
+
+
+@pytest.mark.parametrize("m", [
+    np.array([[1, 7, 3], [7, 0, 7], [2, 7, 1]]),  # tied maxima
+    np.full((3, 4), 5),  # all equal
+    np.array([[3, 9, 9, 1]]),  # one row
+    np.array([[2], [8], [8]]),  # one column
+    np.array([[0, 1], [4, 2]]),
+])
+def test_peak_is_the_first_row_major_maximum(m):
+    assert tables._peak(m, 0, 0) == _first_argmax(m)
+    value, (a, b) = tables._peak(m, 1, 2)
+    assert (value, (a - 1, b - 2)) == _first_argmax(m)
+
+
+def test_peak_of_a_strided_view_copies_no_table(rng):
+    counts = rng.integers(0, 6, (1024, 1024)).astype(np.int32)
+    sub = counts[1:, 1:]
+    tracemalloc.start()
+    try:
+        got = tables._peak(sub, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    value, (a, b) = _first_argmax(sub)
+    assert got == (value, (a + 1, b + 1))
+    assert peak < 64 * 1024  # the view is 4 MiB
 
 
 # -- exports -----------------------------------------------------------------------

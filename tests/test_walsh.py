@@ -23,7 +23,7 @@ from bctlab import (
     walsh_spectrum,
     welch,
 )
-from bctlab.walsh import _constrained_quad_sum, _fourth_power_sum
+from bctlab.walsh import _constrained_quad_sum, _fourth_power_sum, _fwht
 
 from conftest import walsh_oracle
 
@@ -66,6 +66,41 @@ def test_parseval_per_component(n, rng):
     W = walsh_spectrum(f).values.astype(object)
     for v in range(1, spec.size):
         assert int((W[:, v] ** 2).sum()) == spec.size**2
+
+
+def _fwht_literal(a, axis):
+    # W[..., u, ...] = sum over x of (-1)^(u.x) a[..., x, ...], in Python ints
+    a = np.moveaxis(np.asarray(a, dtype=object), axis, -1)
+    size = a.shape[-1]
+    out = np.empty_like(a)
+    for u in range(size):
+        signs = np.array([-1 if bin(u & x).count("1") & 1 else 1 for x in range(size)], dtype=object)
+        out[..., u] = (a * signs).sum(axis=-1)
+    return np.moveaxis(out, -1, axis)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("shape, axis", [((16,), -1), ((8, 4), 0), ((8, 4), 1), ((4, 8), -1)])
+def test_fwht_matches_literal_sum(rng, dtype, shape, axis):
+    a = rng.integers(-1000, 1000, shape).astype(dtype)
+    before = a.copy()
+    out = _fwht(a, axis=axis)
+    assert out.dtype == dtype and out.shape == shape
+    assert np.array_equal(out, _fwht_literal(a, axis).astype(dtype))
+    assert np.array_equal(a, before)  # the input is left as it was
+
+
+def test_fwht_accepts_read_only_input(rng):
+    a = rng.integers(-8, 8, (16, 4)).astype(np.int32)
+    a.flags.writeable = False
+    out = _fwht(a, axis=0)
+    assert out.flags.writeable and out.flags.c_contiguous
+    assert np.array_equal(out, _fwht_literal(a, 0).astype(np.int32))
+
+
+def test_spectrum_values_are_read_only_int32(rng):
+    W = walsh_spectrum(random_permutation(make_field(6), rng)).values
+    assert W.dtype == np.int32 and W.flags.c_contiguous and not W.flags.writeable
 
 
 def test_spectrum_size_cap():
@@ -161,6 +196,39 @@ def test_constrained_sum_matches_brute_force(n, rng):
     f = random_permutation(spec, rng)
     W = walsh_spectrum(f).values
     assert _constrained_quad_sum(W, n) == _quad_sum_brute(W, n)
+
+
+def _walsh_power_sums(f, table):
+    # S_1 = sum W^4 and S_2 from the direct BCT moments (Python ints), by
+    # the moment identity for permutations
+    n = f.spec.n
+    boundary = (1 << (n + 1)) - 1
+    s1 = (bct_moment_direct(f, 1, table) + (1 << n) * boundary) << (2 * n)
+    s2 = (bct_moment_direct(f, 2, table) + (1 << (2 * n)) * boundary) << (6 * n)
+    return s1, s2
+
+
+def test_n5_spectrum_sums_match_python_int_references(rng):
+    # int32 spectrum, int64 products: S_2 reaches 2^(8n) = 2^40 at n = 5
+    n = 5
+    corpus = [gold(5, 1), kasami(5, 2), inverse_fn(5), modified_inverse(5)]
+    corpus += [random_permutation(make_field(n), rng) for _ in range(2)]
+    for f in corpus:
+        spectrum = walsh_spectrum(f)
+        assert spectrum.values.dtype == np.int32
+        table = bct_fast(f)
+        s1, s2 = _walsh_power_sums(f, table)
+        assert bct_moment_walsh(f, 2, spectrum) == bct_moment_direct(f, 2, table)
+        rhs = (1 << (4 * n + 1)) * s1 + (1 << (9 * n + 1)) - 5 * (1 << (8 * n)) + (1 << (7 * n + 1))
+        assert two_uniform_certificate(f, spectrum) == (s2, rhs, s2 - rhs)
+
+
+def test_constrained_sum_is_exact_on_int32_input(rng):
+    # S_2 is homogeneous of degree 8 in W; 8 W is still int32, but its
+    # products overflow int32 (X(g, 0) reaches 64 * 2^(2n) = 2^16 at n = 5)
+    n = 5
+    W = walsh_spectrum(random_permutation(make_field(n), rng)).values
+    assert _constrained_quad_sum(8 * W, n) == 8**8 * _constrained_quad_sum(W, n)
 
 
 # -- two-uniform certificate ----------------------------------------------------------
