@@ -180,11 +180,9 @@ def zieve_gamma_candidates(spec: FieldSpec) -> list[int]:
     when q = 2 mod 6.
     """
     q = _split_quadratic_extension(spec)
-    out = []
-    for g in range(1, spec.size):
-        if spec.element_order(spec.pow(g, q - 1)) == 3:
-            out.append(g)
-    return out
+    g = np.arange(1, spec.size)
+    h = spec.pow_vec(g, q - 1)
+    return g[(h != 1) & (spec.pow_vec(h, 3) == 1)].tolist()
 
 
 def _check_gamma(spec: FieldSpec, gamma: int) -> int:

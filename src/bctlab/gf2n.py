@@ -233,18 +233,31 @@ class FieldSpec:
     # exist purely for throughput when whole tables are evaluated at once.
 
     def _tables(self):
+        # exp[k : 2k] = exp[:k] * g^k, doubling k from 1
         if self._log is None:
             order = self.size - 1
-            g = self.primitive_element
-            exp = np.zeros(order, dtype=np.int64)
+            exp = np.ones(order, dtype=np.int64)
+            k, step = 1, self.primitive_element
+            while k < order:
+                m = min(k, order - k)
+                exp[k : k + m] = self._mul_by(exp[:m], step)
+                k, step = k + m, self.mul(step, step)
             log = np.zeros(self.size, dtype=np.int64)  # log[0] is a dead slot
-            x = 1
-            for i in range(order):
-                exp[i] = x
-                log[x] = i
-                x = self.mul(x, g)
+            log[exp] = np.arange(order)
             self._exp, self._log = exp, log
         return self._log, self._exp
+
+    def _mul_by(self, x: np.ndarray, y: int) -> np.ndarray:
+        """Elementwise x * y for one scalar y, by shift-and-xor over y's bits."""
+        r = np.zeros_like(x)
+        x = x.copy()
+        while y:
+            if y & 1:
+                r ^= x
+            x <<= 1
+            x ^= (x >> self.n) * self.reduction  # reduce where bit n is set
+            y >>= 1
+        return r
 
     def mul_vec(self, a, b):
         """Elementwise field product of two int arrays."""

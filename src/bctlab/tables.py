@@ -26,10 +26,13 @@ Counts are stored as int32, and KTable refuses any count above its
 maximum: every count is at most 4^n, which fits up to n = 15, but BCT(0, 0)
 of a constant map is exactly 4^n and does not fit at n = 16.
 
-bct_row computes one row. For maps with f(x^2) = f(x)^2 (power maps, the
-modified inverse) and a in {0, 1} it counts one c per squaring coset,
-O(2^2n / n); otherwise it is the plain O(2^2n) loop over every c.
-monomial_boomerang_uniformity reads a power map's uniformity off row 1.
+Power maps f = x^d are detected from the table (two lookups reject other
+maps) and take one path in ddt, bct_fast and bct_row: row 1 is counted
+from the fibres of the derivative D(y) = f(y+1) + f(y), sum over beta of
+DDT(1, beta)^2 work, and every row a != 0 is row 1 with its columns
+rescaled, T(a, b) = T(1, b * a^-d), a rotation in log order of b. Other
+maps run the generic builders and bct_row's plain O(2^2n) loop over every
+c. monomial_boomerang_uniformity reads a power map's uniformity off row 1.
 
 Exports are byte-identical to str() per cell: each row's decimal strings
 are looked up in one table over the value span (str per value only when
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 
@@ -64,10 +68,10 @@ __all__ = [
     "ktable_to_json",
 ]
 
-# bct_fast works on int64 temporaries of one block or pair chunk; at 2^17
+# the builders work on int64 temporaries of one block or pair chunk; at 2^17
 # elements each is 1 MiB and stays in a core's L2 cache (2^20 measured slower)
-_BLOCK = 1 << 17  # derivative values f(r)+f(r+c) per bct_fast block
-_PAIR_CHUNK = 1 << 17  # representative pairs per bct_fast accumulation
+_BLOCK = 1 << 17  # derivative values per bct_fast block, cells per power-map row block
+_PAIR_CHUNK = 1 << 17  # pairs per bct_fast or fibre-pair accumulation
 _INT32_MAX = np.iinfo(np.int32).max
 
 
@@ -118,13 +122,19 @@ def ddt(f: SBox) -> KTable:
     """Difference distribution table: counts(a, b) = #{x : f(x+a)+f(x) = b}.
 
     Counts are at most 2^n, so the table accumulates int32 and KTable keeps
-    it without a copy. Raises MemoryError, before allocating, when the
-    estimated peak exceeds physical memory.
+    it without a copy. A power map writes row 1 rotated into every row
+    a != 0 (see _power_rows); any other map takes one bincount per row.
+    Raises MemoryError, before allocating, when the estimated peak exceeds
+    physical memory.
     """
     n, N, table = f.spec.n, f.spec.size, f.table
     _require_memory("ddt", n, _ddt_peak_bytes(n))
-    idx = np.arange(N)
     counts = np.zeros((N, N), dtype=np.int32)
+    d = _power_exponent(f)
+    if d is not None:
+        _power_rows(f, d, "DDT", counts, 0)
+        return KTable(f.spec, "DDT", counts, "ddt")
+    idx = np.arange(N)
     for a in range(N):
         counts[a] = np.bincount(table ^ table[idx ^ a], minlength=N)
     return KTable(f.spec, "DDT", counts, "ddt")
@@ -189,8 +199,9 @@ def _require_memory(builder: str, n: int, need: int) -> None:
 
 def _ddt_peak_bytes(n: int) -> int:
     """Upper estimate of the bytes ddt allocates at dimension n: the int32
-    table plus about 8 int64 arrays of one row."""
-    return 4 * 4**n + 64 * 2**n
+    table, about 8 int64 arrays of one row and, for a power map, 2 int64
+    arrays of one block of rows (the rotation's gather index)."""
+    return 4 * 4**n + 64 * 2**n + 16 * _BLOCK
 
 
 def _fast_dtype(n: int):
@@ -216,12 +227,18 @@ def bct_fast(f: SBox) -> KTable:
     The c values sharing a top bit share the representatives and run as
     blocks of about _BLOCK derivative values, small enough that a block's
     temporaries stay near cache size; counts are integer sums, so the block
-    size changes no cell. Raises MemoryError, before allocating, when the
-    estimated peak exceeds physical memory.
+    size changes no cell. A power map skips all of this: its row 1, counted
+    from one derivative's fibres, is rotated into every row a != 0 and row 0
+    comes from DDT row 1 (see _power_rows). Raises MemoryError, before
+    allocating, when the estimated peak exceeds physical memory.
     """
     n, N, table = f.spec.n, f.spec.size, f.table
     _require_memory("bct_fast", n, _fast_peak_bytes(n))
     counts = np.zeros((N, N), dtype=_fast_dtype(n))
+    d = _power_exponent(f)
+    if d is not None:
+        _power_rows(f, d, "BCT", counts, 0)
+        return KTable(f.spec, "BCT", counts, "fast")
     counts[:, 0] = N
     idx, rows = np.arange(N), max(1, _BLOCK // (N // 2))
     for k in range(n):
@@ -268,56 +285,124 @@ def _add_pairs(flat, order, key, reps, c0, n) -> None:
         s = e
 
 
-def _squaring_cosets(f: SBox):
-    """(sq, reps, sizes) when f(x^2) = f(x)^2, else None.
-
-    sq[x] = x^2; reps are the least elements of the cosets {c, c^2, c^4, ...}
-    and sizes their lengths, from n passes of sq.
-    """
-    n, N = f.spec.n, f.spec.size
-    idx = np.arange(N)
-    sq = f.spec.mul_vec(idx, idx)
-    if not np.array_equal(f.table[sq], sq[f.table]):
-        return None
-    image, least, size = idx, idx, np.zeros(N, dtype=np.int64)
-    for j in range(1, n + 1):
-        image = sq[image]
-        least = np.minimum(least, image)
-        size = np.where((size == 0) & (image == idx), j, size)
-    reps = np.flatnonzero(least == idx)
-    return sq, reps, size[reps]
-
-
 def bct_row(f: SBox, a: int) -> np.ndarray:
     """One BCT row T(a, .): sum over c of coincidence counts.
 
-    The plain loop is O(2^2n). When f(x^2) = f(x)^2 (every power map, the
-    modified inverse) and a is 0 or 1, substituting x = z^2 shows that c^2
-    contributes at b^2 what c contributes at b, so only one c per squaring
-    coset is counted, O(2^2n / n), and n gathers spread each partial row
-    over its coset.
+    For a power map x^d the row is read off row 1 (see _power_rows), which
+    is counted from the fibres of f(y+1) + f(y): sum over beta of
+    DDT(1, beta)^2 work. Every other map runs the plain O(2^2n) loop over
+    every c.
     """
-    n, N, table = f.spec.n, f.spec.size, f.table
+    d = _power_exponent(f)
+    if d is not None:
+        row = np.empty((1, f.spec.size), dtype=np.int64)
+        _power_rows(f, d, "BCT", row, a)
+        return row[0]
+    N, table = f.spec.size, f.table
     idx = np.arange(N)
     shifted = idx ^ a
-    cosets = _squaring_cosets(f) if a in (0, 1) else None
-    if cosets is None:
-        sq, reps, sizes = idx, idx, np.ones(N, dtype=np.int64)
-    else:
-        sq, reps, sizes = cosets
-    by_size = np.zeros((n + 1, N), dtype=np.int64)
-    for c, m in zip(reps.tolist(), sizes.tolist()):
+    row = np.zeros(N, dtype=np.int64)
+    for c in range(N):
         D = table ^ table[idx ^ c]
         mask = D == D[shifted]
-        by_size[m] += np.bincount(D[mask], minlength=N)
-    # a coset of size m adds its representative's partial row P at b^(2^j)
-    # for j < m: row[b^(2^j)] += P[b]
-    row = np.zeros(N, dtype=np.int64)
-    power = idx
-    for j in range(n):
-        row[power] += by_size[j + 1 :].sum(axis=0)
-        power = sq[power]
+        row += np.bincount(D[mask], minlength=N)
     return row
+
+
+# -- power maps ---------------------------------------------------------------------
+
+
+def _power_exponent(f: SBox) -> int | None:
+    """d when f is x^d, else None; x^0 (1 at 0) and x^(2^n-1) (0 at 0) differ.
+
+    Only maps with f(1) = 1 and f(0) in {0, 1} get past two lookups. Then
+    d = log f(g) for the generator g of FieldSpec._tables, or 2^n - 1 in
+    place of 0 when f(0) = 0, and the whole table is compared once.
+    """
+    table, spec = f.table, f.spec
+    if table[1] != 1 or table[0] > 1:
+        return None
+    log, exp = spec._tables()
+    d = int(log[table[exp[1]]])
+    if d == 0 and table[0] == 0:
+        d = spec.size - 1
+    return d if np.array_equal(table, spec.pow_vec(np.arange(spec.size), d)) else None
+
+
+def _fibre_pair_row(D: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """row[b] = #{(y, y') : D[y] = D[y'] and values[y] + values[y'] = b}.
+
+    The fibres of D of one size m form a k x m array. Small fibres pair
+    each position with its whole fibre, in blocks of about _PAIR_CHUNK
+    pairs. A fibre with more pairs m^2 than the n 2^n steps of a
+    Walsh-Hadamard transform (x^0 and x^(2^i) have one fibre of 2^n) is a
+    histogram h instead: its row is the XOR autocorrelation
+    sum_u h(u) h(u+b), the transform of the squared transform over 2^n,
+    exact in int64 since the sums stay below 2^(3n).
+    """
+    from .walsh import _fwht  # here, not at the top: walsh imports this module
+
+    N = D.size
+    order = np.argsort(D, kind="stable")
+    v = values[order]
+    starts = np.flatnonzero(np.diff(D[order], prepend=-1))
+    sizes = np.diff(starts, append=N)
+    row, squares = np.zeros(N, dtype=np.int64), np.zeros(N, dtype=np.int64)
+    for m in np.unique(sizes).tolist():
+        fibres = v[starts[sizes == m][:, None] + np.arange(m)]
+        if m * m > (N.bit_length() - 1) * N:
+            for fibre in fibres:
+                squares += _fwht(np.bincount(fibre, minlength=N)) ** 2
+            continue
+        flat, step = fibres.ravel(), max(1, _PAIR_CHUNK // m)
+        for p0 in range(0, flat.size, step):
+            p = np.arange(p0, min(p0 + step, flat.size))
+            row += np.bincount((flat[p, None] ^ fibres[p // m]).ravel(), minlength=N)
+    if squares.any():
+        row += _fwht(squares) // N
+    return row
+
+
+def _power_rows(f: SBox, d: int, kind: str, out: np.ndarray, lo: int) -> None:
+    """Rows lo, lo+1, ... of the DDT or BCT of f = x^d, written into out.
+
+    With x = a*x', f(a*x) = a^d f(x) gives T(a, b) = T(1, b * a^-d) for
+    a != 0. Row 1 of the DDT is the bincount of D(y) = f(y+1) + f(y). Row 1
+    of the BCT counts the pairs with f(y)+f(y') = b and f(y+1)+f(y'+1) = b,
+    that is D(y) = D(y'): the ordered pairs of each fibre of D, adding 1 at
+    f(y) + f(y'). In log order of b, row a is row 1 rotated by -d log a, a
+    window of the doubled row, gathered in blocks of about _BLOCK cells.
+    Row 0 of the DDT is 2^n at b = 0. Row 0 of the BCT holds the DDT column
+    sums: as a runs over the nonzero elements, a^-d runs g = gcd(d, 2^n-1)
+    times over the g-th powers, so at b != 0 the sum is g * S[log b mod g],
+    with S the class sums of DDT row 1 in log order, and at b = 0 it is
+    2^n + (2^n - 1) * DDT(1, 0).
+    """
+    spec, table = f.spec, f.table
+    N, m = spec.size, spec.size - 1
+    log, exp = spec._tables()
+    D = table ^ table[np.arange(N) ^ 1]
+    ddt1 = np.bincount(D, minlength=N)
+    row1 = ddt1 if kind == "DDT" else _fibre_pair_row(D, table)
+    ring = row1[exp]
+    doubled = np.concatenate((ring, ring)).astype(out.dtype)
+    hi = lo + out.shape[0]
+    rows = max(1, _BLOCK // N)
+    for a0 in range(max(lo, 1), hi, rows):
+        block = out[a0 - lo : min(a0 + rows, hi) - lo]
+        start = m - (d % m) * log[a0 : a0 + block.shape[0]] % m
+        # whole rows keep out contiguous, so take writes it without a buffer;
+        # column 0 (log[0] is a dead slot) is set after
+        np.take(doubled, start[:, None] + log, out=block, mode="clip")
+        block[:, 0] = row1[0]
+    if lo == 0 and kind == "DDT":
+        out[0] = 0
+        out[0, 0] = N
+    elif lo == 0:
+        g = gcd(d, m)
+        sums = ddt1[exp].reshape(-1, g).sum(axis=0)
+        out[0, 1:] = g * sums[log[1:] % g]
+        out[0, 0] = N + m * ddt1[0]
 
 
 _BCT_BUILDERS = {"naive": bct_naive, "system": bct_system, "fast": bct_fast}
@@ -365,8 +450,9 @@ def monomial_boomerang_uniformity(spec: FieldSpec, d: int) -> UniformityReport:
 
     For f = x^d, T(a, b) = T(1, b * a^-d), so the maximum over the whole
     table equals the maximum of the single row a=1 (and likewise for the
-    DDT). x^d commutes with squaring, so bct_row counts one c per squaring
-    coset: O(2^2n / n) instead of a full table build.
+    DDT). bct_row detects x^d and counts that row from the fibres of
+    f(y+1) + f(y), sum over beta of DDT(1, beta)^2 work, instead of a full
+    table build.
     """
     from .sbox import from_monomial
 

@@ -193,13 +193,13 @@ def _build_registry() -> dict[str, _Claim]:
         reg[claim_id] = _Claim(claim_id, expected, run, dim, est)
 
     for k, i, val, est in (
-        (3, 2, 4, 0.1), (3, 4, 4, 0.1),
-        (5, 2, 44, 1.0), (5, 4, 44, 1.0), (5, 6, 44, 1.0),
-        (7, 2, 24, 1.0), (7, 4, 16, 1.0), (7, 6, 16, 1.0),
+        (3, 2, 4, 0.01), (3, 4, 4, 0.01),
+        (5, 2, 44, 0.01), (5, 4, 44, 0.01), (5, 6, 44, 0.01),
+        (7, 2, 24, 0.05), (7, 4, 16, 0.05), (7, 6, 16, 0.05),
     ):
         add(f"table3.k{k}.i{i}", val, lambda k=k, i=i: _kasami_delta(k, i), 2 * k, est)
     add("table4.k1", 4, lambda: _bracken_leander_delta(1), 4, 0.1)
-    add("table4.k3", 14, lambda: _bracken_leander_delta(3), 12, 0.1)
+    add("table4.k3", 14, lambda: _bracken_leander_delta(3), 12, 0.02)
     for n, val in ((3, 8), (4, 6), (5, 6), (6, 10), (7, 6), (8, 6), (9, 8)):
         add(f"example.n{n}", val, lambda n=n: _modified_inverse_delta(n), n, 1.0)
     for n in range(3, 13):
@@ -220,7 +220,7 @@ def _build_registry() -> dict[str, _Claim]:
     add("btt.k10", -1, lambda: -1, 30, math.inf)
     add("quadbound.gold.n5", 2, lambda: _gold_apn_delta(5, 1), 5, 0.2)
     add("quadbound.gold.n6", 1, lambda: _gold_bound_holds(6, 2), 6, 0.5)
-    add("quadbound.gold.n10", 1, lambda: _gold_bound_holds(10, 2), 10, 1.0)
+    add("quadbound.gold.n10", 1, lambda: _gold_bound_holds(10, 2), 10, 0.1)
     for n in range(3, 9):
         add(f"sets.n{n}", 0, lambda n=n: _condition_set_violations(n), n, 1.0)
     return reg

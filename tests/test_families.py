@@ -203,6 +203,16 @@ def test_zieve_candidates():
         zieve_gamma_candidates(make_field(7))  # odd extension
 
 
+@pytest.mark.parametrize("n", [6, 10])
+def test_zieve_candidates_match_element_order(n):
+    # the definition: gamma^(q-1) has multiplicative order exactly 3
+    spec = make_field(n)
+    q = 1 << (n // 2)
+    expected = [g for g in range(1, spec.size) if spec.element_order(spec.pow(g, q - 1)) == 3]
+    cands = zieve_gamma_candidates(spec)
+    assert cands == expected and all(type(g) is int for g in cands)
+
+
 def test_zieve_permutation_iff_condition():
     spec = make_field(6)
     cands = set(zieve_gamma_candidates(spec))

@@ -149,6 +149,26 @@ def test_vector_ops_match_scalar_exhaustive(n):
         )
 
 
+@pytest.mark.parametrize("n", range(2, 17))
+def test_log_tables_match_scalar_loop(n):
+    # exp[i] = g^i by one scalar mul per element, log its inverse
+    spec = FieldSpec(n, DEFAULT_REDUCTION[n])
+    g, x, ref = spec.primitive_element, 1, []
+    for _ in range(spec.size - 1):
+        ref.append(x)
+        x = spec.mul(x, g)
+    log, exp = spec._tables()
+    assert exp.tolist() == ref
+    assert log[0] == 0 and np.array_equal(log[exp], np.arange(spec.size - 1))
+
+
+def test_mul_by_scalar_matches_mul():
+    spec = make_field(7)
+    xs = np.arange(spec.size, dtype=np.int64)
+    for y in (0, 1, 2, 0x53, spec.size - 1):
+        assert spec._mul_by(xs, y).tolist() == [spec.mul(int(x), y) for x in xs]
+
+
 # -- inversion, powers, trace, order --------------------------------------------------
 
 

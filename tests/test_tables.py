@@ -146,43 +146,90 @@ def _equivariant_corpus():
 
 
 def test_bct_is_invariant_under_squaring_both_indices():
-    # T(a^2, b^2) = T(a, b) when f commutes with squaring; the row engine
-    # sums one c per squaring coset on this identity
+    # T(a^2, b^2) = T(a, b) when f commutes with squaring
     for f in _equivariant_corpus():
         sq = _squaring(f.spec)
         t = bct_system(f).counts
         assert np.array_equal(t[sq][:, sq], t)
 
 
-def test_squaring_cosets_detect_equivariant_maps(rng):
-    for f in _equivariant_corpus():
-        sq, reps, sizes = tables._squaring_cosets(f)
-        assert np.array_equal(sq, _squaring(f.spec))
-        # the cosets of the representatives partition the field
-        members = []
-        for c, m in zip(reps.tolist(), sizes.tolist()):
-            coset = [c]
-            while len(coset) < m:
-                coset.append(int(sq[coset[-1]]))
-            assert int(sq[coset[-1]]) == c and min(coset) == c
-            members += coset
-        assert sorted(members) == list(range(f.spec.size))
+def test_power_exponent_detects_power_maps(rng):
+    for n in (3, 4, 5, 6):
+        spec = make_field(n)
+        xs = np.arange(spec.size)
+        for d in range(spec.size + 1):
+            e = tables._power_exponent(from_monomial(spec, d))
+            assert e is not None and np.array_equal(spec.pow_vec(xs, e), spec.pow_vec(xs, d))
+        # x^0 is 1 everywhere, x^(2^n-1) is 0 at 0: equal off 0, told apart
+        assert tables._power_exponent(from_monomial(spec, 0)) == 0
+        assert tables._power_exponent(from_monomial(spec, spec.size - 1)) == spec.size - 1
+    assert tables._power_exponent(from_monomial(make_field(7), 13)) == 13
+    for n in (3, 4, 5, 6, 7):
+        assert tables._power_exponent(modified_inverse(n)) is None
     for n in (5, 6, 7, 8):
-        assert tables._squaring_cosets(random_permutation(make_field(n), rng)) is None
-    assert tables._squaring_cosets(SBox(make_field(5), np.full(32, 5))) is None
+        assert tables._power_exponent(random_permutation(make_field(n), rng)) is None
+    assert tables._power_exponent(SBox(make_field(5), np.full(32, 5))) is None
+    # passes the f(1) = 1, f(0) = 0 pre-check, fails the table comparison
+    near = from_monomial(make_field(5), 3).table.copy()
+    near[[2, 3]] = near[[3, 2]]
+    assert tables._power_exponent(SBox(make_field(5), near)) is None
 
 
 def test_bct_row_matches_system_rows(rng):
-    equivariant = [from_monomial(make_field(n), d) for n, d in ((4, 0), (4, 3), (6, 3), (6, 7), (7, 13))]
-    equivariant += [modified_inverse(n) for n in (5, 6, 7)]
-    others = [random_permutation(make_field(n), rng) for n in (4, 5, 6, 7)]
+    powers = [from_monomial(make_field(n), d) for n, d in ((4, 0), (4, 3), (6, 3), (6, 7), (7, 13))]
+    others = [modified_inverse(n) for n in (5, 6, 7)]
+    others += [random_permutation(make_field(n), rng) for n in (4, 5, 6, 7)]
     others += [SBox(make_field(n), np.full(2**n, 6)) for n in (3, 6)]  # constant != 0, 1
-    assert all(tables._squaring_cosets(f) is not None for f in equivariant)
-    assert all(tables._squaring_cosets(f) is None for f in others)
-    for f in equivariant + others:
+    assert all(tables._power_exponent(f) is not None for f in powers)
+    assert all(tables._power_exponent(f) is None for f in others)
+    for f in powers + others:
         t = bct_system(f).counts
         for a in (0, 1, f.spec.size - 3):
             assert np.array_equal(bct_row(f, a), t[a]), (f, a)
+
+
+def _literal_ddt(f):
+    N, t = f.spec.size, f.table
+    return np.array([np.bincount(t ^ t[np.arange(N) ^ a], minlength=N) for a in range(N)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_power_path_matches_oracles(n):
+    # every x^d, d = 0 .. 2^n: non-permutations, and the constant x^0 and
+    # linear x^(2^i), whose derivative has one fibre of all 2^n inputs
+    spec = make_field(n)
+    for d in range(spec.size + 1):
+        f = from_monomial(spec, d)
+        t = bct_system(f).counts
+        assert np.array_equal(bct_fast(f).counts, t), d
+        assert np.array_equal(ddt(f).counts, _literal_ddt(f)), d
+        for a in (0, 1, 2, spec.size - 1):
+            assert np.array_equal(bct_row(f, a), t[a]), (d, a)
+
+
+def test_power_map_rows_are_rescaled_row_one():
+    # the identity the power path rotates by: T(a, b) = T(1, b * a^-d)
+    for n, d in ((4, 3), (4, 7), (5, 5), (5, 30), (6, 9), (6, 0), (6, 63)):
+        spec = make_field(n)
+        f = from_monomial(spec, d)
+        for t in (bct_system(f).counts, _literal_ddt(f)):
+            for a in range(1, spec.size):
+                scale = spec.inv(spec.pow(a, d))
+                cols = [spec.mul(b, scale) for b in range(spec.size)]
+                assert np.array_equal(t[a], t[1][cols]), (n, d, a)
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 1 << 17])
+def test_fibre_pair_row_matches_literal_count(monkeypatch, rng, chunk):
+    # fibres small (pair branch, split into chunks) and large (transform branch)
+    monkeypatch.setattr(tables, "_PAIR_CHUNK", chunk)
+    N = 64
+    for classes in (1, 3, 20, 64):
+        D = rng.integers(0, classes, N)
+        values = rng.integers(0, N, N)
+        same = D[:, None] == D[None, :]
+        expected = np.bincount((values[:, None] ^ values[None, :])[same], minlength=N)
+        assert np.array_equal(tables._fibre_pair_row(D, values), expected), classes
 
 
 def test_bct_known_values():
@@ -407,7 +454,8 @@ def test_bct_fast_refuses_tables_over_the_memory_budget(monkeypatch):
 def test_bct_fast_peak_estimate_covers_allocations(rng):
     # numpy reports its buffers to tracemalloc; a pair-heavy map and a
     # random permutation stay under the estimate the preflight uses
-    for f in (SBox(make_field(9), np.arange(512) & 3), random_permutation(make_field(11), rng)):
+    # and a power map's rotated rows as well
+    for f in (SBox(make_field(9), np.arange(512) & 3), random_permutation(make_field(11), rng), inverse_fn(10)):
         tracemalloc.start()
         try:
             bct_fast(f)
@@ -430,8 +478,9 @@ def test_ddt_refuses_tables_over_the_memory_budget(monkeypatch):
 
 def test_ddt_peak_estimate_covers_allocations(rng):
     # the int32 table is kept by KTable without a copy; an int64 table or a
-    # copy would exceed the estimate at this n
-    for f in (SBox(make_field(10), np.zeros(1024, dtype=np.int64)), random_permutation(make_field(10), rng)):
+    # copy would exceed the estimate at this n. The inverse takes the
+    # power-map rotation
+    for f in (SBox(make_field(10), np.zeros(1024, dtype=np.int64)), random_permutation(make_field(10), rng), inverse_fn(10)):
         tracemalloc.start()
         try:
             t = ddt(f)
