@@ -26,13 +26,13 @@ Counts are stored as int32, and KTable refuses any count above its
 maximum: every count is at most 4^n, which fits up to n = 15, but BCT(0, 0)
 of a constant map is exactly 4^n and does not fit at n = 16.
 
+bct_row counts one row T(a, .) of any map from the fibres of the
+derivative D(y) = f(y+a) + f(y), sum over beta of DDT(a, beta)^2 work.
 Power maps f = x^d are detected from the table (two lookups reject other
-maps) and take one path in ddt, bct_fast and bct_row: row 1 is counted
-from the fibres of the derivative D(y) = f(y+1) + f(y), sum over beta of
-DDT(1, beta)^2 work, and every row a != 0 is row 1 with its columns
-rescaled, T(a, b) = T(1, b * a^-d), a rotation in log order of b. Other
-maps run the generic builders and bct_row's plain O(2^2n) loop over every
-c. monomial_boomerang_uniformity reads a power map's uniformity off row 1.
+maps) in bct_fast: every row a != 0 is row 1 with its columns rescaled,
+T(a, b) = T(1, b * a^-d), a rotation in log order of b. Other maps run
+the generic builder, and ddt is one bincount per row for every map.
+monomial_boomerang_uniformity reads a power map's uniformity off row 1.
 
 Exports are byte-identical to str() per cell: each row's decimal strings
 are looked up in one table over the value span (str per value only when
@@ -122,19 +122,13 @@ def ddt(f: SBox) -> KTable:
     """Difference distribution table: counts(a, b) = #{x : f(x+a)+f(x) = b}.
 
     Counts are at most 2^n, so the table accumulates int32 and KTable keeps
-    it without a copy. A power map writes row 1 rotated into every row
-    a != 0 (see _power_rows); any other map takes one bincount per row.
-    Raises MemoryError, before allocating, when the estimated peak exceeds
-    physical memory.
+    it without a copy. Raises MemoryError, before allocating, when the
+    estimated peak exceeds physical memory.
     """
     n, N, table = f.spec.n, f.spec.size, f.table
     _require_memory("ddt", n, _ddt_peak_bytes(n))
-    counts = np.zeros((N, N), dtype=np.int32)
-    d = _power_exponent(f)
-    if d is not None:
-        _power_rows(f, d, "DDT", counts, 0)
-        return KTable(f.spec, "DDT", counts, "ddt")
     idx = np.arange(N)
+    counts = np.zeros((N, N), dtype=np.int32)
     for a in range(N):
         counts[a] = np.bincount(table ^ table[idx ^ a], minlength=N)
     return KTable(f.spec, "DDT", counts, "ddt")
@@ -199,9 +193,8 @@ def _require_memory(builder: str, n: int, need: int) -> None:
 
 def _ddt_peak_bytes(n: int) -> int:
     """Upper estimate of the bytes ddt allocates at dimension n: the int32
-    table, about 8 int64 arrays of one row and, for a power map, 2 int64
-    arrays of one block of rows (the rotation's gather index)."""
-    return 4 * 4**n + 64 * 2**n + 16 * _BLOCK
+    table plus about 8 int64 arrays of one row."""
+    return 4 * 4**n + 64 * 2**n
 
 
 def _fast_dtype(n: int):
@@ -237,7 +230,7 @@ def bct_fast(f: SBox) -> KTable:
     counts = np.zeros((N, N), dtype=_fast_dtype(n))
     d = _power_exponent(f)
     if d is not None:
-        _power_rows(f, d, "BCT", counts, 0)
+        _power_rows(f, d, counts)
         return KTable(f.spec, "BCT", counts, "fast")
     counts[:, 0] = N
     idx, rows = np.arange(N), max(1, _BLOCK // (N // 2))
@@ -286,47 +279,16 @@ def _add_pairs(flat, order, key, reps, c0, n) -> None:
 
 
 def bct_row(f: SBox, a: int) -> np.ndarray:
-    """One BCT row T(a, .): sum over c of coincidence counts.
+    """One BCT row T(a, .), counted from the fibres of D(y) = f(y+a) + f(y).
 
-    For a power map x^d the row is read off row 1 (see _power_rows), which
-    is counted from the fibres of f(y+1) + f(y): sum over beta of
-    DDT(1, beta)^2 work. Every other map runs the plain O(2^2n) loop over
-    every c.
+    T(a, b) counts the pairs (y, y') with f(y)+f(y') = b and
+    f(y+a)+f(y'+a) = b, that is D(y) = D(y'): the ordered pairs of each
+    fibre of D, adding 1 at f(y) + f(y') (see _fibre_pair_row). The work is
+    sum over beta of DDT(a, beta)^2, for any map; row 0, one fibre of every
+    y, is a Walsh-Hadamard autocorrelation of the value histogram.
     """
-    d = _power_exponent(f)
-    if d is not None:
-        row = np.empty((1, f.spec.size), dtype=np.int64)
-        _power_rows(f, d, "BCT", row, a)
-        return row[0]
-    N, table = f.spec.size, f.table
-    idx = np.arange(N)
-    shifted = idx ^ a
-    row = np.zeros(N, dtype=np.int64)
-    for c in range(N):
-        D = table ^ table[idx ^ c]
-        mask = D == D[shifted]
-        row += np.bincount(D[mask], minlength=N)
-    return row
-
-
-# -- power maps ---------------------------------------------------------------------
-
-
-def _power_exponent(f: SBox) -> int | None:
-    """d when f is x^d, else None; x^0 (1 at 0) and x^(2^n-1) (0 at 0) differ.
-
-    Only maps with f(1) = 1 and f(0) in {0, 1} get past two lookups. Then
-    d = log f(g) for the generator g of FieldSpec._tables, or 2^n - 1 in
-    place of 0 when f(0) = 0, and the whole table is compared once.
-    """
-    table, spec = f.table, f.spec
-    if table[1] != 1 or table[0] > 1:
-        return None
-    log, exp = spec._tables()
-    d = int(log[table[exp[1]]])
-    if d == 0 and table[0] == 0:
-        d = spec.size - 1
-    return d if np.array_equal(table, spec.pow_vec(np.arange(spec.size), d)) else None
+    table = f.table
+    return _fibre_pair_row(table ^ table[np.arange(f.spec.size) ^ a], table)
 
 
 def _fibre_pair_row(D: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -335,10 +297,10 @@ def _fibre_pair_row(D: np.ndarray, values: np.ndarray) -> np.ndarray:
     The fibres of D of one size m form a k x m array. Small fibres pair
     each position with its whole fibre, in blocks of about _PAIR_CHUNK
     pairs. A fibre with more pairs m^2 than the n 2^n steps of a
-    Walsh-Hadamard transform (x^0 and x^(2^i) have one fibre of 2^n) is a
-    histogram h instead: its row is the XOR autocorrelation
-    sum_u h(u) h(u+b), the transform of the squared transform over 2^n,
-    exact in int64 since the sums stay below 2^(3n).
+    Walsh-Hadamard transform (row 0 of any map, and x^0 and x^(2^i), have
+    one fibre of 2^n) is a histogram h instead: its row is the XOR
+    autocorrelation sum_u h(u) h(u+b), the transform of the squared
+    transform over 2^n, exact in int64 since the sums stay below 2^(3n).
     """
     from .walsh import _fwht  # here, not at the top: walsh imports this module
 
@@ -363,46 +325,58 @@ def _fibre_pair_row(D: np.ndarray, values: np.ndarray) -> np.ndarray:
     return row
 
 
-def _power_rows(f: SBox, d: int, kind: str, out: np.ndarray, lo: int) -> None:
-    """Rows lo, lo+1, ... of the DDT or BCT of f = x^d, written into out.
+# -- power maps ---------------------------------------------------------------------
+
+
+def _power_exponent(f: SBox) -> int | None:
+    """d when f is x^d, else None; x^0 (1 at 0) and x^(2^n-1) (0 at 0) differ.
+
+    Only maps with f(1) = 1 and f(0) in {0, 1} get past two lookups. Then
+    d = log f(g) for the generator g of FieldSpec._tables, or 2^n - 1 in
+    place of 0 when f(0) = 0, and the whole table is compared once.
+    """
+    table, spec = f.table, f.spec
+    if table[1] != 1 or table[0] > 1:
+        return None
+    log, exp = spec._tables()
+    d = int(log[table[exp[1]]])
+    if d == 0 and table[0] == 0:
+        d = spec.size - 1
+    return d if np.array_equal(table, spec.pow_vec(np.arange(spec.size), d)) else None
+
+
+def _power_rows(f: SBox, d: int, out: np.ndarray) -> None:
+    """The whole BCT of f = x^d, written into out.
 
     With x = a*x', f(a*x) = a^d f(x) gives T(a, b) = T(1, b * a^-d) for
-    a != 0. Row 1 of the DDT is the bincount of D(y) = f(y+1) + f(y). Row 1
-    of the BCT counts the pairs with f(y)+f(y') = b and f(y+1)+f(y'+1) = b,
-    that is D(y) = D(y'): the ordered pairs of each fibre of D, adding 1 at
-    f(y) + f(y'). In log order of b, row a is row 1 rotated by -d log a, a
+    a != 0. Row 1 is counted from the fibres of D(y) = f(y+1) + f(y), as in
+    bct_row. In log order of b, row a is row 1 rotated by -d log a, a
     window of the doubled row, gathered in blocks of about _BLOCK cells.
-    Row 0 of the DDT is 2^n at b = 0. Row 0 of the BCT holds the DDT column
-    sums: as a runs over the nonzero elements, a^-d runs g = gcd(d, 2^n-1)
-    times over the g-th powers, so at b != 0 the sum is g * S[log b mod g],
-    with S the class sums of DDT row 1 in log order, and at b = 0 it is
-    2^n + (2^n - 1) * DDT(1, 0).
+    Row 0 holds the DDT column sums: as a runs over the nonzero elements,
+    a^-d runs g = gcd(d, 2^n-1) times over the g-th powers, so at b != 0
+    the sum is g * S[log b mod g], with S the class sums of DDT row 1 (the
+    bincount of D) in log order; at b = 0 it is 2^n + (2^n - 1) DDT(1, 0).
     """
     spec, table = f.spec, f.table
     N, m = spec.size, spec.size - 1
     log, exp = spec._tables()
     D = table ^ table[np.arange(N) ^ 1]
     ddt1 = np.bincount(D, minlength=N)
-    row1 = ddt1 if kind == "DDT" else _fibre_pair_row(D, table)
+    row1 = _fibre_pair_row(D, table)
     ring = row1[exp]
     doubled = np.concatenate((ring, ring)).astype(out.dtype)
-    hi = lo + out.shape[0]
     rows = max(1, _BLOCK // N)
-    for a0 in range(max(lo, 1), hi, rows):
-        block = out[a0 - lo : min(a0 + rows, hi) - lo]
+    for a0 in range(1, N, rows):
+        block = out[a0 : a0 + rows]
         start = m - (d % m) * log[a0 : a0 + block.shape[0]] % m
         # whole rows keep out contiguous, so take writes it without a buffer;
         # column 0 (log[0] is a dead slot) is set after
         np.take(doubled, start[:, None] + log, out=block, mode="clip")
         block[:, 0] = row1[0]
-    if lo == 0 and kind == "DDT":
-        out[0] = 0
-        out[0, 0] = N
-    elif lo == 0:
-        g = gcd(d, m)
-        sums = ddt1[exp].reshape(-1, g).sum(axis=0)
-        out[0, 1:] = g * sums[log[1:] % g]
-        out[0, 0] = N + m * ddt1[0]
+    g = gcd(d, m)
+    sums = ddt1[exp].reshape(-1, g).sum(axis=0)
+    out[0, 1:] = g * sums[log[1:] % g]
+    out[0, 0] = N + m * ddt1[0]
 
 
 _BCT_BUILDERS = {"naive": bct_naive, "system": bct_system, "fast": bct_fast}
@@ -450,9 +424,8 @@ def monomial_boomerang_uniformity(spec: FieldSpec, d: int) -> UniformityReport:
 
     For f = x^d, T(a, b) = T(1, b * a^-d), so the maximum over the whole
     table equals the maximum of the single row a=1 (and likewise for the
-    DDT). bct_row detects x^d and counts that row from the fibres of
-    f(y+1) + f(y), sum over beta of DDT(1, beta)^2 work, instead of a full
-    table build.
+    DDT). bct_row counts that row from the fibres of f(y+1) + f(y), sum
+    over beta of DDT(1, beta)^2 work, instead of a full table build.
     """
     from .sbox import from_monomial
 

@@ -478,8 +478,7 @@ def test_ddt_refuses_tables_over_the_memory_budget(monkeypatch):
 
 def test_ddt_peak_estimate_covers_allocations(rng):
     # the int32 table is kept by KTable without a copy; an int64 table or a
-    # copy would exceed the estimate at this n. The inverse takes the
-    # power-map rotation
+    # copy would exceed the estimate at this n; a power map as well
     for f in (SBox(make_field(10), np.zeros(1024, dtype=np.int64)), random_permutation(make_field(10), rng), inverse_fn(10)):
         tracemalloc.start()
         try:
