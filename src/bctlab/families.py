@@ -324,8 +324,8 @@ def _from_q(builder):
 
     def build(q: int, gamma: int | None, field: FieldSpec | None) -> SBox:
         m = q.bit_length() - 1
-        if q != 1 << m:
-            raise ValueError(f"q must be a power of two, got {q}")
+        if q < 2 or q != 1 << m:
+            raise ValueError(f"q must be a power of two, at least 2, got {q}")
         spec = _field_for(2 * m, field)
         if gamma is None:
             gamma = zieve_gamma_candidates(spec)[0]

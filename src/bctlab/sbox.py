@@ -123,7 +123,9 @@ def compose(f: SBox, g: SBox) -> SBox:
 
 
 def derivative(f: SBox, a: int) -> SBox:
-    """The map x -> f(x+a) + f(x)."""
+    """The map x -> f(x+a) + f(x); a must lie in [0, 2^n)."""
+    if not 0 <= a < f.spec.size:
+        raise ValueError(f"shift must lie in [0, 2^n), got {a}")
     idx = np.arange(f.spec.size)
     return SBox(f.spec, f.table[idx ^ a] ^ f.table)
 

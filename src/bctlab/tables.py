@@ -30,8 +30,9 @@ bct_row counts one row T(a, .) of any map from the fibres of the
 derivative D(y) = f(y+a) + f(y), sum over beta of DDT(a, beta)^2 work.
 Power maps f = x^d are detected from the table (two lookups reject other
 maps) in bct_fast: every row a != 0 is row 1 with its columns rescaled,
-T(a, b) = T(1, b * a^-d), a rotation in log order of b. Other maps run
-the generic builder, and ddt is one bincount per row for every map.
+T(a, b) = T(1, b * a^-d), a rotation in log order of b, and row 0 is the
+fibre row of the zero derivative, as for any map. Other maps run the
+generic builder, and ddt is one bincount per row for every map.
 monomial_boomerang_uniformity reads a power map's uniformity off row 1.
 
 Exports are byte-identical to str() per cell: each row's decimal strings
@@ -44,12 +45,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
 from .gf2n import FieldSpec
-from .sbox import SBox, inverse_table
+from .sbox import SBox, derivative, inverse_table
 
 __all__ = [
     "KTable",
@@ -222,8 +222,9 @@ def bct_fast(f: SBox) -> KTable:
     temporaries stay near cache size; counts are integer sums, so the block
     size changes no cell. A power map skips all of this: its row 1, counted
     from one derivative's fibres, is rotated into every row a != 0 and row 0
-    comes from DDT row 1 (see _power_rows). Raises MemoryError, before
-    allocating, when the estimated peak exceeds physical memory.
+    is the fibre row of the zero derivative (see _power_rows). Raises
+    MemoryError, before allocating, when the estimated peak exceeds
+    physical memory.
     """
     n, N, table = f.spec.n, f.spec.size, f.table
     _require_memory("bct_fast", n, _fast_peak_bytes(n))
@@ -285,10 +286,10 @@ def bct_row(f: SBox, a: int) -> np.ndarray:
     f(y+a)+f(y'+a) = b, that is D(y) = D(y'): the ordered pairs of each
     fibre of D, adding 1 at f(y) + f(y') (see _fibre_pair_row). The work is
     sum over beta of DDT(a, beta)^2, for any map; row 0, one fibre of every
-    y, is a Walsh-Hadamard autocorrelation of the value histogram.
+    y, is a Walsh-Hadamard autocorrelation of the value histogram. Raises
+    ValueError for a outside [0, 2^n).
     """
-    table = f.table
-    return _fibre_pair_row(table ^ table[np.arange(f.spec.size) ^ a], table)
+    return _fibre_pair_row(derivative(f, a).table, f.table)
 
 
 def _fibre_pair_row(D: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -352,17 +353,13 @@ def _power_rows(f: SBox, d: int, out: np.ndarray) -> None:
     a != 0. Row 1 is counted from the fibres of D(y) = f(y+1) + f(y), as in
     bct_row. In log order of b, row a is row 1 rotated by -d log a, a
     window of the doubled row, gathered in blocks of about _BLOCK cells.
-    Row 0 holds the DDT column sums: as a runs over the nonzero elements,
-    a^-d runs g = gcd(d, 2^n-1) times over the g-th powers, so at b != 0
-    the sum is g * S[log b mod g], with S the class sums of DDT row 1 (the
-    bincount of D) in log order; at b = 0 it is 2^n + (2^n - 1) DDT(1, 0).
+    Row 0 is counted from the fibres of the zero derivative, as bct_row(f, 0)
+    counts it: one fibre of every y.
     """
     spec, table = f.spec, f.table
     N, m = spec.size, spec.size - 1
     log, exp = spec._tables()
-    D = table ^ table[np.arange(N) ^ 1]
-    ddt1 = np.bincount(D, minlength=N)
-    row1 = _fibre_pair_row(D, table)
+    row1 = _fibre_pair_row(table ^ table[np.arange(N) ^ 1], table)
     ring = row1[exp]
     doubled = np.concatenate((ring, ring)).astype(out.dtype)
     rows = max(1, _BLOCK // N)
@@ -373,10 +370,7 @@ def _power_rows(f: SBox, d: int, out: np.ndarray) -> None:
         # column 0 (log[0] is a dead slot) is set after
         np.take(doubled, start[:, None] + log, out=block, mode="clip")
         block[:, 0] = row1[0]
-    g = gcd(d, m)
-    sums = ddt1[exp].reshape(-1, g).sum(axis=0)
-    out[0, 1:] = g * sums[log[1:] % g]
-    out[0, 0] = N + m * ddt1[0]
+    out[0] = _fibre_pair_row(np.zeros_like(table), table)
 
 
 _BCT_BUILDERS = {"naive": bct_naive, "system": bct_system, "fast": bct_fast}

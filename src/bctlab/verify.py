@@ -5,8 +5,9 @@ an expected integer. Identifiers follow the source material's layout
 ("table3.k5.i2", "thm9.n7", "example.n4", "thm10.q8", ...) and are stable
 API; the registry order fixes the report order. Claims whose estimated
 cost exceeds the caller's budget are reported skipped(cost) rather than
-run, as is the one entry (btt.k10, a GF(2^30) table) that is out of reach
-at desk scale no matter the budget.
+run. The one entry out of reach at desk scale (btt.k10, a GF(2^30) table)
+has no computation at all, so it is skipped(cost) no matter the budget,
+infinite included. Budgets must be non-negative numbers; NaN is refused.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .gf2n import find_omega, make_field
-from .sbox import compose, identity_sbox, inverse_table
+from .sbox import SBox, compose, identity_sbox, inverse_table
 from .tables import (
     bct_fast,
     boomerang_uniformity,
@@ -69,7 +70,7 @@ class ClaimReport:
 class _Claim:
     claim_id: str
     expected: int
-    run: Callable[[], int]
+    run: Callable[[], int] | None  # None: out of reach, always skipped
     dim: int  # field dimension, drives the fast/full tier split
     est_seconds: float
 
@@ -86,41 +87,27 @@ def modified_inverse_expected_delta(n: int) -> int:
 # -- claim computations ------------------------------------------------------------
 
 
-def _kasami_delta(k: int, i: int) -> int:
-    spec = make_field(2 * k)
-    d = (1 << (2 * i)) - (1 << i) + 1
-    return monomial_boomerang_uniformity(spec, d).boomerang_uniformity
+def _delta(f: SBox) -> int:
+    """Boomerang uniformity of f from its full table."""
+    return boomerang_uniformity(f).boomerang_uniformity
 
 
-def _bracken_leander_delta(k: int) -> int:
-    spec = make_field(4 * k)
-    d = (1 << (2 * k)) + (1 << k) + 1
-    return monomial_boomerang_uniformity(spec, d).boomerang_uniformity
+def _row_delta(n: int, d: int) -> int:
+    """Boomerang uniformity of x^d over GF(2^n), read off row 1."""
+    return monomial_boomerang_uniformity(make_field(n), d).boomerang_uniformity
 
 
-def _modified_inverse_delta(n: int) -> int:
-    return boomerang_uniformity(modified_inverse(n)).boomerang_uniformity
-
-
-def _zieve_delta_all(q: int) -> int:
-    """delta over every admissible gamma; -1 if any fails to permute."""
+def _zieve_delta(q: int, take: int | None) -> int:
+    """delta over the first take admissible gammas (all for None); -1 if
+    any of them fails to permute."""
     spec = make_field(2 * (q.bit_length() - 1))
     deltas = set()
-    for gamma in zieve_gamma_candidates(spec):
+    for gamma in zieve_gamma_candidates(spec)[:take]:
         f = zieve_binomial(spec, gamma)
         if not f.is_permutation():
             return -1
-        deltas.add(boomerang_uniformity(f).boomerang_uniformity)
+        deltas.add(_delta(f))
     return max(deltas)
-
-
-def _zieve_delta_first(q: int) -> int:
-    spec = make_field(2 * (q.bit_length() - 1))
-    gamma = zieve_gamma_candidates(spec)[0]
-    f = zieve_binomial(spec, gamma)
-    if not f.is_permutation():
-        return -1
-    return boomerang_uniformity(f).boomerang_uniformity
 
 
 def _inverse_roundtrip_mismatches(q: int) -> int:
@@ -133,18 +120,6 @@ def _inverse_roundtrip_mismatches(q: int) -> int:
     bad += int((compose(f, g).table != ident.table).sum())
     bad += int((g.table != inverse_table(f).table).sum())
     return bad
-
-
-def _btt_delta() -> int:
-    return boomerang_uniformity(btt(2, 4)).boomerang_uniformity
-
-
-def _gold_apn_delta(n: int, i: int) -> int:
-    return boomerang_uniformity(gold(n, i)).boomerang_uniformity
-
-
-def _gold_bound_holds(n: int, i: int) -> int:
-    return int(quadratic_bound_check(gold(n, i)))
 
 
 def _condition_set_violations(n: int) -> int:
@@ -197,30 +172,32 @@ def _build_registry() -> dict[str, _Claim]:
         (5, 2, 44, 0.01), (5, 4, 44, 0.01), (5, 6, 44, 0.01),
         (7, 2, 24, 0.05), (7, 4, 16, 0.05), (7, 6, 16, 0.05),
     ):
-        add(f"table3.k{k}.i{i}", val, lambda k=k, i=i: _kasami_delta(k, i), 2 * k, est)
-    add("table4.k1", 4, lambda: _bracken_leander_delta(1), 4, 0.1)
-    add("table4.k3", 14, lambda: _bracken_leander_delta(3), 12, 0.02)
+        d = (1 << (2 * i)) - (1 << i) + 1
+        add(f"table3.k{k}.i{i}", val, lambda n=2 * k, d=d: _row_delta(n, d), 2 * k, est)
+    for k, val, est in ((1, 4, 0.1), (3, 14, 0.02)):
+        d = (1 << (2 * k)) + (1 << k) + 1
+        add(f"table4.k{k}", val, lambda n=4 * k, d=d: _row_delta(n, d), 4 * k, est)
     for n, val in ((3, 8), (4, 6), (5, 6), (6, 10), (7, 6), (8, 6), (9, 8)):
-        add(f"example.n{n}", val, lambda n=n: _modified_inverse_delta(n), n, 1.0)
+        add(f"example.n{n}", val, lambda n=n: _delta(modified_inverse(n)), n, 1.0)
     for n in range(3, 13):
         est = 5.0 if n == 12 else 1.0
         add(
             f"thm9.n{n}",
             modified_inverse_expected_delta(n),
-            lambda n=n: _modified_inverse_delta(n),
+            lambda n=n: _delta(modified_inverse(n)),
             n,
             est,
         )
-    add("thm10.q8", 4, lambda: _zieve_delta_all(8), 6, 0.2)
-    add("thm10.q32", 4, lambda: _zieve_delta_first(32), 10, 1.0)
+    add("thm10.q8", 4, lambda: _zieve_delta(8, None), 6, 0.2)
+    add("thm10.q32", 4, lambda: _zieve_delta(32, 1), 10, 1.0)
     add("corollary11.q8", 0, lambda: _inverse_roundtrip_mismatches(8), 6, 0.5)
     add("corollary11.q32", 0, lambda: _inverse_roundtrip_mismatches(32), 10, 1.0)
-    add("btt.k2", 4, _btt_delta, 6, 0.5)
+    add("btt.k2", 4, lambda: _delta(btt(2, 4)), 6, 0.5)
     # GF(2^30): the table alone is beyond desk scale; kept for completeness
-    add("btt.k10", -1, lambda: -1, 30, math.inf)
-    add("quadbound.gold.n5", 2, lambda: _gold_apn_delta(5, 1), 5, 0.2)
-    add("quadbound.gold.n6", 1, lambda: _gold_bound_holds(6, 2), 6, 0.5)
-    add("quadbound.gold.n10", 1, lambda: _gold_bound_holds(10, 2), 10, 0.1)
+    add("btt.k10", -1, None, 30, math.inf)
+    add("quadbound.gold.n5", 2, lambda: _delta(gold(5, 1)), 5, 0.2)
+    add("quadbound.gold.n6", 1, lambda: int(quadratic_bound_check(gold(6, 2))), 6, 0.5)
+    add("quadbound.gold.n10", 1, lambda: int(quadratic_bound_check(gold(10, 2))), 10, 0.1)
     for n in range(3, 9):
         add(f"sets.n{n}", 0, lambda n=n: _condition_set_violations(n), n, 1.0)
     return reg
@@ -239,12 +216,18 @@ def claim_ids(tier: str = "full") -> list[str]:
 
 
 def reproduce(claim_id: str, budget_seconds: float = 600.0) -> ClaimReport:
-    """Run one claim and compare against its expected value."""
+    """Run one claim and compare against its expected value.
+
+    budget_seconds must be a non-negative number (inf runs every claim in
+    reach); a claim estimated to cost more, or out of reach, is skipped.
+    """
+    if not budget_seconds >= 0:
+        raise ValueError(f"budget must be a non-negative number, got {budget_seconds}")
     try:
         claim = _REGISTRY[claim_id]
     except KeyError:
         raise ValueError(f"unknown claim id {claim_id!r}") from None
-    if claim.est_seconds > budget_seconds:
+    if claim.run is None or claim.est_seconds > budget_seconds:
         return ClaimReport(claim_id, claim.expected, None, "skipped(cost)", 0.0)
     t0 = time.perf_counter()
     computed = claim.run()

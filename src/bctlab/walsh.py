@@ -15,6 +15,11 @@ over all 4j-tuples whose a/b and g/e halves each XOR to zero. The boundary
 correction assumes a permutation (rows a=0 and b=0 all equal 2^n); for
 non-permutations the two routes legitimately differ.
 
+The table side reads every statistic from one count of the values over
+nonzero (a, b): the j-th moment is sum of cells * value^j, and the
+delta-certificate is sum of cells * phi(value), which by linearity is
+sum_j A_j * (j-th moment) for phi(x) = sum A_j x^j.
+
 Everything here is exact integer or Fraction arithmetic; no floats. The
 spectrum is held as int32: |W(u, v)| <= 2^n, and the transform's partial
 sums are bounded the same way. Sums of products of spectrum values are
@@ -30,7 +35,7 @@ import numpy as np
 
 from .gf2n import _PARITY16
 from .sbox import SBox
-from .tables import KTable, bct_fast
+from .tables import bct_fast
 
 __all__ = [
     "WalshSpectrum",
@@ -102,19 +107,17 @@ def walsh_spectrum(f: SBox) -> WalshSpectrum:
 # -- moments ----------------------------------------------------------------------
 
 
-def bct_moment_direct(f: SBox, j: int, table: KTable | None = None) -> int:
+def _bct_value_counts(f: SBox) -> list[tuple[int, int]]:
+    """(value, cells) for each distinct count T(a, b) over nonzero a, b."""
+    vals, cells = np.unique(bct_fast(f).counts[1:, 1:], return_counts=True)
+    return list(zip(vals.tolist(), cells.tolist()))
+
+
+def bct_moment_direct(f: SBox, j: int) -> int:
     """sum of T(a, b)^j over nonzero a, b, from the table itself."""
     if j < 0:
         raise ValueError("moment order must be non-negative")
-    N = f.spec.size
-    if j == 0:
-        return (N - 1) ** 2
-    if table is None:
-        table = bct_fast(f)
-    elif table.kind != "BCT":
-        raise ValueError(f"moments need a BCT table, got {table.kind}")
-    vals, counts = np.unique(table.counts[1:, 1:], return_counts=True)
-    return sum(int(c) * int(v) ** j for v, c in zip(vals, counts))
+    return sum(c * v**j for v, c in _bct_value_counts(f))
 
 
 def _fourth_power_sum(W: np.ndarray) -> int:
@@ -147,7 +150,7 @@ def _constrained_quad_sum(W: np.ndarray, n: int) -> int:
     return total
 
 
-def bct_moment_walsh(f: SBox, j: int, spectrum: WalshSpectrum | None = None) -> int:
+def bct_moment_walsh(f: SBox, j: int) -> int:
     """Spectrum-side evaluation of the j-th BCT moment; j in {1, 2}.
 
     Exact for permutations (the boundary correction presumes one). The
@@ -158,9 +161,7 @@ def bct_moment_walsh(f: SBox, j: int, spectrum: WalshSpectrum | None = None) -> 
         raise ValueError("spectrum-side moments are implemented for j in {1, 2}")
     if j == 2 and n > 5:
         raise ValueError("j=2 moment is capped at n <= 5")
-    if spectrum is None:
-        spectrum = walsh_spectrum(f)
-    W = spectrum.values
+    W = walsh_spectrum(f).values
     if j == 1:
         s1 = _fourth_power_sum(W)
         num = s1  # 2^(2n-4n) * S_1
@@ -173,9 +174,7 @@ def bct_moment_walsh(f: SBox, j: int, spectrum: WalshSpectrum | None = None) -> 
     return num // den - (1 << (n * j)) * ((1 << (n + 1)) - 1)
 
 
-def two_uniform_certificate(
-    f: SBox, spectrum: WalshSpectrum | None = None
-) -> tuple[int, int, int]:
+def two_uniform_certificate(f: SBox) -> tuple[int, int, int]:
     """Spectrum-only test for boomerang uniformity 2.
 
     Returns (lhs, rhs, gap) with
@@ -188,9 +187,7 @@ def two_uniform_certificate(
     n = f.spec.n
     if n > 5:
         raise ValueError("certificate evaluation is capped at n <= 5")
-    if spectrum is None:
-        spectrum = walsh_spectrum(f)
-    W = spectrum.values
+    W = walsh_spectrum(f).values
     lhs = _constrained_quad_sum(W, n)
     rhs = (
         (1 << (4 * n + 1)) * _fourth_power_sum(W)
@@ -253,16 +250,14 @@ class CertificatePolynomial:
 
 
 def delta_uniform_certificate(
-    f: SBox,
-    delta: int,
-    phi: CertificatePolynomial | None = None,
-    table: KTable | None = None,
+    f: SBox, delta: int, phi: CertificatePolynomial | None = None
 ) -> tuple[Fraction, bool]:
     """Moment-weighted certificate that every BCT count is at most delta.
 
-    value = (2^n - 1)^2 * A_0 + sum_j A_j * (direct j-th moment) is always
-    non-negative, and zero exactly when every nonzero-entry count lies in
-    {0, 2, ..., delta}, i.e. the boomerang uniformity is at most delta.
+    value = sum over nonzero a, b of phi(T(a, b)), which equals
+    sum_j A_j * (direct j-th moment). It is always non-negative, and zero
+    exactly when every nonzero-entry count lies in {0, 2, ..., delta}, i.e.
+    the boomerang uniformity is at most delta.
     """
     if phi is None:
         phi = CertificatePolynomial.for_delta(delta, f.spec.n)
@@ -270,12 +265,7 @@ def delta_uniform_certificate(
         if phi.delta != delta:
             raise ValueError("polynomial was built for a different delta")
         phi.validate(f.spec.n)
-    if table is None:
-        table = bct_fast(f)
-    value = Fraction(0)
-    for j, a_j in enumerate(phi.coefficients):
-        if a_j:
-            value += a_j * bct_moment_direct(f, j, table=table)
+    value = sum((c * phi.evaluate(v) for v, c in _bct_value_counts(f)), Fraction(0))
     if value < 0:
         raise AssertionError("certificate value must be non-negative")
     return value, value == 0

@@ -372,3 +372,12 @@ def test_budget_30_skips_only_the_out_of_reach_claim(capsys):
     assert code == 1  # table4.k1 fails by design
     skipped = [r["claim_id"] for r in json.loads(out) if r["status"] == "skipped(cost)"]
     assert skipped == ["btt.k10"]
+
+
+def test_budget_must_be_a_non_negative_number(capsys):
+    code, out, _ = run_cli(capsys, "reproduce", "--claim", "btt.k10", "--budget", "inf")
+    assert code == 0
+    assert json.loads(out)[0]["status"] == "skipped(cost)"
+    for budget in ("nan", "-1"):
+        code, out, err = run_cli(capsys, "reproduce", "--claim", "btt.k10", f"--budget={budget}")
+        assert code == 2 and out == "" and "budget" in err

@@ -399,9 +399,13 @@ def test_family_spec_parse_errors():
         "gold n=five i=1",
         "gold n",
         "zieve_binomial q=9",  # not a power of two
+        "zieve_binomial q=0",
     ):
         with pytest.raises(ValueError):
             FamilySpec.parse(text).build()
+    for q in (0, 1):
+        with pytest.raises(ValueError, match="power of two"):
+            FamilySpec.parse(f"zieve_binomial q={q}").build()
 
 
 def test_zieve_q32_every_gamma():

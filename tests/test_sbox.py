@@ -117,6 +117,9 @@ def test_derivative(rng):
         d = derivative(f, a)
         for x in range(spec.size):
             assert d[x] == d[x ^ a]
+    for a in (-1, spec.size):
+        with pytest.raises(ValueError, match="shift"):
+            derivative(f, a)
 
 
 @pytest.mark.parametrize("f", [gold(5, 1), gold(6, 2)])

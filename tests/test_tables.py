@@ -126,6 +126,9 @@ def test_bct_row():
     t = bct_fast(k).counts
     for a in (0, 1, 5, 40):
         assert np.array_equal(bct_row(k, a), t[a])
+    for a in (-1, 64):  # row 63 is the last
+        with pytest.raises(ValueError, match="shift"):
+            bct_row(k, a)
 
 
 def _squaring(spec):

@@ -1,5 +1,7 @@
 """Claim registry, reproduction reports, and the per-case audit."""
 
+import math
+
 import pytest
 
 from bctlab import (
@@ -59,8 +61,12 @@ def test_budget_skips_costly_claims():
     assert r.status == "skipped(cost)"
     assert r.computed is None
     # the GF(2^30) entry is out of reach no matter the budget
-    r = reproduce("btt.k10", budget_seconds=1e12)
-    assert r.status == "skipped(cost)"
+    for budget in (1e12, math.inf):
+        r = reproduce("btt.k10", budget_seconds=budget)
+        assert r.status == "skipped(cost)" and r.computed is None
+    for budget in (math.nan, -1.0):
+        with pytest.raises(ValueError, match="budget"):
+            reproduce("table3.k3.i2", budget_seconds=budget)
 
 
 def test_fast_tier_full_run():

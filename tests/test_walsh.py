@@ -7,6 +7,7 @@ import pytest
 
 from bctlab import (
     CertificatePolynomial,
+    SBox,
     bct_fast,
     bct_moment_direct,
     bct_moment_walsh,
@@ -198,13 +199,13 @@ def test_constrained_sum_matches_brute_force(n, rng):
     assert _constrained_quad_sum(W, n) == _quad_sum_brute(W, n)
 
 
-def _walsh_power_sums(f, table):
+def _walsh_power_sums(f):
     # S_1 = sum W^4 and S_2 from the direct BCT moments (Python ints), by
     # the moment identity for permutations
     n = f.spec.n
     boundary = (1 << (n + 1)) - 1
-    s1 = (bct_moment_direct(f, 1, table) + (1 << n) * boundary) << (2 * n)
-    s2 = (bct_moment_direct(f, 2, table) + (1 << (2 * n)) * boundary) << (6 * n)
+    s1 = (bct_moment_direct(f, 1) + (1 << n) * boundary) << (2 * n)
+    s2 = (bct_moment_direct(f, 2) + (1 << (2 * n)) * boundary) << (6 * n)
     return s1, s2
 
 
@@ -214,13 +215,11 @@ def test_n5_spectrum_sums_match_python_int_references(rng):
     corpus = [gold(5, 1), kasami(5, 2), inverse_fn(5), modified_inverse(5)]
     corpus += [random_permutation(make_field(n), rng) for _ in range(2)]
     for f in corpus:
-        spectrum = walsh_spectrum(f)
-        assert spectrum.values.dtype == np.int32
-        table = bct_fast(f)
-        s1, s2 = _walsh_power_sums(f, table)
-        assert bct_moment_walsh(f, 2, spectrum) == bct_moment_direct(f, 2, table)
+        assert walsh_spectrum(f).values.dtype == np.int32
+        s1, s2 = _walsh_power_sums(f)
+        assert bct_moment_walsh(f, 2) == bct_moment_direct(f, 2)
         rhs = (1 << (4 * n + 1)) * s1 + (1 << (9 * n + 1)) - 5 * (1 << (8 * n)) + (1 << (7 * n + 1))
-        assert two_uniform_certificate(f, spectrum) == (s2, rhs, s2 - rhs)
+        assert two_uniform_certificate(f) == (s2, rhs, s2 - rhs)
 
 
 def test_constrained_sum_is_exact_on_int32_input(rng):
@@ -341,6 +340,27 @@ def test_delta_certificate_rational_phi():
     assert z2 == (bct_fast(modified_inverse(3)).max_nonzero() <= 6)
 
 
+def test_certificate_is_moment_weighted_sum(rng):
+    # the certificate sums phi over the nonzero cells; by linearity that is
+    # sum_j A_j * (j-th direct moment) for phi = sum A_j x^j
+    spec = make_field(4)
+    corpus = [gold(5, 1), modified_inverse(4), modified_inverse(5)]
+    corpus += [random_permutation(spec, rng), SBox(spec, rng.integers(0, 16, 16))]
+    assert not corpus[-1].is_permutation()
+    for f in corpus:
+        for delta in (2, 6):
+            canonical = CertificatePolynomial.for_delta(delta, f.spec.n)
+            # canonical * (1/2 + x^2/3): rational, with the same zeros
+            coeffs = [c / 2 for c in canonical.coefficients] + [0, 0]
+            for j, c in enumerate(canonical.coefficients):
+                coeffs[j + 2] += c / 3
+            rational = CertificatePolynomial(coeffs, delta, f.spec.n)
+            for phi in (canonical, rational):
+                value, _ = delta_uniform_certificate(f, delta, phi=phi)
+                moments = enumerate(phi.coefficients)
+                assert value == sum(a * bct_moment_direct(f, j) for j, a in moments)
+
+
 def test_moment_first_order_wide_field():
     # n = 7: a wider field than the other moment tests
     f = inverse_fn(7)
@@ -352,10 +372,3 @@ def test_fourth_power_sum_matches_object_arithmetic(rng, n):
     W = walsh_spectrum(random_permutation(make_field(n), rng)).values
     assert _fourth_power_sum(W) == int((W.astype(object) ** 4).sum())
 
-
-def test_moment_rejects_ddt_table():
-    from bctlab import ddt
-
-    f = gold(4, 1)
-    with pytest.raises(ValueError):
-        bct_moment_direct(f, 1, table=ddt(f))
