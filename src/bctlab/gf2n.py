@@ -11,6 +11,9 @@ of minimal Hamming weight with the smallest integer encoding for each n,
 published here so that per-entry results are reproducible across versions.
 Uniformity statistics themselves are representation independent, so any
 other irreducible of the right degree may be supplied instead.
+
+The bit-vector helpers the engines share, a 16-bit parity table and the
+Walsh-Hadamard transform, live here too, below every module that uses them.
 """
 
 from __future__ import annotations
@@ -59,6 +62,28 @@ _P ^= _P >> 2
 _P ^= _P >> 1
 _PARITY16 = (_P & 1).astype(np.int64)
 del _P
+
+
+def _fwht(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along one power-of-two axis.
+
+    Makes one C-ordered copy of a, in a's dtype, and runs the butterflies
+    (x, y) -> (x + y, x - y) in place on views of it. Integer arithmetic
+    wraps, so the result is exact whenever the transform fits the dtype.
+    """
+    out = np.array(a, order="C", copy=True)
+    axis = axis % out.ndim
+    size = out.shape[axis]
+    lead = (slice(None),) * (axis + 1)
+    h = 1
+    while h < size:
+        pairs = out.reshape(out.shape[:axis] + (size // (2 * h), 2, h) + out.shape[axis + 1 :])
+        top, bot = pairs[lead + (0,)], pairs[lead + (1,)]
+        top += bot
+        bot *= -2
+        bot += top
+        h *= 2
+    return out
 
 
 def _poly_mod(a: int, m: int) -> int:

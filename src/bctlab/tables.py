@@ -27,9 +27,12 @@ maximum: every count is at most 4^n, which fits up to n = 15, but BCT(0, 0)
 of a constant map is exactly 4^n and does not fit at n = 16.
 
 bct_row counts one row T(a, .) of any map from the fibres of the
-derivative D(y) = f(y+a) + f(y), sum over beta of DDT(a, beta)^2 work.
-Power maps f = x^d are detected from the table (two lookups reject other
-maps) in bct_fast: every row a != 0 is row 1 with its columns rescaled,
+derivative D(y) = f(y+a) + f(y): sum over beta of C(DDT(a, beta), 2)
+unordered pairs, or one Walsh-Hadamard autocorrelation for a fibre too
+large to pair. bct_fast and bct_row take their pairs from one enumerator,
+_run_pairs, of the equal keys in a sorted array. Power maps f = x^d are
+detected from the table (two lookups reject other maps) in bct_fast:
+every row a != 0 is row 1 with its columns rescaled,
 T(a, b) = T(1, b * a^-d), a rotation in log order of b, and row 0 is the
 fibre row of the zero derivative, as for any map. Other maps run the
 generic builder, and ddt is one bincount per row for every map.
@@ -48,8 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2n import FieldSpec
-from .sbox import SBox, derivative, inverse_table
+from .gf2n import FieldSpec, _fwht
+from .sbox import SBox, derivative, from_monomial, inverse_table
 
 __all__ = [
     "KTable",
@@ -71,7 +74,7 @@ __all__ = [
 # the builders work on int64 temporaries of one block or pair chunk; at 2^17
 # elements each is 1 MiB and stays in a core's L2 cache (2^20 measured slower)
 _BLOCK = 1 << 17  # derivative values per bct_fast block, cells per power-map row block
-_PAIR_CHUNK = 1 << 17  # pairs per bct_fast or fibre-pair accumulation
+_PAIR_CHUNK = 1 << 17  # pairs per _run_pairs chunk, in bct_fast and fibre rows
 _INT32_MAX = np.iinfo(np.int32).max
 
 
@@ -216,9 +219,10 @@ def bct_fast(f: SBox) -> KTable:
     with x+x' = a. X(0, 0) is every x: +2^n down column b = 0. For c != 0,
     X(c, b) is closed under x -> x+c; its representatives r have the top
     bit of c clear. Each r with itself adds DDT(c, b) at (0, b) and (c, b),
-    and each unordered pair {r, r'} adds 4 at (r+r', b) and (r+r'+c, b).
-    The c values sharing a top bit share the representatives and run as
-    blocks of about _BLOCK derivative values, small enough that a block's
+    and each unordered pair {r, r'}, taken from _run_pairs over the
+    block's bucket keys, adds 4 at (r+r', b) and (r+r'+c, b). The c values
+    sharing a top bit share the representatives and run as blocks of
+    about _BLOCK derivative values, small enough that a block's
     temporaries stay near cache size; counts are integer sums, so the block
     size changes no cell. A power map skips all of this: its row 1, counted
     from one derivative's fibres, is rotated into every row a != 0 and row 0
@@ -234,6 +238,8 @@ def bct_fast(f: SBox) -> KTable:
         _power_rows(f, d, counts)
         return KTable(f.spec, "BCT", counts, "fast")
     counts[:, 0] = N
+    # a typed 4: np.add.at with a Python int scalar takes about 3x as long
+    flat, four = counts.reshape(-1), counts.dtype.type(4)
     idx, rows = np.arange(N), max(1, _BLOCK // (N // 2))
     for k in range(n):
         top = 1 << k
@@ -248,19 +254,23 @@ def bct_fast(f: SBox) -> KTable:
             counts[c0 : c0 + cs.size] += ddt_rows
             counts[0] += ddt_rows.sum(axis=0)
             shared = np.flatnonzero(reps_per_bucket[key] >= 2)
-            if shared.size:
-                _add_pairs(counts.reshape(-1), shared[np.argsort(key[shared])], key, reps, c0, n)
+            # block positions (c - c0) * |reps| + j in bucket order, one run per bucket
+            order = shared[np.argsort(key[shared])]
+            ks = key[order]
+            for i, j in _run_pairs(ks):
+                rr = reps[order[i] % reps.size] ^ reps[order[j] % reps.size]
+                b, c = ks[i] & (N - 1), (ks[i] >> n) + c0
+                np.add.at(flat, np.concatenate((rr << n | b, (rr ^ c) << n | b)), four)
     return KTable(f.spec, "BCT", counts, "fast")
 
 
-def _add_pairs(flat, order, key, reps, c0, n) -> None:
-    """Add 4 at (r+r', b) and (r+r'+c, b) for each pair in a sorted bucket run.
+def _run_pairs(ks: np.ndarray):
+    """Yield (i, j) position arrays, i < j, of the unordered pairs of equal keys.
 
-    order lists block positions (c - c0) * |reps| + j sorted by bucket key,
-    so each bucket is one run; a position pairs with the rest of its run
-    after it. Pairs go in chunks of about _PAIR_CHUNK, one position at least.
+    ks is sorted, so each key is one run and a position pairs with the rest
+    of its run after it. Chunks hold about _PAIR_CHUNK pairs, one position's
+    at least.
     """
-    ks = key[order]
     pos = np.arange(ks.size)
     starts = np.flatnonzero(np.diff(ks, prepend=-1))
     sizes = np.diff(starts, append=ks.size)
@@ -269,13 +279,8 @@ def _add_pairs(flat, order, key, reps, c0, n) -> None:
     s = 0
     while s < ks.size:
         e = max(s + 1, int(np.searchsorted(done, done[s] + _PAIR_CHUNK, "right")) - 1)
-        left = np.repeat(pos[s:e], later[s:e])
-        right = left + 1 + np.arange(left.size) - np.repeat(done[s:e] - done[s], later[s:e])
-        p, q = order[left], order[right]
-        rr = reps[p % reps.size] ^ reps[q % reps.size]
-        b = ks[left] & (2**n - 1)
-        c = (ks[left] >> n) + c0
-        np.add.at(flat, np.concatenate((rr << n | b, (rr ^ c) << n | b)), flat.dtype.type(4))
+        i = np.repeat(pos[s:e], later[s:e])
+        yield i, i + 1 + np.arange(i.size) - np.repeat(done[s:e] - done[s], later[s:e])
         s = e
 
 
@@ -283,11 +288,12 @@ def bct_row(f: SBox, a: int) -> np.ndarray:
     """One BCT row T(a, .), counted from the fibres of D(y) = f(y+a) + f(y).
 
     T(a, b) counts the pairs (y, y') with f(y)+f(y') = b and
-    f(y+a)+f(y'+a) = b, that is D(y) = D(y'): the ordered pairs of each
-    fibre of D, adding 1 at f(y) + f(y') (see _fibre_pair_row). The work is
-    sum over beta of DDT(a, beta)^2, for any map; row 0, one fibre of every
-    y, is a Walsh-Hadamard autocorrelation of the value histogram. Raises
-    ValueError for a outside [0, 2^n).
+    f(y+a)+f(y'+a) = b, that is D(y) = D(y'): each y adds 1 at b = 0 and
+    each unordered pair of one fibre of D adds 2 at f(y) + f(y') (see
+    _fibre_pair_row). The work is sum over beta of C(DDT(a, beta), 2)
+    pairs, for any map; row 0, one fibre of every y, is a Walsh-Hadamard
+    autocorrelation of the value histogram. Raises ValueError for a
+    outside [0, 2^n).
     """
     return _fibre_pair_row(derivative(f, a).table, f.table)
 
@@ -295,32 +301,29 @@ def bct_row(f: SBox, a: int) -> np.ndarray:
 def _fibre_pair_row(D: np.ndarray, values: np.ndarray) -> np.ndarray:
     """row[b] = #{(y, y') : D[y] = D[y'] and values[y] + values[y'] = b}.
 
-    The fibres of D of one size m form a k x m array. Small fibres pair
-    each position with its whole fibre, in blocks of about _PAIR_CHUNK
-    pairs. A fibre with more pairs m^2 than the n 2^n steps of a
-    Walsh-Hadamard transform (row 0 of any map, and x^0 and x^(2^i), have
-    one fibre of 2^n) is a histogram h instead: its row is the XOR
-    autocorrelation sum_u h(u) h(u+b), the transform of the squared
-    transform over 2^n, exact in int64 since the sums stay below 2^(3n).
+    D is sorted once, so each fibre is one run. A fibre of m positions with
+    m^2 at most the n 2^n steps of a Walsh-Hadamard transform goes through
+    _run_pairs: each position adds 1 at b = 0 and each unordered pair adds 2
+    at values[y] + values[y'], C(m, 2) pairs. A larger fibre (row 0 of any
+    map, and x^0 and x^(2^i), have one fibre of 2^n) is a histogram h
+    instead: its row is the XOR autocorrelation sum_u h(u) h(u+b), the
+    transform of the squared transform over 2^n, exact in int64 since the
+    sums stay below 2^(3n).
     """
-    from .walsh import _fwht  # here, not at the top: walsh imports this module
-
     N = D.size
     order = np.argsort(D, kind="stable")
-    v = values[order]
-    starts = np.flatnonzero(np.diff(D[order], prepend=-1))
+    ks, v = D[order], values[order]
+    starts = np.flatnonzero(np.diff(ks, prepend=-1))
     sizes = np.diff(starts, append=N)
+    large = sizes * sizes > (N.bit_length() - 1) * N
+    small = ~np.repeat(large, sizes)
     row, squares = np.zeros(N, dtype=np.int64), np.zeros(N, dtype=np.int64)
-    for m in np.unique(sizes).tolist():
-        fibres = v[starts[sizes == m][:, None] + np.arange(m)]
-        if m * m > (N.bit_length() - 1) * N:
-            for fibre in fibres:
-                squares += _fwht(np.bincount(fibre, minlength=N)) ** 2
-            continue
-        flat, step = fibres.ravel(), max(1, _PAIR_CHUNK // m)
-        for p0 in range(0, flat.size, step):
-            p = np.arange(p0, min(p0 + step, flat.size))
-            row += np.bincount((flat[p, None] ^ fibres[p // m]).ravel(), minlength=N)
+    row[0] = np.count_nonzero(small)
+    vs = v[small]
+    for i, j in _run_pairs(ks[small]):
+        row += 2 * np.bincount(vs[i] ^ vs[j], minlength=N)
+    for s, m in zip(starts[large].tolist(), sizes[large].tolist()):
+        squares += _fwht(np.bincount(v[s : s + m], minlength=N)) ** 2
     if squares.any():
         row += _fwht(squares) // N
     return row
@@ -419,20 +422,18 @@ def monomial_boomerang_uniformity(spec: FieldSpec, d: int) -> UniformityReport:
     For f = x^d, T(a, b) = T(1, b * a^-d), so the maximum over the whole
     table equals the maximum of the single row a=1 (and likewise for the
     DDT). bct_row counts that row from the fibres of f(y+1) + f(y), sum
-    over beta of DDT(1, beta)^2 work, instead of a full table build.
+    over beta of C(DDT(1, beta), 2) pairs, instead of a full table build.
+    Both witnesses come from _peak, as in boomerang_uniformity.
     """
-    from .sbox import from_monomial
-
     f = from_monomial(spec, d)
-    brow = bct_row(f, 1)
+    boom, bct_arg = _peak(bct_row(f, 1)[None, 1:], 1, 1)
     drow = np.bincount(f.table ^ f.table[np.arange(spec.size) ^ 1], minlength=spec.size)
-    delta_arg = int(np.argmax(drow))
-    boom_arg = 1 + int(np.argmax(brow[1:]))
+    delta, ddt_arg = _peak(drow[None, :], 1, 0)
     return UniformityReport(
-        differential_uniformity=int(drow.max()),
-        boomerang_uniformity=int(brow[1:].max()),
-        ddt_argmax=(1, delta_arg),
-        bct_argmax=(1, boom_arg),
+        differential_uniformity=delta,
+        boomerang_uniformity=boom,
+        ddt_argmax=ddt_arg,
+        bct_argmax=bct_arg,
         algorithm="row",
     )
 

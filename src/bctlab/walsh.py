@@ -28,12 +28,13 @@ taken in int64 or Python ints.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .gf2n import _PARITY16
+from .gf2n import _PARITY16, _fwht
 from .sbox import SBox
 from .tables import bct_fast
 
@@ -48,28 +49,6 @@ __all__ = [
 ]
 
 _MAX_SPECTRUM_N = 12  # full spectrum is 4^n int32 cells (|W| <= 2^n)
-
-
-def _fwht(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform along one power-of-two axis.
-
-    Makes one C-ordered copy of a, in a's dtype, and runs the butterflies
-    (x, y) -> (x + y, x - y) in place on views of it. Integer arithmetic
-    wraps, so the result is exact whenever the transform fits the dtype.
-    """
-    out = np.array(a, order="C", copy=True)
-    axis = axis % out.ndim
-    size = out.shape[axis]
-    lead = (slice(None),) * (axis + 1)
-    h = 1
-    while h < size:
-        pairs = out.reshape(out.shape[:axis] + (size // (2 * h), 2, h) + out.shape[axis + 1 :])
-        top, bot = pairs[lead + (0,)], pairs[lead + (1,)]
-        top += bot
-        bot *= -2
-        bot += top
-        h *= 2
-    return out
 
 
 class WalshSpectrum:
@@ -238,12 +217,21 @@ class CertificatePolynomial:
         return acc
 
     def validate(self, n: int) -> None:
-        """Check strict positivity at every even point in (delta, 2^n]."""
-        for x in range(self.delta + 2, (1 << n) + 1, 2):
-            if self.evaluate(x) <= 0:
-                raise ValueError(
-                    f"certificate polynomial must be positive at {x} for n={n}"
-                )
+        """Check strict positivity at every even point in (delta, 2^n].
+
+        One Horner pass over all the points at once, in Python ints: the
+        coefficients scaled by the LCM of their denominators keep the signs.
+        """
+        scale = math.lcm(*(c.denominator for c in self.coefficients))
+        xs = np.array(range(self.delta + 2, (1 << n) + 1, 2), dtype=object)
+        acc = np.zeros(xs.size, dtype=object)
+        for c in reversed(self.coefficients):
+            acc = acc * xs + int(c * scale)
+        bad = np.flatnonzero(acc <= 0)
+        if bad.size:
+            raise ValueError(
+                f"certificate polynomial must be positive at {xs[bad[0]]} for n={n}"
+            )
 
     def __repr__(self):
         return f"CertificatePolynomial(delta={self.delta}, degree={len(self.coefficients) - 1})"

@@ -7,6 +7,7 @@ import pytest
 
 from bctlab import (
     KTable,
+    affine_apply,
     bct,
     bct_fast,
     bct_naive,
@@ -28,6 +29,7 @@ from bctlab import (
     modified_inverse,
     monomial_boomerang_uniformity,
     quadratic_bound_check,
+    random_affine_permutation,
     random_permutation,
     SBox,
     walsh_spectrum,
@@ -271,6 +273,8 @@ def test_monomial_shortcut_matches_full_table(n):
         full = boomerang_uniformity(from_monomial(spec, d))
         assert short.boomerang_uniformity == full.boomerang_uniformity
         assert short.differential_uniformity == full.differential_uniformity
+        assert short.bct_argmax == full.bct_argmax
+        assert short.ddt_argmax == full.ddt_argmax
 
 
 def test_quadratic_bound_all_gold_permutations():
@@ -428,14 +432,22 @@ def test_bct_equals_ddt_off_boundary_when_apn():
         assert np.array_equal(bct_system(f).counts[1:, 1:], d.counts[1:, 1:])
 
 
-def test_bct_fast_enumerates_no_pair_for_apn_maps(monkeypatch):
-    def no_pairs(*args):
-        raise AssertionError("an APN map has no bucket of two representatives")
-
-    f = gold(7, 3)
+def test_bct_fast_enumerates_no_pair_for_apn_maps(monkeypatch, rng):
+    # an APN map that is not a power map, so the generic builder runs
+    f = affine_apply(random_affine_permutation(make_field(7), rng), gold(7, 3), "post")
+    assert tables._power_exponent(f) is None
     expect = bct_system(f).counts
-    monkeypatch.setattr(tables, "_add_pairs", no_pairs)
+    run_pairs, calls, pairs = tables._run_pairs, [], []
+
+    def counted(ks):
+        calls.append(ks.size)
+        for i, j in run_pairs(ks):
+            pairs.append(i.size)
+            yield i, j
+
+    monkeypatch.setattr(tables, "_run_pairs", counted)
     assert np.array_equal(bct_fast(f).counts, expect)
+    assert calls and sum(pairs) == 0  # the patched enumerator was on the path
 
 
 def test_bct_column_zero_of_permutation(rng):

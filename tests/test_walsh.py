@@ -288,6 +288,13 @@ def test_certificate_polynomial_validation():
         CertificatePolynomial(bad.coefficients, 2, n=4)
     with pytest.raises(ValueError):
         delta_uniform_certificate(gold(4, 1), 4, phi=CertificatePolynomial.for_delta(6))
+    # x(x-2)(x-5)(x-7) vanishes at 0 and 2 and, among 4, 6, 8, is negative only at 6
+    coeffs = [0, -70, 59, -14, 1]
+    for scale in (1, Fraction(1, 3)):
+        phi = CertificatePolynomial([c * scale for c in coeffs], 2)
+        with pytest.raises(ValueError, match="positive at 6 for n=3"):
+            phi.validate(3)
+        phi.validate(2)  # 4 is the only point in (2, 4]
 
 
 def test_delta_certificate_full_range_is_zero(rng):
