@@ -17,11 +17,13 @@ Three BCT builders with identical output:
     bct_system  O(2^3n), any function, literal pair counting
     bct_fast    representative pairs, zero for APN maps; any function
 
-bct_fast takes c = 0 and the pairs {x, x}, {x, x+c} in closed form from
-the DDT rows and enumerates only unordered pairs of representatives of
-X(c, b) = {x : f(x)+f(x+c) = b} under x -> x+c, none when Delta = 2. It is
-one serial pass. bct_fast and ddt refuse, before allocating, a table whose
-estimated peak exceeds physical memory. No builder starts a thread.
+bct_fast takes row 0 from the fibres of the zero derivative and the pairs
+{x, x+c} from the DDT rows, and enumerates only unordered pairs of
+representatives of X(c, b) = {x : f(x)+f(x+c) = b} under x -> x+c, none
+when Delta = 2. It is one serial pass, and the DDT rows it counts on the
+way give boomerang_uniformity the DDT maximum with no DDT built.
+bct_fast and ddt refuse, before allocating, a table whose estimated peak
+exceeds physical memory. No builder starts a thread.
 Counts are stored as int32, and KTable refuses any count above its
 maximum: every count is at most 4^n, which fits up to n = 15, but BCT(0, 0)
 of a constant map is exactly 4^n and does not fit at n = 16.
@@ -31,11 +33,11 @@ derivative D(y) = f(y+a) + f(y): sum over beta of C(DDT(a, beta), 2)
 unordered pairs, or one Walsh-Hadamard autocorrelation for a fibre too
 large to pair. bct_fast and bct_row take their pairs from one enumerator,
 _run_pairs, of the equal keys in a sorted array. Power maps f = x^d are
-detected from the table (two lookups reject other maps) in bct_fast:
-every row a != 0 is row 1 with its columns rescaled,
-T(a, b) = T(1, b * a^-d), a rotation in log order of b, and row 0 is the
-fibre row of the zero derivative, as for any map. Other maps run the
-generic builder, and ddt is one bincount per row for every map.
+detected from the table (two lookups reject other maps) in bct_fast and
+ddt: every row a != 0 of either table is row 1 with its columns
+rescaled, T(a, b) = T(1, b * a^-d), a rotation in log order of b, and
+row 0 is counted as for any map. Other maps run the generic builders;
+ddt is then one bincount per row.
 monomial_boomerang_uniformity reads a power map's uniformity off row 1.
 
 Exports are byte-identical to str() per cell: each row's decimal strings
@@ -81,6 +83,10 @@ _INT32_MAX = np.iinfo(np.int32).max
 class KTable:
     """A 2^n x 2^n table of non-negative counts (DDT or BCT)."""
 
+    # (DDT maximum over a != 0, its first row-major witness), kept by the
+    # generic bct_fast pass for boomerang_uniformity
+    _ddt_peak: tuple[int, tuple[int, int]] | None = None
+
     def __init__(self, spec: FieldSpec, kind: str, counts, algorithm: str):
         if kind not in ("DDT", "BCT"):
             raise ValueError(f"kind must be 'DDT' or 'BCT', got {kind!r}")
@@ -124,6 +130,8 @@ class UniformityReport:
 def ddt(f: SBox) -> KTable:
     """Difference distribution table: counts(a, b) = #{x : f(x+a)+f(x) = b}.
 
+    Each row is the bincount of one derivative. A power map x^d counts rows
+    1 and 0 only and rotates row 1 into every row a != 0 (see _power_rows).
     Counts are at most 2^n, so the table accumulates int32 and KTable keeps
     it without a copy. Raises MemoryError, before allocating, when the
     estimated peak exceeds physical memory.
@@ -132,8 +140,16 @@ def ddt(f: SBox) -> KTable:
     _require_memory("ddt", n, _ddt_peak_bytes(n))
     idx = np.arange(N)
     counts = np.zeros((N, N), dtype=np.int32)
-    for a in range(N):
-        counts[a] = np.bincount(table ^ table[idx ^ a], minlength=N)
+
+    def row(a: int) -> np.ndarray:
+        return np.bincount(table ^ table[idx ^ a], minlength=N)
+
+    d = _power_exponent(f)
+    if d is not None:
+        _power_rows(f, d, counts, row(1), row(0))
+    else:
+        for a in range(N):
+            counts[a] = row(a)
     return KTable(f.spec, "DDT", counts, "ddt")
 
 
@@ -196,8 +212,9 @@ def _require_memory(builder: str, n: int, need: int) -> None:
 
 def _ddt_peak_bytes(n: int) -> int:
     """Upper estimate of the bytes ddt allocates at dimension n: the int32
-    table plus about 8 int64 arrays of one row."""
-    return 4 * 4**n + 64 * 2**n
+    table plus about 8 int64 arrays of one row and 2 of one power-map row
+    block (the rotation's gather indices)."""
+    return 4 * 4**n + 64 * 2**n + 16 * _BLOCK
 
 
 def _fast_dtype(n: int):
@@ -216,31 +233,35 @@ def bct_fast(f: SBox) -> KTable:
     """Pairs of orbit representatives; cost sum over (c, b) of C(DDT(c,b)/2, 2).
 
     BCT(a, b) counts the pairs x, x' of one X(c, b) = {x : f(x)+f(x+c) = b}
-    with x+x' = a. X(0, 0) is every x: +2^n down column b = 0. For c != 0,
-    X(c, b) is closed under x -> x+c; its representatives r have the top
-    bit of c clear. Each r with itself adds DDT(c, b) at (0, b) and (c, b),
-    and each unordered pair {r, r'}, taken from _run_pairs over the
+    with x+x' = a. Summed over c, the pairs with x+x' = 0 make row 0, which
+    is counted as the fibre row of the zero derivative (see bct_row). For
+    c != 0, X(c, b) is closed under x -> x+c; its representatives r have
+    the top bit of c clear. X(c, b) holds DDT(c, b) pairs {x, x+c}, added at
+    (c, b), and each unordered pair {r, r'}, taken from _run_pairs over the
     block's bucket keys, adds 4 at (r+r', b) and (r+r'+c, b). The c values
-    sharing a top bit share the representatives and run as blocks of
-    about _BLOCK derivative values, small enough that a block's
-    temporaries stay near cache size; counts are integer sums, so the block
-    size changes no cell. A power map skips all of this: its row 1, counted
-    from one derivative's fibres, is rotated into every row a != 0 and row 0
-    is the fibre row of the zero derivative (see _power_rows). Raises
-    MemoryError, before allocating, when the estimated peak exceeds
-    physical memory.
+    sharing a top bit share the representatives and run as blocks of about
+    _BLOCK derivative values, small enough that a block's temporaries stay
+    near cache size; counts are integer sums, so the block size changes no
+    cell. The blocks are whole DDT rows in increasing c, so the pass keeps
+    the DDT maximum over a != 0 and its first row-major witness as well,
+    in the table's _ddt_peak. A power map skips all of this: its row 1,
+    counted from one derivative's fibres, is rotated into every row a != 0
+    (see _power_rows). Raises MemoryError, before allocating, when the
+    estimated peak exceeds physical memory.
     """
     n, N, table = f.spec.n, f.spec.size, f.table
     _require_memory("bct_fast", n, _fast_peak_bytes(n))
     counts = np.zeros((N, N), dtype=_fast_dtype(n))
+    row0 = _fibre_pair_row(np.zeros_like(table), table)
+    idx = np.arange(N)
     d = _power_exponent(f)
     if d is not None:
-        _power_rows(f, d, counts)
+        _power_rows(f, d, counts, _fibre_pair_row(table ^ table[idx ^ 1], table), row0)
         return KTable(f.spec, "BCT", counts, "fast")
     counts[:, 0] = N
     # a typed 4: np.add.at with a Python int scalar takes about 3x as long
     flat, four = counts.reshape(-1), counts.dtype.type(4)
-    idx, rows = np.arange(N), max(1, _BLOCK // (N // 2))
+    rows, delta, witness = max(1, _BLOCK // (N // 2)), -1, None
     for k in range(n):
         top = 1 << k
         reps = idx[(idx & top) == 0]
@@ -252,7 +273,9 @@ def bct_fast(f: SBox) -> KTable:
             reps_per_bucket = np.bincount(key, minlength=cs.size * N)
             ddt_rows = 2 * reps_per_bucket.reshape(cs.size, N)
             counts[c0 : c0 + cs.size] += ddt_rows
-            counts[0] += ddt_rows.sum(axis=0)
+            most = int(reps_per_bucket.max())
+            if 2 * most > delta:
+                delta, witness = _peak(ddt_rows, c0, 0)
             shared = np.flatnonzero(reps_per_bucket[key] >= 2)
             # block positions (c - c0) * |reps| + j in bucket order, one run per bucket
             order = shared[np.argsort(key[shared])]
@@ -261,7 +284,10 @@ def bct_fast(f: SBox) -> KTable:
                 rr = reps[order[i] % reps.size] ^ reps[order[j] % reps.size]
                 b, c = ks[i] & (N - 1), (ks[i] >> n) + c0
                 np.add.at(flat, np.concatenate((rr << n | b, (rr ^ c) << n | b)), four)
-    return KTable(f.spec, "BCT", counts, "fast")
+    counts[0] = row0
+    t = KTable(f.spec, "BCT", counts, "fast")
+    t._ddt_peak = delta, witness
+    return t
 
 
 def _run_pairs(ks: np.ndarray):
@@ -349,20 +375,18 @@ def _power_exponent(f: SBox) -> int | None:
     return d if np.array_equal(table, spec.pow_vec(np.arange(spec.size), d)) else None
 
 
-def _power_rows(f: SBox, d: int, out: np.ndarray) -> None:
-    """The whole BCT of f = x^d, written into out.
+def _power_rows(f: SBox, d: int, out: np.ndarray, row1: np.ndarray, row0: np.ndarray) -> None:
+    """The whole DDT or BCT of f = x^d, written into out from its rows 1 and 0.
 
     With x = a*x', f(a*x) = a^d f(x) gives T(a, b) = T(1, b * a^-d) for
-    a != 0. Row 1 is counted from the fibres of D(y) = f(y+1) + f(y), as in
-    bct_row. In log order of b, row a is row 1 rotated by -d log a, a
-    window of the doubled row, gathered in blocks of about _BLOCK cells.
-    Row 0 is counted from the fibres of the zero derivative, as bct_row(f, 0)
-    counts it: one fibre of every y.
+    a != 0, in either table. In log order of b, row a is row 1 rotated by
+    -d log a, a window of the doubled row, gathered in blocks of about
+    _BLOCK cells. The caller counts both rows: bct_fast from the fibres of
+    the derivatives f(y+1) + f(y) and f(y) + f(y), ddt by their bincounts.
     """
-    spec, table = f.spec, f.table
+    spec = f.spec
     N, m = spec.size, spec.size - 1
     log, exp = spec._tables()
-    row1 = _fibre_pair_row(table ^ table[np.arange(N) ^ 1], table)
     ring = row1[exp]
     doubled = np.concatenate((ring, ring)).astype(out.dtype)
     rows = max(1, _BLOCK // N)
@@ -373,7 +397,7 @@ def _power_rows(f: SBox, d: int, out: np.ndarray) -> None:
         # column 0 (log[0] is a dead slot) is set after
         np.take(doubled, start[:, None] + log, out=block, mode="clip")
         block[:, 0] = row1[0]
-    out[0] = _fibre_pair_row(np.zeros_like(table), table)
+    out[0] = row0
 
 
 _BCT_BUILDERS = {"naive": bct_naive, "system": bct_system, "fast": bct_fast}
@@ -402,11 +426,16 @@ def _peak(sub: np.ndarray, off_a: int, off_b: int) -> tuple[int, tuple[int, int]
 def boomerang_uniformity(f: SBox, algorithm: str = "fast") -> UniformityReport:
     """Full-table boomerang and differential uniformities with witnesses.
 
-    The BCT is reduced to its maximum before the DDT is built, so the two
-    tables are never held at once and each builder's memory check is true.
+    The generic bct_fast pass also keeps the DDT maximum and its witness,
+    so for those maps no DDT is built. The oracles and power maps carry
+    none; their BCT is reduced to its maximum and dropped before the DDT is
+    built, so the two tables are never held at once and each builder's
+    memory check is true.
     """
-    boom, bct_arg = _peak(bct(f, algorithm=algorithm).counts[1:, 1:], 1, 1)
-    delta, ddt_arg = _peak(ddt(f).counts[1:, :], 1, 0)
+    t = bct(f, algorithm=algorithm)
+    (boom, bct_arg), fused = _peak(t.counts[1:, 1:], 1, 1), t._ddt_peak
+    del t  # the BCT goes before any DDT is built
+    delta, ddt_arg = fused or _peak(ddt(f).counts[1:, :], 1, 0)
     return UniformityReport(
         differential_uniformity=delta,
         boomerang_uniformity=boom,

@@ -1,5 +1,6 @@
 """DDT/BCT builders, uniformity extraction, exports, and table invariants."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -224,6 +225,25 @@ def test_power_map_rows_are_rescaled_row_one():
                 assert np.array_equal(t[a], t[1][cols]), (n, d, a)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_power_map_ddt_is_row_one_rotated(monkeypatch, n):
+    # every x^d, d = 0 .. 2^n - 1: x^0, x^(2^n-1) and the exponents with
+    # gcd(d, 2^n - 1) > 1, which give no permutation; each goes through
+    # the rotation and equals the bincount of every row
+    spec = make_field(n)
+    power_rows, rotated = tables._power_rows, []
+
+    def counted(f, d, *rest):
+        rotated.append(d)
+        power_rows(f, d, *rest)
+
+    monkeypatch.setattr(tables, "_power_rows", counted)
+    for d in range(spec.size):
+        f = from_monomial(spec, d)
+        assert np.array_equal(ddt(f).counts, _literal_ddt(f)), d
+    assert rotated == list(range(spec.size))
+
+
 @pytest.mark.parametrize("chunk", [1, 5, 1 << 17])
 def test_fibre_pair_row_matches_literal_count(monkeypatch, rng, chunk):
     # fibres small (pair branch, split into chunks) and large (transform branch)
@@ -252,6 +272,38 @@ def test_boomerang_uniformity_reports():
     assert boomerang_uniformity(btt(2, 4)).boomerang_uniformity == 4
     assert boomerang_uniformity(modified_inverse(3)).boomerang_uniformity == 8
     assert boomerang_uniformity(modified_inverse(4)).boomerang_uniformity == 6
+
+
+@pytest.mark.parametrize("block", [1, 1 << 17])
+def test_bct_fast_keeps_the_ddt_peak(monkeypatch, rng, block):
+    # one DDT row per block at _BLOCK = 1, so a maximum tied across blocks
+    # must keep the first witness; small images and x & 3 tie many maxima
+    monkeypatch.setattr(tables, "_BLOCK", block)
+    for n in range(3, 10):
+        spec = make_field(n)
+        for table in (random_permutation(spec, rng).table, rng.integers(0, spec.size, spec.size),
+                      rng.integers(0, 4, spec.size), np.arange(spec.size) & 3):
+            f = SBox(spec, table)
+            assert tables._power_exponent(f) is None
+            assert bct_fast(f)._ddt_peak == tables._peak(ddt(f).counts[1:, :], 1, 0)
+
+
+def test_boomerang_uniformity_builds_no_ddt_after_bct_fast(monkeypatch, rng):
+    funcs = [random_permutation(make_field(7), rng), modified_inverse(6),
+             SBox(make_field(6), rng.integers(0, 64, 64))]
+    oracle = [boomerang_uniformity(f, algorithm="system") for f in funcs]
+
+    def refuse(f):
+        raise AssertionError("ddt called")
+
+    monkeypatch.setattr(tables, "ddt", refuse)
+    for f, rep in zip(funcs, oracle):
+        assert boomerang_uniformity(f) == dataclasses.replace(rep, algorithm="fast")
+    # the oracles and power maps carry no DDT peak and still build the DDT
+    with pytest.raises(AssertionError, match="ddt called"):
+        boomerang_uniformity(funcs[0], algorithm="system")
+    with pytest.raises(AssertionError, match="ddt called"):
+        boomerang_uniformity(gold(5, 1))
 
 
 def test_monomial_shortcut_examples():
@@ -373,8 +425,8 @@ def test_bct_fast_matches_system_on_degenerate_maps(rng):
     for n in range(2, 8):
         spec = make_field(n)
         idx = np.arange(spec.size)
-        for table in (np.zeros(spec.size, dtype=int), idx, idx & 3,
-                      rng.integers(0, spec.size, spec.size)):
+        for table in (np.zeros(spec.size, dtype=int), idx, idx & 3, idx >> 1,
+                      rng.integers(0, 2, spec.size), rng.integers(0, spec.size, spec.size)):
             f = SBox(spec, table)
             assert np.array_equal(bct_fast(f).counts, bct_system(f).counts)
 
