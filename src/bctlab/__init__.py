@@ -5,87 +5,16 @@ Connectivity Tables (three interchangeable algorithms), Walsh spectra,
 moment identities and uniformity certificates, plus constructors for the
 standard low-uniformity permutation families and a registry that
 reproduces their published uniformity values.
+
+The public names are exactly those in the six modules' __all__ lists,
+republished here unchanged.
 """
 
-from .gf2n import (
-    DEFAULT_REDUCTION,
-    FieldSpec,
-    cubic_roots,
-    find_omega,
-    is_irreducible,
-    make_field,
-    parse_field,
-    quartic_has_four_roots,
-    quartic_roots,
-    solve_artin_schreier,
-    solve_quadratic,
-)
-from .sbox import (
-    AffineMap,
-    SBox,
-    affine_apply,
-    compose,
-    derivative,
-    from_monomial,
-    from_polynomial,
-    identity_sbox,
-    inverse_table,
-    is_permutation,
-    random_affine_permutation,
-    random_permutation,
-    read_sbox,
-    write_sbox,
-)
-from .tables import (
-    KTable,
-    UniformityReport,
-    bct,
-    bct_fast,
-    bct_naive,
-    bct_row,
-    bct_system,
-    boomerang_uniformity,
-    ddt,
-    differential_uniformity,
-    ktable_to_csv,
-    ktable_to_json,
-    monomial_boomerang_uniformity,
-    quadratic_bound_check,
-)
-from .walsh import (
-    CertificatePolynomial,
-    WalshSpectrum,
-    bct_moment_direct,
-    bct_moment_walsh,
-    delta_uniform_certificate,
-    two_uniform_certificate,
-    walsh_spectrum,
-)
-from .families import (
-    FamilySpec,
-    bracken_leander,
-    btt,
-    dobbertin,
-    gold,
-    gold_case,
-    inverse_fn,
-    kasami,
-    modified_inverse,
-    modified_inverse_condition_sets,
-    modified_inverse_special_solutions,
-    niho,
-    welch,
-    zieve_binomial,
-    zieve_binomial_inverse,
-    zieve_gamma_candidates,
-)
-from .verify import (
-    ClaimReport,
-    appendix_case_audit,
-    claim_ids,
-    modified_inverse_expected_delta,
-    reproduce,
-    reproduce_all,
-)
+from .gf2n import *  # noqa: F401,F403
+from .sbox import *  # noqa: F401,F403
+from .tables import *  # noqa: F401,F403
+from .walsh import *  # noqa: F401,F403
+from .families import *  # noqa: F401,F403
+from .verify import *  # noqa: F401,F403
 
 __version__ = "1.0.0"

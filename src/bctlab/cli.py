@@ -8,12 +8,10 @@ walsh print CSV, or JSON with --json; family prints the S-box file format;
 every other verb prints JSON ("schema": 1) and takes no --json. Exit codes:
 0 success, 1 failed reproduction claims, 2 usage or input errors and
 tables too large for physical memory. CSV is byte-identical across BCT
-algorithms, and JSON differs only in its "algorithm" field. There is no
-thread option: only `reproduce` of a whole tier runs its claims on a
-pool, and no output byte depends on it. Table values are written from a
-lookup of decimal strings over their span, and a JSON table is never built
-as a list of Python ints; the text equals json.dumps(indent=2) of the
-plain lists.
+algorithms, and JSON differs only in its "algorithm" field. Table values
+are written from a lookup of decimal strings over their span, and a JSON
+table is never built as a list of Python ints; the text equals
+json.dumps(indent=2) of the plain lists.
 """
 
 from __future__ import annotations

@@ -164,6 +164,14 @@ def modified_inverse(n: int, field: FieldSpec | None = None) -> SBox:
 # -- the x^(q+2) + gamma*x binomial over GF(q^2) ------------------------------------
 
 
+def _field_from_q(q: int, field: FieldSpec | None = None) -> FieldSpec:
+    """GF(q^2) for q a power of two, at least 2 (field, if given, must match)."""
+    m = q.bit_length() - 1
+    if q < 2 or q != 1 << m:
+        raise ValueError(f"q must be a power of two, at least 2, got {q}")
+    return _field_for(2 * m, field)
+
+
 def _split_quadratic_extension(spec: FieldSpec) -> int:
     """Return q = 2^m for a field GF(q^2) with m odd (so q = 2 mod 6)."""
     if spec.n % 2 or (spec.n // 2) % 2 == 0:
@@ -303,30 +311,12 @@ def cube_condition_roots(spec: FieldSpec) -> set[int]:
 
 # -- named dispatch for the CLI ------------------------------------------------------
 
-# family name -> (required params, optional params)
-FAMILY_PARAMETERS: Mapping[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "gold": (("n", "i"), ()),
-    "kasami": (("n", "i"), ()),
-    "welch": (("k",), ()),
-    "niho": (("k",), ()),
-    "inverse": (("n",), ()),
-    "dobbertin": (("k",), ()),
-    "bracken_leander": (("k",), ()),
-    "btt": (("k", "s"), ("alpha",)),
-    "modified_inverse": (("n",), ()),
-    "zieve_binomial": (("q",), ("gamma",)),
-    "zieve_binomial_inverse": (("q",), ("gamma",)),
-}
-
 
 def _from_q(builder):
     """Adapt a GF(q^2) constructor to (q, gamma, field), gamma defaulting."""
 
     def build(q: int, gamma: int | None, field: FieldSpec | None) -> SBox:
-        m = q.bit_length() - 1
-        if q < 2 or q != 1 << m:
-            raise ValueError(f"q must be a power of two, at least 2, got {q}")
-        spec = _field_for(2 * m, field)
+        spec = _field_from_q(q, field)
         if gamma is None:
             gamma = zieve_gamma_candidates(spec)[0]
         return builder(spec, gamma)
@@ -334,19 +324,25 @@ def _from_q(builder):
     return build
 
 
-# each constructor takes its FAMILY_PARAMETERS in order (None if absent), then field
-_FAMILY_BUILDERS = {
-    "gold": gold,
-    "kasami": kasami,
-    "welch": welch,
-    "niho": niho,
-    "inverse": inverse_fn,
-    "dobbertin": dobbertin,
-    "bracken_leander": bracken_leander,
-    "btt": btt,
-    "modified_inverse": modified_inverse,
-    "zieve_binomial": _from_q(zieve_binomial),
-    "zieve_binomial_inverse": _from_q(zieve_binomial_inverse),
+# family name -> (constructor, required params, optional params); the
+# constructor takes the params in that order (None if absent), then field
+_FAMILIES = {
+    "gold": (gold, ("n", "i"), ()),
+    "kasami": (kasami, ("n", "i"), ()),
+    "welch": (welch, ("k",), ()),
+    "niho": (niho, ("k",), ()),
+    "inverse": (inverse_fn, ("n",), ()),
+    "dobbertin": (dobbertin, ("k",), ()),
+    "bracken_leander": (bracken_leander, ("k",), ()),
+    "btt": (btt, ("k", "s"), ("alpha",)),
+    "modified_inverse": (modified_inverse, ("n",), ()),
+    "zieve_binomial": (_from_q(zieve_binomial), ("q",), ("gamma",)),
+    "zieve_binomial_inverse": (_from_q(zieve_binomial_inverse), ("q",), ("gamma",)),
+}
+
+# family name -> (required params, optional params)
+FAMILY_PARAMETERS: Mapping[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    name: (required, optional) for name, (_, required, optional) in _FAMILIES.items()
 }
 
 
@@ -387,5 +383,5 @@ class FamilySpec:
 
     def build(self, field: FieldSpec | None = None) -> SBox:
         p = dict(self.params)
-        required, optional = FAMILY_PARAMETERS[self.name]
-        return _FAMILY_BUILDERS[self.name](*(p.get(k) for k in required + optional), field)
+        builder, required, optional = _FAMILIES[self.name]
+        return builder(*(p.get(k) for k in required + optional), field)

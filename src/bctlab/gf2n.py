@@ -18,6 +18,8 @@ Walsh-Hadamard transform, live here too, below every module that uses them.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 __all__ = [
@@ -128,10 +130,10 @@ def _trial_factorize(m: int) -> tuple[int, ...]:
 class FieldSpec:
     """The field GF(2^n) in the polynomial basis of one reduction polynomial.
 
-    All operations are pure; derived tables (discrete logs, trace mask,
-    Artin-Schreier preimages) are cached on first use, so instances are
-    safe for unrestricted concurrent reads after warm-up and cheap to
-    share.
+    All operations are pure; derived data (discrete logs, trace mask,
+    factors of 2^n - 1, the generator, Artin-Schreier preimages) is
+    computed once on first use, so instances are safe for unrestricted
+    concurrent reads after warm-up and cheap to share.
     """
 
     def __init__(self, n: int, reduction: int | None = None):
@@ -148,12 +150,7 @@ class FieldSpec:
         self.n = n
         self.reduction = reduction
         self.size = 1 << n
-        self._log = None
-        self._exp = None
-        self._trace_mask = None
-        self._factors = None
-        self._generator = None
-        self._as_pre = None
+        self._log = self._exp = None  # filled by _tables
 
     # -- identity ----------------------------------------------------------
 
@@ -212,42 +209,49 @@ class FieldSpec:
         """The unique square root x^(2^(n-1)) (squaring is a bijection)."""
         return self.pow(x, self.size >> 1)
 
+    @cached_property
+    def _trace_mask(self) -> int:
+        """Bit i is the trace of the basis element x^i."""
+        mask = 0
+        for i in range(self.n):
+            t, y = 0, 1 << i
+            for _ in range(self.n):
+                t ^= y
+                y = self.mul(y, y)
+            mask |= (t & 1) << i  # t is 0 or 1 for every basis element
+        return mask
+
     def trace(self, x: int) -> int:
         """Absolute trace x + x^2 + ... + x^(2^(n-1)), a bit."""
-        if self._trace_mask is None:
-            mask = 0
-            for i in range(self.n):
-                t, y = 0, 1 << i
-                for _ in range(self.n):
-                    t ^= y
-                    y = self.mul(y, y)
-                mask |= (t & 1) << i  # t is 0 or 1 for every basis element
-            self._trace_mask = mask
         return bin(x & self._trace_mask).count("1") & 1
+
+    @cached_property
+    def _factors(self) -> tuple[int, ...]:
+        """Prime factors of the group order 2^n - 1."""
+        return _trial_factorize(self.size - 1)
 
     def element_order(self, x: int) -> int:
         """Least k >= 1 with x^k = 1; divides 2^n - 1."""
         if x == 0:
             raise ZeroDivisionError("0 has no multiplicative order")
-        if self._factors is None:
-            self._factors = _trial_factorize(self.size - 1)
         k = self.size - 1
         for p in self._factors:
             while k % p == 0 and self.pow(x, k // p) == 1:
                 k //= p
         return k
 
+    @cached_property
+    def _generator(self) -> int:
+        order = self.size - 1
+        return next(
+            g
+            for g in range(2, self.size)
+            if all(self.pow(g, order // p) != 1 for p in self._factors)
+        )
+
     @property
     def primitive_element(self) -> int:
         """Smallest-by-encoding generator of the multiplicative group."""
-        if self._generator is None:
-            order = self.size - 1
-            if self._factors is None:
-                self._factors = _trial_factorize(order)
-            for g in range(2, self.size):
-                if all(self.pow(g, order // p) != 1 for p in self._factors):
-                    self._generator = g
-                    break
         return self._generator
 
     # -- vector arithmetic ---------------------------------------------------
@@ -313,28 +317,23 @@ class FieldSpec:
 
     def trace_vec(self, x):
         """Elementwise absolute trace."""
-        self.trace(0)  # force the mask
         x = np.asarray(x, dtype=np.int64)
         return _PARITY16[x & self._trace_mask]
 
     # -- Artin-Schreier preimages ---------------------------------------------
 
-    def _artin_schreier_root(self, c: int) -> int:
-        # cached smallest x with x^2 + x = c; sentinel size for "no preimage"
-        if self._as_pre is None:
-            xs = np.arange(self.size, dtype=np.int64)
-            img = self.mul_vec(xs, xs) ^ xs
-            pre = np.full(self.size, self.size, dtype=np.int64)
-            np.minimum.at(pre, img, xs)
-            self._as_pre = pre
-        return int(self._as_pre[c])
+    @cached_property
+    def _as_pre(self) -> np.ndarray:
+        """Smallest x with x^2 + x = c, at index c; size where c has none."""
+        xs = np.arange(self.size, dtype=np.int64)
+        pre = np.full(self.size, self.size, dtype=np.int64)
+        np.minimum.at(pre, self.mul_vec(xs, xs) ^ xs, xs)
+        return pre
 
 
 def make_field(n: int) -> FieldSpec:
     """GF(2^n) with this library's fixed default reduction polynomial."""
-    if not 2 <= n <= 16:
-        raise ValueError(f"field dimension must be in 2..16, got {n}")
-    return FieldSpec(n, DEFAULT_REDUCTION[n])
+    return FieldSpec(n)
 
 
 def parse_field(label: str) -> FieldSpec:
@@ -363,7 +362,7 @@ def solve_artin_schreier(spec: FieldSpec, c: int) -> set[int]:
     """All x with x^2 + x = c: empty iff trace(c) = 1, else {x0, x0+1}."""
     if spec.trace(c):
         return set()
-    x0 = spec._artin_schreier_root(c)
+    x0 = int(spec._as_pre[c])
     return {x0, x0 ^ 1}
 
 

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .gf2n import FieldSpec
+from .gf2n import FieldSpec, make_field
 
 __all__ = [
     "SBox",
@@ -207,8 +207,6 @@ def read_sbox(src, field: FieldSpec | None = None) -> SBox:
     except ValueError:
         raise ValueError(f"bad dimension in header {header!r}") from None
     if field is None:
-        from .gf2n import make_field
-
         field = make_field(n)
     elif field.n != n:
         raise ValueError(f"file declares n={n} but field has n={field.n}")

@@ -16,13 +16,14 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from .gf2n import find_omega, make_field
 from .sbox import SBox, compose, identity_sbox, inverse_table
 from .tables import bct_fast, monomial_boomerang_uniformity, quadratic_bound_check
 from .families import (
+    _field_from_q,
     btt,
     cube_condition_roots,
     gold,
@@ -52,13 +53,13 @@ class ClaimReport:
     runtime_ms: float
 
     def to_json(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "expected": self.expected,
-            "computed": self.computed,
-            "status": self.status,
-            "runtime_ms": round(self.runtime_ms, 3),
-        }
+        return {**asdict(self), "runtime_ms": round(self.runtime_ms, 3)}
+
+
+def _judged(claim_id: str, expected: int, computed: int, ms: float) -> ClaimReport:
+    """A run claim's report: pass exactly when computed equals expected."""
+    status = "pass" if computed == expected else "fail"
+    return ClaimReport(claim_id, expected, computed, status, ms)
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ def _row_delta(n: int, d: int) -> int:
 def _zieve_delta(q: int, take: int | None) -> int:
     """delta over the first take admissible gammas (all for None); -1 if
     any of them fails to permute."""
-    spec = make_field(2 * (q.bit_length() - 1))
+    spec = _field_from_q(q)
     deltas = set()
     for gamma in zieve_gamma_candidates(spec)[:take]:
         f = zieve_binomial(spec, gamma)
@@ -106,7 +107,7 @@ def _zieve_delta(q: int, take: int | None) -> int:
 
 
 def _inverse_roundtrip_mismatches(q: int) -> int:
-    spec = make_field(2 * (q.bit_length() - 1))
+    spec = _field_from_q(q)
     gamma = zieve_gamma_candidates(spec)[0]
     f = zieve_binomial(spec, gamma)
     g = zieve_binomial_inverse(spec, gamma)
@@ -227,8 +228,7 @@ def reproduce(claim_id: str, budget_seconds: float = 600.0) -> ClaimReport:
     t0 = time.perf_counter()
     computed = claim.run()
     ms = (time.perf_counter() - t0) * 1000.0
-    status = "pass" if computed == claim.expected else "fail"
-    return ClaimReport(claim_id, claim.expected, computed, status, ms)
+    return _judged(claim_id, claim.expected, computed, ms)
 
 
 def reproduce_all(tier: str = "fast", budget_seconds: float = 600.0) -> list[ClaimReport]:
@@ -270,10 +270,7 @@ def appendix_case_audit(n: int) -> list[ClaimReport]:
     reports = []
 
     def report(case_no, expected, computed):
-        status = "pass" if computed == expected else "fail"
-        reports.append(
-            ClaimReport(f"appendix.n{n}.case{case_no}", expected, computed, status, ms)
-        )
+        reports.append(_judged(f"appendix.n{n}.case{case_no}", expected, computed, ms))
 
     report(1, _expected_case1(n), int(counts[1, 1:].max()))
     omegas: list[int] = []

@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _MAX_SPECTRUM_N = 12  # full spectrum is 4^n int32 cells (|W| <= 2^n)
+_MAX_QUAD_SUM_N = 5  # S_2 costs O(n * 2^3n) and its int64 sums are exact to here
 
 
 class WalshSpectrum:
@@ -133,13 +134,14 @@ def bct_moment_walsh(f: SBox, j: int) -> int:
     """Spectrum-side evaluation of the j-th BCT moment; j in {1, 2}.
 
     Exact for permutations (the boundary correction presumes one). The
-    j=2 sum costs O(n * 2^3n) after factorization and is capped at n <= 5.
+    j=2 sum costs O(n * 2^3n) after factorization and is capped at
+    n <= _MAX_QUAD_SUM_N.
     """
     n = f.spec.n
     if j not in (1, 2):
         raise ValueError("spectrum-side moments are implemented for j in {1, 2}")
-    if j == 2 and n > 5:
-        raise ValueError("j=2 moment is capped at n <= 5")
+    if j == 2 and n > _MAX_QUAD_SUM_N:
+        raise ValueError(f"j=2 moment is capped at n <= {_MAX_QUAD_SUM_N}")
     W = walsh_spectrum(f).values
     if j == 1:
         s1 = _fourth_power_sum(W)
@@ -160,12 +162,15 @@ def two_uniform_certificate(f: SBox) -> tuple[int, int, int]:
 
         lhs = S_2,   rhs = 2^(4n+1) * sum W^4 + 2^(9n+1) - 5*2^(8n) + 2^(7n+1)
 
-    gap = lhs - rhs is non-negative for permutations and zero exactly when
-    every nonzero BCT entry is 0 or 2 (for a permutation: f is APN).
+    gap = lhs - rhs is non-negative and zero exactly when every nonzero BCT
+    entry is 0 or 2 (f is APN). The boundary correction presumes a
+    permutation, so any other f is refused.
     """
     n = f.spec.n
-    if n > 5:
-        raise ValueError("certificate evaluation is capped at n <= 5")
+    if n > _MAX_QUAD_SUM_N:
+        raise ValueError(f"certificate evaluation is capped at n <= {_MAX_QUAD_SUM_N}")
+    if not f.is_permutation():
+        raise ValueError("the two-uniform certificate holds only for permutations")
     W = walsh_spectrum(f).values
     lhs = _constrained_quad_sum(W, n)
     rhs = (
@@ -185,8 +190,12 @@ class CertificatePolynomial:
 
     phi(x) = sum A_j x^j must satisfy phi(x) = 0 for even x <= delta and
     phi(x) > 0 for even x in (delta, 2^n]; the second half depends on the
-    ambient field size and is checked exactly (Fraction arithmetic) when a
-    dimension is available.
+    ambient field size and is checked when a dimension is available.
+
+    Every value of phi comes from one exact evaluator: the rational
+    coefficients scaled by the LCM of their denominators are integers, and
+    one Horner pass in Python ints gives scale * phi(x) for a whole array
+    of points. The scale is positive, so the signs are phi's own.
     """
 
     def __init__(self, coefficients: Sequence, delta: int, n: int | None = None):
@@ -194,9 +203,11 @@ class CertificatePolynomial:
             raise ValueError("target delta must be a positive even integer")
         self.coefficients = tuple(Fraction(c) for c in coefficients)
         self.delta = delta
-        for x in range(0, delta + 1, 2):
-            if self.evaluate(x) != 0:
-                raise ValueError(f"certificate polynomial must vanish at {x}")
+        self._scale = math.lcm(*(c.denominator for c in self.coefficients))
+        self._horner = [int(c * self._scale) for c in reversed(self.coefficients)]
+        nonzero = np.flatnonzero(self._scaled_values(range(0, delta + 1, 2)) != 0)
+        if nonzero.size:
+            raise ValueError(f"certificate polynomial must vanish at {2 * nonzero[0]}")
         if n is not None:
             self.validate(n)
 
@@ -210,24 +221,21 @@ class CertificatePolynomial:
                 coeffs[i] -= k * coeffs[i + 1]
         return cls(coeffs, delta, n)
 
-    def evaluate(self, x: int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
+    def _scaled_values(self, xs) -> np.ndarray:
+        """scale * phi(x) for each integer x in xs, exactly (object array)."""
+        xs = np.array(xs, dtype=object)
+        acc = np.zeros(xs.size, dtype=object)
+        for c in self._horner:
+            acc = acc * xs + c
         return acc
 
-    def validate(self, n: int) -> None:
-        """Check strict positivity at every even point in (delta, 2^n].
+    def evaluate(self, x: int) -> Fraction:
+        return Fraction(self._scaled_values([x])[0], self._scale)
 
-        One Horner pass over all the points at once, in Python ints: the
-        coefficients scaled by the LCM of their denominators keep the signs.
-        """
-        scale = math.lcm(*(c.denominator for c in self.coefficients))
-        xs = np.array(range(self.delta + 2, (1 << n) + 1, 2), dtype=object)
-        acc = np.zeros(xs.size, dtype=object)
-        for c in reversed(self.coefficients):
-            acc = acc * xs + int(c * scale)
-        bad = np.flatnonzero(acc <= 0)
+    def validate(self, n: int) -> None:
+        """Check strict positivity at every even point in (delta, 2^n]."""
+        xs = range(self.delta + 2, (1 << n) + 1, 2)
+        bad = np.flatnonzero(self._scaled_values(xs) <= 0)
         if bad.size:
             raise ValueError(
                 f"certificate polynomial must be positive at {xs[bad[0]]} for n={n}"
@@ -245,15 +253,20 @@ def delta_uniform_certificate(
     value = sum over nonzero a, b of phi(T(a, b)), which equals
     sum_j A_j * (direct j-th moment). It is always non-negative, and zero
     exactly when every nonzero-entry count lies in {0, 2, ..., delta}, i.e.
-    the boomerang uniformity is at most delta.
+    the boomerang uniformity is at most delta. Every count is at most 2^n,
+    so delta above 2^n is refused before any polynomial is built.
     """
+    if delta > f.spec.size:
+        raise ValueError(f"delta must be at most 2^n = {f.spec.size}, got {delta}")
     if phi is None:
         phi = CertificatePolynomial.for_delta(delta, f.spec.n)
     else:
         if phi.delta != delta:
             raise ValueError("polynomial was built for a different delta")
         phi.validate(f.spec.n)
-    value = sum((c * phi.evaluate(v) for v, c in _bct_value_counts(f)), Fraction(0))
+    counts = _bct_value_counts(f)
+    scaled = phi._scaled_values([v for v, _ in counts])
+    value = Fraction(sum(c * s for (_, c), s in zip(counts, scaled)), phi._scale)
     if value < 0:
         raise AssertionError("certificate value must be non-negative")
     return value, value == 0

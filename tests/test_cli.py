@@ -191,6 +191,23 @@ def test_certify_two_uniform(capsys):
     assert payload["is_two_uniform"] is True and payload["gap"] == 0
 
 
+def test_certify_two_uniform_refuses_non_permutation(tmp_path, capsys):
+    path = tmp_path / "np3.sbx"
+    path.write_text("n=3\n0 6 0 4 0 2 3 3\n")
+    code, out, err = run_cli(capsys, "certify", "--file", str(path), "--two-uniform")
+    assert code == 2 and out == ""
+    assert "permutation" in err
+
+
+def test_certify_delta_above_field_size_exits_2(capsys):
+    fam = ["--family", "gold n=5 i=1"]
+    code, out, err = run_cli(capsys, "certify", *fam, "--delta", "34")
+    assert code == 2 and out == ""
+    assert "at most 2^n = 32" in err
+    code, out, _ = run_cli(capsys, "certify", *fam, "--delta", "32")
+    assert code == 0 and json.loads(out)["is_zero"] is True
+
+
 def test_reproduce_claims(capsys):
     code, out, _ = run_cli(capsys, "reproduce", "--claim", "thm9.n4", "--claim", "example.n3")
     assert code == 0

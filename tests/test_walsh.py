@@ -265,6 +265,29 @@ def test_two_uniform_certificate_iff_delta_two(rng):
         assert gap >= 0
 
 
+def test_two_uniform_certificate_refuses_non_permutations():
+    # the boundary correction presumes a permutation: on this map the gap
+    # was 2^26 although its boomerang uniformity is 2
+    f = SBox(make_field(3), [0, 6, 0, 4, 0, 2, 3, 3])
+    assert not f.is_permutation() and bct_fast(f).max_nonzero() == 2
+    with pytest.raises(ValueError, match="permutation"):
+        two_uniform_certificate(f)
+
+
+def test_two_uniform_gap_is_the_delta_two_certificate(rng):
+    # both equal 2^(6n) * sum of T(T - 2) over nonzero (a, b) for permutations
+    corpus = [gold(3, 1), gold(5, 1), gold(5, 2), kasami(3, 2), kasami(5, 2), kasami(5, 3)]
+    for n in (3, 4, 5):
+        spec = make_field(n)
+        corpus += [inverse_fn(n), modified_inverse(n), identity_sbox(spec)]
+        corpus += [random_permutation(spec, rng) for _ in range(2)]
+    for f in corpus:
+        n = f.spec.n
+        assert f.is_permutation()
+        value, _ = delta_uniform_certificate(f, 2)
+        assert two_uniform_certificate(f)[2] == value * 2 ** (6 * n), repr(f)
+
+
 # -- certificate polynomials ----------------------------------------------------------
 
 
@@ -302,6 +325,16 @@ def test_delta_certificate_full_range_is_zero(rng):
     for f in (identity_sbox(make_field(3)), gold(4, 1), random_permutation(make_field(3), rng)):
         value, is_zero = delta_uniform_certificate(f, f.spec.size)
         assert is_zero and value == 0
+
+
+def test_delta_certificate_refuses_delta_above_field_size():
+    # every count is at most 2^n, so delta > 2^n states nothing
+    f = gold(5, 1)
+    with pytest.raises(ValueError, match="at most 2\\^n = 32"):
+        delta_uniform_certificate(f, 34)
+    with pytest.raises(ValueError, match="at most"):
+        delta_uniform_certificate(f, 34, phi=CertificatePolynomial.for_delta(34))
+    assert delta_uniform_certificate(f, 32) == (0, True)
 
 
 def test_delta_certificate_modified_inverse_n4():
