@@ -17,11 +17,13 @@ Three BCT builders with identical output:
     bct_system  O(2^3n), any function, literal pair counting
     bct_fast    representative pairs, zero for APN maps; any function
 
-bct_fast takes row 0 from the fibres of the zero derivative and the pairs
-{x, x+c} from the DDT rows, and enumerates only unordered pairs of
-representatives of X(c, b) = {x : f(x)+f(x+c) = b} under x -> x+c, none
-when Delta = 2. It is one serial pass, and the DDT rows it counts on the
-way give boomerang_uniformity the DDT maximum with no DDT built.
+bct_fast counts whole rows a from the fibres of the derivative
+D_a(y) = f(y+a) + f(y): the pairs (y, y) and {y, y+a} give N at b = 0 and
+the DDT row, and it enumerates only unordered pairs of representatives of
+one fibre under y -> y+a, none when Delta = 2. Row 0 is the fibre row of
+the zero derivative. It is one serial pass in blocks of rows, and the DDT
+rows it counts on the way give boomerang_uniformity the DDT maximum with
+no DDT built.
 bct_fast and ddt refuse, before allocating, a table whose estimated peak
 exceeds physical memory. No builder starts a thread.
 Counts are stored as int32, and KTable refuses any count above its
@@ -31,8 +33,9 @@ of a constant map is exactly 4^n and does not fit at n = 16.
 bct_row counts one row T(a, .) of any map from the fibres of the
 derivative D(y) = f(y+a) + f(y): sum over beta of C(DDT(a, beta), 2)
 unordered pairs, or one Walsh-Hadamard autocorrelation for a fibre too
-large to pair. bct_fast and bct_row take their pairs from one enumerator,
-_run_pairs, of the equal keys in a sorted array. Power maps f = x^d are
+large to pair. bct_fast and bct_row pack (fibre, value) into one int64,
+sort it once and take their pairs from one walk, _equal_pairs, over the
+equal keys of the sorted array. Power maps f = x^d are
 detected from the table (two lookups reject other maps) in bct_fast and
 ddt: every row a != 0 of either table is row 1 with its columns
 rescaled, T(a, b) = T(1, b * a^-d), a rotation in log order of b, and
@@ -73,10 +76,9 @@ __all__ = [
     "ktable_to_json",
 ]
 
-# the builders work on int64 temporaries of one block or pair chunk; at 2^17
-# elements each is 1 MiB and stays in a core's L2 cache (2^20 measured slower)
+# the builders work on int64 temporaries of one block; at 2^17 elements each
+# is 1 MiB and stays in a core's L2 cache (2^20 measured slower)
 _BLOCK = 1 << 17  # derivative values per bct_fast block, cells per power-map row block
-_PAIR_CHUNK = 1 << 17  # pairs per _run_pairs chunk, in bct_fast and fibre rows
 _INT32_MAX = np.iinfo(np.int32).max
 
 
@@ -224,90 +226,91 @@ def _fast_dtype(n: int):
 
 def _fast_peak_bytes(n: int) -> int:
     """Upper estimate of the bytes bct_fast allocates at dimension n: the
-    accumulator plus about 20 int64 arrays of one block or one pair chunk
-    (20 MiB at 2^17 elements), so from n = 12 the accumulator dominates."""
-    return np.dtype(_fast_dtype(n)).itemsize * 4**n + 160 * max(_BLOCK, _PAIR_CHUNK)
+    table plus about 20 int64 arrays of one block (20 MiB at 2^17
+    elements; no pair walk step holds more positions than its block), so
+    from n = 12 the table dominates."""
+    return np.dtype(_fast_dtype(n)).itemsize * 4**n + 160 * _BLOCK
 
 
 def bct_fast(f: SBox) -> KTable:
-    """Pairs of orbit representatives; cost sum over (c, b) of C(DDT(c,b)/2, 2).
+    """Whole rows from the fibres of D_a; representative pairs, zero for APN maps.
 
-    BCT(a, b) counts the pairs x, x' of one X(c, b) = {x : f(x)+f(x+c) = b}
-    with x+x' = a. Summed over c, the pairs with x+x' = 0 make row 0, which
-    is counted as the fibre row of the zero derivative (see bct_row). For
-    c != 0, X(c, b) is closed under x -> x+c; its representatives r have
-    the top bit of c clear. X(c, b) holds DDT(c, b) pairs {x, x+c}, added at
-    (c, b), and each unordered pair {r, r'}, taken from _run_pairs over the
-    block's bucket keys, adds 4 at (r+r', b) and (r+r'+c, b). The c values
-    sharing a top bit share the representatives and run as blocks of about
-    _BLOCK derivative values, small enough that a block's temporaries stay
-    near cache size; counts are integer sums, so the block size changes no
-    cell. The blocks are whole DDT rows in increasing c, so the pass keeps
-    the DDT maximum over a != 0 and its first row-major witness as well,
-    in the table's _ddt_peak. A power map skips all of this: its row 1,
-    counted from one derivative's fibres, is rotated into every row a != 0
-    (see _power_rows). Raises MemoryError, before allocating, when the
+    Row a != 0 counts the pairs (y, y') in one fibre X of the derivative
+    D_a(y) = f(y+a) + f(y) at b = f(y) + f(y') (see bct_row). X is closed
+    under y -> y+a, and its representatives r have the top bit of a clear.
+    The pairs (y, y) add N at b = 0, the pairs {y, y+a} add DDT(a, .), and
+    each unordered pair {r, r'} of one fibre beta adds 4 at f(r)+f(r') and
+    4 at f(r)+f(r')+beta, so the work is sum over (a, beta) of
+    C(DDT(a, beta)/2, 2) pairs. Row 0 is the fibre row of the zero
+    derivative. The rows a sharing a top bit share the representatives and
+    run as blocks of about _BLOCK derivative values: each block sorts its
+    (row, beta, f(r)) keys once, walks the equal keys with _equal_pairs and
+    writes its own rows, so its temporaries stay near cache size; counts
+    are integer sums, so the block size changes no cell. The blocks are
+    whole DDT rows in increasing a, so the pass keeps the DDT maximum over
+    a != 0 and its first row-major witness as well, in the table's
+    _ddt_peak. A power map skips all of this: its row 1, counted from one
+    derivative's fibres, is rotated into every row a != 0 (see
+    _power_rows). Raises MemoryError, before allocating, when the
     estimated peak exceeds physical memory.
     """
     n, N, table = f.spec.n, f.spec.size, f.table
     _require_memory("bct_fast", n, _fast_peak_bytes(n))
-    counts = np.zeros((N, N), dtype=_fast_dtype(n))
+    counts = np.empty((N, N), dtype=_fast_dtype(n))
     row0 = _fibre_pair_row(np.zeros_like(table), table)
     idx = np.arange(N)
     d = _power_exponent(f)
     if d is not None:
         _power_rows(f, d, counts, _fibre_pair_row(table ^ table[idx ^ 1], table), row0)
         return KTable(f.spec, "BCT", counts, "fast")
-    counts[:, 0] = N
     # a typed 4: np.add.at with a Python int scalar takes about 3x as long
-    flat, four = counts.reshape(-1), counts.dtype.type(4)
+    four = counts.dtype.type(4)
     rows, delta, witness = max(1, _BLOCK // (N // 2)), -1, None
     for k in range(n):
         top = 1 << k
         reps = idx[(idx & top) == 0]
         frep = table[reps]
-        for c0 in range(top, 2 * top, rows):
-            cs = np.arange(c0, min(c0 + rows, 2 * top))
-            # key = (c - c0) * N + b for the element (c, r), b = f(r)+f(r+c)
-            key = ((cs - c0)[:, None] * N + (frep ^ table[reps ^ cs[:, None]])).ravel()
-            reps_per_bucket = np.bincount(key, minlength=cs.size * N)
-            ddt_rows = 2 * reps_per_bucket.reshape(cs.size, N)
-            counts[c0 : c0 + cs.size] += ddt_rows
-            most = int(reps_per_bucket.max())
-            if 2 * most > delta:
-                delta, witness = _peak(ddt_rows, c0, 0)
-            shared = np.flatnonzero(reps_per_bucket[key] >= 2)
-            # block positions (c - c0) * |reps| + j in bucket order, one run per bucket
-            order = shared[np.argsort(key[shared])]
-            ks = key[order]
-            for i, j in _run_pairs(ks):
-                rr = reps[order[i] % reps.size] ^ reps[order[j] % reps.size]
-                b, c = ks[i] & (N - 1), (ks[i] >> n) + c0
-                np.add.at(flat, np.concatenate((rr << n | b, (rr ^ c) << n | b)), four)
+        for a0 in range(top, 2 * top, rows):
+            block = counts[a0 : min(a0 + rows, 2 * top)]  # whole rows, so a view
+            flat = block.reshape(-1)
+            a = np.arange(a0, a0 + block.shape[0])
+            # key = (a - a0) * N + beta for the element (a, r), beta = D_a(r)
+            key = (a - a0)[:, None] * N + (frep ^ table[reps ^ a[:, None]])
+            reps_per_bucket = np.bincount(key.ravel(), minlength=block.size)
+            ddt_rows = 2 * reps_per_bucket.reshape(block.shape)
+            block[:] = ddt_rows
+            block[:, 0] += N
+            if 2 * int(reps_per_bucket.max()) > delta:
+                delta, witness = _peak(ddt_rows, a0, 0)
+            # key << n | f(r) over the buckets of two or more, one run per bucket
+            packed = np.sort((key << n | frep)[reps_per_bucket[key] >= 2])
+            ks = packed >> n
+            for i, j in _equal_pairs(ks):
+                # equal keys, so packed[i] ^ packed[j] = f(r) + f(r'); xored
+                # into the key it is the cell (a - a0, f(r)+f(r')+beta), and
+                # ^ beta moves that to (a - a0, f(r)+f(r'))
+                cell = ks[i] ^ packed[i] ^ packed[j]
+                np.add.at(flat, np.concatenate((cell, cell ^ (ks[i] & (N - 1)))), four)
     counts[0] = row0
     t = KTable(f.spec, "BCT", counts, "fast")
     t._ddt_peak = delta, witness
     return t
 
 
-def _run_pairs(ks: np.ndarray):
-    """Yield (i, j) position arrays, i < j, of the unordered pairs of equal keys.
+def _equal_pairs(ks: np.ndarray):
+    """Yield (i, i + s) position arrays, s = 1, 2, ..., of the equal keys in sorted ks.
 
-    ks is sorted, so each key is one run and a position pairs with the rest
-    of its run after it. Chunks hold about _PAIR_CHUNK pairs, one position's
-    at least.
+    Each key is one run, so position i pairs with i + s exactly when ks
+    holds s later copies of ks[i]: every unordered pair of equal keys once,
+    for the pair count plus one step per run length, each yield at most
+    ks.size positions.
     """
-    pos = np.arange(ks.size)
-    starts = np.flatnonzero(np.diff(ks, prepend=-1))
-    sizes = np.diff(starts, append=ks.size)
-    later = np.repeat(starts + sizes, sizes) - pos - 1
-    done = np.concatenate(([0], np.cumsum(later)))
-    s = 0
-    while s < ks.size:
-        e = max(s + 1, int(np.searchsorted(done, done[s] + _PAIR_CHUNK, "right")) - 1)
-        i = np.repeat(pos[s:e], later[s:e])
-        yield i, i + 1 + np.arange(i.size) - np.repeat(done[s:e] - done[s], later[s:e])
-        s = e
+    i, s = np.flatnonzero(ks[1:] == ks[:-1]), 1
+    while i.size:
+        yield i, i + s
+        s += 1
+        i = i[i + s < ks.size]
+        i = i[ks[i + s] == ks[i]]
 
 
 def bct_row(f: SBox, a: int) -> np.ndarray:
@@ -327,29 +330,33 @@ def bct_row(f: SBox, a: int) -> np.ndarray:
 def _fibre_pair_row(D: np.ndarray, values: np.ndarray) -> np.ndarray:
     """row[b] = #{(y, y') : D[y] = D[y'] and values[y] + values[y'] = b}.
 
-    D is sorted once, so each fibre is one run. A fibre of m positions with
-    m^2 at most the n 2^n steps of a Walsh-Hadamard transform goes through
-    _run_pairs: each position adds 1 at b = 0 and each unordered pair adds 2
-    at values[y] + values[y'], C(m, 2) pairs. A larger fibre (row 0 of any
+    D and values lie in [0, 2^n); D << n | values is sorted once, so each
+    fibre is one run. A fibre of m positions with m^2 at most the n 2^n
+    steps of a Walsh-Hadamard transform goes through _equal_pairs: each
+    position adds 1 at b = 0 and each unordered pair adds 2 at
+    values[y] + values[y'], C(m, 2) pairs. A larger fibre (row 0 of any
     map, and x^0 and x^(2^i), have one fibre of 2^n) is a histogram h
     instead: its row is the XOR autocorrelation sum_u h(u) h(u+b), the
     transform of the squared transform over 2^n, exact in int64 since the
     sums stay below 2^(3n).
     """
     N = D.size
-    order = np.argsort(D, kind="stable")
-    ks, v = D[order], values[order]
+    n = N.bit_length() - 1
+    packed = np.sort(D << n | values)
+    ks = packed >> n
     starts = np.flatnonzero(np.diff(ks, prepend=-1))
     sizes = np.diff(starts, append=N)
-    large = sizes * sizes > (N.bit_length() - 1) * N
+    large = sizes * sizes > n * N
     small = ~np.repeat(large, sizes)
     row, squares = np.zeros(N, dtype=np.int64), np.zeros(N, dtype=np.int64)
+    two = row.dtype.type(2)  # typed, as bct_fast's four
     row[0] = np.count_nonzero(small)
-    vs = v[small]
-    for i, j in _run_pairs(ks[small]):
-        row += 2 * np.bincount(vs[i] ^ vs[j], minlength=N)
+    ps = packed[small]
+    for i, j in _equal_pairs(ks[small]):
+        # equal keys, so ps[i] ^ ps[j] = values[y] + values[y']
+        np.add.at(row, ps[i] ^ ps[j], two)
     for s, m in zip(starts[large].tolist(), sizes[large].tolist()):
-        squares += _fwht(np.bincount(v[s : s + m], minlength=N)) ** 2
+        squares += _fwht(np.bincount(packed[s : s + m] & (N - 1), minlength=N)) ** 2
     if squares.any():
         row += _fwht(squares) // N
     return row

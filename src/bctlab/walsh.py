@@ -12,8 +12,8 @@ table, or from the spectrum via
 
 where S_j is the sum of products W(g_i,a_i) W(e_i,a_i) W(g_i,b_i) W(e_i,b_i)
 over all 4j-tuples whose a/b and g/e halves each XOR to zero. The boundary
-correction assumes a permutation (rows a=0 and b=0 all equal 2^n); for
-non-permutations the two routes legitimately differ.
+correction assumes a permutation (rows a=0 and b=0 all equal 2^n), so
+the spectrum side refuses any other map; the table side holds for any.
 
 The table side reads every statistic from one count of the values over
 nonzero (a, b): the j-th moment is sum of cells * value^j, and the
@@ -133,15 +133,17 @@ def _constrained_quad_sum(W: np.ndarray, n: int) -> int:
 def bct_moment_walsh(f: SBox, j: int) -> int:
     """Spectrum-side evaluation of the j-th BCT moment; j in {1, 2}.
 
-    Exact for permutations (the boundary correction presumes one). The
-    j=2 sum costs O(n * 2^3n) after factorization and is capped at
-    n <= _MAX_QUAD_SUM_N.
+    Exact for permutations; the boundary correction presumes one, so any
+    other f is refused. The j=2 sum costs O(n * 2^3n) after factorization
+    and is capped at n <= _MAX_QUAD_SUM_N.
     """
     n = f.spec.n
     if j not in (1, 2):
         raise ValueError("spectrum-side moments are implemented for j in {1, 2}")
     if j == 2 and n > _MAX_QUAD_SUM_N:
         raise ValueError(f"j=2 moment is capped at n <= {_MAX_QUAD_SUM_N}")
+    if not f.is_permutation():
+        raise ValueError("the spectrum-side moment holds only for permutations")
     W = walsh_spectrum(f).values
     if j == 1:
         s1 = _fourth_power_sum(W)

@@ -199,6 +199,15 @@ def test_certify_two_uniform_refuses_non_permutation(tmp_path, capsys):
     assert "permutation" in err
 
 
+def test_moment_refuses_non_permutation(tmp_path, capsys):
+    path = tmp_path / "np3.sbx"
+    path.write_text("n=3\n0 6 0 4 0 2 3 3\n")
+    for j in ("1", "2"):
+        code, out, err = run_cli(capsys, "moment", "--file", str(path), "--j", j)
+        assert code == 2 and out == ""
+        assert "permutation" in err
+
+
 def test_certify_delta_above_field_size_exits_2(capsys):
     fam = ["--family", "gold n=5 i=1"]
     code, out, err = run_cli(capsys, "certify", *fam, "--delta", "34")

@@ -1,6 +1,8 @@
 """DDT/BCT builders, uniformity extraction, exports, and table invariants."""
 
 import dataclasses
+import itertools
+import sys
 import tracemalloc
 
 import numpy as np
@@ -244,12 +246,10 @@ def test_power_map_ddt_is_row_one_rotated(monkeypatch, n):
     assert rotated == list(range(spec.size))
 
 
-@pytest.mark.parametrize("chunk", [1, 5, 1 << 17])
-def test_fibre_pair_row_matches_literal_count(monkeypatch, rng, chunk):
-    # fibres small (pair branch, split into chunks) and large (transform branch)
-    monkeypatch.setattr(tables, "_PAIR_CHUNK", chunk)
-    N = 64
-    for classes in (1, 3, 20, 64):
+@pytest.mark.parametrize("N", [8, 64, 512])
+def test_fibre_pair_row_matches_literal_count(rng, N):
+    # fibres small (pair branch) and large (transform branch)
+    for classes in (1, 3, 20, N):
         D = rng.integers(0, classes, N)
         values = rng.integers(0, N, N)
         same = D[:, None] == D[None, :]
@@ -432,13 +432,68 @@ def test_bct_fast_matches_system_on_degenerate_maps(rng):
 
 
 def test_bct_fast_pair_chunks_split_runs(monkeypatch):
-    # a constant map has one bucket of 2^(n-1) representatives per c; a
-    # chunk of 5 pairs cuts each bucket's run into many pieces
-    f = SBox(make_field(5), [3] * 32)
-    whole = bct_fast(f).counts
-    monkeypatch.setattr(tables, "_PAIR_CHUNK", 5)
-    assert np.array_equal(bct_fast(f).counts, whole)
-    assert np.array_equal(whole, bct_system(f).counts)
+    # a constant map has one bucket of 2^(n-1) representatives per row a;
+    # the walk takes each bucket's pairs in one step per offset, up to the
+    # last, 2^(n-1) - 1
+    n = 5
+    f = SBox(make_field(n), [3] * 2**n)
+    equal_pairs, offsets = tables._equal_pairs, []
+
+    def counted(ks):
+        for i, j in equal_pairs(ks):
+            offsets.append(int((j - i).max()))
+            yield i, j
+
+    monkeypatch.setattr(tables, "_equal_pairs", counted)
+    assert np.array_equal(bct_fast(f).counts, bct_system(f).counts)
+    assert max(offsets) == 2 ** (n - 1) - 1
+
+
+def test_equal_pairs_matches_combinations(rng):
+    # every unordered pair of equal keys once, one step per offset up to
+    # the longest run
+    cases = [np.array([], dtype=np.int64), np.array([7]), np.full(6, 3)]
+    for k in (1, 3, 8):
+        cases.append(np.repeat(np.sort(rng.choice(50, k, replace=False)), rng.integers(1, 10, k)))
+    for ks in cases:
+        steps = list(tables._equal_pairs(ks))
+        got = sorted((int(i), int(j)) for I, J in steps for i, j in zip(I, J))
+        expect = [(i, j) for i, j in itertools.combinations(range(ks.size), 2) if ks[i] == ks[j]]
+        assert got == expect
+        longest = max((len(list(g)) for _, g in itertools.groupby(ks.tolist())), default=1)
+        assert len(steps) == longest - 1
+
+
+def _row_from_representative_pairs(f, a):
+    # T(a, .) = DDT(a, .) + N at b = 0 + 4 at f(r)+f(r') and at
+    # f(r)+f(r')+beta for each unordered pair {r, r'} of representatives
+    # r < r+a in one fibre beta of D_a, as literal Python loops
+    N, t = f.spec.size, f.table.tolist()
+    row = [0] * N
+    for y in range(N):
+        row[t[y] ^ t[y ^ a]] += 1
+    row[0] += N
+    fibres = {}
+    for r in range(N):
+        if r < r ^ a:
+            fibres.setdefault(t[r] ^ t[r ^ a], []).append(r)
+    for beta, reps in fibres.items():
+        for r, r2 in itertools.combinations(reps, 2):
+            row[t[r] ^ t[r2]] += 4
+            row[t[r] ^ t[r2] ^ beta] += 4
+    return row
+
+
+def test_bct_rows_from_representative_pairs_of_derivative_fibres(rng):
+    # the identity the generic bct_fast pass counts by
+    for n in (3, 4, 5, 6):
+        spec = make_field(n)
+        funcs = [random_permutation(spec, rng), SBox(spec, rng.integers(0, spec.size, spec.size)),
+                 modified_inverse(n), SBox(spec, np.zeros(spec.size, dtype=int))]
+        for f in funcs:
+            expect = bct_system(f).counts
+            for a in range(1, spec.size):
+                assert _row_from_representative_pairs(f, a) == expect[a].tolist(), (n, a)
 
 
 def test_bct_fast_does_not_depend_on_block_size(monkeypatch, rng):
@@ -489,17 +544,17 @@ def test_bct_fast_enumerates_no_pair_for_apn_maps(monkeypatch, rng):
     f = affine_apply(random_affine_permutation(make_field(7), rng), gold(7, 3), "post")
     assert tables._power_exponent(f) is None
     expect = bct_system(f).counts
-    run_pairs, calls, pairs = tables._run_pairs, [], []
+    equal_pairs, callers, pairs = tables._equal_pairs, [], []
 
     def counted(ks):
-        calls.append(ks.size)
-        for i, j in run_pairs(ks):
-            pairs.append(i.size)
-            yield i, j
+        # row 0's fibre row calls it too; only the generic pass counts here
+        callers.append(sys._getframe(1).f_code.co_name)
+        pairs.extend(i.size for i, _ in equal_pairs(ks))
+        return equal_pairs(ks)
 
-    monkeypatch.setattr(tables, "_run_pairs", counted)
+    monkeypatch.setattr(tables, "_equal_pairs", counted)
     assert np.array_equal(bct_fast(f).counts, expect)
-    assert calls and sum(pairs) == 0  # the patched enumerator was on the path
+    assert "bct_fast" in callers and sum(pairs) == 0
 
 
 def test_bct_column_zero_of_permutation(rng):

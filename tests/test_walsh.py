@@ -274,6 +274,16 @@ def test_two_uniform_certificate_refuses_non_permutations():
         two_uniform_certificate(f)
 
 
+def test_spectrum_moment_refuses_non_permutations():
+    # the boundary correction presumes a permutation: on this map the
+    # spectrum side read 56 and 368 against direct moments of 48 and 96
+    f = SBox(make_field(3), [0, 6, 0, 4, 0, 2, 3, 3])
+    assert (bct_moment_direct(f, 1), bct_moment_direct(f, 2)) == (48, 96)
+    for j in (1, 2):
+        with pytest.raises(ValueError, match="permutation"):
+            bct_moment_walsh(f, j)
+
+
 def test_two_uniform_gap_is_the_delta_two_certificate(rng):
     # both equal 2^(6n) * sum of T(T - 2) over nonzero (a, b) for permutations
     corpus = [gold(3, 1), gold(5, 1), gold(5, 2), kasami(3, 2), kasami(5, 2), kasami(5, 3)]
