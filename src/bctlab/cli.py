@@ -83,8 +83,9 @@ def _walsh(f: SBox, args):
 
 
 def _moment(f: SBox, args):
-    direct = bct_moment_direct(f, args.j)
+    # the spectrum side first: it refuses a map past its caps before any table is built
     spectrum_side = bct_moment_walsh(f, args.j)
+    direct = bct_moment_direct(f, args.j)
     return {
         "schema": 1,
         "n": f.spec.n,

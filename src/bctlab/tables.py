@@ -17,30 +17,29 @@ Three BCT builders with identical output:
     bct_system  O(2^3n), any function, literal pair counting
     bct_fast    representative pairs, zero for APN maps; any function
 
-bct_fast counts whole rows a from the fibres of the derivative
-D_a(y) = f(y+a) + f(y): the pairs (y, y) and {y, y+a} give N at b = 0 and
-the DDT row, and it enumerates only unordered pairs of representatives of
-one fibre under y -> y+a, none when Delta = 2. Row 0 is the fibre row of
-the zero derivative. It is one serial pass in blocks of rows, and the DDT
-rows it counts on the way give boomerang_uniformity the DDT maximum with
-no DDT built.
+Every BCT row a != 0 comes from one kernel, _bct_rows, over the fibres
+of the derivative D_a(y) = f(y+a) + f(y): the pairs (y, y) and {y, y+a}
+give N at b = 0 and the DDT row, and it enumerates only unordered pairs
+of representatives of one fibre under y -> y+a, sum over beta of
+C(DDT(a, beta)/2, 2) pairs, none when Delta = 2. It packs (row, fibre,
+value) into one int64, sorts it once and takes the pairs from one walk,
+_equal_pairs, over the equal keys; a fibre with too many representatives
+to pair is one Walsh-Hadamard autocorrelation instead. Row 0, one fibre
+of every y, is the autocorrelation of the value histogram. bct_fast runs
+the kernel over blocks of rows in one serial pass, and the DDT rows it
+counts on the way give boomerang_uniformity the DDT maximum with no DDT
+built; bct_row(f, a) is one row of it.
 bct_fast and ddt refuse, before allocating, a table whose estimated peak
 exceeds physical memory. No builder starts a thread.
 Counts are stored as int32, and KTable refuses any count above its
 maximum: every count is at most 4^n, which fits up to n = 15, but BCT(0, 0)
 of a constant map is exactly 4^n and does not fit at n = 16.
 
-bct_row counts one row T(a, .) of any map from the fibres of the
-derivative D(y) = f(y+a) + f(y): sum over beta of C(DDT(a, beta), 2)
-unordered pairs, or one Walsh-Hadamard autocorrelation for a fibre too
-large to pair. bct_fast and bct_row pack (fibre, value) into one int64,
-sort it once and take their pairs from one walk, _equal_pairs, over the
-equal keys of the sorted array. Power maps f = x^d are
-detected from the table (two lookups reject other maps) in bct_fast and
-ddt: every row a != 0 of either table is row 1 with its columns
-rescaled, T(a, b) = T(1, b * a^-d), a rotation in log order of b, and
-row 0 is counted as for any map. Other maps run the generic builders;
-ddt is then one bincount per row.
+Power maps f = x^d are detected from the table (two lookups reject other
+maps) in bct_fast and ddt: every row a != 0 of either table is row 1
+with its columns rescaled, T(a, b) = T(1, b * a^-d), a rotation in log
+order of b, and row 0 is counted as for any map. Other maps run the
+generic builders; ddt is then one bincount per row.
 monomial_boomerang_uniformity reads a power map's uniformity off row 1.
 
 Exports are byte-identical to str() per cell: each row's decimal strings
@@ -51,13 +50,14 @@ from the same rows without building a list of Python ints.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gf2n import FieldSpec, _fwht
-from .sbox import SBox, derivative, from_monomial, inverse_table
+from .sbox import SBox, from_monomial, inverse_table
 
 __all__ = [
     "KTable",
@@ -147,11 +147,10 @@ def ddt(f: SBox) -> KTable:
         return np.bincount(table ^ table[idx ^ a], minlength=N)
 
     d = _power_exponent(f)
+    for a in range(N) if d is None else (0, 1):
+        counts[a] = row(a)
     if d is not None:
-        _power_rows(f, d, counts, row(1), row(0))
-    else:
-        for a in range(N):
-            counts[a] = row(a)
+        _power_rows(f, d, counts)
     return KTable(f.spec, "DDT", counts, "ddt")
 
 
@@ -228,73 +227,105 @@ def _fast_peak_bytes(n: int) -> int:
     """Upper estimate of the bytes bct_fast allocates at dimension n: the
     table plus about 20 int64 arrays of one block (20 MiB at 2^17
     elements; no pair walk step holds more positions than its block), so
-    from n = 12 the table dominates."""
+    from n = 12 the table dominates. A large bucket's transform adds a few
+    int64 arrays of 2^n elements (histogram, transforms, autocorrelation),
+    each no larger than one block array since 2^n <= 2^16."""
     return np.dtype(_fast_dtype(n)).itemsize * 4**n + 160 * _BLOCK
 
 
 def bct_fast(f: SBox) -> KTable:
     """Whole rows from the fibres of D_a; representative pairs, zero for APN maps.
 
-    Row a != 0 counts the pairs (y, y') in one fibre X of the derivative
-    D_a(y) = f(y+a) + f(y) at b = f(y) + f(y') (see bct_row). X is closed
-    under y -> y+a, and its representatives r have the top bit of a clear.
-    The pairs (y, y) add N at b = 0, the pairs {y, y+a} add DDT(a, .), and
-    each unordered pair {r, r'} of one fibre beta adds 4 at f(r)+f(r') and
-    4 at f(r)+f(r')+beta, so the work is sum over (a, beta) of
-    C(DDT(a, beta)/2, 2) pairs. Row 0 is the fibre row of the zero
-    derivative. The rows a sharing a top bit share the representatives and
-    run as blocks of about _BLOCK derivative values: each block sorts its
-    (row, beta, f(r)) keys once, walks the equal keys with _equal_pairs and
-    writes its own rows, so its temporaries stay near cache size; counts
-    are integer sums, so the block size changes no cell. The blocks are
-    whole DDT rows in increasing a, so the pass keeps the DDT maximum over
-    a != 0 and its first row-major witness as well, in the table's
-    _ddt_peak. A power map skips all of this: its row 1, counted from one
-    derivative's fibres, is rotated into every row a != 0 (see
-    _power_rows). Raises MemoryError, before allocating, when the
-    estimated peak exceeds physical memory.
+    Row 0 is the XOR autocorrelation of the value histogram (see bct_row).
+    The rows a != 0 sharing a top bit share the representatives and run
+    as blocks of about _BLOCK derivative values through one kernel,
+    _bct_rows, whose temporaries stay near cache size; counts are integer
+    sums, so the block size changes no cell. The blocks are whole DDT rows
+    in increasing a, so the pass keeps the DDT maximum over a != 0 and its
+    first row-major witness as well, in the table's _ddt_peak. A power map
+    skips the blocks: its row 1, counted by the same kernel, is rotated
+    into every row a != 0 (see _power_rows). Raises MemoryError, before
+    allocating, when the estimated peak exceeds physical memory.
     """
     n, N, table = f.spec.n, f.spec.size, f.table
     _require_memory("bct_fast", n, _fast_peak_bytes(n))
     counts = np.empty((N, N), dtype=_fast_dtype(n))
-    row0 = _fibre_pair_row(np.zeros_like(table), table)
-    idx = np.arange(N)
+    counts[0] = _autocorrelation(table, N)
     d = _power_exponent(f)
     if d is not None:
-        _power_rows(f, d, counts, _fibre_pair_row(table ^ table[idx ^ 1], table), row0)
+        _bct_rows(table, 1, counts[1:2])
+        _power_rows(f, d, counts)
         return KTable(f.spec, "BCT", counts, "fast")
-    # a typed 4: np.add.at with a Python int scalar takes about 3x as long
-    four = counts.dtype.type(4)
     rows, delta, witness = max(1, _BLOCK // (N // 2)), -1, None
-    for k in range(n):
-        top = 1 << k
-        reps = idx[(idx & top) == 0]
-        frep = table[reps]
-        for a0 in range(top, 2 * top, rows):
-            block = counts[a0 : min(a0 + rows, 2 * top)]  # whole rows, so a view
-            flat = block.reshape(-1)
-            a = np.arange(a0, a0 + block.shape[0])
-            # key = (a - a0) * N + beta for the element (a, r), beta = D_a(r)
-            key = (a - a0)[:, None] * N + (frep ^ table[reps ^ a[:, None]])
-            reps_per_bucket = np.bincount(key.ravel(), minlength=block.size)
-            ddt_rows = 2 * reps_per_bucket.reshape(block.shape)
-            block[:] = ddt_rows
-            block[:, 0] += N
-            if 2 * int(reps_per_bucket.max()) > delta:
+    for k in range(n):  # the rows a with top bit 2^k
+        for a0 in range(1 << k, 2 << k, rows):
+            # whole rows, so the slice is a view the kernel writes into
+            ddt_rows, peak = _bct_rows(table, a0, counts[a0 : min(a0 + rows, 2 << k)])
+            if peak > delta:
                 delta, witness = _peak(ddt_rows, a0, 0)
-            # key << n | f(r) over the buckets of two or more, one run per bucket
-            packed = np.sort((key << n | frep)[reps_per_bucket[key] >= 2])
-            ks = packed >> n
-            for i, j in _equal_pairs(ks):
-                # equal keys, so packed[i] ^ packed[j] = f(r) + f(r'); xored
-                # into the key it is the cell (a - a0, f(r)+f(r')+beta), and
-                # ^ beta moves that to (a - a0, f(r)+f(r'))
-                cell = ks[i] ^ packed[i] ^ packed[j]
-                np.add.at(flat, np.concatenate((cell, cell ^ (ks[i] & (N - 1)))), four)
-    counts[0] = row0
     t = KTable(f.spec, "BCT", counts, "fast")
     t._ddt_peak = delta, witness
     return t
+
+
+def _bct_rows(table: np.ndarray, a0: int, out: np.ndarray) -> tuple[np.ndarray, int]:
+    """Write the BCT rows a0 .. a0 + len(out) - 1, which share one top bit, into out.
+
+    Row a counts the pairs (y, y') in one fibre X of the derivative
+    D_a(y) = f(y+a) + f(y) at b = f(y) + f(y') (see bct_row). X is closed
+    under y -> y+a, and its representatives r have the top bit of a clear.
+    The pairs (y, y) add N at b = 0, the pairs {y, y+a} add DDT(a, .), and
+    each unordered pair {r, r'} of one fibre beta adds 4 at f(r)+f(r') and
+    4 at f(r)+f(r')+beta. The (row, beta, f(r)) keys are sorted once and
+    _equal_pairs walks the equal ones, C(m, 2) pairs for a bucket of m
+    representatives. A bucket with m^2 > n 2^n, more than the steps of a
+    Walsh-Hadamard transform, is a histogram h of its f(r) instead: with A
+    the XOR autocorrelation of h less the m pairs r = r' at b = 0, it adds
+    2 A(b) + 2 A(b + beta), the same cells as its C(m, 2) pairs. out is a
+    C-contiguous (rows, 2^n) array. Returns the DDT rows and their maximum.
+    """
+    N = table.size
+    n = N.bit_length() - 1
+    idx = np.arange(N)
+    reps = idx[(idx & (1 << (a0.bit_length() - 1))) == 0]
+    frep = table[reps]
+    a = np.arange(a0, a0 + out.shape[0])
+    # key = (a - a0) * N + beta for the element (a, r), beta = D_a(r)
+    key = (a - a0)[:, None] * N + (frep ^ table[reps ^ a[:, None]])
+    reps_per_bucket = np.bincount(key.ravel(), minlength=out.size)
+    ddt_rows = 2 * reps_per_bucket.reshape(out.shape)
+    out[:] = ddt_rows
+    out[:, 0] += N
+    most = int(reps_per_bucket.max())
+    paired = reps_per_bucket[key] >= 2
+    if most * most > n * N:  # some bucket goes to the transform
+        large = reps_per_bucket * reps_per_bucket > n * N
+        paired &= ~large[key]
+        for b in np.flatnonzero(large).tolist():
+            i, beta = divmod(b, N)
+            A = _autocorrelation(frep[key[i] == b], N)
+            A[0] -= reps_per_bucket[b]  # the pairs r = r'
+            out[i] += 2 * (A + A[idx ^ beta])
+    # key << n | f(r) over the paired buckets, one run per bucket
+    packed = np.sort((key << n | frep)[paired])
+    ks = packed >> n
+    four = out.dtype.type(4)  # np.add.at with a Python int scalar takes about 3x as long
+    for i, j in _equal_pairs(ks):
+        # equal keys, so packed[i] ^ packed[j] = f(r) + f(r'); xored into
+        # the key it is the cell (a - a0, f(r)+f(r')+beta), and ^ beta
+        # moves that to (a - a0, f(r)+f(r'))
+        cell = ks[i] ^ packed[i] ^ packed[j]
+        np.add.at(out.reshape(-1), np.concatenate((cell, cell ^ (ks[i] & (N - 1)))), four)
+    return ddt_rows, 2 * most
+
+
+def _autocorrelation(values: np.ndarray, N: int) -> np.ndarray:
+    """sum_u h(u) h(u + b) over b in [0, N) for the histogram h of values.
+
+    The transform of the squared transform over N, exact in int64 since
+    the sums stay below N^3.
+    """
+    return _fwht(_fwht(np.bincount(values, minlength=N)) ** 2) // N
 
 
 def _equal_pairs(ks: np.ndarray):
@@ -317,49 +348,22 @@ def bct_row(f: SBox, a: int) -> np.ndarray:
     """One BCT row T(a, .), counted from the fibres of D(y) = f(y+a) + f(y).
 
     T(a, b) counts the pairs (y, y') with f(y)+f(y') = b and
-    f(y+a)+f(y'+a) = b, that is D(y) = D(y'): each y adds 1 at b = 0 and
-    each unordered pair of one fibre of D adds 2 at f(y) + f(y') (see
-    _fibre_pair_row). The work is sum over beta of C(DDT(a, beta), 2)
-    pairs, for any map; row 0, one fibre of every y, is a Walsh-Hadamard
-    autocorrelation of the value histogram. Raises ValueError for a
+    f(y+a)+f(y'+a) = b, that is D(y) = D(y'). Row 0, one fibre of every y,
+    is the XOR autocorrelation of the value histogram, a Walsh-Hadamard
+    transform of the squared transform. Any other row is one row of the
+    bct_fast kernel (see _bct_rows): sum over beta of C(DDT(a, beta)/2, 2)
+    representative pairs, and one transform for each fibre too large to
+    pair. a is any integer, numpy's included; raises ValueError for a
     outside [0, 2^n).
     """
-    return _fibre_pair_row(derivative(f, a).table, f.table)
-
-
-def _fibre_pair_row(D: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """row[b] = #{(y, y') : D[y] = D[y'] and values[y] + values[y'] = b}.
-
-    D and values lie in [0, 2^n); D << n | values is sorted once, so each
-    fibre is one run. A fibre of m positions with m^2 at most the n 2^n
-    steps of a Walsh-Hadamard transform goes through _equal_pairs: each
-    position adds 1 at b = 0 and each unordered pair adds 2 at
-    values[y] + values[y'], C(m, 2) pairs. A larger fibre (row 0 of any
-    map, and x^0 and x^(2^i), have one fibre of 2^n) is a histogram h
-    instead: its row is the XOR autocorrelation sum_u h(u) h(u+b), the
-    transform of the squared transform over 2^n, exact in int64 since the
-    sums stay below 2^(3n).
-    """
-    N = D.size
-    n = N.bit_length() - 1
-    packed = np.sort(D << n | values)
-    ks = packed >> n
-    starts = np.flatnonzero(np.diff(ks, prepend=-1))
-    sizes = np.diff(starts, append=N)
-    large = sizes * sizes > n * N
-    small = ~np.repeat(large, sizes)
-    row, squares = np.zeros(N, dtype=np.int64), np.zeros(N, dtype=np.int64)
-    two = row.dtype.type(2)  # typed, as bct_fast's four
-    row[0] = np.count_nonzero(small)
-    ps = packed[small]
-    for i, j in _equal_pairs(ks[small]):
-        # equal keys, so ps[i] ^ ps[j] = values[y] + values[y']
-        np.add.at(row, ps[i] ^ ps[j], two)
-    for s, m in zip(starts[large].tolist(), sizes[large].tolist()):
-        squares += _fwht(np.bincount(packed[s : s + m] & (N - 1), minlength=N)) ** 2
-    if squares.any():
-        row += _fwht(squares) // N
-    return row
+    a, N = operator.index(a), f.spec.size
+    if not 0 <= a < N:
+        raise ValueError(f"shift must lie in [0, 2^n), got {a}")
+    if a == 0:
+        return _autocorrelation(f.table, N)
+    row = np.empty((1, N), dtype=np.int64)
+    _bct_rows(f.table, a, row)
+    return row[0]
 
 
 # -- power maps ---------------------------------------------------------------------
@@ -382,29 +386,28 @@ def _power_exponent(f: SBox) -> int | None:
     return d if np.array_equal(table, spec.pow_vec(np.arange(spec.size), d)) else None
 
 
-def _power_rows(f: SBox, d: int, out: np.ndarray, row1: np.ndarray, row0: np.ndarray) -> None:
-    """The whole DDT or BCT of f = x^d, written into out from its rows 1 and 0.
+def _power_rows(f: SBox, d: int, out: np.ndarray) -> None:
+    """Rows 2 .. 2^n - 1 of the DDT or BCT of f = x^d, rotated from its row 1 in out.
 
     With x = a*x', f(a*x) = a^d f(x) gives T(a, b) = T(1, b * a^-d) for
     a != 0, in either table. In log order of b, row a is row 1 rotated by
     -d log a, a window of the doubled row, gathered in blocks of about
-    _BLOCK cells. The caller counts both rows: bct_fast from the fibres of
-    the derivatives f(y+1) + f(y) and f(y) + f(y), ddt by their bincounts.
+    _BLOCK cells. The caller counts rows 0 and 1 into out: bct_fast with
+    the autocorrelation and its row kernel, ddt by bincounts.
     """
     spec = f.spec
     N, m = spec.size, spec.size - 1
     log, exp = spec._tables()
-    ring = row1[exp]
+    ring = out[1][exp]
     doubled = np.concatenate((ring, ring)).astype(out.dtype)
     rows = max(1, _BLOCK // N)
-    for a0 in range(1, N, rows):
+    for a0 in range(2, N, rows):
         block = out[a0 : a0 + rows]
         start = m - (d % m) * log[a0 : a0 + block.shape[0]] % m
         # whole rows keep out contiguous, so take writes it without a buffer;
         # column 0 (log[0] is a dead slot) is set after
         np.take(doubled, start[:, None] + log, out=block, mode="clip")
-        block[:, 0] = row1[0]
-    out[0] = row0
+        block[:, 0] = out[1, 0]
 
 
 _BCT_BUILDERS = {"naive": bct_naive, "system": bct_system, "fast": bct_fast}
@@ -458,7 +461,8 @@ def monomial_boomerang_uniformity(spec: FieldSpec, d: int) -> UniformityReport:
     For f = x^d, T(a, b) = T(1, b * a^-d), so the maximum over the whole
     table equals the maximum of the single row a=1 (and likewise for the
     DDT). bct_row counts that row from the fibres of f(y+1) + f(y), sum
-    over beta of C(DDT(1, beta), 2) pairs, instead of a full table build.
+    over beta of C(DDT(1, beta)/2, 2) representative pairs, instead of a
+    full table build.
     Both witnesses come from _peak, as in boomerang_uniformity.
     """
     f = from_monomial(spec, d)

@@ -208,6 +208,19 @@ def test_moment_refuses_non_permutation(tmp_path, capsys):
         assert "permutation" in err
 
 
+def test_moment_refuses_past_the_spectrum_cap_before_the_table(monkeypatch, capsys):
+    # n = 13 is past the full spectrum's cap; the refusal must come before
+    # the 2^26-cell BCT is built
+    def no_table(f):
+        raise AssertionError("bct_fast was called")
+
+    monkeypatch.setattr("bctlab.walsh.bct_fast", no_table)
+    for j in ("1", "2"):
+        code, out, err = run_cli(capsys, "moment", "--family", "inverse n=13", "--j", j)
+        assert code == 2 and out == ""
+        assert "capped at n <=" in err
+
+
 def test_certify_delta_above_field_size_exits_2(capsys):
     fam = ["--family", "gold n=5 i=1"]
     code, out, err = run_cli(capsys, "certify", *fam, "--delta", "34")

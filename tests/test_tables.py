@@ -129,9 +129,9 @@ def test_bct_row():
     row = bct_row(k, 1)
     assert int(row[1:].max()) == 4
     t = bct_fast(k).counts
-    for a in (0, 1, 5, 40):
+    for a in (0, 1, 5, 40, np.int64(0), np.int64(5)):  # numpy integers too
         assert np.array_equal(bct_row(k, a), t[a])
-    for a in (-1, 64):  # row 63 is the last
+    for a in (-1, 64, np.int64(-1), np.int64(64)):  # row 63 is the last
         with pytest.raises(ValueError, match="shift"):
             bct_row(k, a)
 
@@ -246,15 +246,42 @@ def test_power_map_ddt_is_row_one_rotated(monkeypatch, n):
     assert rotated == list(range(spec.size))
 
 
+def _kernel_branches(monkeypatch):
+    # counts the row kernel's transforms and the pairs its walk yields
+    seen = {"transforms": 0, "pairs": 0}
+    autocorrelation, equal_pairs = tables._autocorrelation, tables._equal_pairs
+
+    def transform(*args):
+        seen["transforms"] += sys._getframe(1).f_code.co_name == "_bct_rows"
+        return autocorrelation(*args)
+
+    def walk(ks):
+        for i, j in equal_pairs(ks):
+            seen["pairs"] += i.size
+            yield i, j
+
+    monkeypatch.setattr(tables, "_autocorrelation", transform)
+    monkeypatch.setattr(tables, "_equal_pairs", walk)
+    return seen
+
+
 @pytest.mark.parametrize("N", [8, 64, 512])
-def test_fibre_pair_row_matches_literal_count(rng, N):
-    # fibres small (pair branch) and large (transform branch)
+def test_fibre_pair_row_matches_literal_count(monkeypatch, rng, N):
+    # bct_row against the literal count of pairs (y, y') in one fibre of
+    # D(y) = f(y+a) + f(y) at f(y) + f(y'), on maps with values in 1, 3,
+    # 20 and 2^n classes: fibres small (pair branch) and, for the constant
+    # map from GF(2^6) on, large (transform branch)
+    spec, idx = make_field(N.bit_length() - 1), np.arange(N)
+    seen = _kernel_branches(monkeypatch)
     for classes in (1, 3, 20, N):
-        D = rng.integers(0, classes, N)
-        values = rng.integers(0, N, N)
-        same = D[:, None] == D[None, :]
-        expected = np.bincount((values[:, None] ^ values[None, :])[same], minlength=N)
-        assert np.array_equal(tables._fibre_pair_row(D, values), expected), classes
+        levels = rng.choice(N, min(classes, N), replace=False)
+        values = levels[rng.integers(0, levels.size, N)]
+        for a in (0, 1, 2, N // 2 + 1, N - 1):
+            D = values ^ values[idx ^ a]
+            same = D[:, None] == D[None, :]
+            expected = np.bincount((values[:, None] ^ values[None, :])[same], minlength=N)
+            assert np.array_equal(bct_row(SBox(spec, values), a), expected), (classes, a)
+    assert seen["pairs"] > 0 and (seen["transforms"] > 0) == (N > 8)
 
 
 def test_bct_known_values():
@@ -432,11 +459,10 @@ def test_bct_fast_matches_system_on_degenerate_maps(rng):
 
 
 def test_bct_fast_pair_chunks_split_runs(monkeypatch):
-    # a constant map has one bucket of 2^(n-1) representatives per row a;
-    # the walk takes each bucket's pairs in one step per offset, up to the
-    # last, 2^(n-1) - 1
-    n = 5
-    f = SBox(make_field(n), [3] * 2**n)
+    # a constant map has one bucket of m = 2^(n-1) representatives per row
+    # a. At n = 4, m^2 = n 2^n sits on the transform rule, so the walk
+    # takes the bucket's pairs in one step per offset, up to m - 1; at
+    # n = 5, m^2 > n 2^n and every row a != 0 takes the transform
     equal_pairs, offsets = tables._equal_pairs, []
 
     def counted(ks):
@@ -445,8 +471,13 @@ def test_bct_fast_pair_chunks_split_runs(monkeypatch):
             yield i, j
 
     monkeypatch.setattr(tables, "_equal_pairs", counted)
+    f = SBox(make_field(4), [3] * 16)
     assert np.array_equal(bct_fast(f).counts, bct_system(f).counts)
-    assert max(offsets) == 2 ** (n - 1) - 1
+    assert max(offsets) == 2**3 - 1
+    seen = _kernel_branches(monkeypatch)
+    f = SBox(make_field(5), [3] * 32)
+    assert np.array_equal(bct_fast(f).counts, bct_system(f).counts)
+    assert seen == {"transforms": 31, "pairs": 0}
 
 
 def test_equal_pairs_matches_combinations(rng):
@@ -547,14 +578,26 @@ def test_bct_fast_enumerates_no_pair_for_apn_maps(monkeypatch, rng):
     equal_pairs, callers, pairs = tables._equal_pairs, [], []
 
     def counted(ks):
-        # row 0's fibre row calls it too; only the generic pass counts here
         callers.append(sys._getframe(1).f_code.co_name)
         pairs.extend(i.size for i, _ in equal_pairs(ks))
         return equal_pairs(ks)
 
     monkeypatch.setattr(tables, "_equal_pairs", counted)
     assert np.array_equal(bct_fast(f).counts, expect)
-    assert "bct_fast" in callers and sum(pairs) == 0
+    # every block goes through the row kernel, and no block yields a pair
+    assert callers and set(callers) == {"_bct_rows"} and sum(pairs) == 0
+
+
+def test_bct_fast_of_a_constant_map_is_closed_form(monkeypatch):
+    # every pair (x, y) has f(x)+f(y) = 0 = f(x+a)+f(y+a): column 0 is
+    # 4^n and every other cell 0. Each row's one bucket of 2^(n-1)
+    # representatives takes the transform, so the walk yields no pair
+    n = 10
+    seen = _kernel_branches(monkeypatch)
+    expect = np.zeros((2**n, 2**n), dtype=np.int64)
+    expect[:, 0] = 4**n
+    assert np.array_equal(bct_fast(SBox(make_field(n), np.full(2**n, 5))).counts, expect)
+    assert seen == {"transforms": 2**n - 1, "pairs": 0}
 
 
 def test_bct_column_zero_of_permutation(rng):
@@ -574,10 +617,12 @@ def test_bct_fast_refuses_tables_over_the_memory_budget(monkeypatch):
 
 
 def test_bct_fast_peak_estimate_covers_allocations(rng):
-    # numpy reports its buffers to tracemalloc; a pair-heavy map and a
-    # random permutation stay under the estimate the preflight uses
-    # and a power map's rotated rows as well
-    for f in (SBox(make_field(9), np.arange(512) & 3), random_permutation(make_field(11), rng), inverse_fn(10)):
+    # numpy reports its buffers to tracemalloc; a pair-heavy map, a
+    # random permutation, a power map's rotated rows and a constant map,
+    # which takes the transform on every row a != 0, stay under the
+    # estimate the preflight uses
+    for f in (SBox(make_field(9), np.arange(512) & 3), random_permutation(make_field(11), rng),
+              inverse_fn(10), SBox(make_field(10), np.zeros(1024, dtype=int))):
         tracemalloc.start()
         try:
             bct_fast(f)
