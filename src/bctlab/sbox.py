@@ -12,6 +12,7 @@ with values in input order, whitespace/newline separated, decimal or 0x-hex.
 
 from __future__ import annotations
 
+import operator
 import os
 from typing import Iterable, Sequence
 
@@ -122,12 +123,18 @@ def compose(f: SBox, g: SBox) -> SBox:
     return SBox(f.spec, f.table[g.table])
 
 
-def derivative(f: SBox, a: int) -> SBox:
-    """The map x -> f(x+a) + f(x); a must lie in [0, 2^n)."""
+def _shift(f: SBox, a) -> int:
+    """a as a Python int, numpy integers included; ValueError outside [0, 2^n)."""
+    a = operator.index(a)
     if not 0 <= a < f.spec.size:
         raise ValueError(f"shift must lie in [0, 2^n), got {a}")
+    return a
+
+
+def derivative(f: SBox, a: int) -> SBox:
+    """The map x -> f(x+a) + f(x); a must lie in [0, 2^n) (see _shift)."""
     idx = np.arange(f.spec.size)
-    return SBox(f.spec, f.table[idx ^ a] ^ f.table)
+    return SBox(f.spec, f.table[idx ^ _shift(f, a)] ^ f.table)
 
 
 class AffineMap:

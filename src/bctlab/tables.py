@@ -23,8 +23,9 @@ give N at b = 0 and the DDT row, and it enumerates only unordered pairs
 of representatives of one fibre under y -> y+a, sum over beta of
 C(DDT(a, beta)/2, 2) pairs, none when Delta = 2. It packs (row, fibre,
 value) into one int64, sorts it once and takes the pairs from one walk,
-_equal_pairs, over the equal keys; a fibre with too many representatives
-to pair is one Walsh-Hadamard autocorrelation instead. Row 0, one fibre
+_equal_pairs, over the equal keys; the fibres with too many
+representatives to pair go through Walsh-Hadamard autocorrelations
+instead, many fibres to one batched transform. Row 0, one fibre
 of every y, is the autocorrelation of the value histogram. bct_fast runs
 the kernel over blocks of rows in one serial pass, and the DDT rows it
 counts on the way give boomerang_uniformity the DDT maximum with no DDT
@@ -50,14 +51,13 @@ from the same rows without building a list of Python ints.
 
 from __future__ import annotations
 
-import operator
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gf2n import FieldSpec, _fwht
-from .sbox import SBox, from_monomial, inverse_table
+from .sbox import SBox, _shift, from_monomial, inverse_table
 
 __all__ = [
     "KTable",
@@ -142,13 +142,9 @@ def ddt(f: SBox) -> KTable:
     _require_memory("ddt", n, _ddt_peak_bytes(n))
     idx = np.arange(N)
     counts = np.zeros((N, N), dtype=np.int32)
-
-    def row(a: int) -> np.ndarray:
-        return np.bincount(table ^ table[idx ^ a], minlength=N)
-
     d = _power_exponent(f)
     for a in range(N) if d is None else (0, 1):
-        counts[a] = row(a)
+        counts[a] = np.bincount(table ^ table[idx ^ a], minlength=N)
     if d is not None:
         _power_rows(f, d, counts)
     return KTable(f.spec, "DDT", counts, "ddt")
@@ -227,9 +223,11 @@ def _fast_peak_bytes(n: int) -> int:
     """Upper estimate of the bytes bct_fast allocates at dimension n: the
     table plus about 20 int64 arrays of one block (20 MiB at 2^17
     elements; no pair walk step holds more positions than its block), so
-    from n = 12 the table dominates. A large bucket's transform adds a few
-    int64 arrays of 2^n elements (histogram, transforms, autocorrelation),
-    each no larger than one block array since 2^n <= 2^16."""
+    from n = 12 the table dominates. The large buckets' transforms run in
+    chunks of about _BLOCK histogram cells, so their few int64 arrays
+    (histograms, transforms, autocorrelations) are each about one block
+    array; a 3-valued map of GF(2^10), about 1000 large buckets per
+    block, peaks at 19.4 MiB of the 24 MiB estimate under tracemalloc."""
     return np.dtype(_fast_dtype(n)).itemsize * 4**n + 160 * _BLOCK
 
 
@@ -250,17 +248,19 @@ def bct_fast(f: SBox) -> KTable:
     n, N, table = f.spec.n, f.spec.size, f.table
     _require_memory("bct_fast", n, _fast_peak_bytes(n))
     counts = np.empty((N, N), dtype=_fast_dtype(n))
-    counts[0] = _autocorrelation(table, N)
+    counts[0] = _autocorrelation(np.bincount(table, minlength=N))
     d = _power_exponent(f)
     if d is not None:
-        _bct_rows(table, 1, counts[1:2])
+        _bct_rows(table, np.arange(0, N, 2), 1, counts[1:2])
         _power_rows(f, d, counts)
         return KTable(f.spec, "BCT", counts, "fast")
     rows, delta, witness = max(1, _BLOCK // (N // 2)), -1, None
-    for k in range(n):  # the rows a with top bit 2^k
+    y = np.arange(N)
+    for k in range(n):  # the rows a with top bit 2^k, which share their representatives
+        reps = y[y & (1 << k) == 0]
         for a0 in range(1 << k, 2 << k, rows):
             # whole rows, so the slice is a view the kernel writes into
-            ddt_rows, peak = _bct_rows(table, a0, counts[a0 : min(a0 + rows, 2 << k)])
+            ddt_rows, peak = _bct_rows(table, reps, a0, counts[a0 : min(a0 + rows, 2 << k)])
             if peak > delta:
                 delta, witness = _peak(ddt_rows, a0, 0)
     t = KTable(f.spec, "BCT", counts, "fast")
@@ -268,26 +268,29 @@ def bct_fast(f: SBox) -> KTable:
     return t
 
 
-def _bct_rows(table: np.ndarray, a0: int, out: np.ndarray) -> tuple[np.ndarray, int]:
+def _bct_rows(
+    table: np.ndarray, reps: np.ndarray, a0: int, out: np.ndarray
+) -> tuple[np.ndarray, int]:
     """Write the BCT rows a0 .. a0 + len(out) - 1, which share one top bit, into out.
 
     Row a counts the pairs (y, y') in one fibre X of the derivative
     D_a(y) = f(y+a) + f(y) at b = f(y) + f(y') (see bct_row). X is closed
-    under y -> y+a, and its representatives r have the top bit of a clear.
-    The pairs (y, y) add N at b = 0, the pairs {y, y+a} add DDT(a, .), and
-    each unordered pair {r, r'} of one fibre beta adds 4 at f(r)+f(r') and
-    4 at f(r)+f(r')+beta. The (row, beta, f(r)) keys are sorted once and
+    under y -> y+a, and reps holds one y of each pair {y, y+a}: the y with
+    the top bit of a clear. The pairs (y, y) add N at b = 0, the pairs
+    {y, y+a} add DDT(a, .), and each unordered pair {r, r'} of
+    representatives in one fibre beta adds 4 at f(r)+f(r') and 4 at
+    f(r)+f(r')+beta. The (row, beta, f(r)) keys are sorted once and
     _equal_pairs walks the equal ones, C(m, 2) pairs for a bucket of m
-    representatives. A bucket with m^2 > n 2^n, more than the steps of a
-    Walsh-Hadamard transform, is a histogram h of its f(r) instead: with A
-    the XOR autocorrelation of h less the m pairs r = r' at b = 0, it adds
-    2 A(b) + 2 A(b + beta), the same cells as its C(m, 2) pairs. out is a
-    C-contiguous (rows, 2^n) array. Returns the DDT rows and their maximum.
+    representatives. A bucket with m^2 > n 2^n goes to the Walsh-Hadamard
+    transform instead (see _add_bucket_transforms): timed per bucket on
+    two CPUs, the two cost the same between m^2 = 0.6 n 2^n and
+    1.3 n 2^n from n = 7 to 14.
+    The test reads the block maximum that the DDT peak takes anyway, so a
+    block with no large bucket does no extra work. out is a C-contiguous
+    (rows, 2^n) array. Returns the DDT rows and their maximum.
     """
     N = table.size
     n = N.bit_length() - 1
-    idx = np.arange(N)
-    reps = idx[(idx & (1 << (a0.bit_length() - 1))) == 0]
     frep = table[reps]
     a = np.arange(a0, a0 + out.shape[0])
     # key = (a - a0) * N + beta for the element (a, r), beta = D_a(r)
@@ -297,18 +300,13 @@ def _bct_rows(table: np.ndarray, a0: int, out: np.ndarray) -> tuple[np.ndarray, 
     out[:] = ddt_rows
     out[:, 0] += N
     most = int(reps_per_bucket.max())
-    paired = reps_per_bucket[key] >= 2
-    if most * most > n * N:  # some bucket goes to the transform
-        large = reps_per_bucket * reps_per_bucket > n * N
-        paired &= ~large[key]
-        for b in np.flatnonzero(large).tolist():
-            i, beta = divmod(b, N)
-            A = _autocorrelation(frep[key[i] == b], N)
-            A[0] -= reps_per_bucket[b]  # the pairs r = r'
-            out[i] += 2 * (A + A[idx ^ beta])
-    # key << n | f(r) over the paired buckets, one run per bucket
-    packed = np.sort((key << n | frep)[paired])
+    # key << n | f(r) over the buckets with a pair, one run per bucket
+    packed = np.sort((key << n | frep)[reps_per_bucket[key] >= 2])
     ks = packed >> n
+    if most * most > n * N:  # some bucket goes to the transform
+        large = reps_per_bucket[ks] ** 2 > n * N
+        _add_bucket_transforms(out, ks[large], packed[large] & (N - 1))
+        packed, ks = packed[~large], ks[~large]
     four = out.dtype.type(4)  # np.add.at with a Python int scalar takes about 3x as long
     for i, j in _equal_pairs(ks):
         # equal keys, so packed[i] ^ packed[j] = f(r) + f(r'); xored into
@@ -319,13 +317,39 @@ def _bct_rows(table: np.ndarray, a0: int, out: np.ndarray) -> tuple[np.ndarray, 
     return ddt_rows, 2 * most
 
 
-def _autocorrelation(values: np.ndarray, N: int) -> np.ndarray:
-    """sum_u h(u) h(u + b) over b in [0, N) for the histogram h of values.
+def _add_bucket_transforms(out: np.ndarray, ks: np.ndarray, fr: np.ndarray) -> None:
+    """Add the pairs of whole buckets to the rows out of _bct_rows by transforms.
 
-    The transform of the squared transform over N, exact in int64 since
-    the sums stay below N^3.
+    ks holds the sorted keys (a - a0) 2^n + beta of the buckets'
+    representatives r, one run per bucket, and fr their f(r). With A the
+    XOR autocorrelation of the histogram of a bucket's f(r), less its m
+    pairs r = r' at b = 0, the bucket adds 2 A(b) + 2 A(b + beta) to its
+    row: the same cells as its C(m, 2) pairs. The buckets go through the
+    transforms together, in chunks of about _BLOCK histogram cells, so the
+    Python work is per chunk and no temporary outgrows a block array.
     """
-    return _fwht(_fwht(np.bincount(values, minlength=N)) ** 2) // N
+    N = out.shape[1]
+    first = np.flatnonzero(np.diff(ks, prepend=-1))  # each bucket's first position
+    per = max(1, _BLOCK // N)
+    for lo, hi in zip(first[::per], np.append(first[per::per], ks.size)):
+        # ks[lo:hi] is sorted, so slot numbers the chunk's buckets in order
+        b, slot = np.unique(ks[lo:hi], return_inverse=True)
+        h = np.bincount(slot * N + fr[lo:hi], minlength=b.size * N).reshape(-1, N)
+        A = _autocorrelation(h)
+        A[:, 0] -= np.bincount(slot)  # the pairs r = r'
+        A += A[np.arange(b.size)[:, None], np.arange(N) ^ (b % N)[:, None]]
+        # the buckets of one row are adjacent, so each row takes one sum
+        row, new = np.unique(b // N, return_index=True)
+        out[row] += 2 * np.add.reduceat(A, new)
+
+
+def _autocorrelation(h: np.ndarray) -> np.ndarray:
+    """sum_u h(u) h(u + b) over b in [0, N) along the last axis of integer arrays h.
+
+    The transform of the squared transform over N, exact in int64 while
+    that fits: below N^3 for histograms of at most N values.
+    """
+    return _fwht(_fwht(h) ** 2) // h.shape[-1]
 
 
 def _equal_pairs(ks: np.ndarray):
@@ -352,17 +376,14 @@ def bct_row(f: SBox, a: int) -> np.ndarray:
     is the XOR autocorrelation of the value histogram, a Walsh-Hadamard
     transform of the squared transform. Any other row is one row of the
     bct_fast kernel (see _bct_rows): sum over beta of C(DDT(a, beta)/2, 2)
-    representative pairs, and one transform for each fibre too large to
-    pair. a is any integer, numpy's included; raises ValueError for a
-    outside [0, 2^n).
+    representative pairs, with the fibres too large to pair taken by the
+    transform. a is checked as derivative checks it (see sbox._shift).
     """
-    a, N = operator.index(a), f.spec.size
-    if not 0 <= a < N:
-        raise ValueError(f"shift must lie in [0, 2^n), got {a}")
+    a, N = _shift(f, a), f.spec.size
     if a == 0:
-        return _autocorrelation(f.table, N)
-    row = np.empty((1, N), dtype=np.int64)
-    _bct_rows(f.table, a, row)
+        return _autocorrelation(np.bincount(f.table, minlength=N))
+    row, y = np.empty((1, N), dtype=np.int64), np.arange(N)
+    _bct_rows(f.table, y[y & (1 << a.bit_length() - 1) == 0], a, row)
     return row[0]
 
 

@@ -130,26 +130,17 @@ def _condition_set_violations(n: int) -> int:
     s1, s2 = sets["x=0"], sets["x=1"]
     s3, s4 = sets["x=a"], sets["x=a+1"]
     roots = cube_condition_roots(spec)
-    b123 = set()
-    b12 = set()
-    b13 = set()
-    b1 = set()
-    for a in roots:
-        b_a = a
-        b_frac = spec.mul(a ^ 1, spec.inv(a))  # (1+a)/a
-        b_inv = spec.inv(a ^ 1)  # 1/(a+1)
-        b123 |= {(a, b_a), (a, b_frac), (a, b_inv)}
-        b12 |= {(a, b_a), (a, b_frac)}
-        b13 |= {(a, b_a), (a, b_inv)}
-        b1 |= {(a, b_a)}
+    b_a = {(a, a) for a in roots}
+    b_frac = {(a, spec.mul(a ^ 1, spec.inv(a))) for a in roots}  # (1+a)/a
+    b_inv = {(a, spec.inv(a ^ 1)) for a in roots}  # 1/(a+1)
     checks = [
-        (s1 & s2) == b123,
+        (s1 & s2) == b_a | b_frac | b_inv,
         (s1 & s3) == s3,
-        (s1 & s4) == b12,
-        (s2 & s3) == b13,
+        (s1 & s4) == b_a | b_frac,
+        (s2 & s3) == b_a | b_inv,
         (s2 & s4) == s4,
-        (s3 & s4) == b1,
-        (s1 & s2 & s3 & s4) == b1,
+        (s3 & s4) == b_a,
+        (s1 & s2 & s3 & s4) == b_a,
     ]
     return sum(0 if ok else 1 for ok in checks)
 

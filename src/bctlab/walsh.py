@@ -36,7 +36,7 @@ import numpy as np
 
 from .gf2n import _PARITY16, _fwht
 from .sbox import SBox
-from .tables import bct_fast
+from .tables import _autocorrelation, bct_fast
 
 __all__ = [
     "WalshSpectrum",
@@ -111,22 +111,16 @@ def _constrained_quad_sum(W: np.ndarray, n: int) -> int:
 
     Factorization: with V_t(g, a) = W(g, a) * W(g^t, a), the sum equals
     sum over (t, s) of Q(t, s)^2 where Q(t, .) is the XOR-autocorrelation
-    over a of V_t summed over g. Each autocorrelation is two transforms;
-    intermediates are bounded by 2^(8n), so W is cast to int64 first and
-    they stay exact for n <= 5.
+    over a of V_t summed over g, two transforms per g (see
+    tables._autocorrelation). Intermediates are bounded by 2^(8n), so W
+    is cast to int64 first and they stay exact for n <= 5.
     """
-    N = 1 << n
     W = np.asarray(W, dtype=np.int64)
-    gidx = np.arange(N)
+    gidx = np.arange(1 << n)
     total = 0
-    for t in range(N):
-        V = W * W[gidx ^ t, :]
-        X = _fwht(V, axis=1)
-        P = (X * X).sum(axis=0)
-        Q = _fwht(P)
-        # inverse transform leaves an exact factor of N
-        qs = [int(q) // N for q in Q]
-        total += sum(q * q for q in qs)
+    for t in range(1 << n):
+        Q = _autocorrelation(W * W[gidx ^ t, :]).sum(axis=0)
+        total += sum(q * q for q in Q.tolist())
     return total
 
 

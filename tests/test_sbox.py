@@ -113,11 +113,11 @@ def test_derivative(rng):
     spec = make_field(5)
     f = random_permutation(spec, rng)
     assert derivative(f, 0) == SBox(spec, [0] * 32)
-    for a in (1, 7, 19):
+    for a in (1, 7, 19, np.int64(19)):  # numpy integers too
         d = derivative(f, a)
         for x in range(spec.size):
             assert d[x] == d[x ^ a]
-    for a in (-1, spec.size):
+    for a in (-1, spec.size, np.int64(-1), np.int64(spec.size)):
         with pytest.raises(ValueError, match="shift"):
             derivative(f, a)
 

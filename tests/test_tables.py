@@ -247,20 +247,21 @@ def test_power_map_ddt_is_row_one_rotated(monkeypatch, n):
 
 
 def _kernel_branches(monkeypatch):
-    # counts the row kernel's transforms and the pairs its walk yields
+    # counts the buckets the row kernel sends to the transform and the
+    # pairs its walk yields
     seen = {"transforms": 0, "pairs": 0}
-    autocorrelation, equal_pairs = tables._autocorrelation, tables._equal_pairs
+    bucket_transforms, equal_pairs = tables._add_bucket_transforms, tables._equal_pairs
 
-    def transform(*args):
-        seen["transforms"] += sys._getframe(1).f_code.co_name == "_bct_rows"
-        return autocorrelation(*args)
+    def transform(out, ks, fr):
+        seen["transforms"] += np.unique(ks).size
+        return bucket_transforms(out, ks, fr)
 
     def walk(ks):
         for i, j in equal_pairs(ks):
             seen["pairs"] += i.size
             yield i, j
 
-    monkeypatch.setattr(tables, "_autocorrelation", transform)
+    monkeypatch.setattr(tables, "_add_bucket_transforms", transform)
     monkeypatch.setattr(tables, "_equal_pairs", walk)
     return seen
 
@@ -588,6 +589,25 @@ def test_bct_fast_enumerates_no_pair_for_apn_maps(monkeypatch, rng):
     assert callers and set(callers) == {"_bct_rows"} and sum(pairs) == 0
 
 
+@pytest.mark.parametrize("block", [1, 256, None])
+def test_bucket_transforms_batch_buckets_and_rows(monkeypatch, rng, block):
+    # maps with values in 1, 2 and 3 classes have one to four large buckets
+    # per row; at _BLOCK = 1 each bucket is its own transform chunk, at 256
+    # a chunk holds buckets of several rows, and by default the whole block
+    if block is not None:
+        monkeypatch.setattr(tables, "_BLOCK", block)
+    seen = _kernel_branches(monkeypatch)
+    for n in (5, 6, 7):
+        N = 2**n
+        for classes in (1, 2, 3):
+            levels = rng.choice(N, classes, replace=False)
+            f = SBox(make_field(n), levels[rng.integers(0, classes, N)])
+            assert np.array_equal(bct_fast(f).counts, bct_system(f).counts), (n, classes)
+            for a in (1, N // 2 + 1, N - 1):
+                assert np.array_equal(bct_row(f, a), bct_system(f).counts[a]), (n, classes, a)
+    assert seen["transforms"] > 0
+
+
 def test_bct_fast_of_a_constant_map_is_closed_form(monkeypatch):
     # every pair (x, y) has f(x)+f(y) = 0 = f(x+a)+f(y+a): column 0 is
     # 4^n and every other cell 0. Each row's one bucket of 2^(n-1)
@@ -618,11 +638,13 @@ def test_bct_fast_refuses_tables_over_the_memory_budget(monkeypatch):
 
 def test_bct_fast_peak_estimate_covers_allocations(rng):
     # numpy reports its buffers to tracemalloc; a pair-heavy map, a
-    # random permutation, a power map's rotated rows and a constant map,
-    # which takes the transform on every row a != 0, stay under the
+    # random permutation, a power map's rotated rows, a constant map,
+    # which takes the transform on every row a != 0, and a 3-valued map,
+    # whose blocks hold about 1000 large buckets each, stay under the
     # estimate the preflight uses
     for f in (SBox(make_field(9), np.arange(512) & 3), random_permutation(make_field(11), rng),
-              inverse_fn(10), SBox(make_field(10), np.zeros(1024, dtype=int))):
+              inverse_fn(10), SBox(make_field(10), np.zeros(1024, dtype=int)),
+              SBox(make_field(10), rng.integers(0, 3, 1024))):
         tracemalloc.start()
         try:
             bct_fast(f)
