@@ -26,22 +26,34 @@ value) into one int64, sorts it once and takes the pairs from one walk,
 _equal_pairs, over the equal keys; the fibres with too many
 representatives to pair go through Walsh-Hadamard autocorrelations
 instead, many fibres to one batched transform. Row 0, one fibre
-of every y, is the autocorrelation of the value histogram. bct_fast runs
-the kernel over blocks of rows in one serial pass, and the DDT rows it
-counts on the way give boomerang_uniformity the DDT maximum with no DDT
-built; bct_row(f, a) is one row of it.
+of every y, is the autocorrelation of the value histogram. _bct_blocks
+runs the kernel over blocks of rows that share a top bit, for bct_fast in
+one serial pass whose DDT rows give boomerang_uniformity the DDT maximum
+with no DDT built; bct_row(f, a) is one row of it.
 bct_fast and ddt refuse, before allocating, a table whose estimated peak
 exceeds physical memory. No builder starts a thread.
 Counts are stored as int32, and KTable refuses any count above its
 maximum: every count is at most 4^n, which fits up to n = 15, but BCT(0, 0)
 of a constant map is exactly 4^n and does not fit at n = 16.
 
-Power maps f = x^d are detected from the table (two lookups reject other
-maps) in bct_fast and ddt: every row a != 0 of either table is row 1
-with its columns rescaled, T(a, b) = T(1, b * a^-d), a rotation in log
-order of b, and row 0 is counted as for any map. Other maps run the
-generic builders; ddt is then one bincount per row.
-monomial_boomerang_uniformity reads a power map's uniformity off row 1.
+Symmetry orbits. _symmetry reads two symmetries off the table (O(1)
+lookups turn unstructured maps away first): f(x^2) = f(x)^2, and the
+largest subgroup U of GF(2^n)* with f(c x) = c^e f(x). Under them the BCT
+and DDT rows of the shifts in one orbit of a -> c a^(2^k), c in U, are
+column permutations of each other that fix b = 0, so the orbit engine,
+_orbit_rows, counts one row per orbit, its least element, with the same
+kernel and weighted by the orbit's size. That gives boomerang_uniformity
+on symmetric maps (the modified inverse, the Zieve binomial) and
+monomial_boomerang_uniformity their values and first row-major witnesses,
+and the moments and certificates their value counts (walsh), with no
+table; a power map is one orbit, row 1. Tables keep their own route: in
+bct_fast and ddt a power map x^d (the case U = GF(2^n)* with f(1) = 1)
+is row 1 rotated, T(a, b) = T(1, b * a^-d) in log order of b, with row 0
+counted as for any map, and every other map runs the generic builders
+(ddt one bincount per row). boomerang_uniformity takes that table route
+for power maps too: the benchmark pins `uniformity` on x^3 over GF(2^5)
+(bench/test_bench.py, test_traced_request_counts_repeat_exactly) to one
+bct_fast call and one ddt call.
 
 Exports are byte-identical to str() per cell: each row's decimal strings
 are looked up in one table over the value span (str per value only when
@@ -53,6 +65,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -235,11 +248,9 @@ def bct_fast(f: SBox) -> KTable:
     """Whole rows from the fibres of D_a; representative pairs, zero for APN maps.
 
     Row 0 is the XOR autocorrelation of the value histogram (see bct_row).
-    The rows a != 0 sharing a top bit share the representatives and run
-    as blocks of about _BLOCK derivative values through one kernel,
-    _bct_rows, whose temporaries stay near cache size; counts are integer
-    sums, so the block size changes no cell. The blocks are whole DDT rows
-    in increasing a, so the pass keeps the DDT maximum over a != 0 and its
+    The rows a != 0 run in blocks through one kernel (see _bct_blocks),
+    written straight into the table. The blocks are whole DDT rows in
+    increasing a, so the pass keeps the DDT maximum over a != 0 and its
     first row-major witness as well, in the table's _ddt_peak. A power map
     skips the blocks: its row 1, counted by the same kernel, is rotated
     into every row a != 0 (see _power_rows). Raises MemoryError, before
@@ -251,27 +262,46 @@ def bct_fast(f: SBox) -> KTable:
     counts[0] = _autocorrelation(np.bincount(table, minlength=N))
     d = _power_exponent(f)
     if d is not None:
-        _bct_rows(table, np.arange(0, N, 2), 1, counts[1:2])
+        _bct_rows(table, np.arange(0, N, 2), np.array([1]), counts[1:2])
         _power_rows(f, d, counts)
         return KTable(f.spec, "BCT", counts, "fast")
-    rows, delta, witness = max(1, _BLOCK // (N // 2)), -1, None
-    y = np.arange(N)
-    for k in range(n):  # the rows a with top bit 2^k, which share their representatives
-        reps = y[y & (1 << k) == 0]
-        for a0 in range(1 << k, 2 << k, rows):
-            # whole rows, so the slice is a view the kernel writes into
-            ddt_rows, peak = _bct_rows(table, reps, a0, counts[a0 : min(a0 + rows, 2 << k)])
-            if peak > delta:
-                delta, witness = _peak(ddt_rows, a0, 0)
+    delta, witness = -1, None
+    for a, _, ddt_rows, peak in _bct_blocks(table, np.arange(1, N), counts):
+        if peak > delta:
+            delta, witness = _peak(ddt_rows, int(a[0]), 0)
     t = KTable(f.spec, "BCT", counts, "fast")
     t._ddt_peak = delta, witness
     return t
 
 
+def _bct_blocks(table: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None):
+    """Count the BCT rows a in rows, nonzero and increasing, with the row kernel.
+
+    The rows sharing a top bit share their representatives and run in
+    blocks of about _BLOCK derivative values through _bct_rows, whose
+    temporaries stay near cache size; counts are integer sums, so the block
+    size changes no cell. Yields (a, block, ddt_rows, ddt_max) per block,
+    in increasing a. With out, a whole table, each block is the view of
+    its rows a, which must then be contiguous; otherwise every block is
+    one reused buffer, to be read before the next is asked for.
+    """
+    N = table.size
+    n = N.bit_length() - 1
+    per, y = max(1, _BLOCK // (N // 2)), np.arange(N)
+    buf = np.empty((min(per, rows.size), N), dtype=_fast_dtype(n)) if out is None else None
+    for k in range(n):
+        top = rows[rows >> k == 1]  # the rows with top bit 2^k
+        reps = y[y & (1 << k) == 0]
+        for i in range(0, top.size, per):
+            a = top[i : i + per]
+            block = buf[: a.size] if out is None else out[a[0] : a[-1] + 1]
+            yield (a, block, *_bct_rows(table, reps, a, block))
+
+
 def _bct_rows(
-    table: np.ndarray, reps: np.ndarray, a0: int, out: np.ndarray
+    table: np.ndarray, reps: np.ndarray, a: np.ndarray, out: np.ndarray
 ) -> tuple[np.ndarray, int]:
-    """Write the BCT rows a0 .. a0 + len(out) - 1, which share one top bit, into out.
+    """Write the BCT rows a, an array of shifts sharing one top bit, into out.
 
     Row a counts the pairs (y, y') in one fibre X of the derivative
     D_a(y) = f(y+a) + f(y) at b = f(y) + f(y') (see bct_row). X is closed
@@ -292,9 +322,8 @@ def _bct_rows(
     N = table.size
     n = N.bit_length() - 1
     frep = table[reps]
-    a = np.arange(a0, a0 + out.shape[0])
-    # key = (a - a0) * N + beta for the element (a, r), beta = D_a(r)
-    key = (a - a0)[:, None] * N + (frep ^ table[reps ^ a[:, None]])
+    # key = i * N + beta for the element (a[i], r), beta = D_a[i](r)
+    key = np.arange(a.size)[:, None] * N + (frep ^ table[reps ^ a[:, None]])
     reps_per_bucket = np.bincount(key.ravel(), minlength=out.size)
     ddt_rows = 2 * reps_per_bucket.reshape(out.shape)
     out[:] = ddt_rows
@@ -310,8 +339,8 @@ def _bct_rows(
     four = out.dtype.type(4)  # np.add.at with a Python int scalar takes about 3x as long
     for i, j in _equal_pairs(ks):
         # equal keys, so packed[i] ^ packed[j] = f(r) + f(r'); xored into
-        # the key it is the cell (a - a0, f(r)+f(r')+beta), and ^ beta
-        # moves that to (a - a0, f(r)+f(r'))
+        # the key it is the cell (row, f(r)+f(r')+beta), and ^ beta moves
+        # that to (row, f(r)+f(r'))
         cell = ks[i] ^ packed[i] ^ packed[j]
         np.add.at(out.reshape(-1), np.concatenate((cell, cell ^ (ks[i] & (N - 1)))), four)
     return ddt_rows, 2 * most
@@ -320,8 +349,8 @@ def _bct_rows(
 def _add_bucket_transforms(out: np.ndarray, ks: np.ndarray, fr: np.ndarray) -> None:
     """Add the pairs of whole buckets to the rows out of _bct_rows by transforms.
 
-    ks holds the sorted keys (a - a0) 2^n + beta of the buckets'
-    representatives r, one run per bucket, and fr their f(r). With A the
+    ks holds the sorted keys i 2^n + beta of the buckets' representatives
+    r in row i of out, one run per bucket, and fr their f(r). With A the
     XOR autocorrelation of the histogram of a bucket's f(r), less its m
     pairs r = r' at b = 0, the bucket adds 2 A(b) + 2 A(b + beta) to its
     row: the same cells as its C(m, 2) pairs. The buckets go through the
@@ -383,28 +412,143 @@ def bct_row(f: SBox, a: int) -> np.ndarray:
     if a == 0:
         return _autocorrelation(np.bincount(f.table, minlength=N))
     row, y = np.empty((1, N), dtype=np.int64), np.arange(N)
-    _bct_rows(f.table, y[y & (1 << a.bit_length() - 1) == 0], a, row)
+    _bct_rows(f.table, y[y & (1 << a.bit_length() - 1) == 0], np.array([a]), row)
     return row[0]
 
 
-# -- power maps ---------------------------------------------------------------------
+# -- symmetry orbits --------------------------------------------------------------
 
 
-def _power_exponent(f: SBox) -> int | None:
-    """d when f is x^d, else None; x^0 (1 at 0) and x^(2^n-1) (0 at 0) differ.
+class _Symmetry(NamedTuple):
+    """Symmetries of f that act on the shift a of its BCT and DDT.
 
-    Only maps with f(1) = 1 and f(0) in {0, 1} get past two lookups. Then
-    d = log f(g) for the generator g of FieldSpec._tables, or 2^n - 1 in
-    place of 0 when f(0) = 0, and the whole table is compared once.
+    frobenius: f(x^2) = f(x)^2, so T(a^2, b^2) = T(a, b).
+    order, e: f(c x) = c^e f(x) for every c in the subgroup U of GF(2^n)*
+    of this order, so T(c a, b) = T(a, b c^-e); order 1 is no scaling.
+    """
+
+    frobenius: bool
+    order: int
+    e: int
+
+
+def _symmetry(f: SBox) -> _Symmetry:
+    """The Frobenius and the largest scaling symmetry of f, from its table.
+
+    O(1) lookups turn unstructured maps away before any field table is
+    read: Frobenius needs f(0), f(1) in {0, 1}; scaling needs f(1) != 0,
+    which gives e from f(c) = c^e f(1), and f(0) = 0, or f(0) = f(1) for
+    the e = 0 of x^0 (f(0) = c^e f(0) for every c in U). The subgroups U
+    are tried from the largest, over the divisors of 2^n - 1, each with an
+    O(1) test of f(c) against U and then one whole-table comparison for
+    its generator c. The orders that hold are closed under lcm, so the
+    first one found is the largest.
     """
     table, spec = f.table, f.spec
-    if table[1] != 1 or table[0] > 1:
-        return None
+    t0, t1, M = int(table[0]), int(table[1]), spec.size - 1
+    frobenius = False
+    if t0 <= 1 and t1 <= 1:
+        idx = np.arange(spec.size)
+        sq = spec.mul_vec(idx, idx)
+        frobenius = np.array_equal(table[sq], sq[table])
+    if t1 == 0 or t0 not in (0, t1):
+        return _Symmetry(frobenius, 1, 0)
     log, exp = spec._tables()
-    d = int(log[table[exp[1]]])
-    if d == 0 and table[0] == 0:
-        d = spec.size - 1
-    return d if np.array_equal(table, spec.pow_vec(np.arange(spec.size), d)) else None
+    along = None  # f(g^i) for i = 0 .. 2^n - 2, read once a candidate passes
+    for m in _divisors(M, spec._factors)[:-1]:  # the last, 1, is no scaling
+        s = M // m  # U is generated by c = g^s
+        fc = int(table[exp[s]])
+        t = (int(log[fc]) - int(log[t1])) % M  # c^e = g^t when fc = c^e f(1)
+        if fc == 0 or t % s or (t0 and t):
+            continue
+        if along is None:
+            along = table[exp]
+        if np.array_equal(np.roll(along, -s), spec._mul_by(along, int(exp[t]))):
+            return _Symmetry(frobenius, m, t // s)
+    return _Symmetry(frobenius, 1, 0)
+
+
+def _divisors(m: int, primes) -> list[int]:
+    """The divisors of m, largest first, from its prime factors."""
+    divs = [1]
+    for p in primes:
+        powers, q = [1], m
+        while q % p == 0:
+            q //= p
+            powers.append(powers[-1] * p)
+        divs = [d * k for d in divs for k in powers]
+    return sorted(divs, reverse=True)
+
+
+def _power_exponent(f: SBox, sym: _Symmetry | None = None) -> int | None:
+    """d when f is x^d, else None; x^0 (1 at 0) and x^(2^n-1) (0 at 0) differ.
+
+    The case U = GF(2^n)* of _symmetry with f(1) = 1: then f(x) = x^e off
+    0, and f(0) is 0, or 1 for x^0.
+    """
+    table, M = f.table, f.spec.size - 1
+    sym = sym or _symmetry(f)
+    if sym.order < M or table[1] != 1 or table[0] > 1:
+        return None
+    return M if sym.e == 0 and table[0] == 0 else sym.e
+
+
+def _orbits(spec: FieldSpec, sym: _Symmetry) -> tuple[np.ndarray, np.ndarray]:
+    """Least element and size of each orbit of a != 0 under a -> c a^(2^k).
+
+    c runs over U and k over 0 .. n-1 when f commutes with squaring (k = 0
+    otherwise). With a = g^i, U moves i by multiples of s = (2^n - 1)/|U|
+    and squaring doubles it, so the orbits are the cyclotomic classes of
+    i mod s, each |U| times as large. Returned in increasing a.
+    """
+    log, _ = spec._tables()
+    s = (spec.size - 1) // sym.order
+    a = np.arange(1, spec.size)
+    lead = r = log[a] % s
+    for _ in range(spec.n - 1 if sym.frobenius else 0):
+        r = 2 * r % s
+        lead = np.minimum(lead, r)
+    _, first, sizes = np.unique(lead, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return a[first[order]], sizes[order]
+
+
+def _orbit_rows(f: SBox, sym: _Symmetry | None = None):
+    """Yield (a, size, block, ddt_rows, ddt_max) for the orbit representatives a.
+
+    The BCT and DDT rows of every other member of an orbit are its
+    representative's with the columns permuted and b = 0 fixed (see
+    _Symmetry), so one row per orbit, weighted by the orbit's size, holds
+    every maximum and every value count over b != 0. The representatives
+    come in increasing a in blocks of the row kernel (see _bct_blocks);
+    block is reused. A map with no symmetry has each a as its own orbit.
+    """
+    reps, sizes = _orbits(f.spec, sym or _symmetry(f))
+    size_of = np.zeros(f.spec.size, dtype=np.int64)
+    size_of[reps] = sizes
+    for a, block, ddt_rows, ddt_max in _bct_blocks(f.table, reps):
+        yield a, size_of[a], block, ddt_rows, ddt_max
+
+
+def _orbit_report(f: SBox, algorithm: str, sym: _Symmetry | None = None) -> UniformityReport:
+    """Both uniformities and witnesses from one row per orbit (see _orbit_rows).
+
+    The rows of an orbit share their maxima, so the least a whose row
+    reaches a maximum is its orbit's least element, a representative, and
+    the first row-major witnesses are the full tables' (the _peak rule).
+    """
+    delta = boom = -1
+    for a, _, block, ddt_rows, ddt_max in _orbit_rows(f, sym):
+        if ddt_max > delta:
+            delta, (i, b) = _peak(ddt_rows, 0, 0)
+            ddt_arg = int(a[i]), b
+        value, (i, b) = _peak(block[:, 1:], 0, 1)
+        if value > boom:
+            boom, bct_arg = value, (int(a[i]), b)
+    return UniformityReport(delta, boom, ddt_arg, bct_arg, algorithm)
+
+
+# -- power maps ---------------------------------------------------------------------
 
 
 def _power_rows(f: SBox, d: int, out: np.ndarray) -> None:
@@ -455,14 +599,20 @@ def _peak(sub: np.ndarray, off_a: int, off_b: int) -> tuple[int, tuple[int, int]
 
 
 def boomerang_uniformity(f: SBox, algorithm: str = "fast") -> UniformityReport:
-    """Full-table boomerang and differential uniformities with witnesses.
+    """Boomerang and differential uniformities with first row-major witnesses.
 
-    The generic bct_fast pass also keeps the DDT maximum and its witness,
-    so for those maps no DDT is built. The oracles and power maps carry
-    none; their BCT is reduced to its maximum and dropped before the DDT is
-    built, so the two tables are never held at once and each builder's
-    memory check is true.
+    With "fast", a map with a symmetry on the shift a that is not a power
+    map is read off one row per orbit, with no table (see _orbit_report).
+    Power maps keep the table route. The generic bct_fast pass also keeps
+    the DDT maximum and its witness, so for those maps no DDT is built.
+    The oracles and power maps carry none; their BCT is reduced to its
+    maximum and dropped before the DDT is built, so the two tables are
+    never held at once and each builder's memory check is true.
     """
+    if algorithm == "fast":
+        sym = _symmetry(f)
+        if (sym.frobenius or sym.order > 1) and _power_exponent(f, sym) is None:
+            return _orbit_report(f, algorithm, sym)
     t = bct(f, algorithm=algorithm)
     (boom, bct_arg), fused = _peak(t.counts[1:, 1:], 1, 1), t._ddt_peak
     del t  # the BCT goes before any DDT is built
@@ -477,26 +627,14 @@ def boomerang_uniformity(f: SBox, algorithm: str = "fast") -> UniformityReport:
 
 
 def monomial_boomerang_uniformity(spec: FieldSpec, d: int) -> UniformityReport:
-    """Row shortcut for power maps: every row is a scaled copy of row a=1.
+    """Row shortcut for power maps: every row a != 0 is a rescaled copy of row 1.
 
-    For f = x^d, T(a, b) = T(1, b * a^-d), so the maximum over the whole
-    table equals the maximum of the single row a=1 (and likewise for the
-    DDT). bct_row counts that row from the fibres of f(y+1) + f(y), sum
-    over beta of C(DDT(1, beta)/2, 2) representative pairs, instead of a
-    full table build.
-    Both witnesses come from _peak, as in boomerang_uniformity.
+    For f = x^d, T(a, b) = T(1, b * a^-d), in the DDT as well, so the
+    nonzero shifts are one orbit (see _orbit_report) and row 1 alone, sum
+    over beta of C(DDT(1, beta)/2, 2) representative pairs, gives both
+    uniformities and the witnesses of boomerang_uniformity.
     """
-    f = from_monomial(spec, d)
-    boom, bct_arg = _peak(bct_row(f, 1)[None, 1:], 1, 1)
-    drow = np.bincount(f.table ^ f.table[np.arange(spec.size) ^ 1], minlength=spec.size)
-    delta, ddt_arg = _peak(drow[None, :], 1, 0)
-    return UniformityReport(
-        differential_uniformity=delta,
-        boomerang_uniformity=boom,
-        ddt_argmax=ddt_arg,
-        bct_argmax=bct_arg,
-        algorithm="row",
-    )
+    return _orbit_report(from_monomial(spec, d), "row")
 
 
 def quadratic_bound_check(f: SBox) -> bool:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .gf2n import _PARITY16, _fwht
 from .sbox import SBox
-from .tables import _autocorrelation, bct_fast
+from .tables import _autocorrelation, _orbit_rows
 
 __all__ = [
     "WalshSpectrum",
@@ -88,9 +88,29 @@ def walsh_spectrum(f: SBox) -> WalshSpectrum:
 
 
 def _bct_value_counts(f: SBox) -> list[tuple[int, int]]:
-    """(value, cells) for each distinct count T(a, b) over nonzero a, b."""
-    vals, cells = np.unique(bct_fast(f).counts[1:, 1:], return_counts=True)
-    return list(zip(vals.tolist(), cells.tolist()))
+    """(value, cells) for each distinct count T(a, b) over nonzero a, b.
+
+    Counted from one BCT row per orbit of f's symmetry on the shift a,
+    weighted by the orbit's size (see tables._orbit_rows), so no table is
+    built: a power map is row 1 alone, and a map with no symmetry has every
+    row as its own orbit. Each block of rows is one bincount of (row, value)
+    when its values are below the row length (every permutation's are),
+    else of (row, index of the value among the block's distinct values).
+    """
+    total: dict[int, int] = {}
+    for _, size, block, _, _ in _orbit_rows(f):
+        sub = block[:, 1:]
+        top = int(sub.max())
+        if top < sub.shape[1]:
+            vals, index = np.arange(top + 1), sub
+        else:
+            vals, index = np.unique(sub, return_inverse=True)
+        k, rows = vals.size, size.size
+        keys = np.arange(rows)[:, None] * k + index.reshape(sub.shape)
+        cells = size @ np.bincount(keys.ravel(), minlength=rows * k).reshape(rows, k)
+        for v, c in zip(vals[cells > 0].tolist(), cells[cells > 0].tolist()):
+            total[v] = total.get(v, 0) + c
+    return sorted(total.items())
 
 
 def bct_moment_direct(f: SBox, j: int) -> int:
@@ -181,6 +201,11 @@ def two_uniform_certificate(f: SBox) -> tuple[int, int, int]:
 # -- certificate polynomials --------------------------------------------------------
 
 
+def _require_even(delta: int) -> None:
+    if delta <= 0 or delta % 2:
+        raise ValueError("target delta must be a positive even integer")
+
+
 class CertificatePolynomial:
     """A real polynomial vanishing on the even integers 0..delta.
 
@@ -195,8 +220,7 @@ class CertificatePolynomial:
     """
 
     def __init__(self, coefficients: Sequence, delta: int, n: int | None = None):
-        if delta <= 0 or delta % 2:
-            raise ValueError("target delta must be a positive even integer")
+        _require_even(delta)
         self.coefficients = tuple(Fraction(c) for c in coefficients)
         self.delta = delta
         self._scale = math.lcm(*(c.denominator for c in self.coefficients))
@@ -251,18 +275,27 @@ def delta_uniform_certificate(
     exactly when every nonzero-entry count lies in {0, 2, ..., delta}, i.e.
     the boomerang uniformity is at most delta. Every count is at most 2^n,
     so delta above 2^n is refused before any polynomial is built.
+
+    With no phi, the canonical product of (x - 2k) for k = 0..delta/2 is
+    evaluated as a product at each distinct count, in Python ints: it
+    vanishes at every even x <= delta and is positive past it by
+    construction, so neither its coefficients nor those checks are needed.
+    A given phi keeps its coefficient form and is validated for the field.
     """
     if delta > f.spec.size:
         raise ValueError(f"delta must be at most 2^n = {f.spec.size}, got {delta}")
     if phi is None:
-        phi = CertificatePolynomial.for_delta(delta, f.spec.n)
+        _require_even(delta)
+        roots = range(0, delta + 1, 2)
+        total = sum(c * math.prod(v - k for k in roots) for v, c in _bct_value_counts(f))
+        value = Fraction(total)
     else:
         if phi.delta != delta:
             raise ValueError("polynomial was built for a different delta")
         phi.validate(f.spec.n)
-    counts = _bct_value_counts(f)
-    scaled = phi._scaled_values([v for v, _ in counts])
-    value = Fraction(sum(c * s for (_, c), s in zip(counts, scaled)), phi._scale)
+        counts = _bct_value_counts(f)
+        scaled = phi._scaled_values([v for v, _ in counts])
+        value = Fraction(sum(c * s for (_, c), s in zip(counts, scaled)), phi._scale)
     if value < 0:
         raise AssertionError("certificate value must be non-negative")
     return value, value == 0

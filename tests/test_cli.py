@@ -210,11 +210,11 @@ def test_moment_refuses_non_permutation(tmp_path, capsys):
 
 def test_moment_refuses_past_the_spectrum_cap_before_the_table(monkeypatch, capsys):
     # n = 13 is past the full spectrum's cap; the refusal must come before
-    # the 2^26-cell BCT is built
-    def no_table(f):
-        raise AssertionError("bct_fast was called")
+    # any BCT row is counted
+    def no_rows(f):
+        raise AssertionError("BCT rows were counted")
 
-    monkeypatch.setattr("bctlab.walsh.bct_fast", no_table)
+    monkeypatch.setattr("bctlab.walsh._orbit_rows", no_rows)
     for j in ("1", "2"):
         code, out, err = run_cli(capsys, "moment", "--family", "inverse n=13", "--j", j)
         assert code == 2 and out == ""

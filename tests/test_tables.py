@@ -36,6 +36,8 @@ from bctlab import (
     random_permutation,
     SBox,
     walsh_spectrum,
+    zieve_binomial,
+    zieve_gamma_candidates,
 )
 from bctlab import tables
 
@@ -162,24 +164,35 @@ def test_bct_is_invariant_under_squaring_both_indices():
 
 
 def test_power_exponent_detects_power_maps(rng):
+    # power maps are the case U = GF(2^n)* of the one symmetry detector:
+    # f(c x) = c^e f(x) for every c, with e = d mod 2^n - 1
     for n in (3, 4, 5, 6):
         spec = make_field(n)
-        xs = np.arange(spec.size)
+        xs, M = np.arange(spec.size), spec.size - 1
         for d in range(spec.size + 1):
-            e = tables._power_exponent(from_monomial(spec, d))
+            f = from_monomial(spec, d)
+            assert tables._symmetry(f) == (True, M, d % M)
+            e = tables._power_exponent(f)
             assert e is not None and np.array_equal(spec.pow_vec(xs, e), spec.pow_vec(xs, d))
         # x^0 is 1 everywhere, x^(2^n-1) is 0 at 0: equal off 0, told apart
         assert tables._power_exponent(from_monomial(spec, 0)) == 0
         assert tables._power_exponent(from_monomial(spec, spec.size - 1)) == spec.size - 1
     assert tables._power_exponent(from_monomial(make_field(7), 13)) == 13
     for n in (3, 4, 5, 6, 7):
+        assert tables._symmetry(modified_inverse(n)) == (True, 1, 0)
         assert tables._power_exponent(modified_inverse(n)) is None
     for n in (5, 6, 7, 8):
-        assert tables._power_exponent(random_permutation(make_field(n), rng)) is None
-    assert tables._power_exponent(SBox(make_field(5), np.full(32, 5))) is None
+        f = random_permutation(make_field(n), rng)
+        assert tables._symmetry(f) == (False, 1, 0)
+        assert tables._power_exponent(f) is None
+    # a constant c != 0, 1 has f(c x) = f(x) for every c, and is no x^d
+    constant = SBox(make_field(5), np.full(32, 5))
+    assert tables._symmetry(constant) == (False, 31, 0)
+    assert tables._power_exponent(constant) is None
     # passes the f(1) = 1, f(0) = 0 pre-check, fails the table comparison
     near = from_monomial(make_field(5), 3).table.copy()
     near[[2, 3]] = near[[3, 2]]
+    assert tables._symmetry(SBox(make_field(5), near)) == (False, 1, 0)
     assert tables._power_exponent(SBox(make_field(5), near)) is None
 
 
@@ -194,6 +207,97 @@ def test_bct_row_matches_system_rows(rng):
         t = bct_system(f).counts
         for a in (0, 1, f.spec.size - 3):
             assert np.array_equal(bct_row(f, a), t[a]), (f, a)
+
+
+def _symmetric_corpus():
+    """Maps with a symmetry on the shift a: x^d, the modified inverse, the
+    Zieve binomial over GF(8^2) for every gamma, and constant maps (0 has
+    the Frobenius only, 1 both symmetries, 5 the scaling with e = 0)."""
+    for n, d in ((4, 3), (4, 7), (5, 5), (6, 0), (6, 9), (7, 13)):
+        yield from_monomial(make_field(n), d)
+    for n in (3, 4, 5, 6, 7):
+        yield modified_inverse(n)
+    spec = make_field(6)
+    for gamma in zieve_gamma_candidates(spec):
+        yield zieve_binomial(spec, gamma)
+    for n in (4, 7):
+        for c in (0, 1, 5):
+            yield SBox(make_field(n), np.full(2**n, c))
+
+
+def _engine_rows(f):
+    """{a: (BCT row, DDT row, orbit size)} for the representatives a."""
+    rows = {}
+    for a, size, block, ddt_rows, ddt_max in tables._orbit_rows(f):
+        assert ddt_max == ddt_rows.max()
+        for i, r in enumerate(a.tolist()):
+            rows[r] = block[i].copy(), ddt_rows[i].copy(), int(size[i])
+    return rows
+
+
+def test_orbit_rows_are_column_permutations_of_every_member():
+    # T(c a^(2^k), b) = T(a, (b c^-e)^(2^(n-k))) for c in U, and the same
+    # for the DDT: each representative's row, permuted, is every member's
+    # row; the orbits cover the shifts a != 0 once, and each is as large as
+    # reported
+    for f in _symmetric_corpus():
+        spec, n, M = f.spec, f.spec.n, f.spec.size - 1
+        sym = tables._symmetry(f)
+        assert sym.frobenius or sym.order > 1, f
+        t, dt = bct_system(f).counts, _literal_ddt(f)
+        log, exp = spec._tables()
+        bs, seen = np.arange(spec.size), set()
+        for r, (row, drow, size) in _engine_rows(f).items():
+            members = set()
+            for c in exp[:: M // sym.order].tolist():
+                scaled = spec.mul_vec(bs, spec.inv(spec.pow(c, sym.e)))
+                for k in range(n if sym.frobenius else 1):
+                    a = spec.mul(c, spec.pow(r, 2**k))
+                    cols = spec.pow_vec(scaled, 2 ** (n - k))
+                    assert np.array_equal(t[a], row[cols]), (f, r, a)
+                    assert np.array_equal(dt[a], drow[cols]), (f, r, a)
+                    members.add(a)
+            assert min(members) == r and len(members) == size and not members & seen
+            seen |= members
+        assert seen == set(range(1, spec.size))
+
+
+def test_symmetry_rejects_unstructured_maps(rng):
+    # random permutations, and affine images A2 o f o A1 of the modified
+    # inverse; a translate with g(0) = 0 passes the O(1) pre-check, so its
+    # scaling candidates reach the table comparison
+    for n in (4, 6, 8, 10):
+        spec = make_field(n)
+        f = modified_inverse(n)
+        assert tables._symmetry(f) == (True, 1, 0)
+        for _ in range(3):
+            g = affine_apply(random_affine_permutation(spec, rng), f, "pre")
+            g = affine_apply(random_affine_permutation(spec, rng), g, "post")
+            for h in (g, SBox(spec, g.table ^ g.table[0]), random_permutation(spec, rng)):
+                assert tables._symmetry(h) == (False, 1, 0), (n, h.table[:4])
+
+
+def _table_report(f):
+    return (tables._peak(ddt(f).counts[1:, :], 1, 0), tables._peak(bct_fast(f).counts[1:, 1:], 1, 1))
+
+
+def test_orbit_uniformity_matches_the_full_tables(monkeypatch):
+    # the least a reaching a maximum is an orbit's least element, so the
+    # values and first row-major witnesses are the tables'; no table is built
+    funcs = [modified_inverse(n) for n in range(3, 11)]
+    for n in (6, 10):  # GF(q^2) for q = 8 and 32
+        spec = make_field(n)
+        funcs.append(zieve_binomial(spec, zieve_gamma_candidates(spec)[0]))
+    expected = [_table_report(f) for f in funcs]
+
+    def refuse(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(tables, "bct", refuse)
+    monkeypatch.setattr(tables, "ddt", refuse)
+    for f, ((delta, ddt_arg), (boom, bct_arg)) in zip(funcs, expected):
+        rep = boomerang_uniformity(f)
+        assert rep == tables.UniformityReport(delta, boom, ddt_arg, bct_arg, "fast"), f
 
 
 def _literal_ddt(f):

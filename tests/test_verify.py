@@ -6,7 +6,11 @@ import pytest
 
 from bctlab import (
     appendix_case_audit,
+    bct_fast,
     claim_ids,
+    find_omega,
+    make_field,
+    modified_inverse,
     modified_inverse_expected_delta,
     reproduce,
     reproduce_all,
@@ -113,6 +117,26 @@ def test_appendix_case_audit_values():
     assert byid8["appendix.n8.case3"].computed == 6
 
 
+def _audit_from_full_table(n):
+    # the per-class maxima read off the whole BCT
+    spec = make_field(n)
+    counts = bct_fast(modified_inverse(n, spec)).counts
+    omegas = []
+    if n % 2 == 0:
+        w = find_omega(spec)
+        omegas = [w, spec.mul(w, w)]
+    classes = {1: [1], 2: omegas, 3: [a for a in range(2, spec.size) if a not in omegas]}
+    return {c: int(counts[rows, 1:].max()) for c, rows in classes.items() if rows}
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_appendix_case_audit_equals_the_full_table(n):
+    reports = appendix_case_audit(n)
+    expected = _audit_from_full_table(n)
+    assert [r.claim_id for r in reports] == [f"appendix.n{n}.case{c}" for c in expected]
+    assert [r.computed for r in reports] == list(expected.values())
+
+
 def test_appendix_case_audit_range():
     with pytest.raises(ValueError):
         appendix_case_audit(2)
@@ -120,9 +144,10 @@ def test_appendix_case_audit_range():
         appendix_case_audit(11)
 
 
-def test_reproduce_all_pool_matches_one_by_one():
-    pooled = reproduce_all("fast")
-    serial = [reproduce(cid) for cid in claim_ids("fast")]
-    assert [(r.claim_id, r.expected, r.computed, r.status) for r in pooled] == [
-        (r.claim_id, r.expected, r.computed, r.status) for r in serial
+def test_reproduce_all_matches_one_by_one():
+    # registry order, and each claim's values as reproduce gives them alone
+    together = reproduce_all("fast")
+    alone = [reproduce(cid) for cid in claim_ids("fast")]
+    assert [(r.claim_id, r.expected, r.computed, r.status) for r in together] == [
+        (r.claim_id, r.expected, r.computed, r.status) for r in alone
     ]

@@ -23,8 +23,10 @@ from bctlab import (
     two_uniform_certificate,
     walsh_spectrum,
     welch,
+    zieve_binomial,
+    zieve_gamma_candidates,
 )
-from bctlab.walsh import _constrained_quad_sum, _fourth_power_sum, _fwht
+from bctlab.walsh import _bct_value_counts, _constrained_quad_sum, _fourth_power_sum, _fwht
 
 from conftest import walsh_oracle
 
@@ -409,6 +411,56 @@ def test_certificate_is_moment_weighted_sum(rng):
                 value, _ = delta_uniform_certificate(f, delta, phi=phi)
                 moments = enumerate(phi.coefficients)
                 assert value == sum(a * bct_moment_direct(f, j) for j, a in moments)
+
+
+def _value_count_corpus(rng):
+    # maps with no symmetry, power maps, the modified inverse, the Zieve
+    # binomial, constants, and 2-valued maps, whose counts reach past 2^n
+    # and take the distinct-value branch of the per-block count
+    for n in range(2, 11):
+        spec = make_field(n)
+        yield random_permutation(spec, rng)
+        yield SBox(spec, rng.integers(0, spec.size, spec.size))
+        yield SBox(spec, rng.choice(spec.size, 2, replace=False)[rng.integers(0, 2, spec.size)])
+        yield SBox(spec, np.full(spec.size, 3))
+        yield modified_inverse(n)
+        yield from_monomial(spec, 3)
+        if n in (6, 10):
+            yield zieve_binomial(spec, zieve_gamma_candidates(spec)[0])
+
+
+def test_value_counts_from_orbit_rows_match_the_table(rng):
+    for f in _value_count_corpus(rng):
+        vals, cells = np.unique(bct_fast(f).counts[1:, 1:], return_counts=True)
+        assert _bct_value_counts(f) == list(zip(vals.tolist(), cells.tolist())), f
+
+
+def test_canonical_certificate_product_equals_coefficient_form(rng):
+    # phi(v) = prod (v - 2k), k <= delta/2, taken as a product at each count
+    # against the expanded polynomial, for every even delta <= 64 at n <= 6
+    for n in range(2, 7):
+        spec = make_field(n)
+        funcs = [random_permutation(spec, rng), SBox(spec, rng.integers(0, spec.size, spec.size)),
+                 modified_inverse(n), inverse_fn(n)]
+        for f in funcs:
+            for delta in range(2, min(64, spec.size) + 1, 2):
+                phi = CertificatePolynomial.for_delta(delta, n)
+                assert delta_uniform_certificate(f, delta) == (
+                    delta_uniform_certificate(f, delta, phi=phi)
+                ), (f, delta)
+
+
+def test_canonical_certificate_builds_no_polynomial(monkeypatch):
+    # delta = 4096 at n = 12 would expand a degree-2049 polynomial
+    def refuse(*args):
+        raise AssertionError("a certificate polynomial was built")
+
+    monkeypatch.setattr(CertificatePolynomial, "__init__", refuse)
+    assert delta_uniform_certificate(inverse_fn(12), 4096) == (0, True)
+    value, is_zero = delta_uniform_certificate(inverse_fn(12), 4)
+    assert not is_zero and value > 0
+    with pytest.raises(ValueError, match="positive even"):
+        delta_uniform_certificate(inverse_fn(4), 3)
 
 
 def test_moment_first_order_wide_field():
