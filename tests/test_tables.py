@@ -298,6 +298,12 @@ def test_orbit_uniformity_matches_the_full_tables(monkeypatch):
     for f, ((delta, ddt_arg), (boom, bct_arg)) in zip(funcs, expected):
         rep = boomerang_uniformity(f)
         assert rep == tables.UniformityReport(delta, boom, ddt_arg, bct_arg, "fast"), f
+    monkeypatch.undo()
+    # constants tie every row, so the first row-major witness is the test
+    for f in _symmetric_corpus():
+        (delta, ddt_arg), (boom, bct_arg) = _table_report(f)
+        rep = tables._orbit_report(f, "row")
+        assert rep == tables.UniformityReport(delta, boom, ddt_arg, bct_arg, "row"), f
 
 
 def _literal_ddt(f):
