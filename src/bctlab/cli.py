@@ -9,9 +9,11 @@ every other verb prints JSON ("schema": 1) and takes no --json. Exit codes:
 0 success, 1 failed reproduction claims, 2 usage or input errors and
 tables too large for physical memory. CSV is byte-identical across BCT
 algorithms, and JSON differs only in its "algorithm" field. Table values
-are written from a lookup of decimal strings over their span, and a JSON
-table is never built as a list of Python ints; the text equals
-json.dumps(indent=2) of the plain lists.
+are written from a lookup of decimal strings over their span, row by row
+in chunks of about 1 MiB, so no export is held whole, and a JSON table is
+never built as a list of Python ints; the text equals json.dumps(indent=2)
+of the plain lists. --out is opened only once the first chunk exists, so
+a request refused with exit 2 leaves no file.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import argparse
 import io
 import json
 import sys
+from collections.abc import Iterator
+from contextlib import nullcontext
 from dataclasses import asdict
 
 import numpy as np
@@ -27,13 +31,13 @@ import numpy as np
 from .gf2n import parse_field
 from .sbox import SBox, read_sbox, write_sbox
 from .tables import (
+    _chunks,
+    _csv_chunks,
     _decimal_rows,
     _ktable_fields,
-    _matrix_csv,
     bct,
     boomerang_uniformity,
     ddt,
-    ktable_to_csv,
 )
 from .walsh import (
     bct_moment_direct,
@@ -48,12 +52,12 @@ from .verify import appendix_case_audit, reproduce, reproduce_all
 __all__ = ["main"]
 
 
-# -- verb handlers: (S-box, args) -> CSV/S-box text or a JSON payload -------------
+# -- verb handlers: (S-box, args) -> text, text chunks or a JSON payload -------------
 
 
 def _table_out(t, args):
     if not args.json:
-        return ktable_to_csv(t)
+        return _csv_chunks("a\\b", t.counts)
     return {"schema": 1, "field": t.spec.label(), **_ktable_fields(t)}
 
 
@@ -73,7 +77,7 @@ def _uniformity(f: SBox, args):
 def _walsh(f: SBox, args):
     values = walsh_spectrum(f).values
     if not args.json:
-        return _matrix_csv("u\\v", values)
+        return _csv_chunks("u\\v", values)
     return {
         "schema": 1,
         "n": f.spec.n,
@@ -186,35 +190,55 @@ def _load_sbox(args) -> SBox:
     return FamilySpec.parse(args.family).build(field)
 
 
-def _json_value(v) -> str:
-    """One top-level field value as json.dumps(indent=2) writes it inside a dict."""
-    if not isinstance(v, np.ndarray):
-        return json.dumps(v, indent=2).replace("\n", "\n  ")
-    if v.size == 0:
-        return "[]"
-    return "[\n    " + ",\n    ".join(",\n    ".join(r) for r in _decimal_rows(v)) + "\n  ]"
+def _json_pieces(payload: dict):
+    """The text of json.dumps(payload, indent=2) + "\\n", one field at a time.
+
+    Each field value is written as json.dumps writes it inside a dict, and
+    an integer ndarray as its row-major list, one row of decimal strings
+    (see _decimal_rows) at a time, never built as a list of Python ints.
+    """
+    sep = "{\n"
+    for key, v in payload.items():
+        yield f"{sep}  {json.dumps(key)}: "
+        if not isinstance(v, np.ndarray):
+            yield json.dumps(v, indent=2).replace("\n", "\n  ")
+        elif v.size == 0:
+            yield "[]"
+        else:
+            lead = "[\n    "
+            for row in _decimal_rows(v):
+                yield lead
+                yield ",\n    ".join(row)
+                lead = ",\n    "
+            yield "\n  ]"
+        sep = ",\n"
+    yield "\n}\n"
 
 
 def _write(result, out_path) -> None:
-    """Write text as is, or anything else as indented JSON, to out_path or stdout.
+    """Write text, text chunks or a JSON payload to out_path or stdout, chunk by chunk.
 
-    The text equals json.dumps(indent=2) of the payload with each integer
-    ndarray as its row-major list. A dict payload is written field by field,
-    so a table goes out through the lookup of _decimal_rows and is never
-    built as a list of Python ints; any other payload is plain json.dumps.
+    A payload is written as json.dumps(indent=2) of it with each integer
+    ndarray as its row-major list: a non-empty dict field by field (see
+    _json_pieces), in chunks of about tables._CHUNK characters, anything
+    else whole. out_path is opened only once the first chunk exists, so a
+    request that fails before it leaves no file.
     """
     if isinstance(result, str):
-        text = result
+        chunks = iter([result])
     elif isinstance(result, dict) and result:
-        fields = [f"  {json.dumps(k)}: {_json_value(v)}" for k, v in result.items()]
-        text = "{\n" + ",\n".join(fields) + "\n}\n"
+        chunks = _chunks(_json_pieces(result))
+    elif isinstance(result, Iterator):
+        chunks = result
     else:
-        text = json.dumps(result, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        chunks = iter([json.dumps(result, indent=2) + "\n"])
+    first = next(chunks, "")
+    with open(out_path, "w", encoding="ascii") if out_path else nullcontext(sys.stdout) as fh:
+        fh.write(first)
+        del first
+        for chunk in chunks:
+            fh.write(chunk)
+            del chunk  # so no written chunk is held while the next is built
 
 
 def _reproduce(args) -> int:

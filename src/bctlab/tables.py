@@ -27,9 +27,9 @@ _equal_pairs, over the equal keys; the fibres with too many
 representatives to pair go through Walsh-Hadamard autocorrelations
 instead, many fibres to one batched transform. Row 0, one fibre
 of every y, is the autocorrelation of the value histogram. _bct_blocks
-runs the kernel over blocks of rows that share a top bit, for bct_fast in
-one serial pass whose DDT rows give boomerang_uniformity the DDT maximum
-with no DDT built; bct_row(f, a) is one row of it.
+runs the kernel over blocks of rows that share a top bit, into the table
+for bct_fast in one serial pass, or into one reused buffer for the
+streamed reducers below; bct_row(f, a) is one row of it.
 bct_fast and ddt refuse, before allocating, a table whose estimated peak
 exceeds physical memory. No builder starts a thread.
 Counts are stored as int32, and KTable refuses any count above its
@@ -42,8 +42,9 @@ largest subgroup U of GF(2^n)* with f(c x) = c^e f(x). Under them the BCT
 and DDT rows of the shifts in one orbit of a -> c a^(2^k), c in U, are
 column permutations of each other that fix b = 0, so the orbit engine,
 _orbit_rows, counts one row per orbit, its least element, with the same
-kernel and weighted by the orbit's size. That gives boomerang_uniformity
-on symmetric maps (the modified inverse, the Zieve binomial) and
+kernel and weighted by the orbit's size. A map with no symmetry has each
+shift as its own orbit, so its rows stream through in blocks. That gives
+boomerang_uniformity on every map that is not a power map and
 monomial_boomerang_uniformity their values and first row-major witnesses,
 and the moments and certificates their value counts (walsh), with no
 table; a power map is one orbit, row 1. Tables keep their own route: in
@@ -51,18 +52,21 @@ bct_fast and ddt a power map x^d (the case U = GF(2^n)* with f(1) = 1)
 is row 1 rotated, T(a, b) = T(1, b * a^-d) in log order of b, with row 0
 counted as for any map, and every other map runs the generic builders
 (ddt one bincount per row). boomerang_uniformity takes that table route
-for power maps too: the benchmark pins `uniformity` on x^3 over GF(2^5)
+for power maps: the benchmark pins `uniformity` on x^3 over GF(2^5)
 (bench/test_bench.py, test_traced_request_counts_repeat_exactly) to one
 bct_fast call and one ddt call.
 
 Exports are byte-identical to str() per cell: each row's decimal strings
 are looked up in one table over the value span (str per value only when
-the span is wider than the table has cells), and the CLI writes JSON tables
-from the same rows without building a list of Python ints.
+the span is wider than the table has cells). The CSV comes row by row in
+chunks of about _CHUNK characters (_csv_chunks), which the CLI writes one
+at a time and ktable_to_csv joins; the CLI streams JSON tables from the
+same rows, never building the text whole or a list of Python ints.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -93,14 +97,11 @@ __all__ = [
 # is 1 MiB and stays in a core's L2 cache (2^20 measured slower)
 _BLOCK = 1 << 17  # derivative values per bct_fast block, cells per power-map row block
 _INT32_MAX = np.iinfo(np.int32).max
+_CHUNK = 1 << 20  # characters per chunk of exported text
 
 
 class KTable:
     """A 2^n x 2^n table of non-negative counts (DDT or BCT)."""
-
-    # (DDT maximum over a != 0, its first row-major witness), kept by the
-    # generic bct_fast pass for boomerang_uniformity
-    _ddt_peak: tuple[int, tuple[int, int]] | None = None
 
     def __init__(self, spec: FieldSpec, kind: str, counts, algorithm: str):
         if kind not in ("DDT", "BCT"):
@@ -249,12 +250,10 @@ def bct_fast(f: SBox) -> KTable:
 
     Row 0 is the XOR autocorrelation of the value histogram (see bct_row).
     The rows a != 0 run in blocks through one kernel (see _bct_blocks),
-    written straight into the table. The blocks are whole DDT rows in
-    increasing a, so the pass keeps the DDT maximum over a != 0 and its
-    first row-major witness as well, in the table's _ddt_peak. A power map
-    skips the blocks: its row 1, counted by the same kernel, is rotated
-    into every row a != 0 (see _power_rows). Raises MemoryError, before
-    allocating, when the estimated peak exceeds physical memory.
+    written straight into the table. A power map skips the blocks: its
+    row 1, counted by the same kernel, is rotated into every row a != 0
+    (see _power_rows). Raises MemoryError, before allocating, when the
+    estimated peak exceeds physical memory.
     """
     n, N, table = f.spec.n, f.spec.size, f.table
     _require_memory("bct_fast", n, _fast_peak_bytes(n))
@@ -264,14 +263,10 @@ def bct_fast(f: SBox) -> KTable:
     if d is not None:
         _bct_rows(table, np.arange(0, N, 2), np.array([1]), counts[1:2])
         _power_rows(f, d, counts)
-        return KTable(f.spec, "BCT", counts, "fast")
-    delta, witness = -1, None
-    for a, _, ddt_rows, peak in _bct_blocks(table, np.arange(1, N), counts):
-        if peak > delta:
-            delta, witness = _peak(ddt_rows, int(a[0]), 0)
-    t = KTable(f.spec, "BCT", counts, "fast")
-    t._ddt_peak = delta, witness
-    return t
+    else:
+        for _ in _bct_blocks(table, np.arange(1, N), counts):
+            pass  # each block is written into its rows of counts
+    return KTable(f.spec, "BCT", counts, "fast")
 
 
 def _bct_blocks(table: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None):
@@ -601,22 +596,21 @@ def _peak(sub: np.ndarray, off_a: int, off_b: int) -> tuple[int, tuple[int, int]
 def boomerang_uniformity(f: SBox, algorithm: str = "fast") -> UniformityReport:
     """Boomerang and differential uniformities with first row-major witnesses.
 
-    With "fast", a map with a symmetry on the shift a that is not a power
-    map is read off one row per orbit, with no table (see _orbit_report).
-    Power maps keep the table route. The generic bct_fast pass also keeps
-    the DDT maximum and its witness, so for those maps no DDT is built.
-    The oracles and power maps carry none; their BCT is reduced to its
-    maximum and dropped before the DDT is built, so the two tables are
-    never held at once and each builder's memory check is true.
+    With "fast", every map that is not a power map is read off one row per
+    orbit, with no table (see _orbit_report); with no symmetry each a is
+    its own orbit, so its rows stream through in blocks. Power maps and the
+    oracles take the table route: the BCT is reduced to its maximum and
+    dropped before the DDT is built, so the two tables are never held at
+    once and each builder's memory check is true.
     """
     if algorithm == "fast":
         sym = _symmetry(f)
-        if (sym.frobenius or sym.order > 1) and _power_exponent(f, sym) is None:
+        if _power_exponent(f, sym) is None:
             return _orbit_report(f, algorithm, sym)
     t = bct(f, algorithm=algorithm)
-    (boom, bct_arg), fused = _peak(t.counts[1:, 1:], 1, 1), t._ddt_peak
+    boom, bct_arg = _peak(t.counts[1:, 1:], 1, 1)
     del t  # the BCT goes before any DDT is built
-    delta, ddt_arg = fused or _peak(ddt(f).counts[1:, :], 1, 0)
+    delta, ddt_arg = _peak(ddt(f).counts[1:, :], 1, 0)
     return UniformityReport(
         differential_uniformity=delta,
         boomerang_uniformity=boom,
@@ -668,16 +662,38 @@ def _decimal_rows(m: np.ndarray):
         yield lut[row - lo].tolist()
 
 
-def _matrix_csv(corner: str, m: np.ndarray) -> str:
-    """CSV with header "<corner>,0,1,..." and one row "i,m[i,0],m[i,1],..." per i."""
-    lines = [corner + "," + ",".join(map(str, range(m.shape[1])))]
-    lines += [f"{i}," + ",".join(row) for i, row in enumerate(_decimal_rows(m))]
-    return "\n".join(lines) + "\n"
+def _chunks(pieces):
+    """Join an iterable of strings into chunks of about _CHUNK characters.
+
+    A chunk closes at the first piece that takes it to _CHUNK characters,
+    so it outgrows _CHUNK by less than one piece; only the last is shorter.
+    """
+    buf, size = [], 0
+    for piece in pieces:
+        buf.append(piece)
+        size += len(piece)
+        if size >= _CHUNK:
+            chunk, buf, size = "".join(buf), [], 0
+            yield chunk
+            del chunk  # hold no written chunk while the next is built
+    if buf:
+        chunk, buf = "".join(buf), None
+        yield chunk
+
+
+def _csv_chunks(corner: str, m: np.ndarray):
+    """CSV with header "<corner>,0,1,..." and one row "i,m[i,0],m[i,1],..." per i.
+
+    Yielded in chunks (see _chunks), so the text is never held whole.
+    """
+    header = corner + "," + ",".join(map(str, range(m.shape[1]))) + "\n"
+    rows = (f"{i},{','.join(row)}\n" for i, row in enumerate(_decimal_rows(m)))
+    return _chunks(itertools.chain((header,), rows))
 
 
 def ktable_to_csv(t: KTable) -> str:
     r"""CSV with header "a\b,0,1,..." and one row of plain decimal counts per a."""
-    return _matrix_csv("a\\b", t.counts)
+    return "".join(_csv_chunks("a\\b", t.counts))
 
 
 def _ktable_fields(t: KTable) -> dict:

@@ -2,12 +2,32 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from bctlab import KTable, cli, gold, identity_sbox, make_field, tables, walsh_spectrum, write_sbox
+from bctlab import (
+    KTable,
+    SBox,
+    bct,
+    cli,
+    ddt,
+    gold,
+    identity_sbox,
+    ktable_to_csv,
+    ktable_to_json,
+    make_field,
+    random_permutation,
+    tables,
+    walsh_spectrum,
+    write_sbox,
+)
 from bctlab.cli import main
 
 
@@ -119,6 +139,65 @@ def test_ddt_over_memory_budget_exits_2(capsys, monkeypatch):
         assert out == ""
         assert err.startswith("error: ddt at n = 3 needs about ")
         assert "physical memory is 512 bytes" in err
+
+
+def test_out_file_is_not_created_when_the_request_fails(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "ddt.csv"
+    monkeypatch.setattr(tables, "_memory_budget", lambda: 512)
+    code, out, err = run_cli(capsys, "ddt", "--family", "gold n=3 i=1", "--out", str(path))
+    assert code == 2 and out == "" and err.startswith("error: ddt at n = 3 needs about ")
+    assert not path.exists()
+    monkeypatch.undo()
+
+    def failing_chunks(corner, m):  # fails while the first chunk is built
+        raise ValueError("no chunk")
+        yield
+
+    monkeypatch.setattr(cli, "_csv_chunks", failing_chunks)
+    code, out, err = run_cli(capsys, "ddt", "--family", "gold n=3 i=1", "--out", str(path))
+    assert code == 2 and out == "" and err == "error: no chunk\n"
+    assert not path.exists()
+
+
+def _table_texts(f, verb, fmt):
+    """The export as ktable_to_csv or json.dumps(indent=2) of its plain lists writes it."""
+    if verb == "walsh":
+        values = walsh_spectrum(f).values
+        if not fmt:
+            return "".join(tables._csv_chunks("u\\v", values))
+        payload = {"schema": 1, "n": f.spec.n, "field": f.spec.label(),
+                   "values": values.ravel().tolist()}
+        return json.dumps(payload, indent=2) + "\n"
+    t = ddt(f) if verb == "ddt" else bct(f)
+    if not fmt:
+        return ktable_to_csv(t)
+    return json.dumps({"schema": 1, "field": f.spec.label(), **ktable_to_json(t)}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("verb", ["ddt", "bct", "walsh"])
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["csv", "json"])
+def test_exports_are_byte_identical_across_chunk_boundaries(tmp_path, capsys, monkeypatch, rng,
+                                                            verb, fmt):
+    spec = make_field(6)
+    f = SBox(spec, rng.integers(0, spec.size, spec.size))
+    path = tmp_path / "f.sbox"
+    write_sbox(f, str(path))
+    argv = [verb, "--file", str(path), *fmt]
+    expected = _table_texts(f, verb, fmt)
+    code, whole, _ = run_cli(capsys, *argv)
+    assert code == 0 and whole == expected
+    assert len(expected) < tables._CHUNK  # one chunk at the default size
+    monkeypatch.setattr(tables, "_CHUNK", 1)  # every piece its own chunk
+    writes = []
+    with monkeypatch.context() as m:
+        m.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+        assert main(argv) == 0
+    assert "".join(writes) == expected
+    # one write per chunk: a CSV has the header and one piece per row
+    assert len(writes) == spec.size + 1 if not fmt else len(writes) > spec.size
+    code, out, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "out.txt"))
+    assert code == 0 and out == ""
+    assert (tmp_path / "out.txt").read_text(encoding="ascii") == expected
 
 
 def test_ddt_csv_shape(capsys):
@@ -402,6 +481,65 @@ def test_json_writer_matches_json_dumps(capsys, tmp_path, payload):
     path = tmp_path / "out.json"
     cli._write(payload, str(path))
     assert path.read_text(encoding="ascii") == expected
+
+
+def test_json_writer_matches_json_dumps_in_one_character_chunks(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(tables, "_CHUNK", 1)
+    for payload in _WRITER_PAYLOADS.values():
+        expected = json.dumps(_as_lists(payload), indent=2) + "\n"
+        cli._write(payload, None)
+        assert capsys.readouterr().out == expected
+        path = tmp_path / "out.json"
+        cli._write(payload, str(path))
+        assert path.read_text(encoding="ascii") == expected
+
+
+# Peak RSS rise of one request in a fresh interpreter, after a small request
+# of the same verb has loaded every code path. The peak is VmHWM, in kB: a
+# child's ru_maxrss starts at its parent's peak across exec, so it would
+# read the test runner's memory, not the request's.
+_RISE_SCRIPT = r"""
+import sys
+from bctlab.cli import main
+
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+verb, small, big, out, *extra = sys.argv[1:]
+assert main([verb, "--file", small, "--out", out, *extra]) == 0
+before = peak()
+assert main([verb, "--file", big, "--out", out, *extra]) == 0
+print((peak() - before) * 1024)
+"""
+
+
+def _rss_rise(tmp_path, verb, n, *extra):
+    rng = np.random.default_rng(n)
+    paths = []
+    for m in (6, n):
+        paths.append(str(tmp_path / f"perm{m}.sbox"))
+        write_sbox(random_permutation(make_field(m), rng), paths[-1])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RISE_SCRIPT, verb, *paths, str(tmp_path / "out"), *extra],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_streamed_requests_stay_below_their_tables(tmp_path):
+    # generic uniformity streams its rows: the GF(2^12) BCT alone is 64 MiB
+    # (through the table it rose about 74 MiB, streamed about 12 MiB)
+    assert _rss_rise(tmp_path, "uniformity", 12) < 4 * 4**12
+    # ddt --json holds its 4 MiB table and writes 7 MiB of text in chunks of
+    # about 1 MiB; a chunk is alive twice over (with its pieces while they
+    # are joined, with its encoded copy while it is written). Built whole,
+    # the text rose about 32 MiB; streamed, about 7 MiB
+    assert _rss_rise(tmp_path, "ddt", 10, "--json") < 4 * 4**10 + 4 * tables._CHUNK
 
 
 def test_budget_30_skips_only_the_out_of_reach_claim(capsys):

@@ -412,18 +412,39 @@ def test_boomerang_uniformity_reports():
     assert boomerang_uniformity(modified_inverse(4)).boomerang_uniformity == 6
 
 
+def _generic_corpus(rng, n):
+    """Maps with no symmetry (and the constant map, which has one) at dimension n."""
+    spec = make_field(n)
+    g = gold(n, 1) if n > 2 else random_permutation(spec, rng)
+    g = affine_apply(random_affine_permutation(spec, rng), g, "pre")
+    g = affine_apply(random_affine_permutation(spec, rng), g, "post")
+    return [random_permutation(spec, rng), SBox(spec, rng.integers(0, spec.size, spec.size)),
+            SBox(spec, np.full(spec.size, 3 % spec.size)), SBox(spec, np.arange(spec.size) & 3), g]
+
+
 @pytest.mark.parametrize("block", [1, 1 << 17])
-def test_bct_fast_keeps_the_ddt_peak(monkeypatch, rng, block):
-    # one DDT row per block at _BLOCK = 1, so a maximum tied across blocks
-    # must keep the first witness; small images and x & 3 tie many maxima
+def test_generic_uniformity_matches_the_table_peaks(monkeypatch, rng, block):
+    # one row per block at _BLOCK = 1, so a maximum tied across blocks must
+    # keep the first witness; small images and x & 3 tie many maxima
     monkeypatch.setattr(tables, "_BLOCK", block)
-    for n in range(3, 10):
-        spec = make_field(n)
-        for table in (random_permutation(spec, rng).table, rng.integers(0, spec.size, spec.size),
-                      rng.integers(0, 4, spec.size), np.arange(spec.size) & 3):
-            f = SBox(spec, table)
-            assert tables._power_exponent(f) is None
-            assert bct_fast(f)._ddt_peak == tables._peak(ddt(f).counts[1:, :], 1, 0)
+    for n in range(2, 11):
+        funcs = [f for f in _generic_corpus(rng, n) if tables._power_exponent(f) is None]
+        assert len(funcs) >= 4
+        assert any(tables._symmetry(f) == (False, 1, 0) for f in funcs)  # trivial orbits
+        expected = [_table_report(f) for f in funcs]
+        with monkeypatch.context() as m:
+            m.setattr(tables, "bct", lambda *a, **k: pytest.fail("bct called"))
+            m.setattr(tables, "ddt", lambda *a, **k: pytest.fail("ddt called"))
+            for f, ((delta, ddt_arg), (boom, bct_arg)) in zip(funcs, expected):
+                rep = boomerang_uniformity(f)
+                assert rep == tables.UniformityReport(delta, boom, ddt_arg, bct_arg, "fast"), f
+
+
+def test_generic_uniformity_matches_the_system_oracle(rng):
+    for n in range(2, 7):
+        for f in _generic_corpus(rng, n):
+            rep = boomerang_uniformity(f, algorithm="system")
+            assert boomerang_uniformity(f) == dataclasses.replace(rep, algorithm="fast"), f
 
 
 def test_boomerang_uniformity_builds_no_ddt_after_bct_fast(monkeypatch, rng):
@@ -870,7 +891,7 @@ def test_matrix_csv_matches_str_per_cell(rng):
         ("a\\b", const_bct),
     ]
     for corner, m in cases:
-        assert tables._matrix_csv(corner, m) == _csv_per_cell(corner, m)
+        assert "".join(tables._csv_chunks(corner, m)) == _csv_per_cell(corner, m)
 
 
 def test_decimal_rows_lookup_is_no_larger_than_the_array():
