@@ -52,7 +52,7 @@ from .verify import appendix_case_audit, reproduce, reproduce_all
 __all__ = ["main"]
 
 
-# -- verb handlers: (S-box, args) -> text, text chunks or a JSON payload -------------
+# -- verb handlers: (S-box, args) -> text, text chunks or a JSON payload ---------
 
 
 def _table_out(t, args):

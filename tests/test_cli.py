@@ -533,7 +533,7 @@ def _rss_rise(tmp_path, verb, n, *extra):
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
 def test_streamed_requests_stay_below_their_tables(tmp_path):
     # generic uniformity streams its rows: the GF(2^12) BCT alone is 64 MiB
-    # (through the table it rose about 74 MiB, streamed about 12 MiB)
+    # (through the table it rose about 73 MiB, streamed about 10 MiB)
     assert _rss_rise(tmp_path, "uniformity", 12) < 4 * 4**12
     # ddt --json holds its 4 MiB table and writes 7 MiB of text in chunks of
     # about 1 MiB; a chunk is alive twice over (with its pieces while they

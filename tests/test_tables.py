@@ -413,13 +413,15 @@ def test_boomerang_uniformity_reports():
 
 
 def _generic_corpus(rng, n):
-    """Maps with no symmetry (and the constant map, which has one) at dimension n."""
+    """Maps at dimension n that are not x^d, most with no symmetry (the constant has one)."""
     spec = make_field(n)
     g = gold(n, 1) if n > 2 else random_permutation(spec, rng)
     g = affine_apply(random_affine_permutation(spec, rng), g, "pre")
     g = affine_apply(random_affine_permutation(spec, rng), g, "post")
-    return [random_permutation(spec, rng), SBox(spec, rng.integers(0, spec.size, spec.size)),
-            SBox(spec, np.full(spec.size, 3 % spec.size)), SBox(spec, np.arange(spec.size) & 3), g]
+    tables_ = (random_permutation(spec, rng).table, rng.integers(0, spec.size, spec.size),
+               rng.integers(0, 4, spec.size), np.full(spec.size, 3 % spec.size),
+               np.arange(spec.size) & 3, g.table)
+    return [SBox(spec, t) for t in tables_]
 
 
 @pytest.mark.parametrize("block", [1, 1 << 17])
@@ -427,9 +429,9 @@ def test_generic_uniformity_matches_the_table_peaks(monkeypatch, rng, block):
     # one row per block at _BLOCK = 1, so a maximum tied across blocks must
     # keep the first witness; small images and x & 3 tie many maxima
     monkeypatch.setattr(tables, "_BLOCK", block)
-    for n in range(2, 11):
+    for n in range(2, 11 if block > 1 else 10):  # a row per block takes seconds at n = 10
         funcs = [f for f in _generic_corpus(rng, n) if tables._power_exponent(f) is None]
-        assert len(funcs) >= 4
+        assert len(funcs) >= 5  # x & 3 is the identity at n = 2
         assert any(tables._symmetry(f) == (False, 1, 0) for f in funcs)  # trivial orbits
         expected = [_table_report(f) for f in funcs]
         with monkeypatch.context() as m:
