@@ -249,6 +249,25 @@ def _excluded_shifts(spec: FieldSpec) -> set[int]:
     return out
 
 
+def _special_points(spec: FieldSpec, A: np.ndarray, B: np.ndarray) -> dict[str, np.ndarray]:
+    """Which of the four special points fire at each (A[i], B[i]), one mask per case.
+
+    cond_a = a^2 b^2 + a^2 b + a b + 1 fires x=0 and x=a, and
+    cond_b = a^2 b^2 + a b^2 + a b + 1 fires x=1 and x=a+1; x=0 also fires
+    at b = (1+a)/a, and x=1 at b = 1/(a+1).
+    """
+    asq, bsq, ab = spec.mul_vec(A, A), spec.mul_vec(B, B), spec.mul_vec(A, B)
+    common = spec.mul_vec(asq, bsq) ^ ab ^ 1
+    cond_a = (common ^ spec.mul_vec(asq, B)) == 0
+    cond_b = (common ^ spec.mul_vec(A, bsq)) == 0
+    return {
+        "x=0": cond_a | (B == spec.mul_vec(A ^ 1, spec.inv_vec(A))),
+        "x=1": cond_b | (B == spec.inv_vec(A ^ 1)),
+        "x=a": cond_a,
+        "x=a+1": cond_b,
+    }
+
+
 def modified_inverse_special_solutions(
     spec: FieldSpec, a: int, b: int
 ) -> list[tuple[str, int, int]]:
@@ -262,21 +281,14 @@ def modified_inverse_special_solutions(
     if b == 0 or a in _excluded_shifts(spec):
         raise ValueError("need b != 0 and a outside {0, 1, w, w^2}")
     mul, inv = spec.mul, spec.inv
-    asq = mul(a, a)
-    bsq = mul(b, b)
-    ab = mul(a, b)
-    cond_a = mul(asq, bsq) ^ mul(asq, b) ^ ab ^ 1  # fires x=0 and x=a
-    cond_b = mul(asq, bsq) ^ mul(a, bsq) ^ ab ^ 1  # fires x=1 and x=a+1
-    out = []
-    if b == mul(a ^ 1, inv(a)) or cond_a == 0:
-        out.append(("x=0", 0, inv(b ^ 1)))
-    if b == inv(a ^ 1) or cond_b == 0:
-        out.append(("x=1", 1, inv(b)))
-    if cond_a == 0:
-        out.append(("x=a", a, mul(ab ^ a ^ 1, inv(b ^ 1))))
-    if cond_b == 0:
-        out.append(("x=a+1", a ^ 1, mul(ab ^ 1, inv(b))))
-    return out
+    partners = {  # built only for a case that fires, which for x=0 and x=a rules out b = 1
+        "x=0": lambda: (0, inv(b ^ 1)),
+        "x=1": lambda: (1, inv(b)),
+        "x=a": lambda: (a, mul(mul(a, b) ^ a ^ 1, inv(b ^ 1))),
+        "x=a+1": lambda: (a ^ 1, mul(mul(a, b) ^ 1, inv(b))),
+    }
+    fires = _special_points(spec, np.array([a]), np.array([b]))
+    return [(case, *partners[case]()) for case, hit in fires.items() if hit[0]]
 
 
 def modified_inverse_condition_sets(spec: FieldSpec) -> dict[str, set[tuple[int, int]]]:
@@ -286,21 +298,9 @@ def modified_inverse_condition_sets(spec: FieldSpec) -> dict[str, set[tuple[int,
     bvals = np.arange(1, spec.size, dtype=np.int64)
     A, B = np.meshgrid(avals, bvals, indexing="ij")
     A, B = A.ravel(), B.ravel()
-    asq = spec.mul_vec(A, A)
-    bsq = spec.mul_vec(B, B)
-    ab = spec.mul_vec(A, B)
-    cond_a = spec.mul_vec(asq, bsq) ^ spec.mul_vec(asq, B) ^ ab ^ 1
-    cond_b = spec.mul_vec(asq, bsq) ^ spec.mul_vec(A, bsq) ^ ab ^ 1
-    b_is_1a_over_a = B == spec.mul_vec(A ^ 1, spec.inv_vec(A))
-    b_is_inv_1a = B == spec.inv_vec(A ^ 1)
-    sets = {
-        "x=0": (cond_a == 0) | b_is_1a_over_a,
-        "x=1": (cond_b == 0) | b_is_inv_1a,
-        "x=a": cond_a == 0,
-        "x=a+1": cond_b == 0,
-    }
     return {
-        case: {(int(x), int(y)) for x, y in zip(A[m], B[m])} for case, m in sets.items()
+        case: {(int(x), int(y)) for x, y in zip(A[m], B[m])}
+        for case, m in _special_points(spec, A, B).items()
     }
 
 

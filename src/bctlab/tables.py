@@ -27,9 +27,9 @@ _equal_pairs, over the equal keys; the fibres with too many
 representatives to pair go through Walsh-Hadamard autocorrelations
 instead, many fibres to one batched transform. Row 0, one fibre
 of every y, is the autocorrelation of the value histogram. _bct_blocks
-runs the kernel over blocks of rows that share a top bit, into the table
-for bct_fast in one serial pass, or into one reused buffer for the
-streamed reducers below; bct_row(f, a) is one row of it.
+runs the kernel over blocks of rows that share a top bit, into one
+reused buffer, in one serial pass; bct_fast copies each block into the
+table, the reducers below read it, and bct_row(f, a) is one row.
 bct_fast and ddt refuse, before allocating, a table whose estimated peak
 exceeds physical memory. No builder starts a thread.
 Counts are stored as int32, and KTable refuses any count above its
@@ -47,14 +47,15 @@ shift as its own orbit, so its rows stream through in blocks. That gives
 boomerang_uniformity on every map that is not a power map and
 monomial_boomerang_uniformity their values and first row-major witnesses,
 and the moments and certificates their value counts (walsh), with no
-table; a power map is one orbit, row 1. Tables keep their own route: in
-bct_fast and ddt a power map x^d (the case U = GF(2^n)* with f(1) = 1)
-is row 1 rotated, T(a, b) = T(1, b * a^-d) in log order of b, with row 0
-counted as for any map, and every other map runs the generic builders
-(ddt one bincount per row). boomerang_uniformity takes that table route
-for power maps: the benchmark pins `uniformity` on x^3 over GF(2^5)
-(bench/test_bench.py, test_traced_request_counts_repeat_exactly) to one
-bct_fast call and one ddt call.
+table. The same test routes the tables: in bct_fast and ddt a one-orbit
+map (U = GF(2^n)*: every c x^d with c != 0, the nonzero constants c x^0
+among them) is row 1 rotated, T(a, b) = T(1, b * a^-e) in log order of
+b, with row 0 counted as for any map, and every other map runs the
+generic builders (ddt one bincount per row). boomerang_uniformity takes
+that table route for the one-orbit maps with f(1) = 1, exactly the x^d:
+the benchmark pins `uniformity` on x^3 over GF(2^5) (bench/test_bench.py,
+test_traced_request_counts_repeat_exactly) to one bct_fast call and one
+ddt call.
 
 Exports are byte-identical to str() per cell: each row's decimal strings
 are looked up in one table over the value span (str per value only when
@@ -146,8 +147,9 @@ class UniformityReport:
 def ddt(f: SBox) -> KTable:
     """Difference distribution table: counts(a, b) = #{x : f(x+a)+f(x) = b}.
 
-    Each row is the bincount of one derivative. A power map x^d counts rows
-    1 and 0 only and rotates row 1 into every row a != 0 (see _power_rows).
+    Each row is the bincount of one derivative. A one-orbit map (every
+    c x^d with c != 0) counts rows 1 and 0 only and rotates row 1 into
+    every row a != 0 (see _power_rows).
     Counts are at most 2^n, so the table accumulates int32 and KTable keeps
     it without a copy. Raises MemoryError, before allocating, when the
     estimated peak exceeds physical memory.
@@ -156,11 +158,12 @@ def ddt(f: SBox) -> KTable:
     _require_memory("ddt", n, _ddt_peak_bytes(n))
     idx = np.arange(N)
     counts = np.zeros((N, N), dtype=np.int32)
-    d = _power_exponent(f)
-    for a in range(N) if d is None else (0, 1):
+    sym = _symmetry(f)
+    one_orbit = sym.order == N - 1
+    for a in (0, 1) if one_orbit else range(N):
         counts[a] = np.bincount(table ^ table[idx ^ a], minlength=N)
-    if d is not None:
-        _power_rows(f, d, counts)
+    if one_orbit:
+        _power_rows(f, sym.e, counts)
     return KTable(f.spec, "DDT", counts, "ddt")
 
 
@@ -250,61 +253,56 @@ def bct_fast(f: SBox) -> KTable:
 
     Row 0 is the XOR autocorrelation of the value histogram (see bct_row).
     The rows a != 0 run in blocks through one kernel (see _bct_blocks),
-    written straight into the table. A power map skips the blocks: its
-    row 1, counted by the same kernel, is rotated into every row a != 0
-    (see _power_rows). Raises MemoryError, before allocating, when the
-    estimated peak exceeds physical memory.
+    and each block is copied into the table. A one-orbit map (every
+    c x^d with c != 0) counts row 1 alone and rotates it into every row
+    a != 0 (see _power_rows). Raises MemoryError, before allocating,
+    when the estimated peak exceeds physical memory.
     """
     n, N, table = f.spec.n, f.spec.size, f.table
     _require_memory("bct_fast", n, _fast_peak_bytes(n))
     counts = np.empty((N, N), dtype=_fast_dtype(n))
     counts[0] = _autocorrelation(np.bincount(table, minlength=N))
-    d = _power_exponent(f)
-    if d is not None:
-        _bct_rows(table, np.arange(0, N, 2), np.array([1]), counts[1:2])
-        _power_rows(f, d, counts)
-    else:
-        for _ in _bct_blocks(table, np.arange(1, N), counts):
-            pass  # each block is written into its rows of counts
+    sym = _symmetry(f)
+    one_orbit = sym.order == N - 1
+    rows = np.array([1]) if one_orbit else np.arange(1, N)
+    for a, block, _, _ in _bct_blocks(table, rows):
+        counts[a] = block
+    if one_orbit:
+        _power_rows(f, sym.e, counts)
     return KTable(f.spec, "BCT", counts, "fast")
 
 
-def _bct_blocks(table: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None):
+def _bct_blocks(table: np.ndarray, rows: np.ndarray):
     """Count the BCT rows a in rows, nonzero and increasing, with the row kernel.
 
-    The rows sharing a top bit share their representatives and run in
-    blocks of about _BLOCK derivative values through _bct_rows, whose
-    temporaries stay near cache size; counts are integer sums, so the block
-    size changes no cell. Yields (a, block, ddt_rows, ddt_max) per block,
-    in increasing a. With out, a whole table, each block is the view of
-    its rows a, which must then be contiguous; otherwise every block is
-    one reused buffer, to be read before the next is asked for.
+    The rows sharing a top bit run in blocks of about _BLOCK derivative
+    values through _bct_rows, whose temporaries stay near cache size;
+    counts are integer sums, so the block size changes no cell. Yields
+    (a, block, ddt_rows, ddt_max) per block, in increasing a. Every block
+    is one reused buffer, to be read before the next is asked for.
     """
     N = table.size
     n = N.bit_length() - 1
-    per, y = max(1, _BLOCK // (N // 2)), np.arange(N)
-    buf = np.empty((min(per, rows.size), N), dtype=_fast_dtype(n)) if out is None else None
+    per = max(1, _BLOCK // (N // 2))
+    buf = np.empty((min(per, rows.size), N), dtype=_fast_dtype(n))
     for k in range(n):
         top = rows[rows >> k == 1]  # the rows with top bit 2^k
-        reps = y[y & (1 << k) == 0]
         for i in range(0, top.size, per):
             a = top[i : i + per]
-            block = buf[: a.size] if out is None else out[a[0] : a[-1] + 1]
-            yield (a, block, *_bct_rows(table, reps, a, block))
+            block = buf[: a.size]
+            yield (a, block, *_bct_rows(table, a, block))
 
 
-def _bct_rows(
-    table: np.ndarray, reps: np.ndarray, a: np.ndarray, out: np.ndarray
-) -> tuple[np.ndarray, int]:
+def _bct_rows(table: np.ndarray, a: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, int]:
     """Write the BCT rows a, an array of shifts sharing one top bit, into out.
 
     Row a counts the pairs (y, y') in one fibre X of the derivative
     D_a(y) = f(y+a) + f(y) at b = f(y) + f(y') (see bct_row). X is closed
-    under y -> y+a, and reps holds one y of each pair {y, y+a}: the y with
-    the top bit of a clear. The pairs (y, y) add N at b = 0, the pairs
-    {y, y+a} add DDT(a, .), and each unordered pair {r, r'} of
-    representatives in one fibre beta adds 4 at f(r)+f(r') and 4 at
-    f(r)+f(r')+beta. The (row, beta, f(r)) keys are sorted once and
+    under y -> y+a, and the representatives reps hold one y of each pair
+    {y, y+a}: the y with the top bit of a clear. The pairs (y, y) add N at
+    b = 0, the pairs {y, y+a} add DDT(a, .), and each unordered pair
+    {r, r'} of representatives in one fibre beta adds 4 at f(r)+f(r') and
+    4 at f(r)+f(r')+beta. The (row, beta, f(r)) keys are sorted once and
     _equal_pairs walks the equal ones, C(m, 2) pairs for a bucket of m
     representatives. A bucket with m^2 > n 2^n goes to the Walsh-Hadamard
     transform instead (see _add_bucket_transforms): timed per bucket on
@@ -316,6 +314,8 @@ def _bct_rows(
     """
     N = table.size
     n = N.bit_length() - 1
+    y = np.arange(N)
+    reps = y[y & (1 << int(a[0]).bit_length() - 1) == 0]
     frep = table[reps]
     # key = i * N + beta for the element (a[i], r), beta = D_a[i](r)
     key = np.arange(a.size)[:, None] * N + (frep ^ table[reps ^ a[:, None]])
@@ -406,8 +406,8 @@ def bct_row(f: SBox, a: int) -> np.ndarray:
     a, N = _shift(f, a), f.spec.size
     if a == 0:
         return _autocorrelation(np.bincount(f.table, minlength=N))
-    row, y = np.empty((1, N), dtype=np.int64), np.arange(N)
-    _bct_rows(f.table, y[y & (1 << a.bit_length() - 1) == 0], np.array([a]), row)
+    row = np.empty((1, N), dtype=np.int64)
+    _bct_rows(f.table, np.array([a]), row)
     return row[0]
 
 
@@ -475,57 +475,37 @@ def _divisors(m: int, primes) -> list[int]:
     return sorted(divs, reverse=True)
 
 
-def _power_exponent(f: SBox, sym: _Symmetry | None = None) -> int | None:
-    """d when f is x^d, else None; x^0 (1 at 0) and x^(2^n-1) (0 at 0) differ.
+def _orbit_rows(f: SBox):
+    """Yield (a, size, block, ddt_rows, ddt_max) for the orbit representatives a.
 
-    The case U = GF(2^n)* of _symmetry with f(1) = 1: then f(x) = x^e off
-    0, and f(0) is 0, or 1 for x^0.
+    The orbits of a != 0 under a -> c a^(2^k) (c in U, k over 0 .. n-1 when
+    f commutes with squaring, k = 0 otherwise; see _symmetry): with a = g^i,
+    U moves i by multiples of s = (2^n - 1)/|U| and squaring doubles it, so
+    the orbits are the cyclotomic classes of i mod s, each |U| times as
+    large, and the representative is the least element. The BCT and DDT
+    rows of every other member are its representative's with the columns
+    permuted and b = 0 fixed, so one row per orbit, weighted by the orbit's
+    size, holds every maximum and every value count over b != 0. The
+    representatives come in increasing a in blocks of the row kernel (see
+    _bct_blocks); block is reused. A map with no symmetry has each a as its
+    own orbit.
     """
-    table, M = f.table, f.spec.size - 1
-    sym = sym or _symmetry(f)
-    if sym.order < M or table[1] != 1 or table[0] > 1:
-        return None
-    return M if sym.e == 0 and table[0] == 0 else sym.e
-
-
-def _orbits(spec: FieldSpec, sym: _Symmetry) -> tuple[np.ndarray, np.ndarray]:
-    """Least element and size of each orbit of a != 0 under a -> c a^(2^k).
-
-    c runs over U and k over 0 .. n-1 when f commutes with squaring (k = 0
-    otherwise). With a = g^i, U moves i by multiples of s = (2^n - 1)/|U|
-    and squaring doubles it, so the orbits are the cyclotomic classes of
-    i mod s, each |U| times as large. Returned in increasing a.
-    """
+    spec, sym = f.spec, _symmetry(f)
     log, _ = spec._tables()
     s = (spec.size - 1) // sym.order
-    a = np.arange(1, spec.size)
-    lead = r = log[a] % s
+    shifts = np.arange(1, spec.size)
+    lead = r = log[shifts] % s
     for _ in range(spec.n - 1 if sym.frobenius else 0):
         r = 2 * r % s
         lead = np.minimum(lead, r)
     _, first, sizes = np.unique(lead, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    return a[first[order]], sizes[order]
-
-
-def _orbit_rows(f: SBox, sym: _Symmetry | None = None):
-    """Yield (a, size, block, ddt_rows, ddt_max) for the orbit representatives a.
-
-    The BCT and DDT rows of every other member of an orbit are its
-    representative's with the columns permuted and b = 0 fixed (see
-    _Symmetry), so one row per orbit, weighted by the orbit's size, holds
-    every maximum and every value count over b != 0. The representatives
-    come in increasing a in blocks of the row kernel (see _bct_blocks);
-    block is reused. A map with no symmetry has each a as its own orbit.
-    """
-    reps, sizes = _orbits(f.spec, sym or _symmetry(f))
-    size_of = np.zeros(f.spec.size, dtype=np.int64)
-    size_of[reps] = sizes
-    for a, block, ddt_rows, ddt_max in _bct_blocks(f.table, reps):
+    size_of = np.zeros(spec.size, dtype=np.int64)
+    size_of[shifts[first]] = sizes
+    for a, block, ddt_rows, ddt_max in _bct_blocks(f.table, shifts[np.sort(first)]):
         yield a, size_of[a], block, ddt_rows, ddt_max
 
 
-def _orbit_report(f: SBox, algorithm: str, sym: _Symmetry | None = None) -> UniformityReport:
+def _orbit_report(f: SBox, algorithm: str) -> UniformityReport:
     """Both uniformities and witnesses from one row per orbit (see _orbit_rows).
 
     The rows of an orbit share their maxima, so the least a whose row
@@ -533,7 +513,7 @@ def _orbit_report(f: SBox, algorithm: str, sym: _Symmetry | None = None) -> Unif
     the first row-major witnesses are the full tables' (the _peak rule).
     """
     delta = boom = -1
-    for a, _, block, ddt_rows, ddt_max in _orbit_rows(f, sym):
+    for a, _, block, ddt_rows, ddt_max in _orbit_rows(f):
         if ddt_max > delta:
             delta, (i, b) = _peak(ddt_rows, 0, 0)
             ddt_arg = int(a[i]), b
@@ -543,15 +523,17 @@ def _orbit_report(f: SBox, algorithm: str, sym: _Symmetry | None = None) -> Unif
     return UniformityReport(delta, boom, ddt_arg, bct_arg, algorithm)
 
 
-# -- power maps ---------------------------------------------------------------------
+# -- one-orbit maps -----------------------------------------------------------------
 
 
-def _power_rows(f: SBox, d: int, out: np.ndarray) -> None:
-    """Rows 2 .. 2^n - 1 of the DDT or BCT of f = x^d, rotated from its row 1 in out.
+def _power_rows(f: SBox, e: int, out: np.ndarray) -> None:
+    """Rows 2 .. 2^n - 1 of the DDT or BCT of a one-orbit f, rotated from row 1 in out.
 
-    With x = a*x', f(a*x) = a^d f(x) gives T(a, b) = T(1, b * a^-d) for
+    f is one orbit when f(u x) = u^e f(x) for every u != 0 (_symmetry's
+    order 2^n - 1): c x^d, c != 0, with e = d mod 2^n - 1, and e = 0 for
+    the constants c x^0. With x = a*x', T(a, b) = T(1, b * a^-e) for
     a != 0, in either table. In log order of b, row a is row 1 rotated by
-    -d log a, a window of the doubled row, gathered in blocks of about
+    -e log a, a window of the doubled row, gathered in blocks of about
     _BLOCK cells. The caller counts rows 0 and 1 into out: bct_fast with
     the autocorrelation and its row kernel, ddt by bincounts.
     """
@@ -563,7 +545,7 @@ def _power_rows(f: SBox, d: int, out: np.ndarray) -> None:
     rows = max(1, _BLOCK // N)
     for a0 in range(2, N, rows):
         block = out[a0 : a0 + rows]
-        start = m - (d % m) * log[a0 : a0 + block.shape[0]] % m
+        start = m - e * log[a0 : a0 + block.shape[0]] % m
         # whole rows keep out contiguous, so take writes it without a buffer;
         # column 0 (log[0] is a dead slot) is set after
         np.take(doubled, start[:, None] + log, out=block, mode="clip")
@@ -598,15 +580,14 @@ def boomerang_uniformity(f: SBox, algorithm: str = "fast") -> UniformityReport:
 
     With "fast", every map that is not a power map is read off one row per
     orbit, with no table (see _orbit_report); with no symmetry each a is
-    its own orbit, so its rows stream through in blocks. Power maps and the
-    oracles take the table route: the BCT is reduced to its maximum and
-    dropped before the DDT is built, so the two tables are never held at
-    once and each builder's memory check is true.
+    its own orbit, so its rows stream through in blocks. Power maps, the
+    one-orbit maps with f(1) = 1, and the oracles take the table route:
+    the BCT is reduced to its maximum and dropped before the DDT is built,
+    so the two tables are never held at once and each builder's memory
+    check is true.
     """
-    if algorithm == "fast":
-        sym = _symmetry(f)
-        if _power_exponent(f, sym) is None:
-            return _orbit_report(f, algorithm, sym)
+    if algorithm == "fast" and (_symmetry(f).order < f.spec.size - 1 or f.table[1] != 1):
+        return _orbit_report(f, algorithm)
     t = bct(f, algorithm=algorithm)
     boom, bct_arg = _peak(t.counts[1:, 1:], 1, 1)
     del t  # the BCT goes before any DDT is built
@@ -633,7 +614,7 @@ def monomial_boomerang_uniformity(spec: FieldSpec, d: int) -> UniformityReport:
 
 def quadratic_bound_check(f: SBox) -> bool:
     """For a quadratic permutation: Delta <= delta_f <= Delta*(Delta-1)."""
-    rep = boomerang_uniformity(f)
+    rep = _orbit_report(f, "fast")
     lo = rep.differential_uniformity
     return lo <= rep.boomerang_uniformity <= lo * (lo - 1)
 

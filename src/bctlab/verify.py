@@ -18,13 +18,8 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 from .gf2n import find_omega, make_field
-from .sbox import SBox, compose, identity_sbox, inverse_table
-from .tables import (
-    _orbit_report,
-    _orbit_rows,
-    monomial_boomerang_uniformity,
-    quadratic_bound_check,
-)
+from .sbox import SBox, compose, from_monomial, identity_sbox, inverse_table
+from .tables import _orbit_report, _orbit_rows, quadratic_bound_check
 from .families import (
     _field_from_q,
     btt,
@@ -89,11 +84,6 @@ def modified_inverse_expected_delta(n: int) -> int:
 def _delta(f: SBox) -> int:
     """Boomerang uniformity of f from one BCT row per orbit of its symmetry."""
     return _orbit_report(f, "row").boomerang_uniformity
-
-
-def _row_delta(n: int, d: int) -> int:
-    """Boomerang uniformity of x^d over GF(2^n), read off row 1."""
-    return monomial_boomerang_uniformity(make_field(n), d).boomerang_uniformity
 
 
 def _zieve_delta(q: int, take: int | None) -> int:
@@ -163,10 +153,22 @@ def _build_registry() -> dict[str, _Claim]:
         (7, 2, 24, 0.05), (7, 4, 16, 0.05), (7, 6, 16, 0.05),
     ):
         d = (1 << (2 * i)) - (1 << i) + 1
-        add(f"table3.k{k}.i{i}", val, lambda n=2 * k, d=d: _row_delta(n, d), 2 * k, est)
+        add(
+            f"table3.k{k}.i{i}",
+            val,
+            lambda n=2 * k, d=d: _delta(from_monomial(make_field(n), d)),
+            2 * k,
+            est,
+        )
     for k, val, est in ((1, 4, 0.1), (3, 14, 0.02)):
         d = (1 << (2 * k)) + (1 << k) + 1
-        add(f"table4.k{k}", val, lambda n=4 * k, d=d: _row_delta(n, d), 4 * k, est)
+        add(
+            f"table4.k{k}",
+            val,
+            lambda n=4 * k, d=d: _delta(from_monomial(make_field(n), d)),
+            4 * k,
+            est,
+        )
     for n, val in ((3, 8), (4, 6), (5, 6), (6, 10), (7, 6), (8, 6), (9, 8)):
         add(f"example.n{n}", val, lambda n=n: _delta(modified_inverse(n)), n, 0.02)
     for n in range(3, 13):

@@ -163,47 +163,73 @@ def test_bct_is_invariant_under_squaring_both_indices():
         assert np.array_equal(t[sq][:, sq], t)
 
 
-def test_power_exponent_detects_power_maps(rng):
+def _takes_table_route(f):
+    """boomerang_uniformity's table test: one orbit with f(1) = 1, that is x^d."""
+    return tables._symmetry(f).order == f.spec.size - 1 and f.table[1] == 1
+
+
+def _scaled_monomial(spec, c, d):
+    """c x^d; c x^0 is the constant c."""
+    return SBox(spec, spec.mul_vec(from_monomial(spec, d).table, c))
+
+
+def test_symmetry_detects_power_maps_and_routes_uniformity(monkeypatch, rng):
     # power maps are the case U = GF(2^n)* of the one symmetry detector:
-    # f(c x) = c^e f(x) for every c, with e = d mod 2^n - 1
-    for n in (3, 4, 5, 6):
+    # f(c x) = c^e f(x) for every c, with e = d mod 2^n - 1. Of the
+    # one-orbit maps, boomerang_uniformity builds tables exactly for the
+    # x^d; c x^d with c != 0, 1 and the constants other than 1 = x^0 are
+    # read off row 1 with no table
+    bct_, built = tables.bct, []
+
+    def recorded(f, **kwargs):
+        built.append(f)
+        return bct_(f, **kwargs)
+
+    monkeypatch.setattr(tables, "bct", recorded)
+    for n in (2, 3, 4, 5, 6):
         spec = make_field(n)
-        xs, M = np.arange(spec.size), spec.size - 1
+        M = spec.size - 1
         for d in range(spec.size + 1):
             f = from_monomial(spec, d)
             assert tables._symmetry(f) == (True, M, d % M)
-            e = tables._power_exponent(f)
-            assert e is not None and np.array_equal(spec.pow_vec(xs, e), spec.pow_vec(xs, d))
-        # x^0 is 1 everywhere, x^(2^n-1) is 0 at 0: equal off 0, told apart
-        assert tables._power_exponent(from_monomial(spec, 0)) == 0
-        assert tables._power_exponent(from_monomial(spec, spec.size - 1)) == spec.size - 1
-    assert tables._power_exponent(from_monomial(make_field(7), 13)) == 13
+            assert _takes_table_route(f)
+            boomerang_uniformity(f)
+            assert built.pop() is f and not built, (n, d)
+            for c in {2, 3, M}:
+                g = _scaled_monomial(spec, c, d)
+                assert tables._symmetry(g).order == M and not _takes_table_route(g)
+                boomerang_uniformity(g)
+                assert not built, (n, c, d)
+        for c in range(spec.size):
+            if c != 1:  # the constant 1 is x^0
+                boomerang_uniformity(SBox(spec, np.full(spec.size, c)))
+                assert not built, (n, c)
+    monkeypatch.undo()
+    assert tables._symmetry(from_monomial(make_field(7), 13)) == (True, 127, 13)
     for n in (3, 4, 5, 6, 7):
         assert tables._symmetry(modified_inverse(n)) == (True, 1, 0)
-        assert tables._power_exponent(modified_inverse(n)) is None
     for n in (5, 6, 7, 8):
-        f = random_permutation(make_field(n), rng)
-        assert tables._symmetry(f) == (False, 1, 0)
-        assert tables._power_exponent(f) is None
+        assert tables._symmetry(random_permutation(make_field(n), rng)) == (False, 1, 0)
     # a constant c != 0, 1 has f(c x) = f(x) for every c, and is no x^d
     constant = SBox(make_field(5), np.full(32, 5))
     assert tables._symmetry(constant) == (False, 31, 0)
-    assert tables._power_exponent(constant) is None
+    # the constant 0 has no scaling: f(1) = 0
+    assert tables._symmetry(SBox(make_field(5), np.zeros(32, dtype=int))) == (True, 1, 0)
     # passes the f(1) = 1, f(0) = 0 pre-check, fails the table comparison
     near = from_monomial(make_field(5), 3).table.copy()
     near[[2, 3]] = near[[3, 2]]
     assert tables._symmetry(SBox(make_field(5), near)) == (False, 1, 0)
-    assert tables._power_exponent(SBox(make_field(5), near)) is None
 
 
 def test_bct_row_matches_system_rows(rng):
-    powers = [from_monomial(make_field(n), d) for n, d in ((4, 0), (4, 3), (6, 3), (6, 7), (7, 13))]
+    pairs = ((4, 0), (4, 3), (6, 3), (6, 7), (7, 13))
+    one_orbit = [from_monomial(make_field(n), d) for n, d in pairs]
+    one_orbit += [SBox(make_field(n), np.full(2**n, 6)) for n in (3, 6)]  # constant != 0, 1
     others = [modified_inverse(n) for n in (5, 6, 7)]
     others += [random_permutation(make_field(n), rng) for n in (4, 5, 6, 7)]
-    others += [SBox(make_field(n), np.full(2**n, 6)) for n in (3, 6)]  # constant != 0, 1
-    assert all(tables._power_exponent(f) is not None for f in powers)
-    assert all(tables._power_exponent(f) is None for f in others)
-    for f in powers + others:
+    assert all(tables._symmetry(f).order == f.spec.size - 1 for f in one_orbit)
+    assert all(tables._symmetry(f).order == 1 for f in others)
+    for f in one_orbit + others:
         t = bct_system(f).counts
         for a in (0, 1, f.spec.size - 3):
             assert np.array_equal(bct_row(f, a), t[a]), (f, a)
@@ -323,6 +349,15 @@ def test_power_path_matches_oracles(n):
         assert np.array_equal(ddt(f).counts, _literal_ddt(f)), d
         for a in (0, 1, 2, spec.size - 1):
             assert np.array_equal(bct_row(f, a), t[a]), (d, a)
+    # the other one-orbit maps take the same rotation: c x^d, and every
+    # nonzero constant c x^0
+    scales, exponents = {2, 3, spec.size - 1}, range(spec.size + 1)
+    funcs = [_scaled_monomial(spec, c, d) for c in scales for d in exponents]
+    funcs += [SBox(spec, np.full(spec.size, c)) for c in range(1, spec.size)]
+    for f in funcs:
+        assert tables._symmetry(f).order == spec.size - 1
+        assert np.array_equal(bct_fast(f).counts, bct_system(f).counts), f.table
+        assert np.array_equal(ddt(f).counts, _literal_ddt(f)), f.table
 
 
 def test_power_map_rows_are_rescaled_row_one():
@@ -341,19 +376,20 @@ def test_power_map_rows_are_rescaled_row_one():
 def test_power_map_ddt_is_row_one_rotated(monkeypatch, n):
     # every x^d, d = 0 .. 2^n - 1: x^0, x^(2^n-1) and the exponents with
     # gcd(d, 2^n - 1) > 1, which give no permutation; each goes through
-    # the rotation and equals the bincount of every row
+    # the rotation by e = d mod 2^n - 1 (x^(2^n-1) by 0, as x^0) and
+    # equals the bincount of every row
     spec = make_field(n)
     power_rows, rotated = tables._power_rows, []
 
-    def counted(f, d, *rest):
-        rotated.append(d)
-        power_rows(f, d, *rest)
+    def counted(f, e, *rest):
+        rotated.append(e)
+        power_rows(f, e, *rest)
 
     monkeypatch.setattr(tables, "_power_rows", counted)
     for d in range(spec.size):
         f = from_monomial(spec, d)
         assert np.array_equal(ddt(f).counts, _literal_ddt(f)), d
-    assert rotated == list(range(spec.size))
+    assert rotated == [d % (spec.size - 1) for d in range(spec.size)]
 
 
 def _kernel_branches(monkeypatch):
@@ -377,7 +413,7 @@ def _kernel_branches(monkeypatch):
 
 
 @pytest.mark.parametrize("N", [8, 64, 512])
-def test_fibre_pair_row_matches_literal_count(monkeypatch, rng, N):
+def test_bct_row_matches_literal_count(monkeypatch, rng, N):
     # bct_row against the literal count of pairs (y, y') in one fibre of
     # D(y) = f(y+a) + f(y) at f(y) + f(y'), on maps with values in 1, 3,
     # 20 and 2^n classes: fibres small (pair branch) and, for the constant
@@ -430,7 +466,7 @@ def test_generic_uniformity_matches_the_table_peaks(monkeypatch, rng, block):
     # keep the first witness; small images and x & 3 tie many maxima
     monkeypatch.setattr(tables, "_BLOCK", block)
     for n in range(2, 11 if block > 1 else 10):  # a row per block takes seconds at n = 10
-        funcs = [f for f in _generic_corpus(rng, n) if tables._power_exponent(f) is None]
+        funcs = [f for f in _generic_corpus(rng, n) if not _takes_table_route(f)]
         assert len(funcs) >= 5  # x & 3 is the identity at n = 2
         assert any(tables._symmetry(f) == (False, 1, 0) for f in funcs)  # trivial orbits
         expected = [_table_report(f) for f in funcs]
@@ -592,11 +628,13 @@ def test_bct_fast_matches_system_on_degenerate_maps(rng):
             assert np.array_equal(bct_fast(f).counts, bct_system(f).counts)
 
 
-def test_bct_fast_pair_chunks_split_runs(monkeypatch):
+def test_constant_bucket_takes_the_walk_or_the_transform(monkeypatch):
     # a constant map has one bucket of m = 2^(n-1) representatives per row
     # a. At n = 4, m^2 = n 2^n sits on the transform rule, so the walk
-    # takes the bucket's pairs in one step per offset, up to m - 1; at
-    # n = 5, m^2 > n 2^n and every row a != 0 takes the transform
+    # takes the bucket's pairs of row 1 (the constant 3 is one orbit, so
+    # its other rows are rotated) in one step per offset, up to m - 1; at
+    # n = 5, m^2 > n 2^n, and every row a != 0 of the constant 0, which
+    # has no scaling symmetry, takes the transform
     equal_pairs, offsets = tables._equal_pairs, []
 
     def counted(ks):
@@ -609,7 +647,7 @@ def test_bct_fast_pair_chunks_split_runs(monkeypatch):
     assert np.array_equal(bct_fast(f).counts, bct_system(f).counts)
     assert max(offsets) == 2**3 - 1
     seen = _kernel_branches(monkeypatch)
-    f = SBox(make_field(5), [3] * 32)
+    f = SBox(make_field(5), [0] * 32)
     assert np.array_equal(bct_fast(f).counts, bct_system(f).counts)
     assert seen == {"transforms": 31, "pairs": 0}
 
@@ -707,7 +745,7 @@ def test_bct_equals_ddt_off_boundary_when_apn():
 def test_bct_fast_enumerates_no_pair_for_apn_maps(monkeypatch, rng):
     # an APN map that is not a power map, so the generic builder runs
     f = affine_apply(random_affine_permutation(make_field(7), rng), gold(7, 3), "post")
-    assert tables._power_exponent(f) is None
+    assert tables._symmetry(f).order < f.spec.size - 1
     expect = bct_system(f).counts
     equal_pairs, callers, pairs = tables._equal_pairs, [], []
 
@@ -743,13 +781,18 @@ def test_bucket_transforms_batch_buckets_and_rows(monkeypatch, rng, block):
 
 def test_bct_fast_of_a_constant_map_is_closed_form(monkeypatch):
     # every pair (x, y) has f(x)+f(y) = 0 = f(x+a)+f(y+a): column 0 is
-    # 4^n and every other cell 0. Each row's one bucket of 2^(n-1)
-    # representatives takes the transform, so the walk yields no pair
+    # 4^n and every other cell 0. Each counted row's one bucket of 2^(n-1)
+    # representatives takes the transform, so the walk yields no pair. The
+    # constant 5 is one orbit, so only row 1 is counted and then rotated;
+    # the constant 0 has no scaling symmetry (f(1) = 0), so every row is
     n = 10
     seen = _kernel_branches(monkeypatch)
     expect = np.zeros((2**n, 2**n), dtype=np.int64)
     expect[:, 0] = 4**n
     assert np.array_equal(bct_fast(SBox(make_field(n), np.full(2**n, 5))).counts, expect)
+    assert seen == {"transforms": 1, "pairs": 0}
+    seen["transforms"] = 0
+    assert np.array_equal(bct_fast(SBox(make_field(n), np.zeros(2**n, dtype=int))).counts, expect)
     assert seen == {"transforms": 2**n - 1, "pairs": 0}
 
 
