@@ -173,7 +173,7 @@ def _scaled_monomial(spec, c, d):
     return SBox(spec, spec.mul_vec(from_monomial(spec, d).table, c))
 
 
-def test_symmetry_detects_power_maps_and_routes_uniformity(monkeypatch, rng):
+def test_power_exponent_detects_power_maps(monkeypatch, rng):
     # power maps are the case U = GF(2^n)* of the one symmetry detector:
     # f(c x) = c^e f(x) for every c, with e = d mod 2^n - 1. Of the
     # one-orbit maps, boomerang_uniformity builds tables exactly for the
@@ -413,11 +413,12 @@ def _kernel_branches(monkeypatch):
 
 
 @pytest.mark.parametrize("N", [8, 64, 512])
-def test_bct_row_matches_literal_count(monkeypatch, rng, N):
-    # bct_row against the literal count of pairs (y, y') in one fibre of
-    # D(y) = f(y+a) + f(y) at f(y) + f(y'), on maps with values in 1, 3,
-    # 20 and 2^n classes: fibres small (pair branch) and, for the constant
-    # map from GF(2^6) on, large (transform branch)
+def test_fibre_pair_row_matches_literal_count(monkeypatch, rng, N):
+    # bct_row, the row of fibre-pair counts, against the literal count of
+    # pairs (y, y') in one fibre of D(y) = f(y+a) + f(y) at f(y) + f(y'),
+    # on maps with values in 1, 3, 20 and 2^n classes: fibres small (pair
+    # branch) and, for the constant map from GF(2^6) on, large (transform
+    # branch)
     spec, idx = make_field(N.bit_length() - 1), np.arange(N)
     seen = _kernel_branches(monkeypatch)
     for classes in (1, 3, 20, N):
