@@ -87,7 +87,7 @@ def _walsh(f: SBox, args):
 
 
 def _moment(f: SBox, args):
-    # the spectrum side first: it refuses a map past its caps before any table is built
+    # the spectrum side first: it refuses a map past its caps before any BCT row is counted
     spectrum_side = bct_moment_walsh(f, args.j)
     direct = bct_moment_direct(f, args.j)
     return {
@@ -242,13 +242,17 @@ def _write(result, out_path) -> None:
 
 
 def _reproduce(args) -> int:
-    """The one verb without an S-box: exits 1 when any claim fails."""
+    """The one verb without an S-box: exits 1 when any claim fails.
+
+    The audit runs first, so a refused n exits 2 before any claim runs; its
+    reports still follow the claims'.
+    """
+    audit = [] if args.audit is None else appendix_case_audit(args.audit)
     if args.claim:
         reports = [reproduce(cid, args.budget) for cid in args.claim]
     else:
         reports = reproduce_all(args.tier, args.budget)
-    if args.audit is not None:
-        reports.extend(appendix_case_audit(args.audit))
+    reports += audit
     _write([r.to_json() for r in reports], args.out)
     return 1 if any(r.status == "fail" for r in reports) else 0
 

@@ -225,7 +225,7 @@ def zieve_binomial_inverse(spec: FieldSpec, gamma: int) -> SBox:
     base = spec.pow_vec(xs, q + 1) ^ spec.pow(eps, 3)
     inner = (
         spec.pow_vec(base, 2 * t)
-        ^ spec.mul_vec(np.full(spec.size, gq), spec.pow_vec(base, t))
+        ^ spec.mul_vec(gq, spec.pow_vec(base, t))
         ^ (spec.pow(eps, 2) ^ spec.mul(eps, gq))
     )
     return SBox(spec, spec.mul_vec(spec.pow_vec(xs, q * q - q - 1), inner))

@@ -12,8 +12,9 @@ published here so that per-entry results are reproducible across versions.
 Uniformity statistics themselves are representation independent, so any
 other irreducible of the right degree may be supplied instead.
 
-The bit-vector helpers the engines share, a 16-bit parity table and the
-Walsh-Hadamard transform, live here too, below every module that uses them.
+The bit-vector helpers the engines share, a 16-bit parity table, the
+Walsh-Hadamard transform and the XOR autocorrelation it gives, live here
+too, below every module that uses them.
 """
 
 from __future__ import annotations
@@ -86,6 +87,15 @@ def _fwht(a: np.ndarray, axis: int = -1) -> np.ndarray:
         bot += top
         h *= 2
     return out
+
+
+def _autocorrelation(h: np.ndarray) -> np.ndarray:
+    """sum_u h(u) h(u + b) over b in [0, N) along the last axis of integer arrays h.
+
+    The transform of the squared transform over N, exact in int64 while
+    that fits: below N^3 for histograms of at most N values.
+    """
+    return _fwht(_fwht(h) ** 2) // h.shape[-1]
 
 
 def _poly_mod(a: int, m: int) -> int:
@@ -241,18 +251,14 @@ class FieldSpec:
         return k
 
     @cached_property
-    def _generator(self) -> int:
+    def primitive_element(self) -> int:
+        """Smallest-by-encoding generator of the multiplicative group."""
         order = self.size - 1
         return next(
             g
             for g in range(2, self.size)
             if all(self.pow(g, order // p) != 1 for p in self._factors)
         )
-
-    @property
-    def primitive_element(self) -> int:
-        """Smallest-by-encoding generator of the multiplicative group."""
-        return self._generator
 
     # -- vector arithmetic ---------------------------------------------------
     #
@@ -289,7 +295,7 @@ class FieldSpec:
         return r
 
     def mul_vec(self, a, b):
-        """Elementwise field product of two int arrays."""
+        """Elementwise field product of two int arrays, either of them a scalar."""
         log, exp = self._tables()
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
@@ -381,7 +387,7 @@ def solve_quadratic(spec: FieldSpec, a: int, b: int) -> set[int]:
 def cubic_roots(spec: FieldSpec, a2: int, a1: int) -> set[int]:
     """All distinct roots of x^3 + a2*x + a1 in the field (full scan)."""
     xs = np.arange(spec.size, dtype=np.int64)
-    vals = spec.pow_vec(xs, 3) ^ spec.mul_vec(np.full(spec.size, a2), xs) ^ a1
+    vals = spec.pow_vec(xs, 3) ^ spec.mul_vec(a2, xs) ^ a1
     return {int(r) for r in xs[vals == 0]}
 
 
@@ -416,8 +422,8 @@ def quartic_roots(spec: FieldSpec, a2: int, a1: int, a0: int) -> set[int]:
     sq = spec.mul_vec(xs, xs)
     vals = (
         spec.mul_vec(sq, sq)
-        ^ spec.mul_vec(np.full(spec.size, a2), sq)
-        ^ spec.mul_vec(np.full(spec.size, a1), xs)
+        ^ spec.mul_vec(a2, sq)
+        ^ spec.mul_vec(a1, xs)
         ^ a0
     )
     roots = {int(r) for r in xs[vals == 0]}

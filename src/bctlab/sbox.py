@@ -99,7 +99,7 @@ def from_polynomial(spec: FieldSpec, terms: Iterable[tuple[int, int]]) -> SBox:
     xs = np.arange(spec.size, dtype=np.int64)
     acc = np.zeros(spec.size, dtype=np.int64)
     for e, c in terms:
-        acc ^= spec.mul_vec(np.full(spec.size, c, dtype=np.int64), spec.pow_vec(xs, e))
+        acc ^= spec.mul_vec(c, spec.pow_vec(xs, e))
     return SBox(spec, acc)
 
 

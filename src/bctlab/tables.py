@@ -52,7 +52,8 @@ map (U = GF(2^n)*: every c x^d with c != 0, the nonzero constants c x^0
 among them) is row 1 rotated, T(a, b) = T(1, b * a^-e) in log order of
 b, with row 0 counted as for any map, and every other map runs the
 generic builders (ddt one bincount per row). boomerang_uniformity takes
-that table route for the one-orbit maps with f(1) = 1, exactly the x^d:
+that table route for the one-orbit maps with f(1) = 1, exactly the x^d,
+while bct_fast can hold their table, and row 1 alone past that reach:
 the benchmark pins `uniformity` on x^3 over GF(2^5) (bench/test_bench.py,
 test_traced_request_counts_repeat_exactly) to one bct_fast call and one
 ddt call.
@@ -74,7 +75,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gf2n import FieldSpec, _fwht
+from .gf2n import FieldSpec, _autocorrelation
 from .sbox import SBox, _shift, from_monomial, inverse_table
 
 __all__ = [
@@ -171,7 +172,7 @@ def differential_uniformity(t: KTable) -> int:
     """Max DDT count over a != 0 (all b)."""
     if t.kind != "DDT":
         raise ValueError(f"expected a DDT, got {t.kind}")
-    return int(t.counts[1:, :].max())
+    return t.max_nonzero()
 
 
 # -- BCT builders -----------------------------------------------------------------
@@ -365,15 +366,6 @@ def _add_bucket_transforms(out: np.ndarray, ks: np.ndarray, fr: np.ndarray) -> N
         # the buckets of one row are adjacent, so each row takes one sum
         row, new = np.unique(b // N, return_index=True)
         out[row] += 2 * np.add.reduceat(A, new)
-
-
-def _autocorrelation(h: np.ndarray) -> np.ndarray:
-    """sum_u h(u) h(u + b) over b in [0, N) along the last axis of integer arrays h.
-
-    The transform of the squared transform over N, exact in int64 while
-    that fits: below N^3 for histograms of at most N values.
-    """
-    return _fwht(_fwht(h) ** 2) // h.shape[-1]
 
 
 def _equal_pairs(ks: np.ndarray):
@@ -580,13 +572,18 @@ def boomerang_uniformity(f: SBox, algorithm: str = "fast") -> UniformityReport:
 
     With "fast", every map that is not a power map is read off one row per
     orbit, with no table (see _orbit_report); with no symmetry each a is
-    its own orbit, so its rows stream through in blocks. Power maps, the
-    one-orbit maps with f(1) = 1, and the oracles take the table route:
-    the BCT is reduced to its maximum and dropped before the DDT is built,
-    so the two tables are never held at once and each builder's memory
-    check is true.
+    its own orbit, so its rows stream through in blocks. So is a power map
+    past bct_fast's reach, whose table would exceed physical memory: it is
+    one orbit, read off row 1. Power maps within that reach, the one-orbit
+    maps with f(1) = 1, and the oracles take the table route: the BCT is
+    reduced to its maximum and dropped before the DDT is built, so the two
+    tables are never held at once and each builder's memory check is true.
     """
-    if algorithm == "fast" and (_symmetry(f).order < f.spec.size - 1 or f.table[1] != 1):
+    if algorithm == "fast" and (
+        _symmetry(f).order < f.spec.size - 1
+        or f.table[1] != 1
+        or _fast_peak_bytes(f.spec.n) > _memory_budget()
+    ):
         return _orbit_report(f, algorithm)
     t = bct(f, algorithm=algorithm)
     boom, bct_arg = _peak(t.counts[1:, 1:], 1, 1)

@@ -14,6 +14,10 @@ where S_j is the sum of products W(g_i,a_i) W(e_i,a_i) W(g_i,b_i) W(e_i,b_i)
 over all 4j-tuples whose a/b and g/e halves each XOR to zero. The boundary
 correction assumes a permutation (rows a=0 and b=0 all equal 2^n), so
 the spectrum side refuses any other map; the table side holds for any.
+The spectrum side is one route: _spectrum_sums refuses, caps and builds
+the spectrum, and _walsh_moment states the identity above. The moments
+M_1 and M_2 come from it, and so does the two-uniform certificate, whose
+gap is 2^(6n) * (M_2 - 2 M_1), the sum of T (T - 2) scaled.
 
 The table side reads every statistic from one count of the values over
 nonzero (a, b): the j-th moment is sum of cells * value^j, and the
@@ -34,9 +38,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .gf2n import _PARITY16, _fwht
+from .gf2n import _PARITY16, _autocorrelation, _fwht
 from .sbox import SBox
-from .tables import _autocorrelation, _orbit_rows
+from .tables import _orbit_rows
 
 __all__ = [
     "WalshSpectrum",
@@ -132,7 +136,7 @@ def _constrained_quad_sum(W: np.ndarray, n: int) -> int:
     Factorization: with V_t(g, a) = W(g, a) * W(g^t, a), the sum equals
     sum over (t, s) of Q(t, s)^2 where Q(t, .) is the XOR-autocorrelation
     over a of V_t summed over g, two transforms per g (see
-    tables._autocorrelation). Intermediates are bounded by 2^(8n), so W
+    gf2n._autocorrelation). Intermediates are bounded by 2^(8n), so W
     is cast to int64 first and they stay exact for n <= 5.
     """
     W = np.asarray(W, dtype=np.int64)
@@ -144,31 +148,43 @@ def _constrained_quad_sum(W: np.ndarray, n: int) -> int:
     return total
 
 
+def _spectrum_sums(f: SBox, j: int) -> list[int]:
+    """[S_1] for j = 1 and [S_1, S_2] for j = 2, from f's full spectrum.
+
+    S_1 = sum W^4 and S_2 is the constrained sum above. The boundary
+    correction of every spectrum-side identity presumes a permutation, so
+    any other f is refused. S_2 costs O(n * 2^3n) after factorization and
+    is capped at n <= _MAX_QUAD_SUM_N.
+    """
+    if j not in (1, 2):
+        raise ValueError("spectrum-side moments are implemented for j in {1, 2}")
+    n = f.spec.n
+    if j == 2 and n > _MAX_QUAD_SUM_N:
+        raise ValueError(f"the j=2 spectrum sum is capped at n <= {_MAX_QUAD_SUM_N}")
+    if not f.is_permutation():
+        raise ValueError("the spectrum-side identities hold only for permutations")
+    W = walsh_spectrum(f).values
+    sums = [_fourth_power_sum(W)]
+    if j == 2:
+        sums.append(_constrained_quad_sum(W, n))
+    return sums
+
+
+def _walsh_moment(S: int, j: int, n: int) -> int:
+    """The j-th BCT moment from S_j: 2^(2n-4nj) * S_j - 2^(nj) * (2^(n+1) - 1)."""
+    den = 1 << (4 * n * j - 2 * n)
+    if S % den:
+        raise AssertionError("spectrum sum S_j not divisible by 2^(4nj-2n)")
+    return S // den - (1 << (n * j)) * ((1 << (n + 1)) - 1)
+
+
 def bct_moment_walsh(f: SBox, j: int) -> int:
     """Spectrum-side evaluation of the j-th BCT moment; j in {1, 2}.
 
-    Exact for permutations; the boundary correction presumes one, so any
-    other f is refused. The j=2 sum costs O(n * 2^3n) after factorization
-    and is capped at n <= _MAX_QUAD_SUM_N.
+    Exact for permutations, and refused for any other f; j = 2 is capped
+    at n <= _MAX_QUAD_SUM_N (see _spectrum_sums).
     """
-    n = f.spec.n
-    if j not in (1, 2):
-        raise ValueError("spectrum-side moments are implemented for j in {1, 2}")
-    if j == 2 and n > _MAX_QUAD_SUM_N:
-        raise ValueError(f"j=2 moment is capped at n <= {_MAX_QUAD_SUM_N}")
-    if not f.is_permutation():
-        raise ValueError("the spectrum-side moment holds only for permutations")
-    W = walsh_spectrum(f).values
-    if j == 1:
-        s1 = _fourth_power_sum(W)
-        num = s1  # 2^(2n-4n) * S_1
-        den = 1 << (2 * n)
-    else:
-        num = _constrained_quad_sum(W, n)
-        den = 1 << (6 * n)
-    if num % den:
-        raise AssertionError("constrained spectrum sum not divisible by 2^(4nj-2n)")
-    return num // den - (1 << (n * j)) * ((1 << (n + 1)) - 1)
+    return _walsh_moment(_spectrum_sums(f, j)[j - 1], j, f.spec.n)
 
 
 def two_uniform_certificate(f: SBox) -> tuple[int, int, int]:
@@ -178,24 +194,16 @@ def two_uniform_certificate(f: SBox) -> tuple[int, int, int]:
 
         lhs = S_2,   rhs = 2^(4n+1) * sum W^4 + 2^(9n+1) - 5*2^(8n) + 2^(7n+1)
 
-    gap = lhs - rhs is non-negative and zero exactly when every nonzero BCT
-    entry is 0 or 2 (f is APN). The boundary correction presumes a
-    permutation, so any other f is refused.
+    gap = lhs - rhs = 2^(6n) * (M_2 - 2 M_1), with M_j the spectrum-side
+    moments, that is 2^(6n) times the sum of T (T - 2) over nonzero (a, b).
+    It is non-negative and zero exactly when every nonzero BCT entry is 0
+    or 2 (f is APN). Refused for non-permutations and capped as the j = 2
+    moment is (see _spectrum_sums).
     """
     n = f.spec.n
-    if n > _MAX_QUAD_SUM_N:
-        raise ValueError(f"certificate evaluation is capped at n <= {_MAX_QUAD_SUM_N}")
-    if not f.is_permutation():
-        raise ValueError("the two-uniform certificate holds only for permutations")
-    W = walsh_spectrum(f).values
-    lhs = _constrained_quad_sum(W, n)
-    rhs = (
-        (1 << (4 * n + 1)) * _fourth_power_sum(W)
-        + (1 << (9 * n + 1))
-        - 5 * (1 << (8 * n))
-        + (1 << (7 * n + 1))
-    )
-    return lhs, rhs, lhs - rhs
+    s1, s2 = _spectrum_sums(f, 2)
+    gap = (_walsh_moment(s2, 2, n) - 2 * _walsh_moment(s1, 1, n)) << (6 * n)
+    return s2, s2 - gap, gap
 
 
 # -- certificate polynomials --------------------------------------------------------

@@ -121,13 +121,23 @@ def test_count_overflow_exits_2(capsys, monkeypatch):
 
 
 def test_table_over_memory_budget_exits_2(capsys, monkeypatch):
+    # uniformity reads a power map past this budget off row 1 instead (see
+    # test_uniformity_of_a_power_map_past_the_tables_reach)
     monkeypatch.setattr(tables, "_memory_budget", lambda: 1024)
-    for verb in ("bct", "uniformity"):
-        code, out, err = run_cli(capsys, verb, "--family", "gold n=3 i=1")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: bct_fast at n = 3 needs about ")
-        assert "physical memory is 1024 bytes" in err
+    code, out, err = run_cli(capsys, "bct", "--family", "gold n=3 i=1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bct_fast at n = 3 needs about ")
+    assert "physical memory is 1024 bytes" in err
+
+
+def test_uniformity_of_a_power_map_past_the_tables_reach(capsys, monkeypatch):
+    # no table fits, so the inverse map is one orbit read off row 1
+    monkeypatch.setattr(tables, "_memory_budget", lambda: 0)
+    code, out, _ = run_cli(capsys, "uniformity", "--family", "inverse n=16")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["boomerang_uniformity"], payload["differential_uniformity"]) == (6, 4)
 
 
 def test_ddt_over_memory_budget_exits_2(capsys, monkeypatch):
@@ -331,6 +341,16 @@ def test_reproduce_audit(capsys):
     assert code == 0
     ids = [r["claim_id"] for r in json.loads(out)]
     assert ids == ["thm9.n3", "appendix.n6.case1", "appendix.n6.case2", "appendix.n6.case3"]
+
+
+def test_reproduce_refuses_the_audit_before_any_claim(capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "reproduce", lambda *args: ran.append(args))
+    monkeypatch.setattr(cli, "reproduce_all", lambda *args: ran.append(args))
+    for argv in (["--tier", "full"], ["--claim", "thm9.n3"]):
+        code, out, err = run_cli(capsys, "reproduce", *argv, "--audit", "17")
+        assert code == 2 and out == "" and "17" in err
+        assert ran == []
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -813,6 +813,25 @@ def test_bct_fast_refuses_tables_over_the_memory_budget(monkeypatch):
     assert bct_fast(f).max_nonzero() == 2
 
 
+def test_power_map_past_the_table_budget_reads_row_one(monkeypatch):
+    # exactly where bct_fast would refuse its table, boomerang_uniformity
+    # reads the power map off row 1, with the table route's report
+    f = gold(5, 1)
+    report = boomerang_uniformity(f)
+    need = tables._fast_peak_bytes(5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("table built")
+
+    monkeypatch.setattr(tables, "bct", refuse)
+    monkeypatch.setattr(tables, "ddt", refuse)
+    monkeypatch.setattr(tables, "_memory_budget", lambda: need - 1)
+    assert boomerang_uniformity(f) == report and report.algorithm == "fast"
+    monkeypatch.setattr(tables, "_memory_budget", lambda: need)
+    with pytest.raises(AssertionError, match="table built"):
+        boomerang_uniformity(f)
+
+
 def test_bct_fast_peak_estimate_covers_allocations(rng):
     # numpy reports its buffers to tracemalloc; a pair-heavy map, a
     # random permutation, a power map's rotated rows, a constant map,

@@ -138,10 +138,23 @@ def test_appendix_case_audit_equals_the_full_table(n):
 
 
 def test_appendix_case_audit_range():
+    # the audit builds no table, so the field's n <= 16 is its only upper bound
     with pytest.raises(ValueError):
         appendix_case_audit(2)
     with pytest.raises(ValueError):
-        appendix_case_audit(11)
+        appendix_case_audit(17)
+
+
+def test_appendix_case_audit_past_the_tables_reach():
+    # the published case table: case 1 is 2 for odd n, 4 for n = 2 mod 4 and
+    # 6 for n = 0 mod 4; case 2 (n even) is 6 for n = 0 mod 4; case 3 is
+    # the modified inverse's delta
+    published = {11: {1: 2, 3: 6}, 12: {1: 6, 2: 6, 3: 10}, 13: {1: 2, 3: 6}}
+    for n, cases in published.items():
+        reports = appendix_case_audit(n)
+        assert [r.claim_id for r in reports] == [f"appendix.n{n}.case{c}" for c in cases]
+        assert [r.computed for r in reports] == list(cases.values())
+        assert all(r.status == "pass" for r in reports)
 
 
 def test_reproduce_all_matches_one_by_one():
