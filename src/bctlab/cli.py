@@ -19,6 +19,7 @@ a request refused with exit 2 leaves no file.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -127,6 +128,7 @@ def _family(f: SBox, args):
     return buf.getvalue()
 
 
+@functools.cache  # parse_args keeps no state on the parser, so one per process serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bctlab",

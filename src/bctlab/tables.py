@@ -22,11 +22,14 @@ of the derivative D_a(y) = f(y+a) + f(y): the pairs (y, y) and {y, y+a}
 give N at b = 0 and the DDT row, and it enumerates only unordered pairs
 of representatives of one fibre under y -> y+a, sum over beta of
 C(DDT(a, beta)/2, 2) pairs, none when Delta = 2. It packs (row, fibre,
-value) into one int64, sorts it once and takes the pairs from one walk,
-_equal_pairs, over the equal keys; the fibres with too many
-representatives to pair go through Walsh-Hadamard autocorrelations
-instead, many fibres to one batched transform. Row 0, one fibre
-of every y, is the autocorrelation of the value histogram. _bct_blocks
+value) into one uint32 key, below rows * 4^n, so a block holds at most
+2^(32 - 2n) rows (one at n = 16) and every n from 2 to 16 has the same
+key width. It sorts every key once and takes the pairs from one walk,
+_equal_pairs, over the equal ones, which skips the fibres of one
+representative; the fibres with too many representatives to pair go
+through Walsh-Hadamard autocorrelations instead, many fibres to one
+batched transform. Row 0, one fibre of every y, is the autocorrelation
+of the value histogram. _bct_blocks
 runs the kernel over blocks of rows that share a top bit, into one
 reused buffer, in one serial pass; bct_fast copies each block into the
 table, the reducers below read it, and bct_row(f, a) is one row.
@@ -95,8 +98,8 @@ __all__ = [
     "ktable_to_json",
 ]
 
-# the builders work on int64 temporaries of one block; at 2^17 elements each
-# is 1 MiB and stays in a core's L2 cache (2^20 measured slower)
+# the builders work on temporaries of one block; at 2^17 elements an int64
+# one is 1 MiB and stays in a core's L2 cache (2^20 measured slower)
 _BLOCK = 1 << 17  # derivative values per bct_fast block, cells per power-map row block
 _INT32_MAX = np.iinfo(np.int32).max
 _CHUNK = 1 << 20  # characters per chunk of exported text
@@ -111,10 +114,11 @@ class KTable:
         arr = np.asarray(counts)
         if arr.shape != (spec.size, spec.size):
             raise ValueError("counts must be a 2^n x 2^n matrix")
-        peak = int(arr.max())
-        if peak > _INT32_MAX:
-            raise ValueError(f"count {peak} exceeds the int32 maximum {_INT32_MAX}")
-        arr = np.asarray(arr, dtype=np.int32)
+        if arr.dtype != np.int32:  # an int32 count cannot exceed the maximum
+            peak = int(arr.max())
+            if peak > _INT32_MAX:
+                raise ValueError(f"count {peak} exceeds the int32 maximum {_INT32_MAX}")
+            arr = np.asarray(arr, dtype=np.int32)
         arr.flags.writeable = False
         self.spec = spec
         self.kind = kind
@@ -239,13 +243,19 @@ def _fast_dtype(n: int):
 
 def _fast_peak_bytes(n: int) -> int:
     """Upper estimate of the bytes bct_fast allocates at dimension n: the
-    table plus about 20 int64 arrays of one block (20 MiB at 2^17
-    elements; no pair walk step holds more positions than its block), so
-    from n = 12 the table dominates. The large buckets' transforms run in
-    chunks of about _BLOCK histogram cells, so their few int64 arrays
-    (histograms, transforms, autocorrelations) are each about one block
-    array; a 3-valued map of GF(2^10), about 1000 large buckets per
-    block, peaks at 19.4 MiB of the 24 MiB estimate under tracemalloc."""
+    table plus 160 bytes per derivative value of one block (20 MiB at
+    2^17 values), so from n = 12 the table dominates. A block has two
+    cells per value, so its int64 bucket counts and DDT rows take 32
+    bytes per value; the uint32 keys and their temporaries, bincount's
+    int64 copy of the keys and the pair walk's int64 positions (no step
+    holds more than its block has values) take a few dozen more. The
+    large buckets' transforms run in chunks of about _BLOCK histogram
+    cells, so their few int64 arrays (histograms, transforms,
+    autocorrelations) are each about one int64 block array. Under
+    tracemalloc the kernel's arrays peak at 13.2 MiB over the table for
+    the constant 0 of GF(2^10), every row a transform, 12.4 MiB for a
+    3-valued map of GF(2^10) and 7.7 MiB for a random permutation of
+    GF(2^12)."""
     return np.dtype(_fast_dtype(n)).itemsize * 4**n + 160 * _BLOCK
 
 
@@ -277,14 +287,17 @@ def _bct_blocks(table: np.ndarray, rows: np.ndarray):
     """Count the BCT rows a in rows, nonzero and increasing, with the row kernel.
 
     The rows sharing a top bit run in blocks of about _BLOCK derivative
-    values through _bct_rows, whose temporaries stay near cache size;
-    counts are integer sums, so the block size changes no cell. Yields
+    values through _bct_rows, whose temporaries stay near cache size, and
+    at most 2^(32 - 2n) rows, so their packed keys fit in uint32 (see
+    _bct_rows); counts are integer sums, so the block size changes no
+    cell. table is converted to uint32 once per call. Yields
     (a, block, ddt_rows, ddt_max) per block, in increasing a. Every block
     is one reused buffer, to be read before the next is asked for.
     """
     N = table.size
     n = N.bit_length() - 1
-    per = max(1, _BLOCK // (N // 2))
+    table = table.astype(np.uint32)
+    per = min(max(1, _BLOCK // (N // 2)), 1 << 32 - 2 * n)
     buf = np.empty((min(per, rows.size), N), dtype=_fast_dtype(n))
     for k in range(n):
         top = rows[rows >> k == 1]  # the rows with top bit 2^k
@@ -303,34 +316,44 @@ def _bct_rows(table: np.ndarray, a: np.ndarray, out: np.ndarray) -> tuple[np.nda
     {y, y+a}: the y with the top bit of a clear. The pairs (y, y) add N at
     b = 0, the pairs {y, y+a} add DDT(a, .), and each unordered pair
     {r, r'} of representatives in one fibre beta adds 4 at f(r)+f(r') and
-    4 at f(r)+f(r')+beta. The (row, beta, f(r)) keys are sorted once and
-    _equal_pairs walks the equal ones, C(m, 2) pairs for a bucket of m
-    representatives. A bucket with m^2 > n 2^n goes to the Walsh-Hadamard
+    4 at f(r)+f(r')+beta. Every key is a uint32: the bucket key
+    i 2^n + beta and the packed key (i 2^n + beta) 2^n + f(r), below
+    rows * 4^n <= 2^32 (_bct_blocks caps the rows). Row i's keys lie in
+    [i 4^n, (i+1) 4^n), so sorting each row in place sorts the block, with
+    no filter in front: _equal_pairs walks the equal keys, C(m, 2) pairs
+    for a bucket of m representatives, and skips the buckets of one.
+    A bucket with m^2 > n 2^n goes to the Walsh-Hadamard
     transform instead (see _add_bucket_transforms): timed per bucket on
     two CPUs, the two cost the same between m^2 = 0.6 n 2^n and
     1.3 n 2^n from n = 7 to 14.
     The test reads the block maximum that the DDT peak takes anyway, so a
-    block with no large bucket does no extra work. out is a C-contiguous
-    (rows, 2^n) array. Returns the DDT rows and their maximum.
+    block with no large bucket does no extra work. table is the value
+    table as uint32 and out a C-contiguous (rows, 2^n) array. Returns the
+    DDT rows and their maximum.
     """
     N = table.size
     n = N.bit_length() - 1
-    y = np.arange(N)
+    y = np.arange(N, dtype=np.uint32)
     reps = y[y & (1 << int(a[0]).bit_length() - 1) == 0]
     frep = table[reps]
     # key = i * N + beta for the element (a[i], r), beta = D_a[i](r)
-    key = np.arange(a.size)[:, None] * N + (frep ^ table[reps ^ a[:, None]])
+    beta = frep ^ table[reps ^ a.astype(np.uint32)[:, None]]
+    key = np.arange(a.size, dtype=np.uint32)[:, None] * N + beta
     reps_per_bucket = np.bincount(key.ravel(), minlength=out.size)
     ddt_rows = 2 * reps_per_bucket.reshape(out.shape)
     out[:] = ddt_rows
     out[:, 0] += N
     most = int(reps_per_bucket.max())
-    # key << n | f(r) over the buckets with a pair, one run per bucket
-    packed = np.sort((key << n | frep)[reps_per_bucket[key] >= 2])
+    # key << n | f(r), one run per bucket; each row sorted is the block sorted
+    key <<= n
+    key |= frep
+    key.sort()
+    packed = key.ravel()
     ks = packed >> n
     if most * most > n * N:  # some bucket goes to the transform
         large = reps_per_bucket[ks] ** 2 > n * N
-        _add_bucket_transforms(out, ks[large], packed[large] & (N - 1))
+        # int64 keys: np.diff(ks, prepend=-1) takes no uint32
+        _add_bucket_transforms(out, ks[large].astype(np.int64), packed[large] & (N - 1))
         packed, ks = packed[~large], ks[~large]
     four = out.dtype.type(4)  # np.add.at with a Python int scalar takes about 3x as long
     for i, j in _equal_pairs(ks):
@@ -398,9 +421,8 @@ def bct_row(f: SBox, a: int) -> np.ndarray:
     a, N = _shift(f, a), f.spec.size
     if a == 0:
         return _autocorrelation(np.bincount(f.table, minlength=N))
-    row = np.empty((1, N), dtype=np.int64)
-    _bct_rows(f.table, np.array([a]), row)
-    return row[0]
+    ((_, block, _, _),) = _bct_blocks(f.table, np.array([a]))
+    return block[0].astype(np.int64)
 
 
 # -- symmetry orbits --------------------------------------------------------------

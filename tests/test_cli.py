@@ -353,6 +353,25 @@ def test_reproduce_refuses_the_audit_before_any_claim(capsys, monkeypatch):
         assert ran == []
 
 
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process: a verb prints what it prints
+    # alone whatever verb ran before it (bct sets --algo system and --json,
+    # uniformity must still report the default "fast"), and a usage error
+    # exits 2 on every call
+    fam = ["--family", "gold n=3 i=1"]
+    first, second = ["bct", *fam, "--algo", "system", "--json"], ["uniformity", *fam]
+    alone = []
+    for argv in (first, second):
+        cli._build_parser.cache_clear()
+        alone.append(run_cli(capsys, *argv))
+    assert json.loads(alone[1][1])["algorithm"] == "fast"
+    assert [run_cli(capsys, *first), run_cli(capsys, *second)] == alone
+    assert cli._build_parser() is cli._build_parser()
+    for _ in range(2):
+        code, out, err = run_cli(capsys, *second, "--json")
+        assert code == 2 and out == "" and "--json" in err
+
+
 def test_usage_errors(tmp_path, capsys):
     # unknown verb
     assert run_cli(capsys, "frobnicate")[0] == 2

@@ -671,7 +671,10 @@ def test_equal_pairs_matches_combinations(rng):
 def _row_from_representative_pairs(f, a):
     # T(a, .) = DDT(a, .) + N at b = 0 + 4 at f(r)+f(r') and at
     # f(r)+f(r')+beta for each unordered pair {r, r'} of representatives
-    # r < r+a in one fibre beta of D_a, as literal Python loops
+    # r < r+a in one fibre beta of D_a, as literal Python loops. The pairs
+    # of a fibre are counted by value: h(u) h(v) pairs take the values
+    # {u, v}, u != v, and C(h(u), 2) take u twice, so a fibre of few values
+    # costs no more than its values squared
     N, t = f.spec.size, f.table.tolist()
     row = [0] * N
     for y in range(N):
@@ -680,11 +683,13 @@ def _row_from_representative_pairs(f, a):
     fibres = {}
     for r in range(N):
         if r < r ^ a:
-            fibres.setdefault(t[r] ^ t[r ^ a], []).append(r)
-    for beta, reps in fibres.items():
-        for r, r2 in itertools.combinations(reps, 2):
-            row[t[r] ^ t[r2]] += 4
-            row[t[r] ^ t[r2] ^ beta] += 4
+            h = fibres.setdefault(t[r] ^ t[r ^ a], {})
+            h[t[r]] = h.get(t[r], 0) + 1
+    for beta, h in fibres.items():
+        for (u, hu), (v, hv) in itertools.combinations_with_replacement(h.items(), 2):
+            pairs = hu * hv if u != v else hu * (hu - 1) // 2
+            row[u ^ v] += 4 * pairs
+            row[u ^ v ^ beta] += 4 * pairs
     return row
 
 
@@ -698,6 +703,46 @@ def test_bct_rows_from_representative_pairs_of_derivative_fibres(rng):
             expect = bct_system(f).counts
             for a in range(1, spec.size):
                 assert _row_from_representative_pairs(f, a) == expect[a].tolist(), (n, a)
+
+
+def test_bct_blocks_keep_packed_keys_in_32_bits(monkeypatch):
+    # the kernel packs (row, beta, f(r)) into one uint32 below rows * 4^n,
+    # so no block may hold more than 2^(32 - 2n) rows: the cap binds at
+    # n = 15 (4 rows, not 8) and n = 16 (one row, not 4). The kernel is
+    # stubbed, so every n the field supports is read in full
+    sizes = []
+
+    def kernel(table, a, out):
+        assert table.dtype == np.uint32 and out.shape[0] == a.size
+        sizes.append(a.size)
+        return None, 0
+
+    monkeypatch.setattr(tables, "_bct_rows", kernel)
+    widest = {}
+    for n in range(2, 17):
+        N, sizes[:] = 2**n, []
+        rows = np.arange(1, N)
+        blocks = [a for a, *_ in tables._bct_blocks(np.zeros(N, dtype=np.int64), rows)]
+        assert np.array_equal(np.concatenate(blocks), rows)
+        assert all(size << 2 * n <= 2**32 for size in sizes), n
+        widest[n] = max(sizes)
+    assert (widest[14], widest[15], widest[16]) == (16, 4, 1)
+
+
+@pytest.mark.parametrize("n, rows", [(14, 16), (15, 4), (16, 1)])
+def test_row_kernel_at_the_32_bit_key_bound(monkeypatch, rng, n, rows):
+    # the top rows of a GF(2^n), whose packed keys come closest to 2^32: a
+    # full block at n = 14, a block capped at 4 rows at n = 15 and one row
+    # at n = 16, against the literal count. A random permutation's pairs
+    # go through the walk, a 3-valued map's buckets through the transform
+    spec = make_field(n)
+    seen = _kernel_branches(monkeypatch)
+    levels = rng.choice(spec.size, 3, replace=False)
+    for f in (random_permutation(spec, rng), SBox(spec, levels[rng.integers(0, 3, spec.size)])):
+        ((a, block, _, _),) = tables._bct_blocks(f.table, np.arange(spec.size - rows, spec.size))
+        for i in range(rows):
+            assert block[i].tolist() == _row_from_representative_pairs(f, int(a[i])), (n, a[i])
+    assert seen["pairs"] > 0 and seen["transforms"] > 0
 
 
 def test_bct_fast_does_not_depend_on_block_size(monkeypatch, rng):

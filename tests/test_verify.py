@@ -1,6 +1,7 @@
 """Claim registry, reproduction reports, and the per-case audit."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,6 +15,7 @@ from bctlab import (
     modified_inverse_expected_delta,
     reproduce,
     reproduce_all,
+    verify,
 )
 
 
@@ -135,6 +137,24 @@ def test_appendix_case_audit_equals_the_full_table(n):
     expected = _audit_from_full_table(n)
     assert [r.claim_id for r in reports] == [f"appendix.n{n}.case{c}" for c in expected]
     assert [r.computed for r in reports] == list(expected.values())
+
+
+def test_appendix_case_audit_reports_sum_to_its_time(monkeypatch):
+    # a clock that moves by a different step at every reading: each block
+    # charges its time to the cases of its rows, so the three reports split
+    # the audit's time instead of each stamping all of it
+    readings = []
+
+    def clock():
+        readings.append(len(readings) ** 2 / 1000.0)
+        return readings[-1]
+
+    monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=clock))
+    reports = appendix_case_audit(10)
+    total = (readings[-1] - readings[0]) * 1000.0
+    assert len(reports) == 3 and len(readings) > 3
+    assert sum(r.runtime_ms for r in reports) == pytest.approx(total)
+    assert all(0 < r.runtime_ms < total for r in reports)
 
 
 def test_appendix_case_audit_range():
