@@ -9,8 +9,9 @@ every other verb prints JSON ("schema": 1) and takes no --json. Exit codes:
 0 success, 1 failed reproduction claims, 2 usage or input errors and
 tables too large for physical memory. CSV is byte-identical across BCT
 algorithms, and JSON differs only in its "algorithm" field. Table values
-are written from a lookup of decimal strings over their span, row by row
-in chunks of about 1 MiB, so no export is held whole, and a JSON table is
+are written from one NUL-padded lookup of ASCII pieces (a separator and
+the decimal digits) over their span, gathered a block of rows at a time
+(see tables._text_blocks), so no export is held whole, and a JSON table is
 never built as a list of Python ints; the text equals json.dumps(indent=2)
 of the plain lists. --out is opened only once the first chunk exists, so
 a request refused with exit 2 leaves no file.
@@ -32,10 +33,9 @@ import numpy as np
 from .gf2n import parse_field
 from .sbox import SBox, read_sbox, write_sbox
 from .tables import (
-    _chunks,
     _csv_chunks,
-    _decimal_rows,
     _ktable_fields,
+    _text_blocks,
     bct,
     boomerang_uniformity,
     ddt,
@@ -196,8 +196,9 @@ def _json_pieces(payload: dict):
     """The text of json.dumps(payload, indent=2) + "\\n", one field at a time.
 
     Each field value is written as json.dumps writes it inside a dict, and
-    an integer ndarray as its row-major list, one row of decimal strings
-    (see _decimal_rows) at a time, never built as a list of Python ints.
+    an integer ndarray as its row-major list, one block of rows at a time
+    (see tables._text_blocks), never built as a list of Python ints: its
+    pieces ",\\n    " + str(v), with the first one's comma dropped after "[".
     """
     sep = "{\n"
     for key, v in payload.items():
@@ -207,11 +208,10 @@ def _json_pieces(payload: dict):
         elif v.size == 0:
             yield "[]"
         else:
-            lead = "[\n    "
-            for row in _decimal_rows(v):
-                yield lead
-                yield ",\n    ".join(row)
-                lead = ",\n    "
+            blocks = _text_blocks(v, ",\n    ")
+            yield "["
+            yield next(blocks)[1:]
+            yield from blocks
             yield "\n  ]"
         sep = ",\n"
     yield "\n}\n"
@@ -221,15 +221,15 @@ def _write(result, out_path) -> None:
     """Write text, text chunks or a JSON payload to out_path or stdout, chunk by chunk.
 
     A payload is written as json.dumps(indent=2) of it with each integer
-    ndarray as its row-major list: a non-empty dict field by field (see
-    _json_pieces), in chunks of about tables._CHUNK characters, anything
-    else whole. out_path is opened only once the first chunk exists, so a
+    ndarray as its row-major list: a non-empty dict piece by piece (see
+    _json_pieces), an array a block of rows at a time, anything else
+    whole. out_path is opened only once the first chunk exists, so a
     request that fails before it leaves no file.
     """
     if isinstance(result, str):
         chunks = iter([result])
     elif isinstance(result, dict) and result:
-        chunks = _chunks(_json_pieces(result))
+        chunks = _json_pieces(result)
     elif isinstance(result, Iterator):
         chunks = result
     else:

@@ -61,17 +61,19 @@ the benchmark pins `uniformity` on x^3 over GF(2^5) (bench/test_bench.py,
 test_traced_request_counts_repeat_exactly) to one bct_fast call and one
 ddt call.
 
-Exports are byte-identical to str() per cell: each row's decimal strings
-are looked up in one table over the value span (str per value only when
-the span is wider than the table has cells). The CSV comes row by row in
-chunks of about _CHUNK characters (_csv_chunks), which the CLI writes one
-at a time and ktable_to_csv joins; the CLI streams JSON tables from the
-same rows, never building the text whole or a list of Python ints.
+Exports are byte-identical to str() per cell, from one formatter,
+_text_blocks: each value is the piece sep + str(v) ("," in a CSV,
+",\\n    " in JSON), looked up in one NUL-padded ASCII array over the
+value span (over each block's distinct values when the span is as wide as
+the array), and a block of rows is one gather of piece ids with the pad
+deleted. The CSV is its header and then one chunk per block of about
+_CHUNK bytes of ids and pieces (_csv_chunks), which the CLI writes one at
+a time and ktable_to_csv joins; the CLI streams JSON tables from the same
+blocks, never building the text whole or a list of Python ints.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -102,7 +104,7 @@ __all__ = [
 # one is 1 MiB and stays in a core's L2 cache (2^20 measured slower)
 _BLOCK = 1 << 17  # derivative values per bct_fast block, cells per power-map row block
 _INT32_MAX = np.iinfo(np.int32).max
-_CHUNK = 1 << 20  # characters per chunk of exported text
+_CHUNK = 1 << 20  # bytes of piece ids and gathered pieces per block of exported text
 
 
 class KTable:
@@ -245,16 +247,17 @@ def _fast_peak_bytes(n: int) -> int:
     """Upper estimate of the bytes bct_fast allocates at dimension n: the
     table plus 160 bytes per derivative value of one block (20 MiB at
     2^17 values), so from n = 12 the table dominates. A block has two
-    cells per value, so its int64 bucket counts and DDT rows take 32
-    bytes per value; the uint32 keys and their temporaries, bincount's
-    int64 copy of the keys and the pair walk's int64 positions (no step
-    holds more than its block has values) take a few dozen more. The
-    large buckets' transforms run in chunks of about _BLOCK histogram
-    cells, so their few int64 arrays (histograms, transforms,
-    autocorrelations) are each about one int64 block array. Under
-    tracemalloc the kernel's arrays peak at 13.2 MiB over the table for
-    the constant 0 of GF(2^10), every row a transform, 12.4 MiB for a
-    3-valued map of GF(2^10) and 7.7 MiB for a random permutation of
+    cells per value, so its int64 bucket counts (the DDT rows halved,
+    doubled straight into the block) take 16 bytes per value; the uint32
+    keys and their temporaries, bincount's int64 copy of the keys and the
+    pair walk's int64 positions (no step holds more than its block has
+    values) take a few dozen more. The large buckets' transforms run in
+    chunks of about _BLOCK histogram cells, so their few int64 arrays
+    (histograms, transforms, autocorrelations) are each about one int64
+    block array. Under
+    tracemalloc the kernel's arrays peak at 11.2 MiB over the table for
+    the constant 0 of GF(2^10), every row a transform, 10.4 MiB for a
+    3-valued map of GF(2^10) and 5.7 MiB for a random permutation of
     GF(2^12)."""
     return np.dtype(_fast_dtype(n)).itemsize * 4**n + 160 * _BLOCK
 
@@ -291,8 +294,9 @@ def _bct_blocks(table: np.ndarray, rows: np.ndarray):
     at most 2^(32 - 2n) rows, so their packed keys fit in uint32 (see
     _bct_rows); counts are integer sums, so the block size changes no
     cell. table is converted to uint32 once per call. Yields
-    (a, block, ddt_rows, ddt_max) per block, in increasing a. Every block
-    is one reused buffer, to be read before the next is asked for.
+    (a, block, ddt_halves, half_max) per block, in increasing a: the DDT
+    rows halved and their maximum (see _bct_rows). Every block is one
+    reused buffer, to be read before the next is asked for.
     """
     N = table.size
     n = N.bit_length() - 1
@@ -329,7 +333,8 @@ def _bct_rows(table: np.ndarray, a: np.ndarray, out: np.ndarray) -> tuple[np.nda
     The test reads the block maximum that the DDT peak takes anyway, so a
     block with no large bucket does no extra work. table is the value
     table as uint32 and out a C-contiguous (rows, 2^n) array. Returns the
-    DDT rows and their maximum.
+    halves of the DDT rows (the representatives per bucket, int64) and
+    their maximum.
     """
     N = table.size
     n = N.bit_length() - 1
@@ -339,11 +344,11 @@ def _bct_rows(table: np.ndarray, a: np.ndarray, out: np.ndarray) -> tuple[np.nda
     # key = i * N + beta for the element (a[i], r), beta = D_a[i](r)
     beta = frep ^ table[reps ^ a.astype(np.uint32)[:, None]]
     key = np.arange(a.size, dtype=np.uint32)[:, None] * N + beta
-    reps_per_bucket = np.bincount(key.ravel(), minlength=out.size)
-    ddt_rows = 2 * reps_per_bucket.reshape(out.shape)
-    out[:] = ddt_rows
+    # reps per bucket: half of DDT(a[i], beta), doubled straight into out
+    half = np.bincount(key.ravel(), minlength=out.size)
+    np.left_shift(half.reshape(out.shape), 1, out=out, casting="unsafe")
     out[:, 0] += N
-    most = int(reps_per_bucket.max())
+    most = int(half.max())
     # key << n | f(r), one run per bucket; each row sorted is the block sorted
     key <<= n
     key |= frep
@@ -351,7 +356,7 @@ def _bct_rows(table: np.ndarray, a: np.ndarray, out: np.ndarray) -> tuple[np.nda
     packed = key.ravel()
     ks = packed >> n
     if most * most > n * N:  # some bucket goes to the transform
-        large = reps_per_bucket[ks] ** 2 > n * N
+        large = half[ks] ** 2 > n * N
         # int64 keys: np.diff(ks, prepend=-1) takes no uint32
         _add_bucket_transforms(out, ks[large].astype(np.int64), packed[large] & (N - 1))
         packed, ks = packed[~large], ks[~large]
@@ -362,7 +367,7 @@ def _bct_rows(table: np.ndarray, a: np.ndarray, out: np.ndarray) -> tuple[np.nda
         # that to (row, f(r)+f(r'))
         cell = ks[i] ^ packed[i] ^ packed[j]
         np.add.at(out.reshape(-1), np.concatenate((cell, cell ^ (ks[i] & (N - 1)))), four)
-    return ddt_rows, 2 * most
+    return half.reshape(out.shape), most
 
 
 def _add_bucket_transforms(out: np.ndarray, ks: np.ndarray, fr: np.ndarray) -> None:
@@ -490,7 +495,7 @@ def _divisors(m: int, primes) -> list[int]:
 
 
 def _orbit_rows(f: SBox):
-    """Yield (a, size, block, ddt_rows, ddt_max) for the orbit representatives a.
+    """Yield (a, size, block, ddt_halves, half_max) for the orbit representatives a.
 
     The orbits of a != 0 under a -> c a^(2^k) (c in U, k over 0 .. n-1 when
     f commutes with squaring, k = 0 otherwise; see _symmetry): with a = g^i,
@@ -501,8 +506,8 @@ def _orbit_rows(f: SBox):
     permuted and b = 0 fixed, so one row per orbit, weighted by the orbit's
     size, holds every maximum and every value count over b != 0. The
     representatives come in increasing a in blocks of the row kernel (see
-    _bct_blocks); block is reused. A map with no symmetry has each a as its
-    own orbit.
+    _bct_blocks, which also gives the DDT rows halved); block is reused. A
+    map with no symmetry has each a as its own orbit.
     """
     spec, sym = f.spec, _symmetry(f)
     log, _ = spec._tables()
@@ -515,8 +520,8 @@ def _orbit_rows(f: SBox):
     _, first, sizes = np.unique(lead, return_index=True, return_counts=True)
     size_of = np.zeros(spec.size, dtype=np.int64)
     size_of[shifts[first]] = sizes
-    for a, block, ddt_rows, ddt_max in _bct_blocks(f.table, shifts[np.sort(first)]):
-        yield a, size_of[a], block, ddt_rows, ddt_max
+    for a, block, ddt_halves, half_max in _bct_blocks(f.table, shifts[np.sort(first)]):
+        yield a, size_of[a], block, ddt_halves, half_max
 
 
 def _orbit_report(f: SBox, algorithm: str) -> UniformityReport:
@@ -525,12 +530,14 @@ def _orbit_report(f: SBox, algorithm: str) -> UniformityReport:
     The rows of an orbit share their maxima, so the least a whose row
     reaches a maximum is its orbit's least element, a representative, and
     the first row-major witnesses are the full tables' (the _peak rule).
+    The DDT rows come halved, which moves no witness, so only the maximum
+    is doubled.
     """
     delta = boom = -1
-    for a, _, block, ddt_rows, ddt_max in _orbit_rows(f):
-        if ddt_max > delta:
-            delta, (i, b) = _peak(ddt_rows, 0, 0)
-            ddt_arg = int(a[i]), b
+    for a, _, block, ddt_halves, half_max in _orbit_rows(f):
+        if 2 * half_max > delta:
+            half, (i, b) = _peak(ddt_halves, 0, 0)
+            delta, ddt_arg = 2 * half, (int(a[i]), b)
         value, (i, b) = _peak(block[:, 1:], 0, 1)
         if value > boom:
             boom, bct_arg = value, (int(a[i]), b)
@@ -641,54 +648,63 @@ def quadratic_bound_check(f: SBox) -> bool:
 # -- exports ---------------------------------------------------------------------
 
 
-def _decimal_rows(m: np.ndarray):
-    """Yield each row of an integer array (a 1-D array is one row) as decimal strings.
+def _pieces(sep: str, values) -> np.ndarray:
+    """sep + str(v) for each v, as one array of ASCII bytes NUL-padded to the widest."""
+    return np.array([sep + str(v) for v in values], dtype="S")
 
-    Counts and Walsh values span few integers, so each row is a lookup in one
-    table of strings over [min, max]. When that span is wider than the array
-    has cells (BCT(0, 0) = 4^n of a constant map), each value goes through
-    str instead, so the table is never larger than the array itself.
+
+def _text_blocks(m: np.ndarray, sep: str, labels: bool = False):
+    """Yield the decimal text of an integer array's rows (a 1-D array is one row) in blocks.
+
+    Each value v is the piece sep + str(v); with labels, row i also takes
+    the piece str(i) in front and a newline after (a CSV row). The pieces
+    are ASCII, NUL-padded to the widest in one S{w} lookup, so a block of
+    rows is one gather of piece ids with the pad deleted, which is exact:
+    no decimal piece holds a NUL. Counts and Walsh values span few
+    integers, so the lookup holds every value of [min, max]; when that
+    span is as wide as the array (BCT(0, 0) = 4^n of a constant map), it
+    holds each block's distinct values instead, so it is never larger than
+    the array. A block holds at least one row, and its ids and gathered
+    pieces take about _CHUNK bytes at most: the ids are built per block,
+    never for the whole array, and are dropped before the text is yielded.
     """
     m = np.atleast_2d(m)
-    if m.size == 0:
-        return
+    rows, cols = m.shape
     lo, hi = int(m.min()), int(m.max())
-    if hi - lo >= m.size:
-        for row in m:
-            yield list(map(str, row.tolist()))
-        return
-    lut = np.array(list(map(str, range(lo, hi + 1))), dtype=object)
-    for row in m:  # row by row: a whole-table list would raise peak memory
-        yield lut[row - lo].tolist()
-
-
-def _chunks(pieces):
-    """Join an iterable of strings into chunks of about _CHUNK characters.
-
-    A chunk closes at the first piece that takes it to _CHUNK characters,
-    so it outgrows _CHUNK by less than one piece; only the last is shorter.
-    """
-    buf, size = [], 0
-    for piece in pieces:
-        buf.append(piece)
-        size += len(piece)
-        if size >= _CHUNK:
-            chunk, buf, size = "".join(buf), [], 0
-            yield chunk
-            del chunk  # hold no written chunk while the next is built
-    if buf:
-        chunk, buf = "".join(buf), None
-        yield chunk
+    heads = _pieces("", [*range(rows), "\n"] if labels else [])  # the CSV row labels
+    span = hi - lo < m.size
+    if span:
+        lut = np.concatenate((heads, _pieces(sep, range(lo, hi + 1))))
+    width = max(heads.itemsize, len(sep) + max(len(str(lo)), len(str(hi))))
+    per = max(1, _CHUNK // ((width + np.dtype(np.intp).itemsize) * (cols + 2 * labels)))
+    for r0 in range(0, rows, per):
+        block = m[r0 : r0 + per]
+        ids = np.empty((block.shape[0], cols + 2 * labels), dtype=np.intp)
+        values = ids[:, 1:-1] if labels else ids
+        if span:
+            np.subtract(block, lo - heads.size, out=values, dtype=np.intp)
+        else:
+            distinct, inverse = np.unique(block, return_inverse=True)
+            lut = np.concatenate((heads, _pieces(sep, distinct.tolist())))
+            np.add(inverse.reshape(block.shape), heads.size, out=values)
+        if labels:
+            ids[:, 0] = np.arange(r0, r0 + block.shape[0])
+            ids[:, -1] = rows
+        # np.take gathers the S{w} pieces in about 60% of the time of lut[ids]
+        text = np.take(lut, ids).tobytes().translate(None, b"\0").decode("ascii")
+        del ids, values  # no block's ids are held while its text is written
+        yield text
+        del text  # hold no written block while the next is built
 
 
 def _csv_chunks(corner: str, m: np.ndarray):
     """CSV with header "<corner>,0,1,..." and one row "i,m[i,0],m[i,1],..." per i.
 
-    Yielded in chunks (see _chunks), so the text is never held whole.
+    Yielded as the header and then one chunk per block of rows (see
+    _text_blocks), so the text is never held whole.
     """
-    header = corner + "," + ",".join(map(str, range(m.shape[1]))) + "\n"
-    rows = (f"{i},{','.join(row)}\n" for i, row in enumerate(_decimal_rows(m)))
-    return _chunks(itertools.chain((header,), rows))
+    yield corner + "," + ",".join(map(str, range(m.shape[1]))) + "\n"
+    yield from _text_blocks(m, ",", labels=True)
 
 
 def ktable_to_csv(t: KTable) -> str:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import sys
 import tracemalloc
 
@@ -39,7 +40,7 @@ from bctlab import (
     zieve_binomial,
     zieve_gamma_candidates,
 )
-from bctlab import tables
+from bctlab import cli, tables
 
 from conftest import system_solutions
 
@@ -252,12 +253,15 @@ def _symmetric_corpus():
 
 
 def _engine_rows(f):
-    """{a: (BCT row, DDT row, orbit size)} for the representatives a."""
+    """{a: (BCT row, DDT row, orbit size)} for the representatives a.
+
+    The engine yields the DDT rows halved, so each is doubled here.
+    """
     rows = {}
-    for a, size, block, ddt_rows, ddt_max in tables._orbit_rows(f):
-        assert ddt_max == ddt_rows.max()
+    for a, size, block, halves, half_max in tables._orbit_rows(f):
+        assert half_max == halves.max()
         for i, r in enumerate(a.tolist()):
-            rows[r] = block[i].copy(), ddt_rows[i].copy(), int(size[i])
+            rows[r] = block[i].copy(), 2 * halves[i], int(size[i])
     return rows
 
 
@@ -1004,15 +1008,54 @@ def test_matrix_csv_matches_str_per_cell(rng):
         assert "".join(tables._csv_chunks(corner, m)) == _csv_per_cell(corner, m)
 
 
+def _formatter_cases():
+    """(corner, array) pairs for the text formatter, each an edge of its lookup.
+
+    An array whose span of values is narrower than its size is looked up
+    over the span, any other by each block's distinct values.
+    """
+    const_bct = bct_fast(SBox(make_field(5), [3] * 32)).counts
+    assert int(const_bct.max()) - int(const_bct.min()) >= const_bct.size
+    widths = [9, 10, 99, 100, -1, 0, -10]  # the digit width changes inside one block
+    yield "a\\b", np.resize(widths, (12, 12))  # over the span
+    yield "a\\b", np.resize(widths, (3, 3))  # by distinct values
+    yield "a\\b", -np.arange(1, 13).reshape(3, 4)
+    yield "a\\b", np.array([[-3, -1000, -7], [-42, -1, -5]])
+    yield "a\\b", np.full((3, 4), 17)
+    yield "a\\b", np.array([[5]])
+    yield "a\\b", np.array([[4, -12, 0, 123456, 7]])
+    yield "a\\b", np.array([[1], [-1], [100], [0]])
+    yield "a\\b", const_bct
+    yield "u\\v", walsh_spectrum(random_permutation(make_field(6), np.random.default_rng(6))).values
+
+
+@pytest.mark.parametrize("chunk", [tables._CHUNK, 1], ids=["default", "one"])
+def test_text_blocks_are_byte_identical_to_str_and_json_dumps(monkeypatch, chunk):
+    # one gather of NUL-padded pieces per block, with the pad deleted,
+    # against str per cell (CSV) and json.dumps (JSON)
+    monkeypatch.setattr(tables, "_CHUNK", chunk)
+    for corner, m in _formatter_cases():
+        chunks = list(tables._csv_chunks(corner, m))
+        assert "".join(chunks) == _csv_per_cell(corner, m)
+        if chunk == 1:  # the header, then one block per row
+            assert len(chunks) == m.shape[0] + 1
+        payload = {"schema": 1, "counts": m, "flat": m.ravel(), "first": m.ravel()[:1]}
+        expected = json.dumps({k: v if k == "schema" else v.ravel().tolist()
+                               for k, v in payload.items()}, indent=2) + "\n"
+        assert "".join(cli._json_pieces(payload)) == expected
+
+
 def test_decimal_rows_lookup_is_no_larger_than_the_array():
+    # the span [-5, 10^6] is wider than the array, so each block looks up
+    # its distinct values
     wide = np.array([[0, 10**6], [-5, 7]], dtype=np.int64)
     tracemalloc.start()
-    rows = list(tables._decimal_rows(wide))
+    text = "".join(tables._text_blocks(wide, ",", labels=True))
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert rows == [["0", "1000000"], ["-5", "7"]]
+    assert text == "0,0,1000000\n1,-5,7\n"
     assert peak < 100_000  # a lookup over [-5, 10^6] would take tens of MB
-    assert list(tables._decimal_rows(np.array([2, -1, 2]))) == [["2", "-1", "2"]]
+    assert "".join(tables._text_blocks(np.array([2, -1, 2]), ",")) == ",2,-1,2"
 
 
 def test_json_export():
