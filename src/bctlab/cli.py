@@ -8,13 +8,10 @@ walsh print CSV, or JSON with --json; family prints the S-box file format;
 every other verb prints JSON ("schema": 1) and takes no --json. Exit codes:
 0 success, 1 failed reproduction claims, 2 usage or input errors and
 tables too large for physical memory. CSV is byte-identical across BCT
-algorithms, and JSON differs only in its "algorithm" field. Table values
-are written from one NUL-padded lookup of ASCII pieces (a separator and
-the decimal digits) over their span, gathered a block of rows at a time
-(see tables._text_blocks), so no export is held whole, and a JSON table is
-never built as a list of Python ints; the text equals json.dumps(indent=2)
-of the plain lists. --out is opened only once the first chunk exists, so
-a request refused with exit 2 leaves no file.
+algorithms, and JSON differs only in its "algorithm" field. The text of a
+table, CSV or JSON list, comes from tables a block of rows at a time. --out
+is opened only once the first chunk exists, so a request refused with exit
+2 leaves no file.
 """
 
 from __future__ import annotations
@@ -34,8 +31,8 @@ from .gf2n import parse_field
 from .sbox import SBox, read_sbox, write_sbox
 from .tables import (
     _csv_chunks,
+    _json_list_chunks,
     _ktable_fields,
-    _text_blocks,
     bct,
     boomerang_uniformity,
     ddt,
@@ -53,7 +50,7 @@ from .verify import appendix_case_audit, reproduce, reproduce_all
 __all__ = ["main"]
 
 
-# -- verb handlers: (S-box, args) -> text, text chunks or a JSON payload ---------
+# -- verb handlers: (S-box, args) -> text chunks or a JSON value -----------------
 
 
 def _table_out(t, args):
@@ -125,7 +122,7 @@ def _certify(f: SBox, args):
 def _family(f: SBox, args):
     buf = io.StringIO()
     write_sbox(f, buf)
-    return buf.getvalue()
+    yield buf.getvalue()
 
 
 @functools.cache  # parse_args keeps no state on the parser, so one per process serves every call
@@ -192,48 +189,38 @@ def _load_sbox(args) -> SBox:
     return FamilySpec.parse(args.family).build(field)
 
 
-def _json_pieces(payload: dict):
-    """The text of json.dumps(payload, indent=2) + "\\n", one field at a time.
+def _json_pieces(value):
+    """The text of json.dumps(value, indent=2) + "\\n", in pieces.
 
-    Each field value is written as json.dumps writes it inside a dict, and
-    an integer ndarray as its row-major list, one block of rows at a time
-    (see tables._text_blocks), never built as a list of Python ints: its
-    pieces ",\\n    " + str(v), with the first one's comma dropped after "[".
+    A non-empty dict goes field by field, each field as json.dumps writes
+    it inside the dict, and an integer ndarray field as its row-major list,
+    a block of rows at a time (see tables._json_list_chunks), never built
+    as a list of Python ints. A list, {} or any other value goes whole.
     """
+    if not (isinstance(value, dict) and value):
+        yield json.dumps(value, indent=2) + "\n"
+        return
     sep = "{\n"
-    for key, v in payload.items():
+    for key, v in value.items():
         yield f"{sep}  {json.dumps(key)}: "
-        if not isinstance(v, np.ndarray):
-            yield json.dumps(v, indent=2).replace("\n", "\n  ")
-        elif v.size == 0:
-            yield "[]"
+        if isinstance(v, np.ndarray):
+            yield from _json_list_chunks(v)
         else:
-            blocks = _text_blocks(v, ",\n    ")
-            yield "["
-            yield next(blocks)[1:]
-            yield from blocks
-            yield "\n  ]"
+            yield json.dumps(v, indent=2).replace("\n", "\n  ")
         sep = ",\n"
     yield "\n}\n"
 
 
 def _write(result, out_path) -> None:
-    """Write text, text chunks or a JSON payload to out_path or stdout, chunk by chunk.
+    """Write text chunks or a JSON value to out_path or stdout, chunk by chunk.
 
-    A payload is written as json.dumps(indent=2) of it with each integer
-    ndarray as its row-major list: a non-empty dict piece by piece (see
-    _json_pieces), an array a block of rows at a time, anything else
-    whole. out_path is opened only once the first chunk exists, so a
-    request that fails before it leaves no file.
+    result is either an iterator of text chunks or a JSON value, which is
+    written as json.dumps(indent=2) of it with each integer ndarray field
+    as its row-major list (see _json_pieces). out_path is opened only once
+    the first chunk exists, so a request that fails before it leaves no
+    file.
     """
-    if isinstance(result, str):
-        chunks = iter([result])
-    elif isinstance(result, dict) and result:
-        chunks = _json_pieces(result)
-    elif isinstance(result, Iterator):
-        chunks = result
-    else:
-        chunks = iter([json.dumps(result, indent=2) + "\n"])
+    chunks = result if isinstance(result, Iterator) else _json_pieces(result)
     first = next(chunks, "")
     with open(out_path, "w", encoding="ascii") if out_path else nullcontext(sys.stdout) as fh:
         fh.write(first)

@@ -253,12 +253,7 @@ class FieldSpec:
     @cached_property
     def primitive_element(self) -> int:
         """Smallest-by-encoding generator of the multiplicative group."""
-        order = self.size - 1
-        return next(
-            g
-            for g in range(2, self.size)
-            if all(self.pow(g, order // p) != 1 for p in self._factors)
-        )
+        return next(g for g in range(2, self.size) if self.element_order(g) == self.size - 1)
 
     # -- vector arithmetic ---------------------------------------------------
     #
@@ -314,12 +309,11 @@ class FieldSpec:
         return np.where(x == 0, 0, r)
 
     def inv_vec(self, x):
-        """Elementwise inverse; every entry must be nonzero."""
+        """Elementwise inverse x^(2^n - 2); every entry must be nonzero."""
         x = np.asarray(x, dtype=np.int64)
         if (x == 0).any():
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        log, exp = self._tables()
-        return exp[(self.size - 1 - log[x]) % (self.size - 1)]
+        return self.pow_vec(x, self.size - 2)
 
     def trace_vec(self, x):
         """Elementwise absolute trace."""

@@ -33,7 +33,7 @@ of the value histogram. _bct_blocks
 runs the kernel over blocks of rows that share a top bit, into one
 reused buffer, in one serial pass; bct_fast copies each block into the
 table, the reducers below read it, and bct_row(f, a) is one row.
-bct_fast and ddt refuse, before allocating, a table whose estimated peak
+Every builder refuses, before allocating, a table whose estimated peak
 exceeds physical memory. No builder starts a thread.
 Counts are stored as int32, and KTable refuses any count above its
 maximum: every count is at most 4^n, which fits up to n = 15, but BCT(0, 0)
@@ -68,8 +68,8 @@ value span (over each block's distinct values when the span is as wide as
 the array), and a block of rows is one gather of piece ids with the pad
 deleted. The CSV is its header and then one chunk per block of about
 _CHUNK bytes of ids and pieces (_csv_chunks), which the CLI writes one at
-a time and ktable_to_csv joins; the CLI streams JSON tables from the same
-blocks, never building the text whole or a list of Python ints.
+a time and ktable_to_csv joins; a JSON list is "[" and the same blocks
+(_json_list_chunks), never built whole or as a list of Python ints.
 """
 
 from __future__ import annotations
@@ -188,8 +188,11 @@ def bct_naive(f: SBox) -> KTable:
     """Inverse-based reference count, O(2^3n); requires a permutation.
 
     Entry (a, b) counts the x with finv(f(x)+b) + finv(f(x+a)+b) = a,
-    the single-variable form of the pair count at the same index.
+    the single-variable form of the pair count at the same index. Raises
+    MemoryError, before allocating, when the estimated peak exceeds
+    physical memory (see _oracle_peak_bytes).
     """
+    _require_memory("bct_naive", f.spec.n, _oracle_peak_bytes(f.spec.n))
     g = inverse_table(f).table
     N = f.spec.size
     table = f.table
@@ -203,7 +206,12 @@ def bct_naive(f: SBox) -> KTable:
 
 
 def bct_system(f: SBox) -> KTable:
-    """Literal pair count of the two-equation system, O(2^3n); any function."""
+    """Literal pair count of the two-equation system, O(2^3n); any function.
+
+    Raises MemoryError, before allocating, when the estimated peak exceeds
+    physical memory (see _oracle_peak_bytes).
+    """
+    _require_memory("bct_system", f.spec.n, _oracle_peak_bytes(f.spec.n))
     N = f.spec.size
     table = f.table
     idx = np.arange(N)
@@ -260,6 +268,16 @@ def _fast_peak_bytes(n: int) -> int:
     3-valued map of GF(2^10) and 5.7 MiB for a random permutation of
     GF(2^12)."""
     return np.dtype(_fast_dtype(n)).itemsize * 4**n + 160 * _BLOCK
+
+
+def _oracle_peak_bytes(n: int) -> int:
+    """Upper estimate of the bytes bct_naive or bct_system allocates at
+    dimension n: 32 bytes per table cell and 64 KiB of fixed overhead. Each
+    holds one int64 4^n array (bct_naive's M, bct_system's B1), a
+    row-shifted int64 copy of it, a bool mask and the int64 counts, about
+    25 bytes per cell; under tracemalloc both peak at 25-26 bytes per cell
+    from n = 8 and 32-42 at n = 6-7, where the fixed part still shows."""
+    return 32 * 4**n + (1 << 16)
 
 
 def bct_fast(f: SBox) -> KTable:
@@ -468,30 +486,17 @@ def _symmetry(f: SBox) -> _Symmetry:
     if t1 == 0 or t0 not in (0, t1):
         return _Symmetry(frobenius, 1, 0)
     log, exp = spec._tables()
-    along = None  # f(g^i) for i = 0 .. 2^n - 2, read once a candidate passes
-    for m in _divisors(M, spec._factors)[:-1]:  # the last, 1, is no scaling
-        s = M // m  # U is generated by c = g^s
+    along = table[exp]  # f(g^i) for i = 0 .. 2^n - 2
+    # U = <g^s> has order M / s: s ascending is U from the largest down, and
+    # s = M, no scaling, is left out
+    for s in (np.flatnonzero(M % np.arange(1, M) == 0) + 1).tolist():
         fc = int(table[exp[s]])
         t = (int(log[fc]) - int(log[t1])) % M  # c^e = g^t when fc = c^e f(1)
         if fc == 0 or t % s or (t0 and t):
             continue
-        if along is None:
-            along = table[exp]
         if np.array_equal(np.roll(along, -s), spec._mul_by(along, int(exp[t]))):
-            return _Symmetry(frobenius, m, t // s)
+            return _Symmetry(frobenius, M // s, t // s)
     return _Symmetry(frobenius, 1, 0)
-
-
-def _divisors(m: int, primes) -> list[int]:
-    """The divisors of m, largest first, from its prime factors."""
-    divs = [1]
-    for p in primes:
-        powers, q = [1], m
-        while q % p == 0:
-            q //= p
-            powers.append(powers[-1] * p)
-        divs = [d * k for d in divs for k in powers]
-    return sorted(divs, reverse=True)
 
 
 def _orbit_rows(f: SBox):
@@ -695,6 +700,23 @@ def _text_blocks(m: np.ndarray, sep: str, labels: bool = False):
         del ids, values  # no block's ids are held while its text is written
         yield text
         del text  # hold no written block while the next is built
+
+
+def _json_list_chunks(m: np.ndarray):
+    """The row-major list of an integer array as json.dumps(indent=2) writes a dict field.
+
+    "[", the pieces ",\\n    " + str(v) of _text_blocks with the first one's
+    comma dropped, then "\\n  ]", one chunk per block of rows; "[]" when m
+    is empty.
+    """
+    if m.size == 0:
+        yield "[]"
+        return
+    blocks = _text_blocks(m, ",\n    ")
+    yield "["
+    yield next(blocks)[1:]
+    yield from blocks
+    yield "\n  ]"
 
 
 def _csv_chunks(corner: str, m: np.ndarray):

@@ -141,14 +141,31 @@ def test_uniformity_of_a_power_map_past_the_tables_reach(capsys, monkeypatch):
 
 
 def test_ddt_over_memory_budget_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(tables, "_memory_budget", lambda: 512)
-    # bct_system has no preflight, so uniformity reaches ddt's
-    for argv in (["ddt"], ["uniformity", "--algo", "system"]):
+    # bct_system's preflight passes just below ddt's estimate, so uniformity
+    # reaches ddt's
+    assert tables._oracle_peak_bytes(3) < tables._ddt_peak_bytes(3) - 1
+    for argv, budget in ((["ddt"], 512),
+                         (["uniformity", "--algo", "system"], tables._ddt_peak_bytes(3) - 1)):
+        monkeypatch.setattr(tables, "_memory_budget", lambda: budget)
         code, out, err = run_cli(capsys, *argv, "--family", "gold n=3 i=1")
         assert code == 2
         assert out == ""
         assert err.startswith("error: ddt at n = 3 needs about ")
-        assert "physical memory is 512 bytes" in err
+        assert f"physical memory is {budget} bytes" in err
+
+
+@pytest.mark.parametrize("verb", ["bct", "uniformity"])
+@pytest.mark.parametrize("algo", ["naive", "system"])
+def test_oracle_over_memory_budget_exits_2(tmp_path, capsys, monkeypatch, verb, algo):
+    need = tables._oracle_peak_bytes(5)
+    monkeypatch.setattr(tables, "_memory_budget", lambda: need - 1)
+    path = tmp_path / "out"
+    code, out, err = run_cli(capsys, verb, "--algo", algo, "--family", "gold n=5 i=1",
+                             "--out", str(path))
+    assert code == 2 and out == ""
+    assert err == (f"error: bct_{algo} at n = 5 needs about {need} bytes; "
+                   f"physical memory is {need - 1} bytes\n")
+    assert not path.exists()
 
 
 def test_out_file_is_not_created_when_the_request_fails(tmp_path, capsys, monkeypatch):
@@ -574,10 +591,10 @@ def test_streamed_requests_stay_below_their_tables(tmp_path):
     # generic uniformity streams its rows: the GF(2^12) BCT alone is 64 MiB
     # (through the table it rose about 73 MiB, streamed about 10 MiB)
     assert _rss_rise(tmp_path, "uniformity", 12) < 4 * 4**12
-    # ddt --json holds its 4 MiB table and writes 7 MiB of text in chunks of
-    # about 1 MiB; a chunk is alive twice over (with its pieces while they
-    # are joined, with its encoded copy while it is written). Built whole,
-    # the text rose about 32 MiB; streamed, about 7 MiB
+    # ddt --json holds its 4 MiB table and writes 7 MiB of text a block of
+    # rows at a time; each block's piece ids and gathered pieces take about
+    # _CHUNK bytes, and one block is built and written before the next.
+    # Built whole, the text rose about 32 MiB; streamed, about 5.7 MiB
     assert _rss_rise(tmp_path, "ddt", 10, "--json") < 4 * 4**10 + 4 * tables._CHUNK
 
 

@@ -46,6 +46,12 @@ def test_default_reductions_match_brute_force_derivation():
         assert DEFAULT_REDUCTION[n] == _lowest_weight_irreducible(n)
 
 
+@pytest.mark.parametrize("poly, irreducible", [(0, False), (1, False), (2, True), (3, True)],
+                         ids=["zero", "degree 0", "x", "x + 1"])
+def test_is_irreducible_below_degree_two(poly, irreducible):
+    assert is_irreducible(poly) is irreducible
+
+
 def test_make_field_examples():
     assert make_field(3).reduction == 0xB
     with pytest.raises(ValueError):
@@ -160,6 +166,28 @@ def test_log_tables_match_scalar_loop(n):
     log, exp = spec._tables()
     assert exp.tolist() == ref
     assert log[0] == 0 and np.array_equal(log[exp], np.arange(spec.size - 1))
+
+
+def test_primitive_element_is_the_least_generator():
+    # the order of each g by repeated multiplication, never by the factors
+    # of 2^n - 1 that element_order uses
+    for n in range(2, 13):
+        spec = make_field(n)
+        for g in range(2, spec.size):
+            x, k = g, 1
+            while x != 1:
+                x, k = spec.mul(x, g), k + 1
+            if k == spec.size - 1:
+                break
+        assert spec.primitive_element == g, n
+
+
+def test_inv_vec_refuses_zero():
+    spec = make_field(5)
+    with pytest.raises(ZeroDivisionError):
+        spec.inv_vec([3, 0, 7])
+    with pytest.raises(ZeroDivisionError):
+        spec.inv_vec(0)
 
 
 def test_mul_by_scalar_matches_mul():

@@ -9,22 +9,52 @@ import pytest
 from bctlab import (
     AffineMap,
     SBox,
+    WalshSpectrum,
     affine_apply,
     boomerang_uniformity,
+    btt,
     compose,
     derivative,
+    dobbertin,
     from_monomial,
     from_polynomial,
     gold,
     identity_sbox,
     inverse_table,
+    kasami,
     make_field,
     modified_inverse,
+    niho,
     random_affine_permutation,
     random_permutation,
     read_sbox,
     write_sbox,
 )
+
+
+_REFUSALS = {
+    "gold over a field of another n": (lambda: gold(5, 1, field=make_field(6)),
+                                       "needs GF\\(2\\^5\\) but field has n=6"),
+    "kasami i=0": (lambda: kasami(5, 0), "need 1 <= i < n"),
+    "niho k=0": (lambda: niho(0), "niho parameter k must be >= 1"),
+    "dobbertin k=0": (lambda: dobbertin(0), "dobbertin parameter k must be >= 1"),
+    "btt s=0": (lambda: btt(2, 0), "btt shift s must be positive"),
+    "header n=abc": (lambda: read_sbox(io.StringIO("n=abc\n0 1 2 3\n")), "bad dimension"),
+    "negative monomial": (lambda: from_monomial(make_field(3), -1), "non-negative"),
+    "negative pow_vec": (lambda: make_field(3).pow_vec(np.arange(8), -1), "non-negative"),
+    "affine map of another field": (
+        lambda: affine_apply(AffineMap(make_field(3), [1, 0, 0]), gold(4, 1), "pre"),
+        "different fields",
+    ),
+    "spectrum of a wrong shape": (lambda: WalshSpectrum(make_field(3), np.zeros((8, 4))),
+                                  "2\\^n x 2\\^n"),
+}
+
+
+@pytest.mark.parametrize("call, message", _REFUSALS.values(), ids=_REFUSALS.keys())
+def test_refused_inputs_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_sbox_validation():

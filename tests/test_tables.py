@@ -222,6 +222,38 @@ def test_power_exponent_detects_power_maps(monkeypatch, rng):
     assert tables._symmetry(SBox(make_field(5), near)) == (False, 1, 0)
 
 
+def _scaling_by_brute_force(f):
+    """(m, e) for the largest m dividing 2^n - 1 with f(c x) = c^e f(x) for
+    every c with c^m = 1 and every x, e the least; scalar mul and pow only."""
+    spec, t = f.spec, f.table.tolist()
+    M = spec.size - 1
+    for m in (m for m in range(M, 0, -1) if M % m == 0):
+        U = [c for c in range(2, spec.size) if spec.pow(c, m) == 1]  # c = 1 holds for any e
+        for e in range(m):
+            if all(t[spec.mul(c, x)] == spec.mul(ce, t[x])
+                   for c, ce in ((c, spec.pow(c, e)) for c in U) for x in range(spec.size)):
+                return m, e
+
+
+def test_symmetry_finds_every_subgroup_order():
+    # f(x) = x^e phi(x^m) has f(c x) = c^e f(x) whenever c^m = 1; with a
+    # random phi of nonzero values the largest such subgroup has order m,
+    # one map for every divisor m of 2^n - 1
+    rng = np.random.default_rng(23)
+    for n in (4, 6, 8):
+        spec = make_field(n)
+        M = spec.size - 1
+        orders = set()
+        for m in (m for m in range(1, M + 1) if M % m == 0):
+            e, phi = int(rng.integers(1, M)), rng.integers(1, spec.size, spec.size)
+            f = SBox(spec, [spec.mul(spec.pow(x, e), int(phi[spec.pow(x, m)]))
+                            for x in range(spec.size)])
+            sym = tables._symmetry(f)
+            assert (sym.order, sym.e) == _scaling_by_brute_force(f), (n, m)
+            orders.add(sym.order)
+        assert orders == {m for m in range(1, M + 1) if M % m == 0}, n
+
+
 def test_bct_row_matches_system_rows(rng):
     pairs = ((4, 0), (4, 3), (6, 3), (6, 7), (7, 13))
     one_orbit = [from_monomial(make_field(n), d) for n, d in pairs]
@@ -860,6 +892,30 @@ def test_bct_fast_refuses_tables_over_the_memory_budget(monkeypatch):
         bct_fast(f)
     monkeypatch.setattr(tables, "_memory_budget", lambda: need)
     assert bct_fast(f).max_nonzero() == 2
+
+
+@pytest.mark.parametrize("builder", [bct_naive, bct_system], ids=["naive", "system"])
+def test_oracles_refuse_tables_over_the_memory_budget(monkeypatch, builder):
+    f = gold(5, 1)
+    need = tables._oracle_peak_bytes(5)
+    monkeypatch.setattr(tables, "_memory_budget", lambda: need - 1)
+    with pytest.raises(MemoryError, match=f"{builder.__name__} at n = 5 needs about {need} bytes"):
+        builder(f)
+    monkeypatch.setattr(tables, "_memory_budget", lambda: need)
+    assert builder(f).max_nonzero() == 2
+
+
+def test_oracle_peak_estimate_covers_allocations(rng):
+    for n in (6, 7, 8, 9):
+        f = random_permutation(make_field(n), rng)
+        for builder in (bct_naive, bct_system):
+            tracemalloc.start()
+            try:
+                builder(f)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= tables._oracle_peak_bytes(n), (builder.__name__, n)
 
 
 def test_power_map_past_the_table_budget_reads_row_one(monkeypatch):
