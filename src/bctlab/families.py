@@ -153,12 +153,11 @@ def btt(k: int, s: int, alpha: int | None = None, field: FieldSpec | None = None
 
 
 def modified_inverse(n: int, field: FieldSpec | None = None) -> SBox:
-    """The inverse map with the images of 0 and 1 swapped."""
-    spec = _field_for(n, field)
-    table = np.zeros(spec.size, dtype=np.int64)
-    table[0] = 1
-    table[2:] = spec.inv_vec(np.arange(2, spec.size))
-    return SBox(spec, table)
+    """The inverse map x^(2^n - 2) with the images of 0 and 1 swapped."""
+    inv = inverse_fn(n, field)
+    table = inv.table.copy()
+    table[:2] = (1, 0)
+    return SBox(inv.spec, table)
 
 
 # -- the x^(q+2) + gamma*x binomial over GF(q^2) ------------------------------------

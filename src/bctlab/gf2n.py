@@ -183,8 +183,18 @@ class FieldSpec:
 
     # -- scalar arithmetic --------------------------------------------------
 
+    def _element(self, x: int) -> int:
+        """x itself; ValueError naming x unless 0 <= x < 2^n."""
+        if not 0 <= x < self.size:
+            raise ValueError(f"field element must lie in [0, 2^n), got {x}")
+        return x
+
     def mul(self, x: int, y: int) -> int:
-        """Product modulo the reduction polynomial (shift-and-xor)."""
+        """Product modulo the reduction polynomial (shift-and-xor).
+
+        Refuses, with ValueError, a factor outside [0, 2^n).
+        """
+        x, y = self._element(x), self._element(y)
         r = 0
         top = self.size
         red = self.reduction
@@ -201,7 +211,7 @@ class FieldSpec:
         """Square-and-multiply exponentiation; 0^0 is defined as 1."""
         if e < 0:
             raise ValueError("exponent must be non-negative")
-        r = 1
+        x, r = self._element(x), 1
         while e:
             if e & 1:
                 r = self.mul(r, x)
@@ -232,8 +242,11 @@ class FieldSpec:
         return mask
 
     def trace(self, x: int) -> int:
-        """Absolute trace x + x^2 + ... + x^(2^(n-1)), a bit."""
-        return bin(x & self._trace_mask).count("1") & 1
+        """Absolute trace x + x^2 + ... + x^(2^(n-1)), a bit.
+
+        Refuses, with ValueError, an x outside [0, 2^n).
+        """
+        return bin(self._element(x) & self._trace_mask).count("1") & 1
 
     @cached_property
     def _factors(self) -> tuple[int, ...]:
@@ -380,6 +393,7 @@ def solve_quadratic(spec: FieldSpec, a: int, b: int) -> set[int]:
 
 def cubic_roots(spec: FieldSpec, a2: int, a1: int) -> set[int]:
     """All distinct roots of x^3 + a2*x + a1 in the field (full scan)."""
+    a2, a1 = spec._element(a2), spec._element(a1)
     xs = np.arange(spec.size, dtype=np.int64)
     vals = spec.pow_vec(xs, 3) ^ spec.mul_vec(a2, xs) ^ a1
     return {int(r) for r in xs[vals == 0]}
@@ -412,6 +426,7 @@ def quartic_roots(spec: FieldSpec, a2: int, a1: int, a0: int) -> set[int]:
     """
     if spec.mul(a0, a1) == 0:
         raise ValueError("quartic solver requires a0 and a1 nonzero")
+    splits = quartic_has_four_roots(spec, a2, a1, a0)  # refuses a2 outside the field
     xs = np.arange(spec.size, dtype=np.int64)
     sq = spec.mul_vec(xs, xs)
     vals = (
@@ -421,7 +436,7 @@ def quartic_roots(spec: FieldSpec, a2: int, a1: int, a0: int) -> set[int]:
         ^ a0
     )
     roots = {int(r) for r in xs[vals == 0]}
-    if (len(roots) == 4) != quartic_has_four_roots(spec, a2, a1, a0):
+    if (len(roots) == 4) != splits:
         raise AssertionError(
             f"splitting criterion disagrees with root scan for "
             f"({a2:#x}, {a1:#x}, {a0:#x}) over {spec.label()}"

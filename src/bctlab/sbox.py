@@ -89,17 +89,18 @@ def identity_sbox(spec: FieldSpec) -> SBox:
 
 def from_monomial(spec: FieldSpec, d: int) -> SBox:
     """The power map x -> x^d; a permutation iff gcd(d, 2^n - 1) = 1."""
-    if d < 0:
-        raise ValueError("exponent must be non-negative")
     return SBox(spec, spec.pow_vec(np.arange(spec.size), d))
 
 
 def from_polynomial(spec: FieldSpec, terms: Iterable[tuple[int, int]]) -> SBox:
-    """Pointwise evaluation of sum(c * x^e for (e, c) in terms)."""
+    """Pointwise evaluation of sum(c * x^e for (e, c) in terms), x^0 = 1 at x = 0 too.
+
+    Every coefficient c must lie in [0, 2^n); ValueError otherwise.
+    """
     xs = np.arange(spec.size, dtype=np.int64)
     acc = np.zeros(spec.size, dtype=np.int64)
     for e, c in terms:
-        acc ^= spec.mul_vec(c, spec.pow_vec(xs, e))
+        acc ^= spec.mul_vec(spec._element(c), spec.pow_vec(xs, e))
     return SBox(spec, acc)
 
 
@@ -138,11 +139,10 @@ def derivative(f: SBox, a: int) -> SBox:
 
 
 class AffineMap:
-    """x -> sum(a_i * x^(2^i)) + c, evaluated to a table on construction.
+    """x -> sum(a_i * x^(2^i)) + c: the linearized polynomial with its constant term.
 
-    The linearized part is GF(2)-linear, so the table is assembled from the
-    images of the basis elements in O(n^2) field multiplications plus one
-    doubling pass.
+    Its table is evaluated on construction by from_polynomial, with c as
+    the x^0 term, so every a_i and c must lie in [0, 2^n).
     """
 
     def __init__(self, spec: FieldSpec, linear: Sequence[int], constant: int = 0):
@@ -151,19 +151,8 @@ class AffineMap:
         self.spec = spec
         self.linear = tuple(int(a) for a in linear)
         self.constant = int(constant)
-        images = []
-        for j in range(spec.n):
-            acc = 0
-            for i, a in enumerate(self.linear):
-                acc ^= spec.mul(a, spec.pow(1 << j, 1 << i))
-            images.append(acc)
-        table = np.zeros(spec.size, dtype=np.int64)
-        for j in range(spec.n):
-            half = 1 << j
-            table[half : 2 * half] = table[:half] ^ images[j]
-        table ^= self.constant
-        table.flags.writeable = False
-        self.table = table
+        terms = [(1 << i, a) for i, a in enumerate(self.linear)] + [(0, self.constant)]
+        self.table = from_polynomial(spec, terms).table
 
     def __repr__(self):
         return f"AffineMap({self.spec.label()}, linear={self.linear}, constant={self.constant})"

@@ -65,10 +65,11 @@ Exports are byte-identical to str() per cell, from one formatter,
 _text_blocks: each value is the piece sep + str(v) ("," in a CSV,
 ",\\n    " in JSON), looked up in one NUL-padded ASCII array over the
 value span (over each block's distinct values when the span is as wide as
-the array), and a block of rows is one gather of piece ids with the pad
-deleted. The CSV is its header and then one chunk per block of about
-_CHUNK bytes of ids and pieces (_csv_chunks), which the CLI writes one at
-a time and ktable_to_csv joins; a JSON list is "[" and the same blocks
+one block's cells, so the lookup is never larger than one block), and a
+block of rows is one gather of piece ids with the pad deleted. The CSV
+is its header and then one chunk per block of about _CHUNK bytes of ids
+and pieces (_csv_chunks), which the CLI writes one at a time and
+ktable_to_csv joins; a JSON list is "[" and the same blocks
 (_json_list_chunks), never built whole or as a list of Python ints.
 """
 
@@ -667,21 +668,22 @@ def _text_blocks(m: np.ndarray, sep: str, labels: bool = False):
     rows is one gather of piece ids with the pad deleted, which is exact:
     no decimal piece holds a NUL. Counts and Walsh values span few
     integers, so the lookup holds every value of [min, max]; when that
-    span is as wide as the array (BCT(0, 0) = 4^n of a constant map), it
-    holds each block's distinct values instead, so it is never larger than
-    the array. A block holds at least one row, and its ids and gathered
-    pieces take about _CHUNK bytes at most: the ids are built per block,
-    never for the whole array, and are dropped before the text is yielded.
+    span is as wide as the cells of one block (BCT(0, 0) = 4^n of a
+    constant map, or the sparse counts of a 3-valued map), it holds each
+    block's distinct values instead, so it is never larger than one block.
+    A block holds at least one row, and its ids and gathered pieces take
+    about _CHUNK bytes at most: the ids are built per block, never for the
+    whole array, and are dropped before the text is yielded.
     """
     m = np.atleast_2d(m)
     rows, cols = m.shape
     lo, hi = int(m.min()), int(m.max())
     heads = _pieces("", [*range(rows), "\n"] if labels else [])  # the CSV row labels
-    span = hi - lo < m.size
-    if span:
-        lut = np.concatenate((heads, _pieces(sep, range(lo, hi + 1))))
     width = max(heads.itemsize, len(sep) + max(len(str(lo)), len(str(hi))))
     per = max(1, _CHUNK // ((width + np.dtype(np.intp).itemsize) * (cols + 2 * labels)))
+    span = hi - lo < min(per, rows) * cols
+    if span:
+        lut = np.concatenate((heads, _pieces(sep, range(lo, hi + 1))))
     for r0 in range(0, rows, per):
         block = m[r0 : r0 + per]
         ids = np.empty((block.shape[0], cols + 2 * labels), dtype=np.intp)

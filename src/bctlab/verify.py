@@ -17,10 +17,11 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Callable
 
-from .gf2n import find_omega, make_field
+from .gf2n import make_field
 from .sbox import SBox, compose, from_monomial, identity_sbox, inverse_table
 from .tables import _orbit_report, _orbit_rows, quadratic_bound_check
 from .families import (
+    _excluded_shifts,
     _field_from_q,
     btt,
     cube_condition_roots,
@@ -259,10 +260,7 @@ def appendix_case_audit(n: int) -> list[ClaimReport]:
         raise ValueError(f"audit supports n >= 3, got {n}")
     spec = make_field(n)
     f = modified_inverse(n, spec)
-    omegas = set()
-    if n % 2 == 0:
-        w = find_omega(spec)
-        omegas = {w, spec.mul(w, w)}
+    omegas = _excluded_shifts(spec) - {0, 1}
     case_max, case_ms = {}, {}
     last = time.perf_counter()
     for a, _, block, _, _ in _orbit_rows(f):

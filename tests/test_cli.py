@@ -410,6 +410,32 @@ def test_usage_errors(tmp_path, capsys):
     assert run_cli(capsys, "ddt", "--family", "gold n=4 i=1", "--field", "4:15")[0] == 2
 
 
+def _child_env():
+    """The environment of a child interpreter that imports this bctlab."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+@pytest.mark.parametrize("family", [
+    "btt k=2 s=4 alpha=-1",
+    "zieve_binomial q=8 gamma=-1",
+    "zieve_binomial_inverse q=8 gamma=-3",
+    "zieve_binomial q=8 gamma=64",
+])
+def test_parameters_outside_the_field_exit_2(tmp_path, family):
+    # the negative ones never returned (scalar mul shifted a negative factor
+    # right forever) and gamma=64 raised IndexError; run in a child with a
+    # timeout, so a hang fails this test instead of stalling the suite
+    out = tmp_path / "out.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "bctlab", "uniformity", "--family", family, "--out", str(out)],
+        env=_child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert "field element" in proc.stderr and not out.exists()
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "t.csv"
     code, out, _ = run_cli(
@@ -576,11 +602,9 @@ def _rss_rise(tmp_path, verb, n, *extra):
     for m in (6, n):
         paths.append(str(tmp_path / f"perm{m}.sbox"))
         write_sbox(random_permutation(make_field(m), rng), paths[-1])
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-c", _RISE_SCRIPT, verb, *paths, str(tmp_path / "out"), *extra],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=_child_env(), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     return int(proc.stdout)

@@ -172,12 +172,13 @@ def test_btt_k2_uniformities():
 
 
 def test_modified_inverse_values():
-    f = modified_inverse(4)
-    spec = f.spec
-    assert f[0] == 1 and f[1] == 0
-    for x in range(2, 16):
-        assert f[x] == spec.inv(x)
-    assert compose(f, f) == identity_sbox(spec)  # involution
+    for n in range(3, 13):
+        f = modified_inverse(n)
+        spec = f.spec
+        assert f[0] == 1 and f[1] == 0
+        for x in range(2, spec.size):
+            assert f[x] == spec.inv(x)
+        assert compose(f, f) == identity_sbox(spec)  # involution
 
 
 @pytest.mark.parametrize(

@@ -209,6 +209,37 @@ def test_inv_examples():
     assert spec.inv(0b010) == 0b101
 
 
+@pytest.mark.parametrize("op,args", [
+    (FieldSpec.mul, (-1, 3)),  # a negative factor never shifts down to 0
+    (FieldSpec.mul, (3, -1)),
+    (FieldSpec.mul, (32, 3)),
+    (FieldSpec.mul, (3, 32)),
+    (FieldSpec.pow, (-1, 0)),
+    (FieldSpec.pow, (32, 0)),
+    (FieldSpec.pow, (40, 3)),
+    (FieldSpec.trace, (-1,)),
+    (FieldSpec.trace, (32,)),
+    (FieldSpec.inv, (-1,)),
+    (FieldSpec.sqrt, (32,)),
+    (FieldSpec.element_order, (-2,)),
+    (solve_artin_schreier, (-1,)),  # a negative log-table index reads c = 31
+    (solve_artin_schreier, (32,)),
+    (solve_quadratic, (3, -1)),
+    (solve_quadratic, (0, 32)),
+    (cubic_roots, (-1, 1)),
+    (cubic_roots, (1, -1)),
+    (cubic_roots, (1, 32)),
+    (quartic_has_four_roots, (-1, 1, 1)),
+    (quartic_roots, (32, 1, 1)),  # a2 reaches the scan before the criterion
+    (quartic_roots, (1, 1, -1)),
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_scalar_operations_refuse_values_outside_the_field(op, args):
+    # the message names the first value outside [0, 2^5)
+    bad = next(v for v in args if not 0 <= v < 32)
+    with pytest.raises(ValueError, match=rf"lie in \[0, 2\^n\), got {bad}$"):
+        op(make_field(5), *args)
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_inv_involution_and_product(n):
     spec = make_field(n)

@@ -100,6 +100,11 @@ def test_from_polynomial():
     f = from_polynomial(spec, [(q + 2, 1), (1, gamma)])
     for x in range(spec.size):
         assert f[x] == spec.pow(x, q + 2) ^ spec.mul(gamma, x)
+    # a coefficient outside the field: -1 read the log table from its end
+    # (the map of c = 63), and 64 raised IndexError
+    for c in (-1, spec.size):
+        with pytest.raises(ValueError, match=rf"got {c}$"):
+            from_polynomial(spec, [(1, c)])
 
 
 def test_is_permutation_examples():
@@ -164,7 +169,7 @@ def test_gold_derivative_is_affine(f):
 
 
 def test_affine_map_matches_scalar_evaluation(rng):
-    for n in (3, 4, 5):
+    for n in (3, 4, 5, 8):
         spec = make_field(n)
         for _ in range(5):
             linear = [int(rng.integers(0, spec.size)) for _ in range(n)]
@@ -181,6 +186,13 @@ def test_affine_map_validation():
     spec = make_field(4)
     with pytest.raises(ValueError):
         AffineMap(spec, [1, 2])  # wrong coefficient count
+    # coefficients and constants outside the field: 99 gave table values
+    # 96-103, which affine_apply(..., "pre") then indexed out of range
+    for bad in (-1, spec.size, 99):
+        with pytest.raises(ValueError, match=rf"got {bad}$"):
+            AffineMap(spec, [1, 0, bad, 0])
+        with pytest.raises(ValueError, match=rf"got {bad}$"):
+            AffineMap(spec, [1, 0, 0, 0], bad)
 
 
 def test_affine_apply_basics(rng):

@@ -1114,6 +1114,35 @@ def test_decimal_rows_lookup_is_no_larger_than_the_array():
     assert "".join(tables._text_blocks(np.array([2, -1, 2]), ",")) == ",2,-1,2"
 
 
+def test_export_lookup_is_bounded_by_one_block():
+    # the BCT of a 3-valued map of GF(2^10) spans [0, 349858], narrower than
+    # the array but wider than one block's cells (at most _CHUNK / 8, for
+    # 8-byte piece ids), with about 2,000 distinct values: each block looks
+    # up its own. A lookup over the span peaked at 24 MiB (CSV) and 27 MiB
+    # (JSON); 8 MiB is the bound test_streamed_requests_stay_below_their_tables
+    # allows at n = 10
+    t = bct_fast(SBox(make_field(10), np.random.default_rng(3).integers(0, 3, 1 << 10)))
+    m = t.counts
+    assert m.size > int(m.max()) - int(m.min()) > tables._CHUNK // 8
+    payload = {"schema": 1, **tables._ktable_fields(t)}  # as bct --json writes it
+    expected_json = json.dumps({**payload, "counts": m.ravel().tolist()}, indent=2) + "\n"
+    for chunks, expected in (
+        (tables._csv_chunks("a\\b", m), _csv_per_cell("a\\b", m)),
+        (cli._json_pieces(payload), expected_json),
+    ):
+        pos = 0
+        tracemalloc.start()
+        try:
+            for chunk in chunks:  # compared in place, so no text is held whole
+                assert expected.startswith(chunk, pos)
+                pos += len(chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pos == len(expected)
+        assert peak < 8 * 2**20
+
+
 def test_json_export():
     t = bct_fast(kasami(6, 2))
     payload = ktable_to_json(t)

@@ -4,6 +4,10 @@ comment-only lines and docstrings do not count.
 
     python tools/code_lines.py src/bctlab            # per file and total
     python tools/code_lines.py src/bctlab/cli.py ...
+    python tools/code_lines.py --defs src/bctlab     # and per top-level def and class
+
+With --defs, each file's line is followed by one indented line per
+top-level def and class, decorators included, counted by the same rule.
 """
 
 from __future__ import annotations
@@ -39,25 +43,45 @@ def _docstring_lines(tree: ast.AST) -> set[int]:
     return lines
 
 
-def code_lines(source: str) -> int:
-    """The number of code lines in one module's source text."""
+def _code_line_numbers(source: str, tree: ast.AST) -> set[int]:
     lines = set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type not in _NOT_CODE:
             lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - _docstring_lines(ast.parse(source)))
+    return lines - _docstring_lines(tree)
+
+
+def code_lines(source: str) -> int:
+    """The number of code lines in one module's source text."""
+    return len(_code_line_numbers(source, ast.parse(source)))
+
+
+def def_code_lines(source: str) -> list[tuple[str, int]]:
+    """(name, code lines) of each top-level def and class, in source order."""
+    tree = ast.parse(source)
+    lines = _code_line_numbers(source, tree)
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            out.append((node.name, sum(start <= i <= node.end_lineno for i in lines)))
+    return out
 
 
 def main(argv: list[str]) -> int:
+    defs = "--defs" in argv
     files = []
-    for arg in argv or ["src"]:
+    for arg in [a for a in argv if a != "--defs"] or ["src"]:
         path = Path(arg)
         files += sorted(path.rglob("*.py")) if path.is_dir() else [path]
     total = 0
     for path in files:
-        count = code_lines(path.read_text(encoding="utf-8"))
+        source = path.read_text(encoding="utf-8")
+        count = code_lines(source)
         total += count
         print(f"{count:6d}  {path}")
+        for name, n in def_code_lines(source) if defs else []:
+            print(f"{n:6d}    {name}")
     print(f"{total:6d}  total")
     return 0
 
