@@ -19,7 +19,7 @@ too, below every module that uses them.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -140,10 +140,14 @@ def _trial_factorize(m: int) -> tuple[int, ...]:
 class FieldSpec:
     """The field GF(2^n) in the polynomial basis of one reduction polynomial.
 
-    All operations are pure; derived data (discrete logs, trace mask,
-    factors of 2^n - 1, the generator, Artin-Schreier preimages) is
-    computed once on first use, so instances are safe for unrestricted
-    concurrent reads after warm-up and cheap to share.
+    make_field(n), and parse_field with the default reduction, return one
+    shared instance per n for the life of the process; any other
+    reduction builds a fresh one. All operations are pure, and the data
+    derived from the field alone is computed once per instance, on first
+    use: the discrete log and antilog tables, the trace mask, the factors
+    of 2^n - 1, the generator, the Artin-Schreier preimages and the shift
+    orbits of each symmetry (_shift_orbits). Every shared array is
+    read-only, since one array serves every later caller.
     """
 
     def __init__(self, n: int, reduction: int | None = None):
@@ -161,6 +165,7 @@ class FieldSpec:
         self.reduction = reduction
         self.size = 1 << n
         self._log = self._exp = None  # filled by _tables
+        self._orbits = {}  # (order, frobenius) -> (reps, sizes), see _shift_orbits
 
     # -- identity ----------------------------------------------------------
 
@@ -287,6 +292,7 @@ class FieldSpec:
                 k, step = k + m, self.mul(step, step)
             log = np.zeros(self.size, dtype=np.int64)  # log[0] is a dead slot
             log[exp] = np.arange(order)
+            exp.flags.writeable = log.flags.writeable = False
             self._exp, self._log = exp, log
         return self._log, self._exp
 
@@ -337,23 +343,75 @@ class FieldSpec:
 
     @cached_property
     def _as_pre(self) -> np.ndarray:
-        """Smallest x with x^2 + x = c, at index c; size where c has none."""
+        """Smallest x with x^2 + x = c, at index c; size where c has none.
+
+        x -> x^2 + x is GF(2)-linear, so each image is the XOR of the
+        images of the basis elements x^i over the bits of x. Those come from
+        scalar products, so computing this calls no _tables: a cold and a
+        warm field count the same _tables calls.
+        """
         xs = np.arange(self.size, dtype=np.int64)
+        image = np.zeros_like(xs)
+        for i in range(self.n):
+            image ^= ((xs >> i) & 1) * (self.mul(1 << i, 1 << i) ^ (1 << i))
         pre = np.full(self.size, self.size, dtype=np.int64)
-        np.minimum.at(pre, self.mul_vec(xs, xs) ^ xs, xs)
+        np.minimum.at(pre, image, xs)
+        pre.flags.writeable = False
         return pre
 
+    # -- shift orbits -----------------------------------------------------------
 
+    def _shift_orbits(self, log: np.ndarray, order: int, frobenius: bool):
+        """(reps, sizes) of the orbits of a != 0 under a -> c a^(2^k).
+
+        c runs over the subgroup U of GF(2^n)* of this order, and k over
+        0 .. n-1 when frobenius, k = 0 otherwise. With a = g^i, U moves i by
+        multiples of s = (2^n - 1)/|U| and squaring doubles it, so the
+        orbits are the cyclotomic classes of i mod s, each |U| times as
+        large. reps holds each orbit's least element, in increasing order,
+        and sizes its size. Both are computed once per (order, frobenius)
+        and kept read-only. log is what the caller's own _tables() call
+        returned, so whether these are cached changes no count of
+        _tables calls.
+        """
+        key = (order, frobenius)
+        orbits = self._orbits.get(key)
+        if orbits is None:
+            s = (self.size - 1) // order
+            shifts = np.arange(1, self.size)
+            lead = r = log[shifts] % s
+            for _ in range(self.n - 1 if frobenius else 0):
+                r = 2 * r % s
+                lead = np.minimum(lead, r)
+            _, first, sizes = np.unique(lead, return_index=True, return_counts=True)
+            by_rep = np.argsort(first)
+            reps, sizes = shifts[first[by_rep]], sizes[by_rep]
+            reps.flags.writeable = sizes.flags.writeable = False
+            orbits = self._orbits.setdefault(key, (reps, sizes))
+        return orbits
+
+
+@cache  # one instance per n; a refused n raises and is not kept
 def make_field(n: int) -> FieldSpec:
-    """GF(2^n) with this library's fixed default reduction polynomial."""
+    """GF(2^n) with this library's fixed default reduction polynomial.
+
+    One shared instance per n (see FieldSpec).
+    """
     return FieldSpec(n)
 
 
 def parse_field(label: str) -> FieldSpec:
-    """Parse the "n:reduction-hex" serialization, e.g. "3:b"."""
+    """Parse the "n:reduction-hex" serialization, e.g. "3:b".
+
+    The default reduction gives make_field(n) itself, any other a fresh
+    instance.
+    """
     try:
         n_str, red_str = label.split(":", 1)
-        return FieldSpec(int(n_str), int(red_str, 16))
+        n, reduction = int(n_str), int(red_str, 16)
+        if reduction == DEFAULT_REDUCTION.get(n):
+            return make_field(n)
+        return FieldSpec(n, reduction)
     except ValueError as exc:
         raise ValueError(f"bad field label {label!r}: {exc}") from None
 

@@ -47,12 +47,13 @@ class SBox:
             raise ValueError(
                 f"table must have exactly {spec.size} entries, got {arr.shape}"
             )
-        if arr.size and (arr.min() < 0 or arr.max() >= spec.size):
-            raise ValueError("table entries must lie in [0, 2^n)")
+        spec._element(int(arr.min()))  # ValueError naming the entry outside [0, 2^n)
+        spec._element(int(arr.max()))
         arr.flags.writeable = False
         self.spec = spec
         self.table = arr
         self._is_perm = None
+        self._sym = None  # kept by tables._symmetry
 
     @property
     def n(self) -> int:
@@ -126,10 +127,7 @@ def compose(f: SBox, g: SBox) -> SBox:
 
 def _shift(f: SBox, a) -> int:
     """a as a Python int, numpy integers included; ValueError outside [0, 2^n)."""
-    a = operator.index(a)
-    if not 0 <= a < f.spec.size:
-        raise ValueError(f"shift must lie in [0, 2^n), got {a}")
-    return a
+    return f.spec._element(operator.index(a))
 
 
 def derivative(f: SBox, a: int) -> SBox:

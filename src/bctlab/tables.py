@@ -45,8 +45,10 @@ largest subgroup U of GF(2^n)* with f(c x) = c^e f(x). Under them the BCT
 and DDT rows of the shifts in one orbit of a -> c a^(2^k), c in U, are
 column permutations of each other that fix b = 0, so the orbit engine,
 _orbit_rows, counts one row per orbit, its least element, with the same
-kernel and weighted by the orbit's size. A map with no symmetry has each
-shift as its own orbit, so its rows stream through in blocks. That gives
+kernel and weighted by the orbit's size. The orbits depend on the field
+and the symmetry alone, so each field computes them once per symmetry and
+keeps them read-only (FieldSpec._shift_orbits). A map with no symmetry has
+each shift as its own orbit, so its rows stream through in blocks. That gives
 boomerang_uniformity on every map that is not a power map and
 monomial_boomerang_uniformity their values and first row-major witnesses,
 and the moments and certificates their value counts (walsh), with no
@@ -468,15 +470,24 @@ class _Symmetry(NamedTuple):
 def _symmetry(f: SBox) -> _Symmetry:
     """The Frobenius and the largest scaling symmetry of f, from its table.
 
-    O(1) lookups turn unstructured maps away before any field table is
-    read: Frobenius needs f(0), f(1) in {0, 1}; scaling needs f(1) != 0,
-    which gives e from f(c) = c^e f(1), and f(0) = 0, or f(0) = f(1) for
-    the e = 0 of x^0 (f(0) = c^e f(0) for every c in U). The subgroups U
+    Computed once per S-box and kept on it, like its permutation status
+    (the table is read-only). O(1) lookups turn unstructured maps away
+    before any field table is read: Frobenius needs f(0), f(1) in {0, 1};
+    scaling needs f(1) != 0, which gives e from f(c) = c^e f(1), and
+    f(0) = 0, or f(0) = f(1) for the e = 0 of x^0 (f(0) = c^e f(0) for
+    every c in U). The subgroups U
     are tried from the largest, over the divisors of 2^n - 1, each with an
     O(1) test of f(c) against U and then one whole-table comparison for
     its generator c. The orders that hold are closed under lcm, so the
     first one found is the largest.
     """
+    if f._sym is None:
+        f._sym = _find_symmetry(f)
+    return f._sym
+
+
+def _find_symmetry(f: SBox) -> _Symmetry:
+    """The search _symmetry describes, run once per S-box."""
     table, spec = f.table, f.spec
     t0, t1, M = int(table[0]), int(table[1]), spec.size - 1
     frobenius = False
@@ -504,30 +515,23 @@ def _orbit_rows(f: SBox):
     """Yield (a, size, block, ddt_halves, half_max) for the orbit representatives a.
 
     The orbits of a != 0 under a -> c a^(2^k) (c in U, k over 0 .. n-1 when
-    f commutes with squaring, k = 0 otherwise; see _symmetry): with a = g^i,
-    U moves i by multiples of s = (2^n - 1)/|U| and squaring doubles it, so
-    the orbits are the cyclotomic classes of i mod s, each |U| times as
-    large, and the representative is the least element. The BCT and DDT
-    rows of every other member are its representative's with the columns
-    permuted and b = 0 fixed, so one row per orbit, weighted by the orbit's
-    size, holds every maximum and every value count over b != 0. The
-    representatives come in increasing a in blocks of the row kernel (see
-    _bct_blocks, which also gives the DDT rows halved); block is reused. A
-    map with no symmetry has each a as its own orbit.
+    f commutes with squaring, k = 0 otherwise; see _symmetry), each led by
+    its least element, are the field's own, computed once per field and
+    symmetry (FieldSpec._shift_orbits). The BCT and DDT rows of every other
+    member are its representative's with the columns permuted and b = 0
+    fixed, so one row per orbit, weighted by the orbit's size, holds every
+    maximum and every value count over b != 0. The representatives come in
+    increasing a in blocks of the row kernel (see _bct_blocks, which also
+    gives the DDT rows halved); block is reused, and size is a read-only
+    view. A map with no symmetry has each a as its own orbit.
     """
     spec, sym = f.spec, _symmetry(f)
     log, _ = spec._tables()
-    s = (spec.size - 1) // sym.order
-    shifts = np.arange(1, spec.size)
-    lead = r = log[shifts] % s
-    for _ in range(spec.n - 1 if sym.frobenius else 0):
-        r = 2 * r % s
-        lead = np.minimum(lead, r)
-    _, first, sizes = np.unique(lead, return_index=True, return_counts=True)
-    size_of = np.zeros(spec.size, dtype=np.int64)
-    size_of[shifts[first]] = sizes
-    for a, block, ddt_halves, half_max in _bct_blocks(f.table, shifts[np.sort(first)]):
-        yield a, size_of[a], block, ddt_halves, half_max
+    reps, sizes = spec._shift_orbits(log, sym.order, sym.frobenius)
+    done = 0
+    for a, block, ddt_halves, half_max in _bct_blocks(f.table, reps):
+        yield a, sizes[done : done + a.size], block, ddt_halves, half_max
+        done += a.size
 
 
 def _orbit_report(f: SBox, algorithm: str) -> UniformityReport:

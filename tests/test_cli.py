@@ -436,6 +436,55 @@ def test_parameters_outside_the_field_exit_2(tmp_path, family):
     assert "field element" in proc.stderr and not out.exists()
 
 
+_COLD_WARM_SCRIPT = r"""
+import contextlib, io, json, re, sys
+from bctlab import cli
+from bctlab.gf2n import FieldSpec
+
+tables, calls = FieldSpec._tables, []
+
+def counted(self):
+    calls.append(1)
+    return tables(self)
+
+FieldSpec._tables = counted
+runs = []
+for argv in json.loads(sys.argv[1]):
+    for _ in range(2):
+        calls.clear()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        text = re.sub(r'"runtime_ms": [^,}]*', '"runtime_ms": 0', out.getvalue())
+        runs.append([argv, code, len(calls), text])
+print(json.dumps(runs))
+"""
+
+
+def test_cold_and_warm_requests_do_the_same_work():
+    # the fields and their orbits are built once per process: a second,
+    # warm request must call FieldSpec._tables as often as the first (the
+    # benchmark's traced runs require each pass to repeat its counts
+    # exactly) and print the same bytes; reproduce's runtime_ms is wall time
+    requests = [
+        ["reproduce", "--tier", "full"],
+        ["uniformity", "--family", "modified_inverse n=9"],
+        ["uniformity", "--family", "kasami n=7 i=3"],
+        ["certify", "--delta", "4", "--family", "inverse n=10"],
+        ["moment", "--j", "1", "--family", "inverse n=10"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_WARM_SCRIPT, json.dumps(requests)],
+        env=_child_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    assert len(runs) == 2 * len(requests)
+    for cold, warm in zip(runs[::2], runs[1::2]):
+        assert cold == warm, cold[0]
+        assert cold[1] in (0, 1) and cold[2] > 0 and cold[3], cold[0]
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "t.csv"
     code, out, _ = run_cli(

@@ -87,6 +87,40 @@ def test_label_round_trip():
         parse_field("4:zz")
 
 
+def test_default_fields_are_shared_and_other_reductions_are_not():
+    for n in range(2, 17):
+        assert make_field(n) is make_field(n)
+        assert parse_field(make_field(n).label()) is make_field(n)
+    assert parse_field("5:25") is make_field(5)
+    alt = parse_field("5:29")  # x^5 + x^3 + 1, irreducible
+    assert alt is not make_field(5) and alt != make_field(5)
+    assert parse_field("5:29") is not alt  # no cache beyond the defaults
+    assert FieldSpec(5) is not make_field(5)
+
+
+def test_shared_field_arrays_are_read_only():
+    spec = make_field(6)
+    log, exp = spec._tables()
+    reps, sizes = spec._shift_orbits(log, 9, True)  # U of order 9 and squaring
+    for arr in (log, exp, reps, sizes, spec._as_pre):
+        with pytest.raises(ValueError):
+            arr[1] = 0
+    assert spec._shift_orbits(log, 9, True)[0] is reps  # computed once
+
+
+def test_artin_schreier_preimages_need_no_log_tables():
+    # a derivation kept on a shared field calls _tables only when its caller
+    # does, so a first call and a later one count the same _tables calls
+    spec = FieldSpec(7)
+    xs = np.arange(spec.size)
+    pre = spec._as_pre
+    assert spec._log is None
+    solvable = pre < spec.size
+    assert np.array_equal(spec.mul_vec(pre[solvable], pre[solvable]) ^ pre[solvable],
+                          xs[solvable])
+    assert solvable.sum() == spec.size // 2
+
+
 # -- multiplication -----------------------------------------------------------------
 
 

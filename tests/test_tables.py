@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from bctlab import (
+    FieldSpec,
     KTable,
     affine_apply,
     bct,
@@ -135,7 +136,7 @@ def test_bct_row():
     for a in (0, 1, 5, 40, np.int64(0), np.int64(5)):  # numpy integers too
         assert np.array_equal(bct_row(k, a), t[a])
     for a in (-1, 64, np.int64(-1), np.int64(64)):  # row 63 is the last
-        with pytest.raises(ValueError, match="shift"):
+        with pytest.raises(ValueError, match=rf"field element must lie in \[0, 2\^n\), got {a}$"):
             bct_row(k, a)
 
 
@@ -301,15 +302,20 @@ def test_orbit_rows_are_column_permutations_of_every_member():
     # T(c a^(2^k), b) = T(a, (b c^-e)^(2^(n-k))) for c in U, and the same
     # for the DDT: each representative's row, permuted, is every member's
     # row; the orbits cover the shifts a != 0 once, and each is as large as
-    # reported
-    for f in _symmetric_corpus():
+    # reported. The fields keep their orbits, so each map is checked with
+    # its field's orbits computed afresh and then as kept
+    for f, warm in itertools.product(_symmetric_corpus(), (False, True)):
         spec, n, M = f.spec, f.spec.n, f.spec.size - 1
+        if not warm:
+            spec._orbits.clear()
         sym = tables._symmetry(f)
         assert sym.frobenius or sym.order > 1, f
         t, dt = bct_system(f).counts, _literal_ddt(f)
         log, exp = spec._tables()
         bs, seen = np.arange(spec.size), set()
-        for r, (row, drow, size) in _engine_rows(f).items():
+        engine_rows = _engine_rows(f)
+        assert (sym.order, sym.frobenius) in spec._orbits and engine_rows
+        for r, (row, drow, size) in engine_rows.items():
             members = set()
             for c in exp[:: M // sym.order].tolist():
                 scaled = spec.mul_vec(bs, spec.inv(spec.pow(c, sym.e)))
@@ -540,6 +546,25 @@ def test_boomerang_uniformity_builds_no_ddt_after_bct_fast(monkeypatch, rng):
         boomerang_uniformity(gold(5, 1))
 
 
+def test_symmetry_is_found_once_per_sbox(monkeypatch):
+    # routing, bct_fast and ddt each ask for the symmetry of x^3 over
+    # GF(2^5); only the search squares the field (one mul_vec call)
+    f = gold(5, 1)
+    want = dataclasses.replace(boomerang_uniformity(f, "system"), algorithm="fast")
+    squarings = []
+    mul_vec = FieldSpec.mul_vec
+
+    def counted(self, a, b):
+        squarings.append(1)
+        return mul_vec(self, a, b)
+
+    monkeypatch.setattr(FieldSpec, "mul_vec", counted)
+    g = gold(5, 1)
+    assert boomerang_uniformity(g, "fast") == want
+    assert len(squarings) == 1
+    assert tables._symmetry(g) is g._sym and len(squarings) == 1
+
+
 def test_monomial_shortcut_examples():
     spec = make_field(4)
     assert monomial_boomerang_uniformity(spec, 1).boomerang_uniformity == 16
@@ -639,8 +664,6 @@ def test_representation_independence():
     # same uniformities under a different irreducible polynomial
     alternates = {4: 0x19, 6: 0x6D, 8: 0x12D}
     for n, red in alternates.items():
-        from bctlab import FieldSpec
-
         default = make_field(n)
         other = FieldSpec(n, red)
         for build in (
