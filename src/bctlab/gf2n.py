@@ -19,6 +19,7 @@ too, below every module that uses them.
 
 from __future__ import annotations
 
+import operator
 from functools import cache, cached_property
 
 import numpy as np
@@ -140,21 +141,22 @@ def _trial_factorize(m: int) -> tuple[int, ...]:
 class FieldSpec:
     """The field GF(2^n) in the polynomial basis of one reduction polynomial.
 
-    make_field(n), and parse_field with the default reduction, return one
-    shared instance per n for the life of the process; any other
-    reduction builds a fresh one. All operations are pure, and the data
-    derived from the field alone is computed once per instance, on first
-    use: the discrete log and antilog tables, the trace mask, the factors
-    of 2^n - 1, the generator, the Artin-Schreier preimages and the shift
-    orbits of each symmetry (_shift_orbits). Every shared array is
-    read-only, since one array serves every later caller.
+    make_field(n) returns one shared instance per n for the life of the
+    process; a FieldSpec built directly, or by parse_field, is its own. n
+    and the reduction are kept as Python ints, numpy integers included.
+    All operations are pure, and the data derived from the field alone is
+    computed once per instance, on first use: the discrete log and antilog
+    tables, the trace mask, the factors of 2^n - 1, the generator, the
+    Artin-Schreier preimages and the shift orbits of each symmetry
+    (_shift_orbits). Every shared array is read-only, since one array
+    serves every later caller.
     """
 
     def __init__(self, n: int, reduction: int | None = None):
+        n = operator.index(n)
         if not 2 <= n <= 16:
             raise ValueError(f"field dimension must be in 2..16, got {n}")
-        if reduction is None:
-            reduction = DEFAULT_REDUCTION[n]
+        reduction = DEFAULT_REDUCTION[n] if reduction is None else operator.index(reduction)
         if reduction.bit_length() - 1 != n:
             raise ValueError(
                 f"reduction polynomial 0x{reduction:x} does not have degree {n}"
@@ -361,7 +363,7 @@ class FieldSpec:
 
     # -- shift orbits -----------------------------------------------------------
 
-    def _shift_orbits(self, log: np.ndarray, order: int, frobenius: bool):
+    def _shift_orbits(self, order: int, frobenius: bool):
         """(reps, sizes) of the orbits of a != 0 under a -> c a^(2^k).
 
         c runs over the subgroup U of GF(2^n)* of this order, and k over
@@ -370,10 +372,10 @@ class FieldSpec:
         orbits are the cyclotomic classes of i mod s, each |U| times as
         large. reps holds each orbit's least element, in increasing order,
         and sizes its size. Both are computed once per (order, frobenius)
-        and kept read-only. log is what the caller's own _tables() call
-        returned, so whether these are cached changes no count of
-        _tables calls.
+        and kept read-only. _tables is called on every call, cold or warm,
+        so keeping them changes no count of _tables calls.
         """
+        log, _ = self._tables()
         key = (order, frobenius)
         orbits = self._orbits.get(key)
         if orbits is None:
@@ -391,27 +393,24 @@ class FieldSpec:
         return orbits
 
 
-@cache  # one instance per n; a refused n raises and is not kept
 def make_field(n: int) -> FieldSpec:
     """GF(2^n) with this library's fixed default reduction polynomial.
 
-    One shared instance per n (see FieldSpec).
+    One shared instance per n (see FieldSpec), however n is passed.
     """
+    return _shared_field(operator.index(n))
+
+
+@cache  # keyed by a plain int; a refused n raises and is not kept
+def _shared_field(n: int) -> FieldSpec:
     return FieldSpec(n)
 
 
 def parse_field(label: str) -> FieldSpec:
-    """Parse the "n:reduction-hex" serialization, e.g. "3:b".
-
-    The default reduction gives make_field(n) itself, any other a fresh
-    instance.
-    """
+    """Parse the "n:reduction-hex" serialization, e.g. "3:b"."""
     try:
         n_str, red_str = label.split(":", 1)
-        n, reduction = int(n_str), int(red_str, 16)
-        if reduction == DEFAULT_REDUCTION.get(n):
-            return make_field(n)
-        return FieldSpec(n, reduction)
+        return FieldSpec(int(n_str), int(red_str, 16))
     except ValueError as exc:
         raise ValueError(f"bad field label {label!r}: {exc}") from None
 

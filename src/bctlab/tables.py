@@ -526,8 +526,7 @@ def _orbit_rows(f: SBox):
     view. A map with no symmetry has each a as its own orbit.
     """
     spec, sym = f.spec, _symmetry(f)
-    log, _ = spec._tables()
-    reps, sizes = spec._shift_orbits(log, sym.order, sym.frobenius)
+    reps, sizes = spec._shift_orbits(sym.order, sym.frobenius)
     done = 0
     for a, block, ddt_halves, half_max in _bct_blocks(f.table, reps):
         yield a, sizes[done : done + a.size], block, ddt_halves, half_max
