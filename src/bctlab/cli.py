@@ -9,9 +9,11 @@ every other verb prints JSON ("schema": 1) and takes no --json. Exit codes:
 0 success, 1 failed reproduction claims, 2 usage or input errors and
 tables too large for physical memory. CSV is byte-identical across BCT
 algorithms, and JSON differs only in its "algorithm" field. The text of a
-table, CSV or JSON list, comes from tables a block of rows at a time. --out
-is opened only once the first chunk exists, so a request refused with exit
-2 leaves no file.
+table, CSV or JSON list, comes from tables a block of rows at a time. CSV
+holds no table: ddt, bct and walsh write it straight from the table's row
+source (--algo naive and system build theirs), while --json builds the
+table, since max_nonzero comes before the counts. --out is opened only once
+the first chunk exists, so a request refused with exit 2 leaves no file.
 """
 
 from __future__ import annotations
@@ -30,7 +32,10 @@ import numpy as np
 from .gf2n import parse_field
 from .sbox import SBox, read_sbox, write_sbox
 from .tables import (
+    _bct_fast_blocks,
+    _blocks_of,
     _csv_chunks,
+    _ddt_blocks,
     _json_list_chunks,
     _ktable_fields,
     bct,
@@ -38,6 +43,7 @@ from .tables import (
     ddt,
 )
 from .walsh import (
+    _walsh_blocks,
     bct_moment_direct,
     bct_moment_walsh,
     delta_uniform_certificate,
@@ -55,16 +61,20 @@ __all__ = ["main"]
 
 def _table_out(t, args):
     if not args.json:
-        return _csv_chunks("a\\b", t.counts)
+        return _csv_chunks("a\\b", t.counts.shape, _blocks_of(t.counts))
     return {"schema": 1, "field": t.spec.label(), **_ktable_fields(t)}
 
 
 def _ddt(f: SBox, args):
-    return _table_out(ddt(f), args)
+    if args.json:
+        return _table_out(ddt(f), args)
+    return _csv_chunks("a\\b", (f.spec.size,) * 2, _ddt_blocks(f))
 
 
 def _bct(f: SBox, args):
-    return _table_out(bct(f, algorithm=args.algo), args)
+    if args.json or args.algo != "fast":
+        return _table_out(bct(f, algorithm=args.algo), args)
+    return _csv_chunks("a\\b", (f.spec.size,) * 2, _bct_fast_blocks(f))
 
 
 def _uniformity(f: SBox, args):
@@ -73,14 +83,13 @@ def _uniformity(f: SBox, args):
 
 
 def _walsh(f: SBox, args):
-    values = walsh_spectrum(f).values
     if not args.json:
-        return _csv_chunks("u\\v", values)
+        return _csv_chunks("u\\v", (f.spec.size,) * 2, _walsh_blocks(f))
     return {
         "schema": 1,
         "n": f.spec.n,
         "field": f.spec.label(),
-        "values": values,
+        "values": walsh_spectrum(f).values,
     }
 
 
@@ -204,7 +213,7 @@ def _json_pieces(value):
     for key, v in value.items():
         yield f"{sep}  {json.dumps(key)}: "
         if isinstance(v, np.ndarray):
-            yield from _json_list_chunks(v)
+            yield from _json_list_chunks(_blocks_of(v))
         else:
             yield json.dumps(v, indent=2).replace("\n", "\n  ")
         sep = ",\n"

@@ -30,11 +30,12 @@ representative; the fibres with too many representatives to pair go
 through Walsh-Hadamard autocorrelations instead, many fibres to one
 batched transform. Row 0, one fibre of every y, is the autocorrelation
 of the value histogram. _bct_blocks
-runs the kernel over blocks of rows that share a top bit, into one
-reused buffer, in one serial pass; bct_fast copies each block into the
-table, the reducers below read it, and bct_row(f, a) is one row.
+runs the kernel over blocks of rows that share a top bit, in one serial
+pass, into the table's own rows (bct_fast) or one reused buffer, which
+the reducers below and the CSV export read; bct_row(f, a) is one row.
 Every builder refuses, before allocating, a table whose estimated peak
-exceeds physical memory. No builder starts a thread.
+exceeds physical memory, and the two O(2^3n) oracles refuse n > 12, which
+would take half an hour at n = 13. No builder starts a thread.
 Counts are stored as int32, and KTable refuses any count above its
 maximum: every count is at most 4^n, which fits up to n = 15, but BCT(0, 0)
 of a constant map is exactly 4^n and does not fit at n = 16.
@@ -63,16 +64,26 @@ the benchmark pins `uniformity` on x^3 over GF(2^5) (bench/test_bench.py,
 test_traced_request_counts_repeat_exactly) to one bct_fast call and one
 ddt call.
 
+Row sources. Each table has one: _ddt_blocks, _bct_fast_blocks and
+walsh._walsh_blocks yield (first row, block) in increasing row order,
+every row once. Given the table they put each block into its rows (ddt,
+bct_fast and walsh_spectrum fill theirs so, with their caps and
+preflights); given none, each block is one reused buffer of about _BLOCK
+cells, and the stream checks its own peak, no table, before any work.
+
 Exports are byte-identical to str() per cell, from one formatter,
-_text_blocks: each value is the piece sep + str(v) ("," in a CSV,
-",\\n    " in JSON), looked up in one NUL-padded ASCII array over the
-value span (over each block's distinct values when the span is as wide as
-one block's cells, so the lookup is never larger than one block), and a
-block of rows is one gather of piece ids with the pad deleted. The CSV
-is its header and then one chunk per block of about _CHUNK bytes of ids
-and pieces (_csv_chunks), which the CLI writes one at a time and
-ktable_to_csv joins; a JSON list is "[" and the same blocks
-(_json_list_chunks), never built whole or as a list of Python ints.
+_text_blocks, over a row source (_blocks_of makes one of an array): each
+value is the piece sep + str(v) ("," in a CSV, ",\\n    " in JSON),
+looked up in one NUL-padded ASCII array over the span of the values so
+far, grown when a block widens it (over each block's distinct values when
+the span is as wide as one block's cells, so the lookup is never larger
+than one block), and a block of rows is one gather of piece ids with the
+pad deleted. The CSV is its header and then one chunk per block of about
+_CHUNK bytes of ids and pieces (_csv_chunks), which the CLI writes one at
+a time and ktable_to_csv joins; a JSON list is "[" and the same blocks
+(_json_list_chunks), never built whole or as a list of Python ints. The
+CLI writes CSV straight from a row source, so it holds no table; JSON
+writes max_nonzero before the counts, so --json builds the table.
 """
 
 from __future__ import annotations
@@ -107,6 +118,7 @@ __all__ = [
 # one is 1 MiB and stays in a core's L2 cache (2^20 measured slower)
 _BLOCK = 1 << 17  # derivative values per bct_fast block, cells per power-map row block
 _INT32_MAX = np.iinfo(np.int32).max
+_MAX_ORACLE_N = 12  # bct_naive and bct_system are O(2^3n): n = 13 would take about half an hour
 _CHUNK = 1 << 20  # bytes of piece ids and gathered pieces per block of exported text
 
 
@@ -157,24 +169,49 @@ class UniformityReport:
 def ddt(f: SBox) -> KTable:
     """Difference distribution table: counts(a, b) = #{x : f(x+a)+f(x) = b}.
 
-    Each row is the bincount of one derivative. A one-orbit map (every
-    c x^d with c != 0) counts rows 1 and 0 only and rotates row 1 into
-    every row a != 0 (see _power_rows).
-    Counts are at most 2^n, so the table accumulates int32 and KTable keeps
-    it without a copy. Raises MemoryError, before allocating, when the
-    estimated peak exceeds physical memory.
+    Filled in place from its row source, _ddt_blocks. Counts are at most
+    2^n, so the table accumulates int32 and KTable keeps it without a copy.
+    Raises MemoryError, before allocating, when the estimated peak exceeds
+    physical memory.
+    """
+    n, N = f.spec.n, f.spec.size
+    _require_memory("ddt", n, _ddt_peak_bytes(n))
+    counts = np.empty((N, N), dtype=np.int32)
+    for _ in _ddt_blocks(f, counts):
+        pass
+    return KTable(f.spec, "DDT", counts, "ddt")
+
+
+def _ddt_blocks(f: SBox, out: np.ndarray | None = None):
+    """Yield (a0, block), the DDT rows a0 .. a0 + len(block) - 1, in increasing a0.
+
+    Each row is the bincount of one derivative, in blocks of about _BLOCK
+    cells. A one-orbit map (every c x^d with c != 0) counts rows 0 and 1
+    only and rotates row 1 into every row a != 0 (see _power_rows). With
+    out, the int32 table, every block is out's own rows, written in place;
+    without, one reused buffer, to be read before the next is asked for,
+    and the stream first checks its own peak, the table left out, against
+    physical memory.
     """
     n, N, table = f.spec.n, f.spec.size, f.table
-    _require_memory("ddt", n, _ddt_peak_bytes(n))
+    if out is None:
+        _require_memory("ddt", n, _ddt_peak_bytes(n) - 4 * 4**n)
     idx = np.arange(N)
-    counts = np.zeros((N, N), dtype=np.int32)
     sym = _symmetry(f)
-    one_orbit = sym.order == N - 1
-    for a in (0, 1) if one_orbit else range(N):
-        counts[a] = np.bincount(table ^ table[idx ^ a], minlength=N)
-    if one_orbit:
-        _power_rows(f, sym.e, counts)
-    return KTable(f.spec, "DDT", counts, "ddt")
+    if sym.order == N - 1:
+        head = np.empty((2, N), dtype=np.int32) if out is None else out[:2]
+        for a in (0, 1):
+            head[a] = np.bincount(table ^ table[idx ^ a], minlength=N)
+        yield 0, head
+        yield from _power_rows(f, sym.e, head[1], out)
+        return
+    per = min(N, max(1, _BLOCK // N))
+    buf = np.empty((per, N), dtype=np.int32) if out is None else None
+    for a0 in range(0, N, per):
+        block = buf[: min(per, N - a0)] if out is None else out[a0 : a0 + per]
+        for i, row in enumerate(block):
+            row[:] = np.bincount(table ^ table[idx ^ (a0 + i)], minlength=N)
+        yield a0, block
 
 
 def differential_uniformity(t: KTable) -> int:
@@ -191,11 +228,11 @@ def bct_naive(f: SBox) -> KTable:
     """Inverse-based reference count, O(2^3n); requires a permutation.
 
     Entry (a, b) counts the x with finv(f(x)+b) + finv(f(x+a)+b) = a,
-    the single-variable form of the pair count at the same index. Raises
-    MemoryError, before allocating, when the estimated peak exceeds
-    physical memory (see _oracle_peak_bytes).
+    the single-variable form of the pair count at the same index. Refused
+    past n = _MAX_ORACLE_N or over physical memory, before any work (see
+    _require_oracle).
     """
-    _require_memory("bct_naive", f.spec.n, _oracle_peak_bytes(f.spec.n))
+    _require_oracle("bct_naive", f.spec.n)
     g = inverse_table(f).table
     N = f.spec.size
     table = f.table
@@ -211,10 +248,10 @@ def bct_naive(f: SBox) -> KTable:
 def bct_system(f: SBox) -> KTable:
     """Literal pair count of the two-equation system, O(2^3n); any function.
 
-    Raises MemoryError, before allocating, when the estimated peak exceeds
-    physical memory (see _oracle_peak_bytes).
+    Refused past n = _MAX_ORACLE_N or over physical memory, before any
+    work (see _require_oracle).
     """
-    _require_memory("bct_system", f.spec.n, _oracle_peak_bytes(f.spec.n))
+    _require_oracle("bct_system", f.spec.n)
     N = f.spec.size
     table = f.table
     idx = np.arange(N)
@@ -240,6 +277,17 @@ def _require_memory(builder: str, n: int, need: int) -> None:
             f"{builder} at n = {n} needs about {need} bytes; "
             f"physical memory is {budget} bytes"
         )
+
+
+def _require_oracle(builder: str, n: int) -> None:
+    """Refuse an O(2^3n) oracle past n = _MAX_ORACLE_N (ValueError) or
+    over physical memory (MemoryError, see _oracle_peak_bytes)."""
+    if n > _MAX_ORACLE_N:
+        raise ValueError(
+            f"{builder} costs O(2^3n) steps, about 8 times as long per n "
+            f"(30 s at n = 11); capped at n <= {_MAX_ORACLE_N}, got n = {n}"
+        )
+    _require_memory(builder, n, _oracle_peak_bytes(n))
 
 
 def _ddt_peak_bytes(n: int) -> int:
@@ -286,28 +334,50 @@ def _oracle_peak_bytes(n: int) -> int:
 def bct_fast(f: SBox) -> KTable:
     """Whole rows from the fibres of D_a; representative pairs, zero for APN maps.
 
-    Row 0 is the XOR autocorrelation of the value histogram (see bct_row).
-    The rows a != 0 run in blocks through one kernel (see _bct_blocks),
-    and each block is copied into the table. A one-orbit map (every
-    c x^d with c != 0) counts row 1 alone and rotates it into every row
-    a != 0 (see _power_rows). Raises MemoryError, before allocating,
-    when the estimated peak exceeds physical memory.
+    Filled in place from its row source, _bct_fast_blocks. Raises
+    MemoryError, before allocating, when the estimated peak exceeds
+    physical memory.
     """
-    n, N, table = f.spec.n, f.spec.size, f.table
+    n, N = f.spec.n, f.spec.size
     _require_memory("bct_fast", n, _fast_peak_bytes(n))
     counts = np.empty((N, N), dtype=_fast_dtype(n))
-    counts[0] = _autocorrelation(np.bincount(table, minlength=N))
-    sym = _symmetry(f)
-    one_orbit = sym.order == N - 1
-    rows = np.array([1]) if one_orbit else np.arange(1, N)
-    for a, block, _, _ in _bct_blocks(table, rows):
-        counts[a] = block
-    if one_orbit:
-        _power_rows(f, sym.e, counts)
+    for _ in _bct_fast_blocks(f, counts):
+        pass
     return KTable(f.spec, "BCT", counts, "fast")
 
 
-def _bct_blocks(table: np.ndarray, rows: np.ndarray):
+def _bct_fast_blocks(f: SBox, out: np.ndarray | None = None):
+    """Yield (a0, block), the BCT rows a0 .. a0 + len(block) - 1, in increasing a0.
+
+    Row 0 is the XOR autocorrelation of the value histogram (see bct_row).
+    The rows a != 0 come in blocks from one kernel (see _bct_blocks), and
+    a one-orbit map (every c x^d with c != 0) counts row 1 alone and
+    rotates it into every row a != 0 (see _power_rows). With out, the
+    table, every block is out's own rows, written in place; without, a
+    reused buffer, to be read before the next is asked for, and the stream
+    first checks its own peak, the table left out, against physical
+    memory.
+    """
+    n, N, table = f.spec.n, f.spec.size, f.table
+    dtype = _fast_dtype(n)
+    if out is None:
+        _require_memory("bct_fast", n, _fast_peak_bytes(n) - np.dtype(dtype).itemsize * 4**n)
+    sym = _symmetry(f)
+    one_orbit = sym.order == N - 1
+    head = np.empty((1 + one_orbit, N), dtype=dtype) if out is None else out[: 1 + one_orbit]
+    head[0] = _autocorrelation(np.bincount(table, minlength=N))
+    if one_orbit:
+        for _ in _bct_blocks(table, np.array([1]), head):
+            pass
+        yield 0, head
+        yield from _power_rows(f, sym.e, head[1], out)
+        return
+    yield 0, head
+    for a, block, _, _ in _bct_blocks(table, np.arange(1, N), out):
+        yield int(a[0]), block
+
+
+def _bct_blocks(table: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None):
     """Count the BCT rows a in rows, nonzero and increasing, with the row kernel.
 
     The rows sharing a top bit run in blocks of about _BLOCK derivative
@@ -317,18 +387,20 @@ def _bct_blocks(table: np.ndarray, rows: np.ndarray):
     cell. table is converted to uint32 once per call. Yields
     (a, block, ddt_halves, half_max) per block, in increasing a: the DDT
     rows halved and their maximum (see _bct_rows). Every block is one
-    reused buffer, to be read before the next is asked for.
+    reused buffer, to be read before the next is asked for, or, with out,
+    out's rows a, written in place (then rows must be consecutive).
     """
     N = table.size
     n = N.bit_length() - 1
     table = table.astype(np.uint32)
     per = min(max(1, _BLOCK // (N // 2)), 1 << 32 - 2 * n)
-    buf = np.empty((min(per, rows.size), N), dtype=_fast_dtype(n))
+    if out is None:
+        buf = np.empty((min(per, rows.size), N), dtype=_fast_dtype(n))
     for k in range(n):
         top = rows[rows >> k == 1]  # the rows with top bit 2^k
         for i in range(0, top.size, per):
             a = top[i : i + per]
-            block = buf[: a.size]
+            block = buf[: a.size] if out is None else out[a[0] : a[0] + a.size]
             yield (a, block, *_bct_rows(table, a, block))
 
 
@@ -556,30 +628,34 @@ def _orbit_report(f: SBox, algorithm: str) -> UniformityReport:
 # -- one-orbit maps -----------------------------------------------------------------
 
 
-def _power_rows(f: SBox, e: int, out: np.ndarray) -> None:
-    """Rows 2 .. 2^n - 1 of the DDT or BCT of a one-orbit f, rotated from row 1 in out.
+def _power_rows(f: SBox, e: int, row1: np.ndarray, out: np.ndarray | None):
+    """Yield (a0, block), rows 2 .. 2^n - 1 of a one-orbit f's DDT or BCT, rotated from row1.
 
     f is one orbit when f(u x) = u^e f(x) for every u != 0 (_symmetry's
     order 2^n - 1): c x^d, c != 0, with e = d mod 2^n - 1, and e = 0 for
     the constants c x^0. With x = a*x', T(a, b) = T(1, b * a^-e) for
     a != 0, in either table. In log order of b, row a is row 1 rotated by
     -e log a, a window of the doubled row, gathered in blocks of about
-    _BLOCK cells. The caller counts rows 0 and 1 into out: bct_fast with
-    the autocorrelation and its row kernel, ddt by bincounts.
+    _BLOCK cells into out's own rows when out is the table, else into one
+    reused buffer. row1 is read before the first block is written. The
+    caller counts rows 0 and 1: _bct_fast_blocks with the autocorrelation
+    and its row kernel, _ddt_blocks by bincounts.
     """
     spec = f.spec
     N, m = spec.size, spec.size - 1
     log, exp = spec._tables()
-    ring = out[1][exp]
-    doubled = np.concatenate((ring, ring)).astype(out.dtype)
+    ring = row1[exp]
+    doubled, corner = np.concatenate((ring, ring)), row1[0]
     rows = max(1, _BLOCK // N)
+    buf = np.empty((min(rows, N - 2), N), dtype=row1.dtype) if out is None else None
     for a0 in range(2, N, rows):
-        block = out[a0 : a0 + rows]
+        block = buf[: min(rows, N - a0)] if out is None else out[a0 : a0 + rows]
         start = m - e * log[a0 : a0 + block.shape[0]] % m
-        # whole rows keep out contiguous, so take writes it without a buffer;
-        # column 0 (log[0] is a dead slot) is set after
+        # whole rows keep the block contiguous, so take writes it without a
+        # buffer; column 0 (log[0] is a dead slot) is set after
         np.take(doubled, start[:, None] + log, out=block, mode="clip")
-        block[:, 0] = out[1, 0]
+        block[:, 0] = corner
+        yield a0, block
 
 
 _BCT_BUILDERS = {"naive": bct_naive, "system": bct_system, "fast": bct_fast}
@@ -662,81 +738,102 @@ def _pieces(sep: str, values) -> np.ndarray:
     return np.array([sep + str(v) for v in values], dtype="S")
 
 
-def _text_blocks(m: np.ndarray, sep: str, labels: bool = False):
-    """Yield the decimal text of an integer array's rows (a 1-D array is one row) in blocks.
+def _blocks_of(m: np.ndarray) -> list:
+    """An integer array as a row source: [(0, m as 2-D)], or no block when m is empty."""
+    return [(0, np.atleast_2d(m))] if m.size else []
 
-    Each value v is the piece sep + str(v); with labels, row i also takes
-    the piece str(i) in front and a newline after (a CSV row). The pieces
-    are ASCII, NUL-padded to the widest in one S{w} lookup, so a block of
-    rows is one gather of piece ids with the pad deleted, which is exact:
-    no decimal piece holds a NUL. Counts and Walsh values span few
-    integers, so the lookup holds every value of [min, max]; when that
-    span is as wide as the cells of one block (BCT(0, 0) = 4^n of a
-    constant map, or the sparse counts of a 3-valued map), it holds each
-    block's distinct values instead, so it is never larger than one block.
-    A block holds at least one row, and its ids and gathered pieces take
-    about _CHUNK bytes at most: the ids are built per block, never for the
-    whole array, and are dropped before the text is yielded.
+
+def _text_blocks(blocks, sep: str, rows: int = 0):
+    """Yield the decimal text of a row source's rows in blocks.
+
+    blocks yields (first row, 2-D integer block) in increasing row order
+    (see _ddt_blocks; _blocks_of makes one of an array). Each value v is
+    the piece sep + str(v); with rows, the blocks are the rows 0 .. rows-1
+    of a CSV, and row i also takes the piece str(i) in front and a newline
+    after. The pieces are ASCII, NUL-padded to the widest in one S{w}
+    lookup, so a block of rows is one gather of piece ids with the pad
+    deleted, which is exact: no decimal piece holds a NUL. Counts and Walsh
+    values span few integers, so the lookup holds every value of the span
+    [lo, hi] of the blocks so far, and is rebuilt only when a block widens
+    it; when that span is as wide as the cells of one block (BCT(0, 0) =
+    4^n of a constant map, or the sparse counts of a 3-valued map), it
+    holds each block's distinct values instead, so it is never larger than
+    one block. A block holds at least one row, and its ids and gathered
+    pieces take about _CHUNK bytes at most: the ids are built per block,
+    never for the whole array, and are dropped before the text is yielded.
     """
-    m = np.atleast_2d(m)
-    rows, cols = m.shape
-    lo, hi = int(m.min()), int(m.max())
-    heads = _pieces("", [*range(rows), "\n"] if labels else [])  # the CSV row labels
-    width = max(heads.itemsize, len(sep) + max(len(str(lo)), len(str(hi))))
-    per = max(1, _CHUNK // ((width + np.dtype(np.intp).itemsize) * (cols + 2 * labels)))
-    span = hi - lo < min(per, rows) * cols
-    if span:
-        lut = np.concatenate((heads, _pieces(sep, range(lo, hi + 1))))
-    for r0 in range(0, rows, per):
-        block = m[r0 : r0 + per]
-        ids = np.empty((block.shape[0], cols + 2 * labels), dtype=np.intp)
-        values = ids[:, 1:-1] if labels else ids
-        if span:
-            np.subtract(block, lo - heads.size, out=values, dtype=np.intp)
-        else:
-            distinct, inverse = np.unique(block, return_inverse=True)
-            lut = np.concatenate((heads, _pieces(sep, distinct.tolist())))
-            np.add(inverse.reshape(block.shape), heads.size, out=values)
-        if labels:
-            ids[:, 0] = np.arange(r0, r0 + block.shape[0])
-            ids[:, -1] = rows
-        # np.take gathers the S{w} pieces in about 60% of the time of lut[ids]
-        text = np.take(lut, ids).tobytes().translate(None, b"\0").decode("ascii")
-        del ids, values  # no block's ids are held while its text is written
-        yield text
-        del text  # hold no written block while the next is built
+    heads = _pieces("", [*range(rows), "\n"] if rows else [])  # the CSV row labels
+    labels = 2 if rows else 0  # id columns for a row's label and newline
+    span_lut = span_of = lo = hi = None  # span_lut holds the pieces of span_of = [lo, hi]
+    for first, m in blocks:
+        cols = m.shape[1]
+        lo = int(m.min()) if lo is None else min(lo, int(m.min()))
+        hi = int(m.max()) if hi is None else max(hi, int(m.max()))
+        width = max(heads.itemsize, len(sep) + max(len(str(lo)), len(str(hi))))
+        per = max(1, _CHUNK // ((width + np.dtype(np.intp).itemsize) * (cols + labels)))
+        span = hi - lo < min(per, m.shape[0]) * cols
+        if span and span_of != (lo, hi):
+            span_lut, span_of = np.concatenate((heads, _pieces(sep, range(lo, hi + 1)))), (lo, hi)
+        for r0 in range(0, m.shape[0], per):
+            block = m[r0 : r0 + per]
+            ids = np.empty((block.shape[0], cols + labels), dtype=np.intp)
+            values = ids[:, 1:-1] if labels else ids
+            if span:
+                lut = span_lut
+                np.subtract(block, lo - heads.size, out=values, dtype=np.intp)
+            else:
+                distinct, inverse = np.unique(block, return_inverse=True)
+                lut = np.concatenate((heads, _pieces(sep, distinct.tolist())))
+                np.add(inverse.reshape(block.shape), heads.size, out=values)
+            if labels:
+                ids[:, 0] = np.arange(first + r0, first + r0 + block.shape[0])
+                ids[:, -1] = rows
+            # np.take gathers the S{w} pieces in about 60% of the time of lut[ids]
+            text = np.take(lut, ids).tobytes().translate(None, b"\0").decode("ascii")
+            del ids, values, lut  # no block's ids are held while its text is written
+            yield text
+            del text  # hold no written block while the next is built
 
 
-def _json_list_chunks(m: np.ndarray):
-    """The row-major list of an integer array as json.dumps(indent=2) writes a dict field.
+def _json_list_chunks(blocks):
+    """The row-major list of a row source's values as json.dumps(indent=2) writes a dict field.
 
     "[", the pieces ",\\n    " + str(v) of _text_blocks with the first one's
-    comma dropped, then "\\n  ]", one chunk per block of rows; "[]" when m
-    is empty.
+    comma dropped, then "\\n  ]", one chunk per block of rows; "[]" when
+    the source has no block.
     """
-    if m.size == 0:
+    chunks = _text_blocks(blocks, ",\n    ")
+    first = next(chunks, None)
+    if first is None:
         yield "[]"
         return
-    blocks = _text_blocks(m, ",\n    ")
     yield "["
-    yield next(blocks)[1:]
-    yield from blocks
+    yield first[1:]
+    yield from chunks
     yield "\n  ]"
 
 
-def _csv_chunks(corner: str, m: np.ndarray):
-    """CSV with header "<corner>,0,1,..." and one row "i,m[i,0],m[i,1],..." per i.
+def _csv_chunks(corner: str, shape: tuple[int, int], blocks):
+    """CSV with header "<corner>,0,1,..." and one row "i,m[i,0],m[i,1],..." per row i.
 
-    Yielded as the header and then one chunk per block of rows (see
-    _text_blocks), so the text is never held whole.
+    m is the array of this shape whose rows the row source blocks yields
+    (see _text_blocks). The first block of text is made before the header
+    is yielded, so a source that refuses its request (a memory preflight,
+    a cap) does so before any text exists. Then one chunk per block of
+    rows, so the text is never held whole.
     """
-    yield corner + "," + ",".join(map(str, range(m.shape[1]))) + "\n"
-    yield from _text_blocks(m, ",", labels=True)
+    rows, cols = shape
+    body = _text_blocks(blocks, ",", rows)
+    first = next(body, "")
+    yield corner + "," + ",".join(map(str, range(cols))) + "\n"
+    yield first
+    del first
+    yield from body
 
 
 def ktable_to_csv(t: KTable) -> str:
     r"""CSV with header "a\b,0,1,..." and one row of plain decimal counts per a."""
-    return "".join(_csv_chunks("a\\b", t.counts))
+    return "".join(_csv_chunks("a\\b", t.counts.shape, _blocks_of(t.counts)))
 
 
 def _ktable_fields(t: KTable) -> dict:

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -110,11 +111,12 @@ def test_json_option_only_on_table_verbs(capsys):
 
 
 def test_count_overflow_exits_2(capsys, monkeypatch):
+    # --json builds the table (CSV streams its rows and builds none)
     def overflowing_ddt(f):
         return KTable(f.spec, "DDT", np.full((f.spec.size,) * 2, 2**32), "ddt")
 
     monkeypatch.setattr(cli, "ddt", overflowing_ddt)
-    code, out, err = run_cli(capsys, "ddt", "--family", "gold n=3 i=1")
+    code, out, err = run_cli(capsys, "ddt", "--family", "gold n=3 i=1", "--json")
     assert code == 2
     assert out == ""
     assert "exceeds the int32 maximum" in err
@@ -176,7 +178,7 @@ def test_out_file_is_not_created_when_the_request_fails(tmp_path, capsys, monkey
     assert not path.exists()
     monkeypatch.undo()
 
-    def failing_chunks(corner, m):  # fails while the first chunk is built
+    def failing_chunks(corner, shape, blocks):  # fails while the first chunk is built
         raise ValueError("no chunk")
         yield
 
@@ -191,7 +193,7 @@ def _table_texts(f, verb, fmt):
     if verb == "walsh":
         values = walsh_spectrum(f).values
         if not fmt:
-            return "".join(tables._csv_chunks("u\\v", values))
+            return "".join(tables._csv_chunks("u\\v", values.shape, tables._blocks_of(values)))
         payload = {"schema": 1, "n": f.spec.n, "field": f.spec.label(),
                    "values": values.ravel().tolist()}
         return json.dumps(payload, indent=2) + "\n"
@@ -669,6 +671,27 @@ def test_streamed_requests_stay_below_their_tables(tmp_path):
     # _CHUNK bytes, and one block is built and written before the next.
     # Built whole, the text rose about 32 MiB; streamed, about 5.7 MiB
     assert _rss_rise(tmp_path, "ddt", 10, "--json") < 4 * 4**10 + 4 * tables._CHUNK
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+@pytest.mark.parametrize("verb", ["ddt", "bct", "walsh"])
+def test_csv_exports_hold_no_table(tmp_path, verb):
+    # CSV is written from the table's row source a block at a time, so the
+    # rise stays under 4^n bytes, a quarter of the int32 table. Through the
+    # table, n = 12 rose about 66, 70 and 129 MiB; streamed, 2-6 MiB
+    assert _rss_rise(tmp_path, verb, 12) < 4**12
+
+
+@pytest.mark.parametrize("algo", ["naive", "system"])
+def test_oracles_refuse_n_13_before_any_work(tmp_path, capsys, algo):
+    # O(2^3n): n = 13 passes the memory preflight but would run about half an hour
+    path = tmp_path / "out"
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "bct", "--algo", algo, "--family", "inverse n=13",
+                             "--out", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and not path.exists()
+    assert err.startswith(f"error: bct_{algo} costs O(2^3n) steps") and "n <= 12" in err
 
 
 def test_budget_30_skips_only_the_out_of_reach_claim(capsys):

@@ -51,3 +51,21 @@ def test_defs_counts_each_top_level_def_and_class(tmp_path, capsys):
     assert [line.split() for line in capsys.readouterr().out.splitlines()] == [
         ["8", str(tmp_path / "fixture.py")], ["7", "Box"], ["8", "total"],
     ]
+
+
+def test_help_prints_usage(capsys):
+    for flag in ("--help", "-h"):
+        assert code_lines.main([flag]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("Count the code lines") and "--defs" in out
+
+
+def test_unknown_option_or_missing_path_exits_2(tmp_path, capsys):
+    (tmp_path / "fixture.py").write_text(_FIXTURE)
+    for argv, message in (
+        (["--verbose", str(tmp_path)], "unknown option: --verbose"),
+        ([str(tmp_path / "missing.py")], f"no such file or directory: {tmp_path / 'missing.py'}"),
+    ):
+        assert code_lines.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"code_lines.py: error: {message}\n"

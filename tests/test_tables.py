@@ -1,6 +1,7 @@
 """DDT/BCT builders, uniformity extraction, exports, and table invariants."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import sys
@@ -42,6 +43,7 @@ from bctlab import (
     zieve_gamma_candidates,
 )
 from bctlab import cli, tables
+from bctlab.walsh import _walsh_blocks
 
 from conftest import system_solutions
 
@@ -425,7 +427,7 @@ def test_power_map_ddt_is_row_one_rotated(monkeypatch, n):
 
     def counted(f, e, *rest):
         rotated.append(e)
-        power_rows(f, e, *rest)
+        return power_rows(f, e, *rest)
 
     monkeypatch.setattr(tables, "_power_rows", counted)
     for d in range(spec.size):
@@ -1064,6 +1066,11 @@ def test_csv_export():
     assert len(lines) == 5
 
 
+def _csv_chunks(corner, m):
+    """The CSV chunks of an array, as one block of rows."""
+    return tables._csv_chunks(corner, m.shape, tables._blocks_of(m))
+
+
 def _csv_per_cell(corner, m):
     lines = [corner + "," + ",".join(str(v) for v in range(m.shape[1]))]
     lines += [f"{i}," + ",".join(str(int(v)) for v in row) for i, row in enumerate(m)]
@@ -1084,7 +1091,7 @@ def test_matrix_csv_matches_str_per_cell(rng):
         ("a\\b", const_bct),
     ]
     for corner, m in cases:
-        assert "".join(tables._csv_chunks(corner, m)) == _csv_per_cell(corner, m)
+        assert "".join(_csv_chunks(corner, m)) == _csv_per_cell(corner, m)
 
 
 def _formatter_cases():
@@ -1114,7 +1121,7 @@ def test_text_blocks_are_byte_identical_to_str_and_json_dumps(monkeypatch, chunk
     # against str per cell (CSV) and json.dumps (JSON)
     monkeypatch.setattr(tables, "_CHUNK", chunk)
     for corner, m in _formatter_cases():
-        chunks = list(tables._csv_chunks(corner, m))
+        chunks = list(_csv_chunks(corner, m))
         assert "".join(chunks) == _csv_per_cell(corner, m)
         if chunk == 1:  # the header, then one block per row
             assert len(chunks) == m.shape[0] + 1
@@ -1129,12 +1136,81 @@ def test_decimal_rows_lookup_is_no_larger_than_the_array():
     # its distinct values
     wide = np.array([[0, 10**6], [-5, 7]], dtype=np.int64)
     tracemalloc.start()
-    text = "".join(tables._text_blocks(wide, ",", labels=True))
+    text = "".join(tables._text_blocks(tables._blocks_of(wide), ",", wide.shape[0]))
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert text == "0,0,1000000\n1,-5,7\n"
     assert peak < 100_000  # a lookup over [-5, 10^6] would take tens of MB
-    assert "".join(tables._text_blocks(np.array([2, -1, 2]), ",")) == ",2,-1,2"
+    assert "".join(tables._text_blocks(tables._blocks_of(np.array([2, -1, 2])), ",")) == ",2,-1,2"
+
+
+def _export_inputs(n):
+    """A random permutation, a constant, a 3-valued map, x^3 and c x^d with c != 1."""
+    spec = make_field(n)
+    rng = np.random.default_rng(n)
+    levels = rng.choice(spec.size, 3, replace=False)
+    power = from_monomial(spec, 5 if n % 2 else 7)
+    return {
+        "permutation": random_permutation(spec, rng),
+        "constant": SBox(spec, np.full(spec.size, spec.size - 1)),
+        "3-valued": SBox(spec, levels[rng.integers(0, 3, spec.size)]),
+        "x^3": from_monomial(spec, 3),
+        "c x^d": SBox(spec, [spec.mul(3, int(v)) for v in power.table]),
+    }
+
+
+def _sha256(chunks):
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk.encode("ascii"))
+    return digest.hexdigest()
+
+
+def _kept(blocks, copies):
+    """The row source blocks, passed through, with a copy of each block kept in copies."""
+    for first, block in blocks:
+        copies.append((first, block.copy()))
+        yield first, block
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_streamed_exports_equal_the_table_route(monkeypatch, n):
+    # each row source streamed into text, a reused buffer a block at a time,
+    # against the text of the table it fills in place: CSV and JSON lists,
+    # at the default _CHUNK and at one row per chunk. The source runs once:
+    # its CSV is written live, and the other texts from copies of its blocks
+    sources = {"ddt": (tables._ddt_blocks, lambda f: ddt(f).counts),
+               "bct": (tables._bct_fast_blocks, lambda f: bct_fast(f).counts),
+               "walsh": (_walsh_blocks, lambda f: walsh_spectrum(f).values)}
+    for name, f in _export_inputs(n).items():
+        for verb, (blocks, table) in sources.items():
+            m = table(f)
+            expected = (_sha256(_csv_chunks("a\\b", m)),
+                        _sha256(tables._json_list_chunks(tables._blocks_of(m))))
+            copies = []
+            live = _sha256(tables._csv_chunks("a\\b", m.shape, _kept(blocks(f), copies)))
+            for chunk in (tables._CHUNK, 1):
+                with monkeypatch.context() as patch:
+                    patch.setattr(tables, "_CHUNK", chunk)
+                    streamed = (_sha256(tables._csv_chunks("a\\b", m.shape, copies)),
+                                _sha256(tables._json_list_chunks(copies)))
+                assert live == expected[0] and streamed == expected, (name, verb, chunk)
+
+
+def test_row_sources_yield_every_row_once_in_order(monkeypatch, rng):
+    # small blocks, so every source yields many, the last one short
+    monkeypatch.setattr(tables, "_BLOCK", 3 * 2**6)
+    monkeypatch.setattr("bctlab.walsh._BLOCK", 3 * 2**6)
+    for name, f in _export_inputs(6).items():
+        for blocks, m in ((tables._ddt_blocks, _literal_ddt(f)),
+                          (tables._bct_fast_blocks, bct_system(f).counts),
+                          (_walsh_blocks, walsh_spectrum(f).values)):
+            firsts, rows = [], []
+            for first, block in blocks(f):
+                firsts.append(first)
+                rows.append(block.copy())
+            assert firsts == sorted(firsts) and firsts[0] == 0, name
+            assert np.array_equal(np.concatenate(rows), m), (name, blocks)
 
 
 def test_export_lookup_is_bounded_by_one_block():
@@ -1150,7 +1226,7 @@ def test_export_lookup_is_bounded_by_one_block():
     payload = {"schema": 1, **tables._ktable_fields(t)}  # as bct --json writes it
     expected_json = json.dumps({**payload, "counts": m.ravel().tolist()}, indent=2) + "\n"
     for chunks, expected in (
-        (tables._csv_chunks("a\\b", m), _csv_per_cell("a\\b", m)),
+        (_csv_chunks("a\\b", m), _csv_per_cell("a\\b", m)),
         (cli._json_pieces(payload), expected_json),
     ):
         pos = 0

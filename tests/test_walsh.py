@@ -26,7 +26,13 @@ from bctlab import (
     zieve_binomial,
     zieve_gamma_candidates,
 )
-from bctlab.walsh import _bct_value_counts, _constrained_quad_sum, _fourth_power_sum, _fwht
+from bctlab.walsh import (
+    _bct_value_counts,
+    _constrained_quad_sum,
+    _fourth_power_sum,
+    _fwht,
+    _walsh_blocks,
+)
 
 from conftest import walsh_oracle
 
@@ -99,6 +105,28 @@ def test_fwht_accepts_read_only_input(rng):
     out = _fwht(a, axis=0)
     assert out.flags.writeable and out.flags.c_contiguous
     assert np.array_equal(out, _fwht_literal(a, 0).astype(np.int32))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_walsh_rows_equal_the_literal_sum(monkeypatch, rng, n):
+    # W(u, v) = sum over x of (-1)^(u.x + v.f(x)), as one integer matrix
+    # product of the two sign matrices, against the rows of u the source
+    # transforms along y = f(x): a permutation (one gather of signs), a
+    # random map and a constant (two bincounts). Blocks of 3 rows, so the
+    # last block is short
+    spec = make_field(n)
+    x = np.arange(spec.size)
+    monkeypatch.setattr("bctlab.walsh._BLOCK", 3 * spec.size)
+
+    def signs(a):
+        return 1 - 2 * (np.bitwise_count(a) & 1).astype(np.int64)
+
+    for f in (random_permutation(spec, rng), SBox(spec, rng.integers(0, spec.size, spec.size)),
+              SBox(spec, np.full(spec.size, 1))):
+        literal = signs(x[:, None] & x) @ signs(f.table[:, None] & x)
+        rows = [(first, block.copy()) for first, block in _walsh_blocks(f)]
+        assert [first for first, _ in rows] == list(range(0, spec.size, 3))
+        assert np.array_equal(np.concatenate([block for _, block in rows]), literal)
 
 
 def test_spectrum_values_are_read_only_int32(rng):

@@ -5,6 +5,10 @@ comment-only lines and docstrings do not count.
     python tools/code_lines.py src/bctlab            # per file and total
     python tools/code_lines.py src/bctlab/cli.py ...
     python tools/code_lines.py --defs src/bctlab     # and per top-level def and class
+    python tools/code_lines.py --help                # this text
+
+With no path, src is counted. An unknown option or a missing path exits
+2 with a one-line error.
 
 With --defs, each file's line is followed by one indented line per
 top-level def and class, decorators included, counted by the same rule.
@@ -69,9 +73,20 @@ def def_code_lines(source: str) -> list[tuple[str, int]]:
 
 
 def main(argv: list[str]) -> int:
+    if "-h" in argv or "--help" in argv:
+        print(__doc__.strip())
+        return 0
     defs = "--defs" in argv
+    args = [a for a in argv if a != "--defs"] or ["src"]
+    for arg in args:
+        problem = "unknown option" if arg.startswith("-") else None
+        if problem is None and not Path(arg).exists():
+            problem = "no such file or directory"
+        if problem:
+            print(f"code_lines.py: error: {problem}: {arg}", file=sys.stderr)
+            return 2
     files = []
-    for arg in [a for a in argv if a != "--defs"] or ["src"]:
+    for arg in args:
         path = Path(arg)
         files += sorted(path.rglob("*.py")) if path.is_dir() else [path]
     total = 0
