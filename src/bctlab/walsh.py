@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .gf2n import _PARITY16, _autocorrelation, _fwht
-from .sbox import SBox, inverse_table
+from .sbox import SBox
 from .tables import _BLOCK, _orbit_rows
 
 __all__ = [
@@ -98,36 +98,38 @@ def _walsh_blocks(f: SBox, out: np.ndarray | None = None):
     For a block of B values of u, about _BLOCK cells, G(y, u) = sum over
     the x with f(x) = y of (-1)^(u.x) is a (2^n, B) array, and one
     transform of it along its first axis, over y, gives W(u, v) at (v, u):
-    the block is its transpose. A permutation has the one x = f^-1(y), so
-    G is one gather of signs; for any other map, G(y, u) = #f^-1(y) - 2 #
-    {x in f^-1(y) : u.x odd}, two integer bincounts. Built as (B, 2^n) and
-    transformed along its last axis, the block took about 5x as long at
-    n = 12. G is one reused buffer, and each block is the transposed view
-    of its transform, also copied into out's rows when out, the table, is
-    given. |G| and every partial sum of the transform are at most 2^n, so
-    int32 is exact. The spectrum is 4^n cells, as a table or as text, so
-    it is capped at n <= _MAX_SPECTRUM_N, before any work.
+    the block is its transpose. With x sorted by f(x), the signs are one
+    gather: for a permutation, x = f^-1(y), they are G; for any other map,
+    G(y, .) is the sum of the run of x with f(x) = y, one cumulative sum
+    differenced at the runs' ends (0.12 s at n = 12, against 0.19 s by
+    bincounts of the x with u.x odd), and 0 where y is no value of f.
+    Built as (B, 2^n) and transformed along its last axis, the block took
+    about 5x as long at n = 12. The signs and G are reused buffers, and
+    each block is the transposed view of its transform, also copied into
+    out's rows when out, the table, is given. |G| and every partial sum of
+    the transform are at most 2^n, so int32 is exact. The spectrum is 4^n
+    cells, as a table or as text, so it is capped at n <= _MAX_SPECTRUM_N,
+    before any work.
     """
     n, N, table = f.spec.n, f.spec.size, f.table
     _require_spectrum_cap(n)
     per = min(N, max(1, _BLOCK // N))
     sign = 1 - 2 * _PARITY16[:N].astype(np.int32)
-    x = np.arange(N)
-    perm = f.is_permutation()
-    if perm:
-        finv = inverse_table(f).table
-    else:
-        hist = np.bincount(table, minlength=N)
-    G = np.empty((N, per), dtype=np.int32)
+    order = np.argsort(table, kind="stable")  # x by f(x): f^-1 for a permutation
+    values = table[order]
+    ends = np.flatnonzero(np.append(values[1:] != values[:-1], True))  # each run's last x
+    perm = ends.size == N
+    signs = np.empty((N, per), dtype=np.int32)
+    G = signs if perm else np.zeros((N, per), dtype=np.int32)
     for u0 in range(0, N, per):
-        u = x[u0 : u0 + per]
-        g = G[:, : u.size]
-        if perm:
-            np.take(sign, finv[:, None] & u, out=g)
-        else:
-            odd = _PARITY16[x[:, None] & u].astype(bool)
-            keys = (table[:, None] * u.size + np.arange(u.size))[odd]
-            g[:] = hist[:, None] - 2 * np.bincount(keys, minlength=N * u.size).reshape(N, u.size)
+        u = np.arange(u0, min(u0 + per, N))
+        s, g = signs[:, : u.size], G[:, : u.size]
+        np.take(sign, order[:, None] & u, out=s)
+        if not perm:
+            np.cumsum(s, axis=0, out=s)
+            runs = s[ends]
+            runs[1:] -= s[ends[:-1]]
+            g[values[ends]] = runs
         W = _fwht(g, axis=0).T
         if out is not None:
             out[u0 : u0 + u.size] = W
