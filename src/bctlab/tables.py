@@ -66,10 +66,11 @@ ddt call.
 
 Row sources. Each table has one: _ddt_blocks, _bct_fast_blocks and
 walsh._walsh_blocks yield (first row, block) in increasing row order,
-every row once. Given the table they put each block into its rows (ddt,
-bct_fast and walsh_spectrum fill theirs so, with their caps and
-preflights); given none, each block is one reused buffer of about _BLOCK
-cells, and the stream checks its own peak, no table, before any work.
+every row once, and ddt, bct_fast and walsh_spectrum fill their tables
+from them, keeping their caps and preflights: the first two pass their
+table, whose rows each block is, written in place. Otherwise a block is
+one reused buffer of about _BLOCK cells, so a stream needs no memory
+preflight.
 
 Exports are byte-identical to str() per cell, from one formatter,
 _text_blocks, over a row source (_blocks_of makes one of an array): each
@@ -189,13 +190,9 @@ def _ddt_blocks(f: SBox, out: np.ndarray | None = None):
     cells. A one-orbit map (every c x^d with c != 0) counts rows 0 and 1
     only and rotates row 1 into every row a != 0 (see _power_rows). With
     out, the int32 table, every block is out's own rows, written in place;
-    without, one reused buffer, to be read before the next is asked for,
-    and the stream first checks its own peak, the table left out, against
-    physical memory.
+    without, one reused buffer, to be read before the next is asked for.
     """
-    n, N, table = f.spec.n, f.spec.size, f.table
-    if out is None:
-        _require_memory("ddt", n, _ddt_peak_bytes(n) - 4 * 4**n)
+    N, table = f.spec.size, f.table
     idx = np.arange(N)
     sym = _symmetry(f)
     if sym.order == N - 1:
@@ -354,17 +351,12 @@ def _bct_fast_blocks(f: SBox, out: np.ndarray | None = None):
     a one-orbit map (every c x^d with c != 0) counts row 1 alone and
     rotates it into every row a != 0 (see _power_rows). With out, the
     table, every block is out's own rows, written in place; without, a
-    reused buffer, to be read before the next is asked for, and the stream
-    first checks its own peak, the table left out, against physical
-    memory.
+    reused buffer, to be read before the next is asked for.
     """
     n, N, table = f.spec.n, f.spec.size, f.table
-    dtype = _fast_dtype(n)
-    if out is None:
-        _require_memory("bct_fast", n, _fast_peak_bytes(n) - np.dtype(dtype).itemsize * 4**n)
     sym = _symmetry(f)
     one_orbit = sym.order == N - 1
-    head = np.empty((1 + one_orbit, N), dtype=dtype) if out is None else out[: 1 + one_orbit]
+    head = np.empty((1 + one_orbit, N), _fast_dtype(n)) if out is None else out[: 1 + one_orbit]
     head[0] = _autocorrelation(np.bincount(table, minlength=N))
     if one_orbit:
         for _ in _bct_blocks(table, np.array([1]), head):
@@ -818,9 +810,9 @@ def _csv_chunks(corner: str, shape: tuple[int, int], blocks):
 
     m is the array of this shape whose rows the row source blocks yields
     (see _text_blocks). The first block of text is made before the header
-    is yielded, so a source that refuses its request (a memory preflight,
-    a cap) does so before any text exists. Then one chunk per block of
-    rows, so the text is never held whole.
+    is yielded, so a source that refuses its request (the spectrum's cap)
+    does so before any text exists. Then one chunk per block of rows, so
+    the text is never held whole.
     """
     rows, cols = shape
     body = _text_blocks(blocks, ",", rows)

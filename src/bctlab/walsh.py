@@ -80,8 +80,8 @@ def walsh_spectrum(f: SBox) -> WalshSpectrum:
     _require_spectrum_cap(f.spec.n)  # before the table is allocated
     N = f.spec.size
     values = np.empty((N, N), dtype=np.int32)
-    for _ in _walsh_blocks(f, values):
-        pass
+    for u0, block in _walsh_blocks(f):
+        values[u0 : u0 + block.shape[0]] = block
     return WalshSpectrum(f.spec, values)
 
 
@@ -92,7 +92,7 @@ def _require_spectrum_cap(n: int) -> None:
         )
 
 
-def _walsh_blocks(f: SBox, out: np.ndarray | None = None):
+def _walsh_blocks(f: SBox):
     """Yield (u0, block), the rows W(u, .) of u = u0 .. u0 + len(block) - 1, in increasing u0.
 
     For a block of B values of u, about _BLOCK cells, G(y, u) = sum over
@@ -105,9 +105,8 @@ def _walsh_blocks(f: SBox, out: np.ndarray | None = None):
     bincounts of the x with u.x odd), and 0 where y is no value of f.
     Built as (B, 2^n) and transformed along its last axis, the block took
     about 5x as long at n = 12. The signs and G are reused buffers, and
-    each block is the transposed view of its transform, also copied into
-    out's rows when out, the table, is given. |G| and every partial sum of
-    the transform are at most 2^n, so int32 is exact. The spectrum is 4^n
+    each block is the transposed view of its transform. |G| and every
+    partial sum of the transform are at most 2^n, so int32 is exact. The spectrum is 4^n
     cells, as a table or as text, so it is capped at n <= _MAX_SPECTRUM_N,
     before any work.
     """
@@ -130,10 +129,7 @@ def _walsh_blocks(f: SBox, out: np.ndarray | None = None):
             runs = s[ends]
             runs[1:] -= s[ends[:-1]]
             g[values[ends]] = runs
-        W = _fwht(g, axis=0).T
-        if out is not None:
-            out[u0 : u0 + u.size] = W
-        yield u0, W
+        yield u0, _fwht(g, axis=0).T
 
 
 # -- moments ----------------------------------------------------------------------

@@ -124,9 +124,10 @@ def test_count_overflow_exits_2(capsys, monkeypatch):
 
 def test_table_over_memory_budget_exits_2(capsys, monkeypatch):
     # uniformity reads a power map past this budget off row 1 instead (see
-    # test_uniformity_of_a_power_map_past_the_tables_reach)
+    # test_uniformity_of_a_power_map_past_the_tables_reach); --json builds
+    # the table, and CSV, which streams its rows, builds none
     monkeypatch.setattr(tables, "_memory_budget", lambda: 1024)
-    code, out, err = run_cli(capsys, "bct", "--family", "gold n=3 i=1")
+    code, out, err = run_cli(capsys, "bct", "--family", "gold n=3 i=1", "--json")
     assert code == 2
     assert out == ""
     assert err.startswith("error: bct_fast at n = 3 needs about ")
@@ -144,9 +145,9 @@ def test_uniformity_of_a_power_map_past_the_tables_reach(capsys, monkeypatch):
 
 def test_ddt_over_memory_budget_exits_2(capsys, monkeypatch):
     # bct_system's preflight passes just below ddt's estimate, so uniformity
-    # reaches ddt's
+    # reaches ddt's; ddt --json builds the table (CSV streams its rows)
     assert tables._oracle_peak_bytes(3) < tables._ddt_peak_bytes(3) - 1
-    for argv, budget in ((["ddt"], 512),
+    for argv, budget in ((["ddt", "--json"], 512),
                          (["uniformity", "--algo", "system"], tables._ddt_peak_bytes(3) - 1)):
         monkeypatch.setattr(tables, "_memory_budget", lambda: budget)
         code, out, err = run_cli(capsys, *argv, "--family", "gold n=3 i=1")
@@ -173,10 +174,17 @@ def test_oracle_over_memory_budget_exits_2(tmp_path, capsys, monkeypatch, verb, 
 def test_out_file_is_not_created_when_the_request_fails(tmp_path, capsys, monkeypatch):
     path = tmp_path / "ddt.csv"
     monkeypatch.setattr(tables, "_memory_budget", lambda: 512)
-    code, out, err = run_cli(capsys, "ddt", "--family", "gold n=3 i=1", "--out", str(path))
+    code, out, err = run_cli(capsys, "ddt", "--family", "gold n=3 i=1", "--json",
+                             "--out", str(path))
     assert code == 2 and out == "" and err.startswith("error: ddt at n = 3 needs about ")
     assert not path.exists()
     monkeypatch.undo()
+    # a CSV row source refused on its first block (the spectrum's cap) leaves no file
+    big = tmp_path / "big.sbox"
+    write_sbox(identity_sbox(make_field(13)), str(big))
+    code, out, err = run_cli(capsys, "walsh", "--file", str(big), "--out", str(path))
+    assert code == 2 and out == "" and "capped at n <= 12" in err
+    assert not path.exists()
 
     def failing_chunks(corner, shape, blocks):  # fails while the first chunk is built
         raise ValueError("no chunk")
