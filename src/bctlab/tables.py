@@ -67,10 +67,10 @@ ddt call.
 Row sources. Each table has one: _ddt_blocks, _bct_fast_blocks and
 walsh._walsh_blocks yield (first row, block) in increasing row order,
 every row once, and ddt, bct_fast and walsh_spectrum fill their tables
-from them, keeping their caps and preflights: the first two pass their
-table, whose rows each block is, written in place. Otherwise a block is
-one reused buffer of about _BLOCK cells, so a stream needs no memory
-preflight.
+from them, keeping their caps and preflights. ddt and bct_fast pass their
+table to the source, which writes each block into its rows in place.
+Streamed without a table, a block is one reused buffer of about _BLOCK
+cells, so a stream needs no memory preflight.
 
 Exports are byte-identical to str() per cell, from one formatter,
 _text_blocks, over a row source (_blocks_of makes one of an array): each
