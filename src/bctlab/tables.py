@@ -53,24 +53,29 @@ each shift as its own orbit, so its rows stream through in blocks. That gives
 boomerang_uniformity on every map that is not a power map and
 monomial_boomerang_uniformity their values and first row-major witnesses,
 and the moments and certificates their value counts (walsh), with no
-table. The same test routes the tables: in bct_fast and ddt a one-orbit
-map (U = GF(2^n)*: every c x^d with c != 0, the nonzero constants c x^0
-among them) is row 1 rotated, T(a, b) = T(1, b * a^-e) in log order of
-b, with row 0 counted as for any map, and every other map runs the
-generic builders (ddt one bincount per row). boomerang_uniformity takes
+table. The same test shortens the row sources of the tables: each counts
+its rows by its one method, and for a one-orbit map (U = GF(2^n)*: every
+c x^d with c != 0, the nonzero constants c x^0 among them) it stops after
+row 1, which _power_rows rotates into every later row, T(a, b) =
+T(1, b * a^-e) in log order of b. boomerang_uniformity takes
 that table route for the one-orbit maps with f(1) = 1, exactly the x^d,
 while bct_fast can hold their table, and row 1 alone past that reach:
 the benchmark pins `uniformity` on x^3 over GF(2^5) (bench/test_bench.py,
 test_traced_request_counts_repeat_exactly) to one bct_fast call and one
 ddt call.
 
-Row sources. Each table has one: _ddt_blocks, _bct_fast_blocks and
-walsh._walsh_blocks yield (first row, block) in increasing row order,
+Row sources. Each table has one, with one path: _ddt_blocks (a bincount
+per row), _bct_fast_blocks (row 0 the autocorrelation, then _bct_blocks)
+and walsh._walsh_blocks yield (first row, block) in increasing row order,
 every row once, and ddt, bct_fast and walsh_spectrum fill their tables
 from them, keeping their caps and preflights. ddt and bct_fast pass their
 table to the source, which writes each block into its rows in place.
 Streamed without a table, a block is one reused buffer of about _BLOCK
-cells, so a stream needs no memory preflight.
+cells, so a stream needs no memory preflight. Whatever reads a table once,
+in row order, reads its source: the CSV exports, walsh --json and the
+spectrum sum S_1 (walsh). A table is built whole only where it is needed
+whole: DDT and BCT --json, the oracles, S_2, the public builders and the
+x^d route of boomerang_uniformity.
 
 Exports are byte-identical to str() per cell, from one formatter,
 _text_blocks, over a row source (_blocks_of makes one of an array): each
@@ -83,8 +88,9 @@ pad deleted. The CSV is its header and then one chunk per block of about
 _CHUNK bytes of ids and pieces (_csv_chunks), which the CLI writes one at
 a time and ktable_to_csv joins; a JSON list is "[" and the same blocks
 (_json_list_chunks), never built whole or as a list of Python ints. The
-CLI writes CSV straight from a row source, so it holds no table; JSON
-writes max_nonzero before the counts, so --json builds the table.
+CLI writes CSV straight from a row source, so it holds no table; a
+table's JSON writes max_nonzero before the counts, so ddt and bct --json
+build the table.
 """
 
 from __future__ import annotations
@@ -187,28 +193,24 @@ def _ddt_blocks(f: SBox, out: np.ndarray | None = None):
     """Yield (a0, block), the DDT rows a0 .. a0 + len(block) - 1, in increasing a0.
 
     Each row is the bincount of one derivative, in blocks of about _BLOCK
-    cells. A one-orbit map (every c x^d with c != 0) counts rows 0 and 1
-    only and rotates row 1 into every row a != 0 (see _power_rows). With
-    out, the int32 table, every block is out's own rows, written in place;
-    without, one reused buffer, to be read before the next is asked for.
+    cells. A one-orbit map (every c x^d with c != 0) stops after row 1,
+    and _power_rows rotates that row into rows 2 .. 2^n - 1. With out, the
+    int32 table, every block is out's own rows, written in place; without,
+    one reused buffer, to be read before the next is asked for.
     """
     N, table = f.spec.size, f.table
     idx = np.arange(N)
     sym = _symmetry(f)
-    if sym.order == N - 1:
-        head = np.empty((2, N), dtype=np.int32) if out is None else out[:2]
-        for a in (0, 1):
-            head[a] = np.bincount(table ^ table[idx ^ a], minlength=N)
-        yield 0, head
-        yield from _power_rows(f, sym.e, head[1], out)
-        return
-    per = min(N, max(1, _BLOCK // N))
+    counted = 2 if sym.order == N - 1 else N
+    per = min(counted, max(1, _BLOCK // N))
     buf = np.empty((per, N), dtype=np.int32) if out is None else None
-    for a0 in range(0, N, per):
-        block = buf[: min(per, N - a0)] if out is None else out[a0 : a0 + per]
+    for a0 in range(0, counted, per):
+        block = buf[: min(per, counted - a0)] if out is None else out[a0 : a0 + per]
         for i, row in enumerate(block):
             row[:] = np.bincount(table ^ table[idx ^ (a0 + i)], minlength=N)
         yield a0, block
+    if counted < N:
+        yield from _power_rows(f, sym.e, block[-1], out)
 
 
 def differential_uniformity(t: KTable) -> int:
@@ -347,26 +349,22 @@ def _bct_fast_blocks(f: SBox, out: np.ndarray | None = None):
     """Yield (a0, block), the BCT rows a0 .. a0 + len(block) - 1, in increasing a0.
 
     Row 0 is the XOR autocorrelation of the value histogram (see bct_row).
-    The rows a != 0 come in blocks from one kernel (see _bct_blocks), and
-    a one-orbit map (every c x^d with c != 0) counts row 1 alone and
-    rotates it into every row a != 0 (see _power_rows). With out, the
+    The rows a != 0 come in blocks from one kernel (see _bct_blocks). A
+    one-orbit map (every c x^d with c != 0) stops after row 1, and
+    _power_rows rotates that row into rows 2 .. 2^n - 1. With out, the
     table, every block is out's own rows, written in place; without, a
     reused buffer, to be read before the next is asked for.
     """
     n, N, table = f.spec.n, f.spec.size, f.table
     sym = _symmetry(f)
-    one_orbit = sym.order == N - 1
-    head = np.empty((1 + one_orbit, N), _fast_dtype(n)) if out is None else out[: 1 + one_orbit]
+    counted = 2 if sym.order == N - 1 else N
+    head = np.empty((1, N), _fast_dtype(n)) if out is None else out[:1]
     head[0] = _autocorrelation(np.bincount(table, minlength=N))
-    if one_orbit:
-        for _ in _bct_blocks(table, np.array([1]), head):
-            pass
-        yield 0, head
-        yield from _power_rows(f, sym.e, head[1], out)
-        return
     yield 0, head
-    for a, block, _, _ in _bct_blocks(table, np.arange(1, N), out):
+    for a, block, _, _ in _bct_blocks(table, np.arange(1, counted), out):
         yield int(a[0]), block
+    if counted < N:
+        yield from _power_rows(f, sym.e, block[-1], out)
 
 
 def _bct_blocks(table: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None):
@@ -630,8 +628,9 @@ def _power_rows(f: SBox, e: int, row1: np.ndarray, out: np.ndarray | None):
     -e log a, a window of the doubled row, gathered in blocks of about
     _BLOCK cells into out's own rows when out is the table, else into one
     reused buffer. row1 is read before the first block is written. The
-    caller counts rows 0 and 1: _bct_fast_blocks with the autocorrelation
-    and its row kernel, _ddt_blocks by bincounts.
+    caller's row source counts rows 0 and 1 by its one method and stops
+    there: _bct_fast_blocks by the autocorrelation and the row kernel,
+    _ddt_blocks by bincounts.
     """
     spec = f.spec
     N, m = spec.size, spec.size - 1
@@ -730,9 +729,9 @@ def _pieces(sep: str, values) -> np.ndarray:
     return np.array([sep + str(v) for v in values], dtype="S")
 
 
-def _blocks_of(m: np.ndarray) -> list:
-    """An integer array as a row source: [(0, m as 2-D)], or no block when m is empty."""
-    return [(0, np.atleast_2d(m))] if m.size else []
+def _blocks_of(m: np.ndarray):
+    """An integer array as a row source: an iterator of (0, m as 2-D), empty when m is."""
+    return iter([(0, np.atleast_2d(m))] if m.size else [])
 
 
 def _text_blocks(blocks, sep: str, rows: int = 0):

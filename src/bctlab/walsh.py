@@ -14,10 +14,11 @@ where S_j is the sum of products W(g_i,a_i) W(e_i,a_i) W(g_i,b_i) W(e_i,b_i)
 over all 4j-tuples whose a/b and g/e halves each XOR to zero. The boundary
 correction assumes a permutation (rows a=0 and b=0 all equal 2^n), so
 the spectrum side refuses any other map; the table side holds for any.
-The spectrum side is one route: _spectrum_sums refuses, caps and builds
-the spectrum, and _walsh_moment states the identity above. The moments
-M_1 and M_2 come from it, and so does the two-uniform certificate, whose
-gap is 2^(6n) * (M_2 - 2 M_1), the sum of T (T - 2) scaled.
+The spectrum side is one route: _spectrum_sums refuses and caps, sums
+S_1 over the spectrum's rows and builds the spectrum for S_2 alone, and
+_walsh_moment states the identity above. The moments M_1 and M_2 come
+from it, and so does the two-uniform certificate, whose gap is
+2^(6n) * (M_2 - 2 M_1), the sum of T (T - 2) scaled.
 
 The table side reads every statistic from one count of the values over
 nonzero (a, b): the j-th moment is sum of cells * value^j, and the
@@ -27,9 +28,10 @@ sum_j A_j * (j-th moment) for phi(x) = sum A_j x^j.
 Everything here is exact integer or Fraction arithmetic; no floats. The
 spectrum is held as int32: |W(u, v)| <= 2^n, and the transform's partial
 sums are bounded the same way. Its rows come from one source,
-_walsh_blocks, a block of u at a time: walsh_spectrum fills the table
-from it, and the CSV export writes it with no table. Sums of products of
-spectrum values are taken in int64 or Python ints.
+_walsh_blocks, a block of u at a time, which refuses past the cap when it
+is called: walsh_spectrum fills the table from it, and S_1 and the CSV and
+JSON exports read it with no table. Sums of products of spectrum values
+are taken in int64 or Python ints.
 """
 
 from __future__ import annotations
@@ -77,23 +79,16 @@ class WalshSpectrum:
 def walsh_spectrum(f: SBox) -> WalshSpectrum:
     """All 4^n Walsh coefficients, O(n * 4^n), filled from their row source
     (see _walsh_blocks); capped at n <= _MAX_SPECTRUM_N."""
-    _require_spectrum_cap(f.spec.n)  # before the table is allocated
+    blocks = _walsh_blocks(f)  # refuses past the cap before the table is allocated
     N = f.spec.size
     values = np.empty((N, N), dtype=np.int32)
-    for u0, block in _walsh_blocks(f):
+    for u0, block in blocks:
         values[u0 : u0 + block.shape[0]] = block
     return WalshSpectrum(f.spec, values)
 
 
-def _require_spectrum_cap(n: int) -> None:
-    if n > _MAX_SPECTRUM_N:
-        raise ValueError(
-            f"full spectrum needs 4^{n} cells; capped at n <= {_MAX_SPECTRUM_N}"
-        )
-
-
 def _walsh_blocks(f: SBox):
-    """Yield (u0, block), the rows W(u, .) of u = u0 .. u0 + len(block) - 1, in increasing u0.
+    """The spectrum's row source: (u0, block), the rows W(u, .) of u0 .. u0 + len(block) - 1.
 
     For a block of B values of u, about _BLOCK cells, G(y, u) = sum over
     the x with f(x) = y of (-1)^(u.x) is a (2^n, B) array, and one
@@ -106,12 +101,15 @@ def _walsh_blocks(f: SBox):
     Built as (B, 2^n) and transformed along its last axis, the block took
     about 5x as long at n = 12. The signs and G are reused buffers, and
     each block is the transposed view of its transform. |G| and every
-    partial sum of the transform are at most 2^n, so int32 is exact. The spectrum is 4^n
-    cells, as a table or as text, so it is capped at n <= _MAX_SPECTRUM_N,
-    before any work.
+    partial sum of the transform are at most 2^n, so int32 is exact. The
+    spectrum is 4^n cells, as a table, as text or as the terms of a sum, so
+    it is capped at n <= _MAX_SPECTRUM_N, and the cap refuses when this
+    function is called: the one statement of it, before any work or text.
+    The blocks come in increasing u0 from the iterator it returns.
     """
     n, N, table = f.spec.n, f.spec.size, f.table
-    _require_spectrum_cap(n)
+    if n > _MAX_SPECTRUM_N:
+        raise ValueError(f"full spectrum needs 4^{n} cells; capped at n <= {_MAX_SPECTRUM_N}")
     per = min(N, max(1, _BLOCK // N))
     sign = 1 - 2 * _PARITY16[:N].astype(np.int32)
     order = np.argsort(table, kind="stable")  # x by f(x): f^-1 for a permutation
@@ -120,16 +118,20 @@ def _walsh_blocks(f: SBox):
     perm = ends.size == N
     signs = np.empty((N, per), dtype=np.int32)
     G = signs if perm else np.zeros((N, per), dtype=np.int32)
-    for u0 in range(0, N, per):
-        u = np.arange(u0, min(u0 + per, N))
-        s, g = signs[:, : u.size], G[:, : u.size]
-        np.take(sign, order[:, None] & u, out=s)
-        if not perm:
-            np.cumsum(s, axis=0, out=s)
-            runs = s[ends]
-            runs[1:] -= s[ends[:-1]]
-            g[values[ends]] = runs
-        yield u0, _fwht(g, axis=0).T
+
+    def blocks():
+        for u0 in range(0, N, per):
+            u = np.arange(u0, min(u0 + per, N))
+            s, g = signs[:, : u.size], G[:, : u.size]
+            np.take(sign, order[:, None] & u, out=s)
+            if not perm:
+                np.cumsum(s, axis=0, out=s)
+                runs = s[ends]
+                runs[1:] -= s[ends[:-1]]
+                g[values[ends]] = runs
+            yield u0, _fwht(g, axis=0).T
+
+    return blocks()
 
 
 # -- moments ----------------------------------------------------------------------
@@ -169,7 +171,8 @@ def bct_moment_direct(f: SBox, j: int) -> int:
 
 
 def _fourth_power_sum(W: np.ndarray) -> int:
-    """sum of W^4, exactly: count each |W| = v, then add count * v^4 as ints."""
+    """sum of W^4 over an array of Walsh values, a table or one block of its
+    rows, exactly: count each |W| = v, then add count * v^4 as Python ints."""
     counts = np.bincount(np.abs(W).ravel())
     return sum(c * v**4 for v, c in enumerate(counts.tolist()) if c)
 
@@ -193,12 +196,15 @@ def _constrained_quad_sum(W: np.ndarray, n: int) -> int:
 
 
 def _spectrum_sums(f: SBox, j: int) -> list[int]:
-    """[S_1] for j = 1 and [S_1, S_2] for j = 2, from f's full spectrum.
+    """[S_1] for j = 1 and [S_1, S_2] for j = 2, from f's spectrum.
 
-    S_1 = sum W^4 and S_2 is the constrained sum above. The boundary
-    correction of every spectrum-side identity presumes a permutation, so
-    any other f is refused. S_2 costs O(n * 2^3n) after factorization and
-    is capped at n <= _MAX_QUAD_SUM_N.
+    S_1 = sum W^4, summed block by block over the spectrum's row source
+    (_walsh_blocks) in Python ints, so it holds no 4^n array and is exact
+    at every n the source serves. S_2 is the constrained sum above, which
+    reads the whole spectrum, so the table is built for j = 2 alone. The
+    boundary correction of every spectrum-side identity presumes a
+    permutation, so any other f is refused. S_2 costs O(n * 2^3n) after
+    factorization and is capped at n <= _MAX_QUAD_SUM_N.
     """
     if j not in (1, 2):
         raise ValueError("spectrum-side moments are implemented for j in {1, 2}")
@@ -207,10 +213,9 @@ def _spectrum_sums(f: SBox, j: int) -> list[int]:
         raise ValueError(f"the j=2 spectrum sum is capped at n <= {_MAX_QUAD_SUM_N}")
     if not f.is_permutation():
         raise ValueError("the spectrum-side identities hold only for permutations")
-    W = walsh_spectrum(f).values
-    sums = [_fourth_power_sum(W)]
+    sums = [sum(_fourth_power_sum(block) for _, block in _walsh_blocks(f))]
     if j == 2:
-        sums.append(_constrained_quad_sum(W, n))
+        sums.append(_constrained_quad_sum(walsh_spectrum(f).values, n))
     return sums
 
 

@@ -179,12 +179,15 @@ def test_out_file_is_not_created_when_the_request_fails(tmp_path, capsys, monkey
     assert code == 2 and out == "" and err.startswith("error: ddt at n = 3 needs about ")
     assert not path.exists()
     monkeypatch.undo()
-    # a CSV row source refused on its first block (the spectrum's cap) leaves no file
+    # the spectrum's row source refuses past its cap when it is called, so
+    # neither the CSV nor the JSON, whose "schema" field comes before the
+    # values, has any text yet, and no file is made
     big = tmp_path / "big.sbox"
     write_sbox(identity_sbox(make_field(13)), str(big))
-    code, out, err = run_cli(capsys, "walsh", "--file", str(big), "--out", str(path))
-    assert code == 2 and out == "" and "capped at n <= 12" in err
-    assert not path.exists()
+    for fmt in ([], ["--json"]):
+        code, out, err = run_cli(capsys, "walsh", "--file", str(big), *fmt, "--out", str(path))
+        assert code == 2 and out == "" and "capped at n <= 12" in err
+        assert not path.exists()
 
     def failing_chunks(corner, shape, blocks):  # fails while the first chunk is built
         raise ValueError("no chunk")
@@ -679,15 +682,23 @@ def test_streamed_requests_stay_below_their_tables(tmp_path):
     # _CHUNK bytes, and one block is built and written before the next.
     # Built whole, the text rose about 32 MiB; streamed, about 5.7 MiB
     assert _rss_rise(tmp_path, "ddt", 10, "--json") < 4 * 4**10 + 4 * tables._CHUNK
+    # past the oracles' reach the reducers still hold one block of rows: at
+    # n = 13 they stay below the kernel term of _fast_peak_bytes (about 9
+    # and 11 MiB measured), where the BCT alone would be 256 MiB
+    for verb, *extra in (["uniformity"], ["certify", "--delta", "8"]):
+        assert _rss_rise(tmp_path, verb, 13, *extra) < 160 * tables._BLOCK
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
-@pytest.mark.parametrize("verb", ["ddt", "bct", "walsh"])
-def test_csv_exports_hold_no_table(tmp_path, verb):
-    # CSV is written from the table's row source a block at a time, so the
-    # rise stays under 4^n bytes, a quarter of the int32 table. Through the
-    # table, n = 12 rose about 66, 70 and 129 MiB; streamed, 2-6 MiB
-    assert _rss_rise(tmp_path, verb, 12) < 4**12
+@pytest.mark.parametrize("argv", ["ddt", "bct", "walsh", "walsh --json", "moment --j 1"])
+def test_csv_exports_hold_no_table(tmp_path, argv):
+    # CSV, walsh --json and the spectrum sum of moment --j 1 read the table's
+    # row source a block at a time, so the rise stays under 4^n bytes, a
+    # quarter of the int32 table. Through the table, n = 12 rose about 66,
+    # 70 and 129 MiB for the CSVs, 66 MiB for walsh --json and 256 MiB for
+    # moment; streamed, 2-10 MiB
+    verb, *extra = argv.split()
+    assert _rss_rise(tmp_path, verb, 12, *extra) < 4**12
 
 
 @pytest.mark.parametrize("algo", ["naive", "system"])
