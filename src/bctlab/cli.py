@@ -8,10 +8,11 @@ walsh print CSV, or JSON with --json; family prints the S-box file format;
 every other verb prints JSON ("schema": 1) and takes no --json. Exit codes:
 0 success, 1 failed reproduction claims, 2 usage or input errors and
 tables too large for physical memory. CSV is byte-identical across BCT
-algorithms, and JSON differs only in its "algorithm" field. The text of a
-table, CSV or JSON list, comes from tables a block of rows at a time,
-straight from the table's row source, and moment and certify sum the
-spectrum's rows the same way. Only ddt and bct --json build a table, since
+algorithms, and JSON differs only in its "algorithm" field. The writers
+take a table's values only as a row source: the text of a table, CSV or
+JSON list, comes a block of rows at a time straight from it (a built
+table's counts as tables._blocks_of of them), and moment and certify sum
+the spectrum's rows the same way. Only ddt and bct --json build a table, since
 max_nonzero comes before the counts (and --algo naive and system build
 theirs); walsh writes its CSV and JSON with none. --out is opened only
 once the first chunk exists, so a request refused with exit 2 leaves no
@@ -28,8 +29,6 @@ import sys
 from collections.abc import Iterator
 from contextlib import nullcontext
 from dataclasses import asdict
-
-import numpy as np
 
 from .gf2n import parse_field
 from .sbox import SBox, read_sbox, write_sbox
@@ -203,11 +202,10 @@ def _json_pieces(value):
     """The text of json.dumps(value, indent=2) + "\\n", in pieces.
 
     A non-empty dict goes field by field, each field as json.dumps writes
-    it inside the dict, and an integer ndarray field, or a row source
-    (an iterator of (first row, block), see tables._text_blocks), as its
-    row-major list, a block of rows at a time (see tables._json_list_chunks),
-    never built as a list of Python ints. A list, {} or any other value goes
-    whole.
+    it inside the dict, and a row source field (an iterator of (first row,
+    block), see tables._text_blocks) as its row-major list, a block of rows
+    at a time (see tables._json_list_chunks), never built as a list of
+    Python ints. A list, {} or any other value goes whole.
     """
     if not (isinstance(value, dict) and value):
         yield json.dumps(value, indent=2) + "\n"
@@ -215,8 +213,6 @@ def _json_pieces(value):
     sep = "{\n"
     for key, v in value.items():
         yield f"{sep}  {json.dumps(key)}: "
-        if isinstance(v, np.ndarray):
-            v = _blocks_of(v)
         if isinstance(v, Iterator):
             yield from _json_list_chunks(v)
         else:
@@ -229,10 +225,9 @@ def _write(result, out_path) -> None:
     """Write text chunks or a JSON value to out_path or stdout, chunk by chunk.
 
     result is either an iterator of text chunks or a JSON value, which is
-    written as json.dumps(indent=2) of it with each integer ndarray or
-    row-source field as its row-major list (see _json_pieces). out_path is
-    opened only once the first chunk exists, so a request that fails before
-    it leaves no file.
+    written as json.dumps(indent=2) of it with each row-source field as its
+    row-major list (see _json_pieces). out_path is opened only once the
+    first chunk exists, so a request that fails before it leaves no file.
     """
     chunks = result if isinstance(result, Iterator) else _json_pieces(result)
     first = next(chunks, "")

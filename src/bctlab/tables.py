@@ -38,7 +38,9 @@ exceeds physical memory, and the two O(2^3n) oracles refuse n > 12, which
 would take half an hour at n = 13. No builder starts a thread.
 Counts are stored as int32, and KTable refuses any count above its
 maximum: every count is at most 4^n, which fits up to n = 15, but BCT(0, 0)
-of a constant map is exactly 4^n and does not fit at n = 16.
+of a constant map is exactly 4^n and does not fit at n = 16. Every builder
+counts into int32, which KTable keeps without a copy, except bct_fast at
+n = 16, whose int64 table KTable converts.
 
 Symmetry orbits. _symmetry reads two symmetries off the table (O(1)
 lookups turn unstructured maps away first): f(x^2) = f(x)^2, and the
@@ -68,8 +70,9 @@ Row sources. Each table has one, with one path: _ddt_blocks (a bincount
 per row), _bct_fast_blocks (row 0 the autocorrelation, then _bct_blocks)
 and walsh._walsh_blocks yield (first row, block) in increasing row order,
 every row once, and ddt, bct_fast and walsh_spectrum fill their tables
-from them, keeping their caps and preflights. ddt and bct_fast pass their
-table to the source, which writes each block into its rows in place.
+from them, keeping their caps and preflights. ddt and bct_fast share one
+fill, _filled, which passes the table to the source, and the source writes
+each block into its rows in place.
 Streamed without a table, a block is one reused buffer of about _BLOCK
 cells, so a stream needs no memory preflight. Whatever reads a table once,
 in row order, reads its source: the CSV exports, walsh --json and the
@@ -88,9 +91,10 @@ pad deleted. The CSV is its header and then one chunk per block of about
 _CHUNK bytes of ids and pieces (_csv_chunks), which the CLI writes one at
 a time and ktable_to_csv joins; a JSON list is "[" and the same blocks
 (_json_list_chunks), never built whole or as a list of Python ints. The
-CLI writes CSV straight from a row source, so it holds no table; a
-table's JSON writes max_nonzero before the counts, so ddt and bct --json
-build the table.
+writers take a table's values only as a row source: the CLI writes CSV
+straight from one, so it holds no table, and a table's JSON fields
+(_ktable_fields) hold its counts as _blocks_of(counts). Those fields write
+max_nonzero before the counts, so ddt and bct --json build the table.
 """
 
 from __future__ import annotations
@@ -176,17 +180,25 @@ class UniformityReport:
 def ddt(f: SBox) -> KTable:
     """Difference distribution table: counts(a, b) = #{x : f(x+a)+f(x) = b}.
 
-    Filled in place from its row source, _ddt_blocks. Counts are at most
-    2^n, so the table accumulates int32 and KTable keeps it without a copy.
-    Raises MemoryError, before allocating, when the estimated peak exceeds
-    physical memory.
+    Filled in place from its row source, _ddt_blocks (see _filled). Counts
+    are at most 2^n, so the table is int32. Raises MemoryError, before
+    allocating, when the estimated peak exceeds physical memory.
     """
-    n, N = f.spec.n, f.spec.size
-    _require_memory("ddt", n, _ddt_peak_bytes(n))
-    counts = np.empty((N, N), dtype=np.int32)
-    for _ in _ddt_blocks(f, counts):
+    _require_memory("ddt", f.spec.n, _ddt_peak_bytes(f.spec.n))
+    return _filled(f, "DDT", "ddt", np.int32, _ddt_blocks)
+
+
+def _filled(f: SBox, kind: str, algorithm: str, dtype, source) -> KTable:
+    """f's table, allocated as dtype and written in place by its row source.
+
+    source(f, out) yields the blocks of rows it writes into out (see
+    _ddt_blocks); an int32 table is kept by KTable without a copy.
+    """
+    N = f.spec.size
+    counts = np.empty((N, N), dtype=dtype)
+    for _ in source(f, counts):
         pass
-    return KTable(f.spec, "DDT", counts, "ddt")
+    return KTable(f.spec, kind, counts, algorithm)
 
 
 def _ddt_blocks(f: SBox, out: np.ndarray | None = None):
@@ -227,8 +239,10 @@ def bct_naive(f: SBox) -> KTable:
     """Inverse-based reference count, O(2^3n); requires a permutation.
 
     Entry (a, b) counts the x with finv(f(x)+b) + finv(f(x+a)+b) = a,
-    the single-variable form of the pair count at the same index. Refused
-    past n = _MAX_ORACLE_N or over physical memory, before any work (see
+    the single-variable form of the pair count at the same index. Every
+    row is counted into an int32 table, which KTable keeps without a copy:
+    a count is at most 4^n, below 2^31 under the cap. Refused past
+    n = _MAX_ORACLE_N or over physical memory, before any work (see
     _require_oracle).
     """
     _require_oracle("bct_naive", f.spec.n)
@@ -238,7 +252,7 @@ def bct_naive(f: SBox) -> KTable:
     idx = np.arange(N)
     # M[x, b] = finv(f(x) + b), shared across rows
     M = g[table[:, None] ^ idx[None, :]]
-    counts = np.zeros((N, N), dtype=np.int64)
+    counts = np.empty((N, N), dtype=np.int32)
     for a in range(N):
         counts[a] = ((M ^ M[idx ^ a, :]) == a).sum(axis=0)
     return KTable(f.spec, "BCT", counts, "naive")
@@ -247,15 +261,16 @@ def bct_naive(f: SBox) -> KTable:
 def bct_system(f: SBox) -> KTable:
     """Literal pair count of the two-equation system, O(2^3n); any function.
 
-    Refused past n = _MAX_ORACLE_N or over physical memory, before any
-    work (see _require_oracle).
+    Every row is counted into an int32 table, as in bct_naive. Refused
+    past n = _MAX_ORACLE_N or over physical memory, before any work (see
+    _require_oracle).
     """
     _require_oracle("bct_system", f.spec.n)
     N = f.spec.size
     table = f.table
     idx = np.arange(N)
     B1 = table[:, None] ^ table[None, :]
-    counts = np.zeros((N, N), dtype=np.int64)
+    counts = np.empty((N, N), dtype=np.int32)
     for a in range(N):
         fa = table[idx ^ a]
         mask = B1 == (fa[:, None] ^ fa[None, :])
@@ -316,33 +331,33 @@ def _fast_peak_bytes(n: int) -> int:
     tracemalloc the kernel's arrays peak at 11.2 MiB over the table for
     the constant 0 of GF(2^10), every row a transform, 10.4 MiB for a
     3-valued map of GF(2^10) and 5.7 MiB for a random permutation of
-    GF(2^12)."""
-    return np.dtype(_fast_dtype(n)).itemsize * 4**n + 160 * _BLOCK
+    GF(2^12). An int64 table (n = 16, see _fast_dtype) also counts the
+    int32 copy KTable makes while the table is still held: 12 bytes per
+    cell."""
+    cell = np.dtype(_fast_dtype(n)).itemsize
+    return (cell + 4 * (cell > 4)) * 4**n + 160 * _BLOCK
 
 
 def _oracle_peak_bytes(n: int) -> int:
     """Upper estimate of the bytes bct_naive or bct_system allocates at
     dimension n: 32 bytes per table cell and 64 KiB of fixed overhead. Each
     holds one int64 4^n array (bct_naive's M, bct_system's B1), a
-    row-shifted int64 copy of it, a bool mask and the int64 counts, about
-    25 bytes per cell; under tracemalloc both peak at 25-26 bytes per cell
-    from n = 8 and 32-42 at n = 6-7, where the fixed part still shows."""
+    row-shifted int64 copy of it, a bool mask and the int32 counts, about
+    21 bytes per cell; under tracemalloc both peak at 21-23 bytes per cell
+    from n = 8 and 28-38 at n = 6-7, where the fixed part still shows."""
     return 32 * 4**n + (1 << 16)
 
 
 def bct_fast(f: SBox) -> KTable:
     """Whole rows from the fibres of D_a; representative pairs, zero for APN maps.
 
-    Filled in place from its row source, _bct_fast_blocks. Raises
-    MemoryError, before allocating, when the estimated peak exceeds
+    Filled in place from its row source, _bct_fast_blocks (see _filled).
+    Raises MemoryError, before allocating, when the estimated peak exceeds
     physical memory.
     """
-    n, N = f.spec.n, f.spec.size
+    n = f.spec.n
     _require_memory("bct_fast", n, _fast_peak_bytes(n))
-    counts = np.empty((N, N), dtype=_fast_dtype(n))
-    for _ in _bct_fast_blocks(f, counts):
-        pass
-    return KTable(f.spec, "BCT", counts, "fast")
+    return _filled(f, "BCT", "fast", _fast_dtype(n), _bct_fast_blocks)
 
 
 def _bct_fast_blocks(f: SBox, out: np.ndarray | None = None):
@@ -808,18 +823,14 @@ def _csv_chunks(corner: str, shape: tuple[int, int], blocks):
     """CSV with header "<corner>,0,1,..." and one row "i,m[i,0],m[i,1],..." per row i.
 
     m is the array of this shape whose rows the row source blocks yields
-    (see _text_blocks). The first block of text is made before the header
-    is yielded, so a source that refuses its request (the spectrum's cap)
-    does so before any text exists. Then one chunk per block of rows, so
-    the text is never held whole.
+    (see _text_blocks). The header comes first, then one chunk per block of
+    rows, so the text is never held whole. A request is refused before its
+    source exists (the spectrum's cap when _walsh_blocks is called, the
+    builders' preflights and the oracles' caps), so before any text.
     """
     rows, cols = shape
-    body = _text_blocks(blocks, ",", rows)
-    first = next(body, "")
     yield corner + "," + ",".join(map(str, range(cols))) + "\n"
-    yield first
-    del first
-    yield from body
+    yield from _text_blocks(blocks, ",", rows)
 
 
 def ktable_to_csv(t: KTable) -> str:
@@ -828,13 +839,13 @@ def ktable_to_csv(t: KTable) -> str:
 
 
 def _ktable_fields(t: KTable) -> dict:
-    """The JSON fields of a table, with the counts left as the 2-D array."""
+    """The JSON fields of a table, with the counts as the table's row source."""
     return {
         "kind": t.kind,
         "n": t.spec.n,
         "algorithm": t.algorithm,
         "max_nonzero": t.max_nonzero(),
-        "counts": t.counts,
+        "counts": _blocks_of(t.counts),
     }
 
 

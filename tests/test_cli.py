@@ -598,6 +598,14 @@ def _as_lists(payload):
     return payload
 
 
+def _as_sources(payload):
+    """The payload as the writer takes it: every ndarray field as its row source."""
+    if not isinstance(payload, dict):
+        return payload
+    return {k: tables._blocks_of(v) if isinstance(v, np.ndarray) else v
+            for k, v in payload.items()}
+
+
 _WRITER_PAYLOADS = {
     "1-d": {"schema": 1, "values": np.arange(-3, 9)},
     "2-d negatives": {"n": 2, "values": np.array([[4, -4], [0, -2]], dtype=np.int32)},
@@ -620,10 +628,10 @@ _WRITER_PAYLOADS = {
 @pytest.mark.parametrize("payload", _WRITER_PAYLOADS.values(), ids=_WRITER_PAYLOADS.keys())
 def test_json_writer_matches_json_dumps(capsys, tmp_path, payload):
     expected = json.dumps(_as_lists(payload), indent=2) + "\n"
-    cli._write(payload, None)
+    cli._write(_as_sources(payload), None)
     assert capsys.readouterr().out == expected
     path = tmp_path / "out.json"
-    cli._write(payload, str(path))
+    cli._write(_as_sources(payload), str(path))
     assert path.read_text(encoding="ascii") == expected
 
 
@@ -631,10 +639,10 @@ def test_json_writer_matches_json_dumps_in_one_character_chunks(capsys, tmp_path
     monkeypatch.setattr(tables, "_CHUNK", 1)
     for payload in _WRITER_PAYLOADS.values():
         expected = json.dumps(_as_lists(payload), indent=2) + "\n"
-        cli._write(payload, None)
+        cli._write(_as_sources(payload), None)
         assert capsys.readouterr().out == expected
         path = tmp_path / "out.json"
-        cli._write(payload, str(path))
+        cli._write(_as_sources(payload), str(path))
         assert path.read_text(encoding="ascii") == expected
 
 

@@ -1,6 +1,9 @@
 """The code-line counter in tools/code_lines.py, on a small fixture module."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -69,3 +72,18 @@ def test_unknown_option_or_missing_path_exits_2(tmp_path, capsys):
         assert code_lines.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"code_lines.py: error: {message}\n"
+
+
+def test_a_reader_that_goes_away_ends_the_count_quietly():
+    # stdout is a pipe whose read end is closed, as when head -1 has its
+    # line: no BrokenPipeError traceback, from a print or the flush at exit
+    root = Path(__file__).resolve().parents[1]
+    for argv in (["--help"], ["--defs", str(root / "src" / "bctlab")]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, str(root / "tools" / "code_lines.py"), *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b"", argv

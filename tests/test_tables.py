@@ -931,6 +931,8 @@ def test_oracles_refuse_tables_over_the_memory_budget(monkeypatch, builder):
 
 
 def test_oracle_peak_estimate_covers_allocations(rng):
+    # int32 counts hold the oracles to 21-23 bytes per cell from n = 8;
+    # an int64 table would read 25-26
     for n in (6, 7, 8, 9):
         f = random_permutation(make_field(n), rng)
         for builder in (bct_naive, bct_system):
@@ -941,6 +943,7 @@ def test_oracle_peak_estimate_covers_allocations(rng):
             finally:
                 tracemalloc.stop()
             assert peak <= tables._oracle_peak_bytes(n), (builder.__name__, n)
+            assert n < 9 or peak <= 24 * 4**n, (builder.__name__, peak / 4**n)
 
 
 def test_power_map_past_the_table_budget_reads_row_one(monkeypatch):
@@ -962,7 +965,7 @@ def test_power_map_past_the_table_budget_reads_row_one(monkeypatch):
         boomerang_uniformity(f)
 
 
-def test_bct_fast_peak_estimate_covers_allocations(rng):
+def test_bct_fast_peak_estimate_covers_allocations(rng, monkeypatch):
     # numpy reports its buffers to tracemalloc; a pair-heavy map, a
     # random permutation, a power map's rotated rows, a constant map,
     # which takes the transform on every row a != 0, and a 3-valued map,
@@ -978,7 +981,19 @@ def test_bct_fast_peak_estimate_covers_allocations(rng):
         finally:
             tracemalloc.stop()
         assert peak <= tables._fast_peak_bytes(f.spec.n)
-    assert tables._fast_peak_bytes(16) > 8 * 4**16  # int64 where 4^n overflows int32
+    # int64 where 4^n overflows int32 (n = 16), and KTable's int32 copy is
+    # made while that table is held: 12 bytes per cell, here at n = 12
+    assert tables._fast_peak_bytes(16) > 12 * 4**16
+    monkeypatch.setattr(tables, "_fast_dtype", lambda n: np.int64)
+    f = random_permutation(make_field(12), rng)
+    tracemalloc.start()
+    try:
+        t = bct_fast(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.counts.dtype == np.int32
+    assert peak <= tables._fast_peak_bytes(12)
 
 
 def test_ddt_refuses_tables_over_the_memory_budget(monkeypatch):
@@ -1125,9 +1140,10 @@ def test_text_blocks_are_byte_identical_to_str_and_json_dumps(monkeypatch, chunk
         assert "".join(chunks) == _csv_per_cell(corner, m)
         if chunk == 1:  # the header, then one block per row
             assert len(chunks) == m.shape[0] + 1
-        payload = {"schema": 1, "counts": m, "flat": m.ravel(), "first": m.ravel()[:1]}
-        expected = json.dumps({k: v if k == "schema" else v.ravel().tolist()
-                               for k, v in payload.items()}, indent=2) + "\n"
+        arrays = {"counts": m, "flat": m.ravel(), "first": m.ravel()[:1]}
+        expected = json.dumps({"schema": 1, **{k: v.ravel().tolist() for k, v in arrays.items()}},
+                              indent=2) + "\n"
+        payload = {"schema": 1, **{k: tables._blocks_of(v) for k, v in arrays.items()}}
         assert "".join(cli._json_pieces(payload)) == expected
 
 

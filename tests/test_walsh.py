@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+from math import gcd
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from bctlab import (
     kasami,
     make_field,
     modified_inverse,
+    monomial_boomerang_uniformity,
     random_permutation,
     two_uniform_certificate,
     walsh_spectrum,
@@ -26,6 +29,7 @@ from bctlab import (
     zieve_binomial,
     zieve_gamma_candidates,
 )
+from bctlab.tables import _ddt_blocks
 from bctlab.walsh import (
     _bct_value_counts,
     _constrained_quad_sum,
@@ -489,6 +493,44 @@ def test_canonical_certificate_builds_no_polynomial(monkeypatch):
     assert not is_zero and value > 0
     with pytest.raises(ValueError, match="positive even"):
         delta_uniform_certificate(inverse_fn(4), 3)
+
+
+def test_first_moment_equals_the_ddt_square_sum_past_the_oracles(rng):
+    # sum over b of BCT(a, b) = sum over beta of DDT(a, beta)^2 for any f,
+    # and a permutation's column b = 0 holds 2^n in every row a != 0, so
+    # M_1 = sum over a != 0 of the DDT row's squares - 2^n (2^n - 1). The
+    # DDT side counts every y of every row, the direct side one pair of
+    # representatives per bucket and one row per orbit; n = 13 is past the
+    # oracles and the spectrum
+    N = 1 << 13
+    for f in (random_permutation(make_field(13), rng), modified_inverse(13)):
+        squares = sum(int((block[max(0, 1 - a0):].astype(np.int64) ** 2).sum())
+                      for a0, block in _ddt_blocks(f))
+        assert bct_moment_direct(f, 1) == squares - N * (N - 1), f
+
+
+def _cyclotomic_classes(n):
+    """The least d of each class {d 2^k mod 2^n - 1} with gcd(d, 2^n - 1) = 1."""
+    m = (1 << n) - 1
+    return sorted({min((d << k) % m for k in range(n)) for d in range(1, m) if gcd(d, m) == 1})
+
+
+def test_power_map_invariants_over_every_cyclotomic_class():
+    # BCT(f^-1) is the transpose of BCT(f) (Boura & Canteaut), and squaring
+    # is linear and bijective, so x^d, x^(d^-1) and x^(2d) share (Delta,
+    # delta) and the value counts of their BCTs over a, b != 0
+    classes = 0
+    for n in range(5, 11):
+        spec, m = make_field(n), (1 << n) - 1
+        for d in _cyclotomic_classes(n):
+            classes += 1
+            exponents = (d, pow(d, -1, m), 2 * d % m)
+            reports = [monomial_boomerang_uniformity(spec, e) for e in exponents]
+            assert len({(r.differential_uniformity, r.boomerang_uniformity)
+                        for r in reports}) == 1, (n, d)
+            counts = [_bct_value_counts(from_monomial(spec, e)) for e in exponents]
+            assert counts[0] == counts[1] == counts[2], (n, d)
+    assert classes == 154
 
 
 def test_moment_first_order_wide_field():

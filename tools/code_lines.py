@@ -12,12 +12,16 @@ With no path, src is counted. An unknown option or a missing path exits
 
 With --defs, each file's line is followed by one indented line per
 top-level def and class, decorators included, counted by the same rule.
+
+A reader that closes the pipe early (| head -1) ends the count quietly,
+with exit status 1.
 """
 
 from __future__ import annotations
 
 import ast
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -73,6 +77,17 @@ def def_code_lines(source: str) -> list[tuple[str, int]]:
 
 
 def main(argv: list[str]) -> int:
+    try:
+        status = _main(argv)
+        sys.stdout.flush()  # so a reader gone away shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # the text left in the buffer goes to /dev/null at exit, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _main(argv: list[str]) -> int:
     if "-h" in argv or "--help" in argv:
         print(__doc__.strip())
         return 0
