@@ -1,7 +1,9 @@
 """S-boxes: functions GF(2^n) -> GF(2^n) as full lookup tables.
 
-An SBox is representation-complete (2^n entries, numpy int64, read-only);
-permutation status is a queried property, never a construction precondition.
+An SBox is representation-complete (2^n entries, numpy int64, read-only),
+built from integer or bool values only: a float table is refused, not
+truncated. Permutation status is a queried property, never a construction
+precondition.
 The text file format used by the CLI is
 
     n=<int>
@@ -38,15 +40,25 @@ __all__ = [
 ]
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """values as an array, refused (ValueError) unless its dtype is integer or
+    bool: stored as integers, 2.7 would become 2."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biu":
+        raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
+    return arr
+
+
 class SBox:
-    """A function over GF(2^n) given by its value table."""
+    """A function over GF(2^n) given by its value table of integers."""
 
     def __init__(self, spec: FieldSpec, table):
-        arr = np.asarray(table, dtype=np.int64).copy()
+        arr = np.asarray(table)
         if arr.shape != (spec.size,):
             raise ValueError(
                 f"table must have exactly {spec.size} entries, got {arr.shape}"
             )
+        arr = _integers(arr, "table").astype(np.int64)  # a copy, always
         spec._element(int(arr.min()))  # ValueError naming the entry outside [0, 2^n)
         spec._element(int(arr.max()))
         arr.flags.writeable = False

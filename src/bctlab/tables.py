@@ -31,16 +31,20 @@ through Walsh-Hadamard autocorrelations instead, many fibres to one
 batched transform. Row 0, one fibre of every y, is the autocorrelation
 of the value histogram. _bct_blocks
 runs the kernel over blocks of rows that share a top bit, in one serial
-pass, into the table's own rows (bct_fast) or one reused buffer, which
-the reducers below and the CSV export read; bct_row(f, a) is one row.
+pass, into one reused buffer, which bct_fast, the reducers below and the
+CSV export read; bct_row(f, a) is one row.
 Every builder refuses, before allocating, a table whose estimated peak
 exceeds physical memory, and the two O(2^3n) oracles refuse n > 12, which
 would take half an hour at n = 13. No builder starts a thread.
-Counts are stored as int32, and KTable refuses any count above its
-maximum: every count is at most 4^n, which fits up to n = 15, but BCT(0, 0)
-of a constant map is exactly 4^n and does not fit at n = 16. Every builder
-counts into int32, which KTable keeps without a copy, except bct_fast at
-n = 16, whose int64 table KTable converts.
+Every table is stored as int32, by one rule, _int32: an int32 array is
+kept as it is, any other integer or bool array is converted, and a value
+int32 cannot hold, or a dtype that is not integer, is refused. KTable,
+walsh.WalshSpectrum and every fill apply it. Every count is at most 4^n,
+which fits up to n = 15, but BCT(0, 0) of a constant map is exactly 4^n
+and does not fit at n = 16. No BCT count exceeds BCT(0, 0): BCT(a, b) <=
+BCT(0, b) = sum over u of h(u) h(u+b) <= sum of h^2 = BCT(0, 0), with h
+the value histogram, by Cauchy-Schwarz. So a BCT that int32 cannot hold
+is refused at row 0, its first block, before the kernel counts a row.
 
 Symmetry orbits. _symmetry reads two symmetries off the table (O(1)
 lookups turn unstructured maps away first): f(x^2) = f(x)^2, and the
@@ -66,15 +70,13 @@ the benchmark pins `uniformity` on x^3 over GF(2^5) (bench/test_bench.py,
 test_traced_request_counts_repeat_exactly) to one bct_fast call and one
 ddt call.
 
-Row sources. Each table has one, with one path: _ddt_blocks (a bincount
-per row), _bct_fast_blocks (row 0 the autocorrelation, then _bct_blocks)
-and walsh._walsh_blocks yield (first row, block) in increasing row order,
-every row once, and ddt, bct_fast and walsh_spectrum fill their tables
-from them, keeping their caps and preflights. ddt and bct_fast share one
-fill, _filled, which passes the table to the source, and the source writes
-each block into its rows in place.
-Streamed without a table, a block is one reused buffer of about _BLOCK
-cells, so a stream needs no memory preflight. Whatever reads a table once,
+Row sources. Each table has one, with one path and one mode: _ddt_blocks
+(a bincount per row), _bct_fast_blocks (row 0 the autocorrelation, then
+_bct_blocks) and walsh._walsh_blocks yield (first row, block) in
+increasing row order, every row once, each block one reused buffer of
+about _BLOCK cells, so a stream needs no memory preflight. ddt, bct_fast
+and walsh_spectrum fill their tables from them through one fill,
+_filled, after their caps and preflights. Whatever reads a table once,
 in row order, reads its source: the CSV exports, walsh --json and the
 spectrum sum S_1 (walsh). A table is built whole only where it is needed
 whole: DDT and BCT --json, the oracles, S_2, the public builders and the
@@ -106,7 +108,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gf2n import FieldSpec, _autocorrelation
-from .sbox import SBox, _shift, from_monomial, inverse_table
+from .sbox import SBox, _integers, _shift, from_monomial, inverse_table
 
 __all__ = [
     "KTable",
@@ -133,24 +135,32 @@ _MAX_ORACLE_N = 12  # bct_naive and bct_system are O(2^3n): n = 13 would take ab
 _CHUNK = 1 << 20  # bytes of piece ids and gathered pieces per block of exported text
 
 
+def _int32(values) -> np.ndarray:
+    """The storage rule of every table: values as int32. An int32 array is
+    kept as it is, unscanned and uncopied; any other integer or bool array
+    is converted. ValueError for any other dtype (see sbox._integers) and
+    for a value that int32 cannot hold, which a conversion would wrap."""
+    arr = _integers(values, "counts")
+    hi, lo = (0, 0) if arr.dtype == np.int32 else (int(arr.max()), int(arr.min()))
+    if hi > _INT32_MAX:
+        raise ValueError(f"count {hi} exceeds the int32 maximum {_INT32_MAX}")
+    if lo < -_INT32_MAX - 1:
+        raise ValueError(f"count {lo} is below the int32 minimum {-_INT32_MAX - 1}")
+    return arr.astype(np.int32, copy=False)
+
+
 class KTable:
-    """A 2^n x 2^n table of non-negative counts (DDT or BCT)."""
+    """A 2^n x 2^n table of non-negative counts (DDT or BCT), stored by _int32."""
 
     def __init__(self, spec: FieldSpec, kind: str, counts, algorithm: str):
         if kind not in ("DDT", "BCT"):
             raise ValueError(f"kind must be 'DDT' or 'BCT', got {kind!r}")
-        arr = np.asarray(counts)
-        if arr.shape != (spec.size, spec.size):
+        if np.shape(counts) != (spec.size, spec.size):
             raise ValueError("counts must be a 2^n x 2^n matrix")
-        if arr.dtype != np.int32:  # an int32 count cannot exceed the maximum
-            peak = int(arr.max())
-            if peak > _INT32_MAX:
-                raise ValueError(f"count {peak} exceeds the int32 maximum {_INT32_MAX}")
-            arr = np.asarray(arr, dtype=np.int32)
-        arr.flags.writeable = False
+        self.counts = _int32(counts)
+        self.counts.flags.writeable = False
         self.spec = spec
         self.kind = kind
-        self.counts = arr
         self.algorithm = algorithm
 
     def __repr__(self):
@@ -180,49 +190,49 @@ class UniformityReport:
 def ddt(f: SBox) -> KTable:
     """Difference distribution table: counts(a, b) = #{x : f(x+a)+f(x) = b}.
 
-    Filled in place from its row source, _ddt_blocks (see _filled). Counts
-    are at most 2^n, so the table is int32. Raises MemoryError, before
-    allocating, when the estimated peak exceeds physical memory.
+    Filled from its row source, _ddt_blocks (see _filled). Raises
+    MemoryError, before allocating, when the estimated peak exceeds
+    physical memory.
     """
     _require_memory("ddt", f.spec.n, _ddt_peak_bytes(f.spec.n))
-    return _filled(f, "DDT", "ddt", np.int32, _ddt_blocks)
+    return KTable(f.spec, "DDT", _filled(f.spec.size, _ddt_blocks(f)), "ddt")
 
 
-def _filled(f: SBox, kind: str, algorithm: str, dtype, source) -> KTable:
-    """f's table, allocated as dtype and written in place by its row source.
+def _filled(N: int, blocks) -> np.ndarray:
+    """The int32 N x N table of a row source: each block copied into its rows.
 
-    source(f, out) yields the blocks of rows it writes into out (see
-    _ddt_blocks); an int32 table is kept by KTable without a copy.
+    blocks yields (first row, block) in increasing row order, every row
+    once (see _ddt_blocks). Each block is stored by _int32 as it comes, so
+    an int32 block is copied once, and a block int32 cannot hold is
+    refused before the source is asked for the next.
     """
-    N = f.spec.size
-    counts = np.empty((N, N), dtype=dtype)
-    for _ in source(f, counts):
-        pass
-    return KTable(f.spec, kind, counts, algorithm)
+    table = np.empty((N, N), dtype=np.int32)
+    for a0, block in blocks:
+        table[a0 : a0 + len(block)] = _int32(block)
+    return table
 
 
-def _ddt_blocks(f: SBox, out: np.ndarray | None = None):
+def _ddt_blocks(f: SBox):
     """Yield (a0, block), the DDT rows a0 .. a0 + len(block) - 1, in increasing a0.
 
     Each row is the bincount of one derivative, in blocks of about _BLOCK
     cells. A one-orbit map (every c x^d with c != 0) stops after row 1,
-    and _power_rows rotates that row into rows 2 .. 2^n - 1. With out, the
-    int32 table, every block is out's own rows, written in place; without,
-    one reused buffer, to be read before the next is asked for.
+    and _power_rows rotates that row into rows 2 .. 2^n - 1. Every block
+    is one reused int32 buffer, to be read before the next is asked for.
     """
     N, table = f.spec.size, f.table
     idx = np.arange(N)
     sym = _symmetry(f)
     counted = 2 if sym.order == N - 1 else N
     per = min(counted, max(1, _BLOCK // N))
-    buf = np.empty((per, N), dtype=np.int32) if out is None else None
+    buf = np.empty((per, N), dtype=np.int32)
     for a0 in range(0, counted, per):
-        block = buf[: min(per, counted - a0)] if out is None else out[a0 : a0 + per]
+        block = buf[: min(per, counted - a0)]
         for i, row in enumerate(block):
             row[:] = np.bincount(table ^ table[idx ^ (a0 + i)], minlength=N)
         yield a0, block
     if counted < N:
-        yield from _power_rows(f, sym.e, block[-1], out)
+        yield from _power_rows(f, sym.e, block[-1])
 
 
 def differential_uniformity(t: KTable) -> int:
@@ -306,19 +316,22 @@ def _require_oracle(builder: str, n: int) -> None:
 
 def _ddt_peak_bytes(n: int) -> int:
     """Upper estimate of the bytes ddt allocates at dimension n: the int32
-    table plus about 8 int64 arrays of one row and 2 of one power-map row
-    block (the rotation's gather indices)."""
-    return 4 * 4**n + 64 * 2**n + 16 * _BLOCK
+    table, about 8 int64 arrays of one row, 2 of one power-map row block
+    (the rotation's gather indices), and two reused int32 buffers of at
+    most _BLOCK cells, the row source's and the rotation's."""
+    return 4 * 4**n + 64 * 2**n + 24 * _BLOCK
 
 
 def _fast_dtype(n: int):
-    """Every count is at most 4^n, which fits int32 up to n = 15."""
+    """The dtype of the row kernel's blocks: every count is at most 4^n,
+    which fits int32 up to n = 15. The table is int32 at every n (see
+    _int32)."""
     return np.int32 if 4**n <= _INT32_MAX else np.int64
 
 
 def _fast_peak_bytes(n: int) -> int:
     """Upper estimate of the bytes bct_fast allocates at dimension n: the
-    table plus 160 bytes per derivative value of one block (20 MiB at
+    int32 table plus 160 bytes per derivative value of one block (20 MiB at
     2^17 values), so from n = 12 the table dominates. A block has two
     cells per value, so its int64 bucket counts (the DDT rows halved,
     doubled straight into the block) take 16 bytes per value; the uint32
@@ -331,11 +344,11 @@ def _fast_peak_bytes(n: int) -> int:
     tracemalloc the kernel's arrays peak at 11.2 MiB over the table for
     the constant 0 of GF(2^10), every row a transform, 10.4 MiB for a
     3-valued map of GF(2^10) and 5.7 MiB for a random permutation of
-    GF(2^12). An int64 table (n = 16, see _fast_dtype) also counts the
-    int32 copy KTable makes while the table is still held: 12 bytes per
-    cell."""
-    cell = np.dtype(_fast_dtype(n)).itemsize
-    return (cell + 4 * (cell > 4)) * 4**n + 160 * _BLOCK
+    GF(2^12). At n = 16 the kernel's blocks are int64 (see _fast_dtype),
+    one row of 2^16 cells each, and _filled converts each into the int32
+    table, so the table is 4 bytes per cell at every n: 16.02 GiB at
+    n = 16."""
+    return 4 * 4**n + 160 * _BLOCK
 
 
 def _oracle_peak_bytes(n: int) -> int:
@@ -351,38 +364,37 @@ def _oracle_peak_bytes(n: int) -> int:
 def bct_fast(f: SBox) -> KTable:
     """Whole rows from the fibres of D_a; representative pairs, zero for APN maps.
 
-    Filled in place from its row source, _bct_fast_blocks (see _filled).
-    Raises MemoryError, before allocating, when the estimated peak exceeds
-    physical memory.
+    Filled from its row source, _bct_fast_blocks (see _filled), whose
+    first block, row 0, holds the largest count (see the module
+    docstring): a table int32 cannot hold is refused there, before the
+    kernel counts any other row. Raises MemoryError, before allocating,
+    when the estimated peak exceeds physical memory.
     """
-    n = f.spec.n
-    _require_memory("bct_fast", n, _fast_peak_bytes(n))
-    return _filled(f, "BCT", "fast", _fast_dtype(n), _bct_fast_blocks)
+    _require_memory("bct_fast", f.spec.n, _fast_peak_bytes(f.spec.n))
+    return KTable(f.spec, "BCT", _filled(f.spec.size, _bct_fast_blocks(f)), "fast")
 
 
-def _bct_fast_blocks(f: SBox, out: np.ndarray | None = None):
+def _bct_fast_blocks(f: SBox):
     """Yield (a0, block), the BCT rows a0 .. a0 + len(block) - 1, in increasing a0.
 
-    Row 0 is the XOR autocorrelation of the value histogram (see bct_row).
-    The rows a != 0 come in blocks from one kernel (see _bct_blocks). A
-    one-orbit map (every c x^d with c != 0) stops after row 1, and
-    _power_rows rotates that row into rows 2 .. 2^n - 1. With out, the
-    table, every block is out's own rows, written in place; without, a
-    reused buffer, to be read before the next is asked for.
+    Row 0, the first block, is the int64 XOR autocorrelation of the value
+    histogram (see bct_row). The rows a != 0 come in blocks from one
+    kernel (see _bct_blocks). A one-orbit map (every c x^d with c != 0)
+    stops after row 1, and _power_rows rotates that row into rows
+    2 .. 2^n - 1. Every later block is a reused buffer, to be read before
+    the next is asked for.
     """
-    n, N, table = f.spec.n, f.spec.size, f.table
+    N, table = f.spec.size, f.table
     sym = _symmetry(f)
     counted = 2 if sym.order == N - 1 else N
-    head = np.empty((1, N), _fast_dtype(n)) if out is None else out[:1]
-    head[0] = _autocorrelation(np.bincount(table, minlength=N))
-    yield 0, head
-    for a, block, _, _ in _bct_blocks(table, np.arange(1, counted), out):
+    yield 0, _autocorrelation(np.bincount(table, minlength=N))[None]
+    for a, block, _, _ in _bct_blocks(table, np.arange(1, counted)):
         yield int(a[0]), block
     if counted < N:
-        yield from _power_rows(f, sym.e, block[-1], out)
+        yield from _power_rows(f, sym.e, block[-1])
 
 
-def _bct_blocks(table: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None):
+def _bct_blocks(table: np.ndarray, rows: np.ndarray):
     """Count the BCT rows a in rows, nonzero and increasing, with the row kernel.
 
     The rows sharing a top bit run in blocks of about _BLOCK derivative
@@ -392,20 +404,19 @@ def _bct_blocks(table: np.ndarray, rows: np.ndarray, out: np.ndarray | None = No
     cell. table is converted to uint32 once per call. Yields
     (a, block, ddt_halves, half_max) per block, in increasing a: the DDT
     rows halved and their maximum (see _bct_rows). Every block is one
-    reused buffer, to be read before the next is asked for, or, with out,
-    out's rows a, written in place (then rows must be consecutive).
+    reused buffer of _fast_dtype(n), to be read before the next is asked
+    for.
     """
     N = table.size
     n = N.bit_length() - 1
     table = table.astype(np.uint32)
     per = min(max(1, _BLOCK // (N // 2)), 1 << 32 - 2 * n)
-    if out is None:
-        buf = np.empty((min(per, rows.size), N), dtype=_fast_dtype(n))
+    buf = np.empty((min(per, rows.size), N), dtype=_fast_dtype(n))
     for k in range(n):
         top = rows[rows >> k == 1]  # the rows with top bit 2^k
         for i in range(0, top.size, per):
             a = top[i : i + per]
-            block = buf[: a.size] if out is None else out[a[0] : a[0] + a.size]
+            block = buf[: a.size]
             yield (a, block, *_bct_rows(table, a, block))
 
 
@@ -633,7 +644,7 @@ def _orbit_report(f: SBox, algorithm: str) -> UniformityReport:
 # -- one-orbit maps -----------------------------------------------------------------
 
 
-def _power_rows(f: SBox, e: int, row1: np.ndarray, out: np.ndarray | None):
+def _power_rows(f: SBox, e: int, row1: np.ndarray):
     """Yield (a0, block), rows 2 .. 2^n - 1 of a one-orbit f's DDT or BCT, rotated from row1.
 
     f is one orbit when f(u x) = u^e f(x) for every u != 0 (_symmetry's
@@ -641,11 +652,11 @@ def _power_rows(f: SBox, e: int, row1: np.ndarray, out: np.ndarray | None):
     the constants c x^0. With x = a*x', T(a, b) = T(1, b * a^-e) for
     a != 0, in either table. In log order of b, row a is row 1 rotated by
     -e log a, a window of the doubled row, gathered in blocks of about
-    _BLOCK cells into out's own rows when out is the table, else into one
-    reused buffer. row1 is read before the first block is written. The
-    caller's row source counts rows 0 and 1 by its one method and stops
-    there: _bct_fast_blocks by the autocorrelation and the row kernel,
-    _ddt_blocks by bincounts.
+    _BLOCK cells into one reused buffer of row1's dtype, to be read before
+    the next is asked for. row1 is read before the first block is written.
+    The caller's row source counts rows 0 and 1 by its one method and
+    stops there: _bct_fast_blocks by the autocorrelation and the row
+    kernel, _ddt_blocks by bincounts.
     """
     spec = f.spec
     N, m = spec.size, spec.size - 1
@@ -653,9 +664,9 @@ def _power_rows(f: SBox, e: int, row1: np.ndarray, out: np.ndarray | None):
     ring = row1[exp]
     doubled, corner = np.concatenate((ring, ring)), row1[0]
     rows = max(1, _BLOCK // N)
-    buf = np.empty((min(rows, N - 2), N), dtype=row1.dtype) if out is None else None
+    buf = np.empty((min(rows, N - 2), N), dtype=row1.dtype)
     for a0 in range(2, N, rows):
-        block = buf[: min(rows, N - a0)] if out is None else out[a0 : a0 + rows]
+        block = buf[: min(rows, N - a0)]
         start = m - e * log[a0 : a0 + block.shape[0]] % m
         # whole rows keep the block contiguous, so take writes it without a
         # buffer; column 0 (log[0] is a dead slot) is set after

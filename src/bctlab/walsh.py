@@ -26,12 +26,13 @@ delta-certificate is sum of cells * phi(value), which by linearity is
 sum_j A_j * (j-th moment) for phi(x) = sum A_j x^j.
 
 Everything here is exact integer or Fraction arithmetic; no floats. The
-spectrum is held as int32: |W(u, v)| <= 2^n, and the transform's partial
-sums are bounded the same way. Its rows come from one source,
-_walsh_blocks, a block of u at a time, which refuses past the cap when it
-is called: walsh_spectrum fills the table from it, and S_1 and the CSV and
-JSON exports read it with no table. Sums of products of spectrum values
-are taken in int64 or Python ints.
+spectrum is held as int32, by the tables' storage rule (tables._int32):
+|W(u, v)| <= 2^n, and the transform's partial sums are bounded the same
+way. Its rows come from one source, _walsh_blocks, a block of u at a
+time, which refuses past the cap when it is called: walsh_spectrum fills
+the table from it through the tables' one fill (tables._filled), and S_1
+and the CSV and JSON exports read it with no table. Sums of products of
+spectrum values are taken in int64 or Python ints.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 
 from .gf2n import _PARITY16, _autocorrelation, _fwht
 from .sbox import SBox
-from .tables import _BLOCK, _orbit_rows
+from .tables import _BLOCK, _filled, _int32, _orbit_rows
 
 __all__ = [
     "WalshSpectrum",
@@ -62,15 +63,16 @@ _MAX_QUAD_SUM_N = 5  # S_2 costs O(n * 2^3n) and its int64 sums are exact to her
 
 class WalshSpectrum:
     """Full table of Walsh coefficients, values[u, v]: C-ordered, read-only
-    int32, which is exact because |W(u, v)| <= 2^n."""
+    int32, which is exact because |W(u, v)| <= 2^n. Stored by the tables'
+    one rule (tables._int32), so a value int32 cannot hold is refused, not
+    wrapped."""
 
     def __init__(self, spec, values):
-        arr = np.ascontiguousarray(values, dtype=np.int32)
-        if arr.shape != (spec.size, spec.size):
+        if np.shape(values) != (spec.size, spec.size):
             raise ValueError("spectrum must be a 2^n x 2^n matrix")
-        arr.flags.writeable = False
+        self.values = np.ascontiguousarray(_int32(values))
+        self.values.flags.writeable = False
         self.spec = spec
-        self.values = arr
 
     def __repr__(self):
         return f"WalshSpectrum({self.spec.label()})"
@@ -78,13 +80,9 @@ class WalshSpectrum:
 
 def walsh_spectrum(f: SBox) -> WalshSpectrum:
     """All 4^n Walsh coefficients, O(n * 4^n), filled from their row source
-    (see _walsh_blocks); capped at n <= _MAX_SPECTRUM_N."""
-    blocks = _walsh_blocks(f)  # refuses past the cap before the table is allocated
-    N = f.spec.size
-    values = np.empty((N, N), dtype=np.int32)
-    for u0, block in blocks:
-        values[u0 : u0 + block.shape[0]] = block
-    return WalshSpectrum(f.spec, values)
+    by the tables' one fill (see _walsh_blocks and tables._filled); capped
+    at n <= _MAX_SPECTRUM_N, refused before the table is allocated."""
+    return WalshSpectrum(f.spec, _filled(f.spec.size, _walsh_blocks(f)))
 
 
 def _walsh_blocks(f: SBox):

@@ -74,6 +74,20 @@ def test_unknown_option_or_missing_path_exits_2(tmp_path, capsys):
         assert captured.out == "" and captured.err == f"code_lines.py: error: {message}\n"
 
 
+def test_a_file_that_is_not_python_exits_2(tmp_path, capsys):
+    # a named file is parsed whatever its suffix: a README gives one error
+    # line and no count, not a SyntaxError traceback, even after a file
+    # that counts
+    (tmp_path / "fixture.py").write_text(_FIXTURE)
+    (tmp_path / "README.md").write_text("# Title\n\nRun `make` first.\n")
+    (tmp_path / "latin1.py").write_bytes(b"x = '\xe9'\n")
+    for bad in ("README.md", "latin1.py"):
+        assert code_lines.main([str(tmp_path / "fixture.py"), str(tmp_path / bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"code_lines.py: error: not Python source: {tmp_path / bad}\n"
+
+
 def test_a_reader_that_goes_away_ends_the_count_quietly():
     # stdout is a pipe whose read end is closed, as when head -1 has its
     # line: no BrokenPipeError traceback, from a print or the flush at exit

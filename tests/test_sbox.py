@@ -8,6 +8,7 @@ import pytest
 
 from bctlab import (
     AffineMap,
+    KTable,
     SBox,
     WalshSpectrum,
     affine_apply,
@@ -48,6 +49,19 @@ _REFUSALS = {
     ),
     "spectrum of a wrong shape": (lambda: WalshSpectrum(make_field(3), np.zeros((8, 4))),
                                   "2\\^n x 2\\^n"),
+    # stored as int32, 2^32 would wrap to 0 and 2.7 truncate to 2
+    "spectrum holding 2^32": (lambda: WalshSpectrum(make_field(2), np.full((4, 4), 2**32)),
+                              "count 4294967296 exceeds the int32 maximum 2147483647"),
+    "spectrum holding -2^31 - 1": (
+        lambda: WalshSpectrum(make_field(2), np.full((4, 4), -(2**31) - 1)),
+        "count -2147483649 is below the int32 minimum -2147483648",
+    ),
+    "float spectrum": (lambda: WalshSpectrum(make_field(2), np.full((4, 4), 2.7)),
+                       "counts must be integers, got dtype float64"),
+    "float counts": (lambda: KTable(make_field(2), "DDT", np.full((4, 4), 2.7), "x"),
+                     "counts must be integers, got dtype float64"),
+    "float S-box table": (lambda: SBox(make_field(2), [0.5, 1.9, 2, 3]),
+                          "table must be integers, got dtype float64"),
 }
 
 
@@ -55,6 +69,21 @@ _REFUSALS = {
 def test_refused_inputs_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_integer_and_bool_arrays_are_stored_exactly():
+    spec = make_field(2)
+    for values in (np.array([0, 1, 1, 0], dtype=bool), np.array([3, 2, 1, 0], dtype=np.uint64),
+                   np.array([1, 0, 3, 2], dtype=np.int8), [2, 3, 0, 1]):
+        f = SBox(spec, values)
+        assert f.table.dtype == np.int64 and f.table.tolist() == np.asarray(values).tolist()
+    for counts in (np.eye(4, dtype=bool), np.full((4, 4), 2**31 - 1, dtype=np.uint64),
+                   np.full((4, 4), -(2**31), dtype=np.int64), np.arange(16, dtype=np.int16)):
+        counts = counts.reshape(4, 4)
+        for stored in (KTable(spec, "BCT", counts, "x").counts,
+                       WalshSpectrum(spec, counts).values):
+            assert stored.dtype == np.int32 and np.array_equal(stored, counts)
+            assert not stored.flags.writeable
 
 
 def test_sbox_validation():

@@ -981,9 +981,10 @@ def test_bct_fast_peak_estimate_covers_allocations(rng, monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak <= tables._fast_peak_bytes(f.spec.n)
-    # int64 where 4^n overflows int32 (n = 16), and KTable's int32 copy is
-    # made while that table is held: 12 bytes per cell, here at n = 12
-    assert tables._fast_peak_bytes(16) > 12 * 4**16
+    # the kernel's blocks are int64 where 4^n overflows int32 (n = 16), and
+    # each is converted into the int32 table as it comes: 4 bytes per cell
+    # and one block of kernel temporaries at n = 16, here at n = 12
+    assert tables._fast_peak_bytes(16) <= 4 * 4**16 + 160 * tables._BLOCK
     monkeypatch.setattr(tables, "_fast_dtype", lambda n: np.int64)
     f = random_permutation(make_field(12), rng)
     tracemalloc.start()
@@ -994,6 +995,36 @@ def test_bct_fast_peak_estimate_covers_allocations(rng, monkeypatch):
         tracemalloc.stop()
     assert t.counts.dtype == np.int32
     assert peak <= tables._fast_peak_bytes(12)
+
+
+def test_bct_fast_refuses_an_int32_overflow_at_row_0(monkeypatch):
+    # with the int32 limit lowered to 1000 the kernel's blocks are int64, as
+    # at n = 16, and the constant 0 of GF(2^5), BCT(0, 0) = 4^5 = 1024, is
+    # refused at row 0, its first block, before the kernel counts a row
+    def kernel(*args):
+        raise AssertionError("the kernel counted a row a != 0")
+
+    monkeypatch.setattr(tables, "_INT32_MAX", 1000)
+    monkeypatch.setattr(tables, "_bct_rows", kernel)
+    assert tables._fast_dtype(5) == np.int64
+    with pytest.raises(ValueError, match="count 1024 exceeds the int32 maximum 1000"):
+        bct_fast(SBox(make_field(5), np.zeros(32, dtype=int)))
+
+
+def test_bct_0_0_is_the_largest_count(rng):
+    # BCT(a, b) <= BCT(0, b) = sum over u of h(u) h(u+b) <= sum of h^2 =
+    # BCT(0, 0), by Cauchy-Schwarz over the value histogram h: the bound
+    # that lets bct_fast refuse at row 0 a table int32 cannot hold
+    for n in (4, 6, 8):
+        spec = make_field(n)
+        N = spec.size
+        levels = rng.choice(N, 3, replace=False)
+        for f in (SBox(spec, np.zeros(N, dtype=int)), SBox(spec, levels[rng.integers(0, 3, N)]),
+                  SBox(spec, np.arange(N) & 3), SBox(spec, rng.integers(0, N, N)),
+                  random_permutation(spec, rng)):
+            t = bct_system(f).counts
+            assert t.max() == t[0, 0] == (np.bincount(f.table) ** 2).sum(), (n, f.table)
+            assert (t <= t[0]).all(), (n, f.table)
 
 
 def test_ddt_refuses_tables_over_the_memory_budget(monkeypatch):
@@ -1192,7 +1223,7 @@ def _kept(blocks, copies):
 @pytest.mark.parametrize("n", range(2, 12))
 def test_streamed_exports_equal_the_table_route(monkeypatch, n):
     # each row source streamed into text, a reused buffer a block at a time,
-    # against the text of the table it fills in place: CSV and JSON lists,
+    # against the text of the table filled from it: CSV and JSON lists,
     # at the default _CHUNK and at one row per chunk. The source runs once:
     # its CSV is written live, and the other texts from copies of its blocks
     sources = {"ddt": (tables._ddt_blocks, lambda f: ddt(f).counts),

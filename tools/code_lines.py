@@ -7,8 +7,9 @@ comment-only lines and docstrings do not count.
     python tools/code_lines.py --defs src/bctlab     # and per top-level def and class
     python tools/code_lines.py --help                # this text
 
-With no path, src is counted. An unknown option or a missing path exits
-2 with a one-line error.
+With no path, src is counted. An unknown option, a missing path or a
+file that is not Python source exits 2 with a one-line error, before any
+count is printed.
 
 With --defs, each file's line is followed by one indented line per
 top-level def and class, decorators included, counted by the same rule.
@@ -104,15 +105,19 @@ def _main(argv: list[str]) -> int:
     for arg in args:
         path = Path(arg)
         files += sorted(path.rglob("*.py")) if path.is_dir() else [path]
-    total = 0
+    counted = []
     for path in files:
-        source = path.read_text(encoding="utf-8")
-        count = code_lines(source)
-        total += count
+        try:
+            source = path.read_text(encoding="utf-8")
+            counted.append((path, code_lines(source), def_code_lines(source) if defs else []))
+        except (SyntaxError, ValueError):  # UnicodeDecodeError is a ValueError
+            print(f"code_lines.py: error: not Python source: {path}", file=sys.stderr)
+            return 2
+    for path, count, per_def in counted:
         print(f"{count:6d}  {path}")
-        for name, n in def_code_lines(source) if defs else []:
+        for name, n in per_def:
             print(f"{n:6d}    {name}")
-    print(f"{total:6d}  total")
+    print(f"{sum(count for _, count, _ in counted):6d}  total")
     return 0
 
 
