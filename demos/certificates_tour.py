@@ -13,6 +13,15 @@ spectral = B.bct_moment_walsh(f, 1)  # from the spectrum alone
 print(f"gold(5,1) first moment: table {direct}, spectrum {spectral}")
 assert direct == spectral
 
+# Both sides count one term per orbit of the map's symmetry: the inverse
+# over GF(2^12) is one BCT row on the table side and two Walsh rows
+# (u = 0 and one more) on the spectrum side, so its moment takes
+# milliseconds at the spectrum's cap.
+g = B.inverse_fn(12)
+direct, spectral = B.bct_moment_direct(g, 1), B.bct_moment_walsh(g, 1)
+print(f"inverse_fn(12) first moment: table {direct}, spectrum {spectral}")
+assert direct == spectral
+
 # Second moments use a constrained 8-fold spectrum sum; both routes agree.
 h = B.modified_inverse(4)
 print(f"modified_inverse(4) second moment: {B.bct_moment_direct(h, 2)}"

@@ -12,7 +12,8 @@ algorithms, and JSON differs only in its "algorithm" field. The writers
 take a table's values only as a row source: the text of a table, CSV or
 JSON list, comes a block of rows at a time straight from it (a built
 table's counts as tables._blocks_of of them), and moment and certify sum
-the spectrum's rows the same way. Only ddt and bct --json build a table, since
+the spectrum's rows, one per orbit of the map's symmetry, with no table
+either. Only ddt and bct --json build a table, since
 max_nonzero comes before the counts (and --algo naive and system build
 theirs); walsh writes its CSV and JSON with none. --out is opened only
 once the first chunk exists, so a request refused with exit 2 leaves no

@@ -361,6 +361,28 @@ class FieldSpec:
         pre.flags.writeable = False
         return pre
 
+    # -- the trace form ---------------------------------------------------------
+
+    def _trace_dual(self, w) -> np.ndarray:
+        """mu(w) for each element of an int array w: the u with u.x = Tr(w x) for every x.
+
+        u.x is the GF(2) dot product of bit strings. Bit j of mu(w) is
+        Tr(w x^j), so mu is GF(2)-linear and a bijection (the trace form is
+        nondegenerate), the inverse of the lambda with u.x = Tr(lambda(u) x).
+        Tr(x^i x^j) depends on i + j alone, so mu(w) is the XOR, over the
+        bits i of w, of sum over j of Tr(x^(i+j)) 2^j. Those 2n - 1 traces
+        come from scalar products, like _as_pre, so this calls no _tables.
+        """
+        powers = [1]
+        for _ in range(2 * self.n - 2):
+            powers.append(self.mul(powers[-1], 2))
+        traces = [self.trace(p) for p in powers]
+        w = np.asarray(w, dtype=np.int64)
+        u = np.zeros_like(w)
+        for i in range(self.n):
+            u ^= ((w >> i) & 1) * sum(traces[i + j] << j for j in range(self.n))
+        return u
+
     # -- shift orbits -----------------------------------------------------------
 
     def _shift_orbits(self, order: int, frobenius: bool):

@@ -58,9 +58,12 @@ class SBox:
             raise ValueError(
                 f"table must have exactly {spec.size} entries, got {arr.shape}"
             )
-        arr = _integers(arr, "table").astype(np.int64)  # a copy, always
-        spec._element(int(arr.min()))  # ValueError naming the entry outside [0, 2^n)
+        arr = _integers(arr, "table")
+        # ValueError naming the entry outside [0, 2^n), checked before the
+        # cast, which would wrap an unsigned entry past 2^63
+        spec._element(int(arr.min()))
         spec._element(int(arr.max()))
+        arr = arr.astype(np.int64)  # a copy, always
         arr.flags.writeable = False
         self.spec = spec
         self.table = arr

@@ -77,8 +77,9 @@ increasing row order, every row once, each block one reused buffer of
 about _BLOCK cells, so a stream needs no memory preflight. ddt, bct_fast
 and walsh_spectrum fill their tables from them through one fill,
 _filled, after their caps and preflights. Whatever reads a table once,
-in row order, reads its source: the CSV exports, walsh --json and the
-spectrum sum S_1 (walsh). A table is built whole only where it is needed
+in row order, reads its source: the CSV exports and walsh --json; the
+spectrum sum S_1 (walsh) reads one row per orbit from the spectrum's row
+kernel. A table is built whole only where it is needed
 whole: DDT and BCT --json, the oracles, S_2, the public builders and the
 x^d route of boomerang_uniformity.
 
@@ -150,14 +151,18 @@ def _int32(values) -> np.ndarray:
 
 
 class KTable:
-    """A 2^n x 2^n table of non-negative counts (DDT or BCT), stored by _int32."""
+    """A 2^n x 2^n table of non-negative counts (DDT or BCT), stored by _int32.
+
+    counts is a read-only view: of an int32 input, with no copy, so the
+    table aliases that array (which stays writable for its owner), and of
+    the converted copy of any other."""
 
     def __init__(self, spec: FieldSpec, kind: str, counts, algorithm: str):
         if kind not in ("DDT", "BCT"):
             raise ValueError(f"kind must be 'DDT' or 'BCT', got {kind!r}")
         if np.shape(counts) != (spec.size, spec.size):
             raise ValueError("counts must be a 2^n x 2^n matrix")
-        self.counts = _int32(counts)
+        self.counts = _int32(counts).view()
         self.counts.flags.writeable = False
         self.spec = spec
         self.kind = kind

@@ -15,10 +15,14 @@ over all 4j-tuples whose a/b and g/e halves each XOR to zero. The boundary
 correction assumes a permutation (rows a=0 and b=0 all equal 2^n), so
 the spectrum side refuses any other map; the table side holds for any.
 The spectrum side is one route: _spectrum_sums refuses and caps, sums
-S_1 over the spectrum's rows and builds the spectrum for S_2 alone, and
-_walsh_moment states the identity above. The moments M_1 and M_2 come
-from it, and so does the two-uniform certificate, whose gap is
-2^(6n) * (M_2 - 2 M_1), the sum of T (T - 2) scaled.
+S_1 over the rows of the spectrum and builds the spectrum for S_2 alone,
+and _walsh_moment states the identity above. Both sums take one term per
+orbit of f's symmetry (tables._symmetry) weighted by the orbit's size, as
+the table side takes one BCT row per orbit: a power map's S_1 is two rows,
+u = 0 and one more, and a map with no symmetry has every u as its own
+orbit. The moments M_1 and M_2 come from it, and so does the two-uniform
+certificate, whose gap is 2^(6n) * (M_2 - 2 M_1), the sum of T (T - 2)
+scaled.
 
 The table side reads every statistic from one count of the values over
 nonzero (a, b): the j-th moment is sum of cells * value^j, and the
@@ -28,11 +32,12 @@ sum_j A_j * (j-th moment) for phi(x) = sum A_j x^j.
 Everything here is exact integer or Fraction arithmetic; no floats. The
 spectrum is held as int32, by the tables' storage rule (tables._int32):
 |W(u, v)| <= 2^n, and the transform's partial sums are bounded the same
-way. Its rows come from one source, _walsh_blocks, a block of u at a
-time, which refuses past the cap when it is called: walsh_spectrum fills
-the table from it through the tables' one fill (tables._filled), and S_1
-and the CSV and JSON exports read it with no table. Sums of products of
-spectrum values are taken in int64 or Python ints.
+way. Its rows come from one kernel, _walsh_rows, a block of any u at a
+time, which refuses past the cap when it is called. The row source
+_walsh_blocks runs it on every u in order: walsh_spectrum fills the table
+from it through the tables' one fill (tables._filled), and the CSV and
+JSON exports read it with no table. S_1 runs it on one u per orbit. Sums
+of products of spectrum values are taken in int64 or Python ints.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ import numpy as np
 
 from .gf2n import _PARITY16, _autocorrelation, _fwht
 from .sbox import SBox
-from .tables import _BLOCK, _filled, _int32, _orbit_rows
+from .tables import _BLOCK, _filled, _int32, _orbit_rows, _symmetry
 
 __all__ = [
     "WalshSpectrum",
@@ -65,12 +70,14 @@ class WalshSpectrum:
     """Full table of Walsh coefficients, values[u, v]: C-ordered, read-only
     int32, which is exact because |W(u, v)| <= 2^n. Stored by the tables'
     one rule (tables._int32), so a value int32 cannot hold is refused, not
-    wrapped."""
+    wrapped. values is a read-only view: of a C-ordered int32 input, with
+    no copy, so the spectrum aliases that array (which stays writable for
+    its owner), and of the converted copy of any other."""
 
     def __init__(self, spec, values):
         if np.shape(values) != (spec.size, spec.size):
             raise ValueError("spectrum must be a 2^n x 2^n matrix")
-        self.values = np.ascontiguousarray(_int32(values))
+        self.values = np.ascontiguousarray(_int32(values)).view()
         self.values.flags.writeable = False
         self.spec = spec
 
@@ -88,27 +95,36 @@ def walsh_spectrum(f: SBox) -> WalshSpectrum:
 def _walsh_blocks(f: SBox):
     """The spectrum's row source: (u0, block), the rows W(u, .) of u0 .. u0 + len(block) - 1.
 
+    The row kernel (_walsh_rows) on every u in increasing order, so each
+    block's first index is its first u; refused past the cap when called.
+    """
+    return _walsh_rows(f, np.arange(f.spec.size))
+
+
+def _walsh_rows(f: SBox, us: np.ndarray):
+    """The spectrum's row kernel: (i, block), the rows W(u, .) of u = us[i], us[i + 1], ...
+
     For a block of B values of u, about _BLOCK cells, G(y, u) = sum over
     the x with f(x) = y of (-1)^(u.x) is a (2^n, B) array, and one
     transform of it along its first axis, over y, gives W(u, v) at (v, u):
     the block is its transpose. With x sorted by f(x), the signs are one
-    gather: for a permutation, x = f^-1(y), they are G; for any other map,
-    G(y, .) is the sum of the run of x with f(x) = y, one cumulative sum
-    differenced at the runs' ends (0.12 s at n = 12, against 0.19 s by
-    bincounts of the x with u.x odd), and 0 where y is no value of f.
-    Built as (B, 2^n) and transformed along its last axis, the block took
-    about 5x as long at n = 12. The signs and G are reused buffers, and
-    each block is the transposed view of its transform. |G| and every
+    gather for any u: for a permutation, x = f^-1(y), they are G; for any
+    other map, G(y, .) is the sum of the run of x with f(x) = y, one
+    cumulative sum differenced at the runs' ends (0.12 s at n = 12, against
+    0.19 s by bincounts of the x with u.x odd), and 0 where y is no value
+    of f. Built as (B, 2^n) and transformed along its last axis, the block
+    took about 5x as long at n = 12. The signs and G are reused buffers,
+    and each block is the transposed view of its transform. |G| and every
     partial sum of the transform are at most 2^n, so int32 is exact. The
     spectrum is 4^n cells, as a table, as text or as the terms of a sum, so
     it is capped at n <= _MAX_SPECTRUM_N, and the cap refuses when this
     function is called: the one statement of it, before any work or text.
-    The blocks come in increasing u0 from the iterator it returns.
+    The blocks come in the order of us from the iterator it returns.
     """
     n, N, table = f.spec.n, f.spec.size, f.table
     if n > _MAX_SPECTRUM_N:
         raise ValueError(f"full spectrum needs 4^{n} cells; capped at n <= {_MAX_SPECTRUM_N}")
-    per = min(N, max(1, _BLOCK // N))
+    per = max(1, min(us.size, _BLOCK // N))
     sign = 1 - 2 * _PARITY16[:N].astype(np.int32)
     order = np.argsort(table, kind="stable")  # x by f(x): f^-1 for a permutation
     values = table[order]
@@ -118,8 +134,8 @@ def _walsh_blocks(f: SBox):
     G = signs if perm else np.zeros((N, per), dtype=np.int32)
 
     def blocks():
-        for u0 in range(0, N, per):
-            u = np.arange(u0, min(u0 + per, N))
+        for i in range(0, us.size, per):
+            u = us[i : i + per]
             s, g = signs[:, : u.size], G[:, : u.size]
             np.take(sign, order[:, None] & u, out=s)
             if not perm:
@@ -127,7 +143,7 @@ def _walsh_blocks(f: SBox):
                 runs = s[ends]
                 runs[1:] -= s[ends[:-1]]
                 g[values[ends]] = runs
-            yield u0, _fwht(g, axis=0).T
+            yield i, _fwht(g, axis=0).T
 
     return blocks()
 
@@ -168,53 +184,71 @@ def bct_moment_direct(f: SBox, j: int) -> int:
     return sum(c * v**j for v, c in _bct_value_counts(f))
 
 
-def _fourth_power_sum(W: np.ndarray) -> int:
-    """sum of W^4 over an array of Walsh values, a table or one block of its
-    rows, exactly: count each |W| = v, then add count * v^4 as Python ints."""
-    counts = np.bincount(np.abs(W).ravel())
-    return sum(c * v**4 for v, c in enumerate(counts.tolist()) if c)
-
-
-def _constrained_quad_sum(W: np.ndarray, n: int) -> int:
-    """The 8-fold constrained spectrum sum S_2, exactly.
+def _constrained_quad_sum(W: np.ndarray, terms) -> int:
+    """The 8-fold constrained spectrum sum S_2, exactly, from (t, weight) pairs.
 
     Factorization: with V_t(g, a) = W(g, a) * W(g^t, a), the sum equals
     sum over (t, s) of Q(t, s)^2 where Q(t, .) is the XOR-autocorrelation
     over a of V_t summed over g, two transforms per g (see
-    gf2n._autocorrelation). Intermediates are bounded by 2^(8n), so W
-    is cast to int64 first and they stay exact for n <= 5.
+    gf2n._autocorrelation). terms holds each t once with the number of t
+    its term stands for (see _spectrum_sums); every t with weight 1 is the
+    whole sum. Intermediates are bounded by 2^(8n), so W is cast to int64
+    first and they stay exact for n <= 5; the weighted terms are added as
+    Python ints.
     """
     W = np.asarray(W, dtype=np.int64)
-    gidx = np.arange(1 << n)
+    gidx = np.arange(W.shape[0])
     total = 0
-    for t in range(1 << n):
+    for t, weight in terms:
         Q = _autocorrelation(W * W[gidx ^ t, :]).sum(axis=0)
-        total += sum(q * q for q in Q.tolist())
+        total += weight * sum(q * q for q in Q.tolist())
     return total
 
 
 def _spectrum_sums(f: SBox, j: int) -> list[int]:
-    """[S_1] for j = 1 and [S_1, S_2] for j = 2, from f's spectrum.
+    """[S_1] for j = 1 and [S_1, S_2] for j = 2, from f's spectrum, one term per orbit.
 
-    S_1 = sum W^4, summed block by block over the spectrum's row source
-    (_walsh_blocks) in Python ints, so it holds no 4^n array and is exact
-    at every n the source serves. S_2 is the constrained sum above, which
-    reads the whole spectrum, so the table is built for j = 2 alone. The
-    boundary correction of every spectrum-side identity presumes a
-    permutation, so any other f is refused. S_2 costs O(n * 2^3n) after
-    factorization and is capped at n <= _MAX_QUAD_SUM_N.
+    If f(c x) = c^e f(x) for c in U, then x -> c x gives W(mu(w), mu(b)) =
+    W(mu(c w), mu(c^e b)), with mu(w) the u of u.x = Tr(w x)
+    (FieldSpec._trace_dual), and x -> x^2 gives the same with square roots
+    when f commutes with squaring. So the rows W(u, .) of the u in the
+    mu-image of one orbit of w -> c w^(2^k) (the field's own,
+    FieldSpec._shift_orbits, for f's symmetry, tables._symmetry) are column
+    permutations of each other, and so are the t-terms of S_2: both are
+    constant on it. Each sum takes one u per orbit, weighted by the
+    orbit's size; u = 0 is an orbit of size 1, and a map with no symmetry
+    has every u as its own orbit.
+
+    S_1 = sum W^4: the rows come from the row kernel (_walsh_rows), with
+    no 4^n array. A row's W^4 is summed in int64: sum over v of W(u, v)^2
+    is 2^(2n) (Parseval) and |W| <= 2^n, so the sum is at most 2^(4n),
+    which int64 holds to n = 15; the weighted rows are added as Python
+    ints, exact at every n the kernel serves. S_2 is the constrained sum
+    above, which reads the whole spectrum, so the table is built for
+    j = 2 alone. The boundary correction of every spectrum-side identity
+    presumes a permutation, so any other f is refused. S_2 costs
+    O(n * 2^3n) after factorization, over the orbits of t, and is capped
+    at n <= _MAX_QUAD_SUM_N.
     """
     if j not in (1, 2):
         raise ValueError("spectrum-side moments are implemented for j in {1, 2}")
-    n = f.spec.n
-    if j == 2 and n > _MAX_QUAD_SUM_N:
+    spec = f.spec
+    if j == 2 and spec.n > _MAX_QUAD_SUM_N:
         raise ValueError(f"the j=2 spectrum sum is capped at n <= {_MAX_QUAD_SUM_N}")
     if not f.is_permutation():
         raise ValueError("the spectrum-side identities hold only for permutations")
-    sums = [sum(_fourth_power_sum(block) for _, block in _walsh_blocks(f))]
-    if j == 2:
-        sums.append(_constrained_quad_sum(walsh_spectrum(f).values, n))
-    return sums
+    sym = _symmetry(f)
+    reps, sizes = spec._shift_orbits(sym.order, sym.frobenius)
+    us = spec._trace_dual(np.append(0, reps))
+    weights = [1] + sizes.tolist()
+    s1 = 0
+    for i, block in _walsh_rows(f, us):
+        sq = np.square(block, dtype=np.int64)
+        rows = np.einsum("ij,ij->i", sq, sq).tolist()
+        s1 += sum(w * r for w, r in zip(weights[i : i + len(rows)], rows))
+    if j == 1:
+        return [s1]
+    return [s1, _constrained_quad_sum(walsh_spectrum(f).values, zip(us.tolist(), weights))]
 
 
 def _walsh_moment(S: int, j: int, n: int) -> int:

@@ -86,6 +86,29 @@ def test_integer_and_bool_arrays_are_stored_exactly():
             assert not stored.flags.writeable
 
 
+def test_tables_alias_an_int32_input_without_freezing_it():
+    # the table is a read-only view of the caller's array: no copy, and the
+    # caller can still write its own array, which the table then shows
+    spec = make_field(2)
+    for make, stored in ((lambda a: KTable(spec, "DDT", a, "x"), "counts"),
+                         (lambda a: WalshSpectrum(spec, a), "values")):
+        a = np.zeros((4, 4), np.int32)
+        t = make(a)
+        a[0, 0] = 1
+        view = getattr(t, stored)
+        assert not view.flags.writeable and np.shares_memory(view, a)
+        assert view[0, 0] == 1
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0] = 2
+
+
+def test_sbox_range_check_names_an_unsigned_entry_past_int64():
+    # checked before the cast to int64, which would wrap 2^64 - 1 to -1
+    table = np.array([0, 1, 2, 2**64 - 1], dtype=np.uint64)
+    with pytest.raises(ValueError, match=r"got 18446744073709551615$"):
+        SBox(make_field(2), table)
+
+
 def test_sbox_validation():
     spec = make_field(3)
     with pytest.raises(ValueError):

@@ -13,8 +13,12 @@ from bctlab import (
     bct_fast,
     bct_moment_direct,
     bct_moment_walsh,
+    bracken_leander,
+    btt,
     delta_uniform_certificate,
+    dobbertin,
     from_monomial,
+    from_polynomial,
     gold,
     identity_sbox,
     inverse_fn,
@@ -22,6 +26,7 @@ from bctlab import (
     make_field,
     modified_inverse,
     monomial_boomerang_uniformity,
+    niho,
     random_permutation,
     two_uniform_certificate,
     walsh_spectrum,
@@ -29,12 +34,13 @@ from bctlab import (
     zieve_binomial,
     zieve_gamma_candidates,
 )
+from bctlab import tables, walsh
 from bctlab.tables import _ddt_blocks
 from bctlab.walsh import (
     _bct_value_counts,
     _constrained_quad_sum,
-    _fourth_power_sum,
     _fwht,
+    _spectrum_sums,
     _walsh_blocks,
 )
 
@@ -225,12 +231,17 @@ def _quad_sum_brute(W, n):
     return total
 
 
+def _every_t(n):
+    # every t as its own term, weight 1: the unreduced sum
+    return [(t, 1) for t in range(1 << n)]
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_constrained_sum_matches_brute_force(n, rng):
     spec = make_field(n)
     f = random_permutation(spec, rng)
     W = walsh_spectrum(f).values
-    assert _constrained_quad_sum(W, n) == _quad_sum_brute(W, n)
+    assert _constrained_quad_sum(W, _every_t(n)) == _quad_sum_brute(W, n)
 
 
 def _walsh_power_sums(f):
@@ -261,7 +272,7 @@ def test_constrained_sum_is_exact_on_int32_input(rng):
     # products overflow int32 (X(g, 0) reaches 64 * 2^(2n) = 2^16 at n = 5)
     n = 5
     W = walsh_spectrum(random_permutation(make_field(n), rng)).values
-    assert _constrained_quad_sum(8 * W, n) == 8**8 * _constrained_quad_sum(W, n)
+    assert _constrained_quad_sum(8 * W, _every_t(n)) == 8**8 * _constrained_quad_sum(W, _every_t(n))
 
 
 # -- two-uniform certificate ----------------------------------------------------------
@@ -541,6 +552,121 @@ def test_moment_first_order_wide_field():
 
 @pytest.mark.parametrize("n", [7, 10])
 def test_fourth_power_sum_matches_object_arithmetic(rng, n):
-    W = walsh_spectrum(random_permutation(make_field(n), rng)).values
-    assert _fourth_power_sum(W) == int((W.astype(object) ** 4).sum())
+    # S_1 from the int64 row sums, weighted in Python ints, against the
+    # whole table's W^4 as Python ints
+    f = random_permutation(make_field(n), rng)
+    W = walsh_spectrum(f).values
+    assert _spectrum_sums(f, 1) == [int((W.astype(object) ** 4).sum())]
 
+
+# -- spectrum sums by symmetry orbits ----------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_trace_dual_is_the_dot_product_form(n):
+    # mu(w).x = Tr(w x) for every w and x, and mu is a bijection, so every
+    # u is mu(lambda(u)) with u.x = Tr(lambda(u) x)
+    spec = make_field(n)
+    w = np.arange(spec.size)
+    u = spec._trace_dual(w)
+    assert np.array_equal(np.sort(u), w)
+    dot = np.bitwise_count(u[:, None] & w) & 1
+    assert np.array_equal(dot, spec.trace_vec(spec.mul_vec(w[:, None], w)))
+
+
+def _orbit_of(f, w):
+    """The orbit of w under w -> c w^(2^k), c in f's subgroup U, by brute force."""
+    spec, sym = f.spec, tables._symmetry(f)
+    g, step = spec.primitive_element, (spec.size - 1) // sym.order
+    U = [spec.pow(g, step * i) for i in range(sym.order)]
+    orbit, frontier = {w}, [w]
+    while frontier:
+        x = frontier.pop()
+        for y in [spec.mul(c, x) for c in U] + ([spec.mul(x, x)] if sym.frobenius else []):
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    return orbit
+
+
+def test_walsh_rows_are_column_permutations_across_an_orbit():
+    # W(mu(w), mu(b)) = W(mu(c w), mu(c^e b)), and the same with square
+    # roots under the Frobenius: the sorted rows of one orbit are equal,
+    # and the field's orbits are these, as large as reported
+    spec6 = make_field(6)
+    for f in (inverse_fn(6), zieve_binomial(spec6, zieve_gamma_candidates(spec6)[0])):
+        spec, sym = f.spec, tables._symmetry(f)
+        W = walsh_spectrum(f).values
+        reps, sizes = spec._shift_orbits(sym.order, sym.frobenius)
+        assert reps.size < spec.size - 1, f  # the symmetry reduces
+        covered = set()
+        for r, size in zip(reps.tolist(), sizes.tolist()):
+            orbit = sorted(_orbit_of(f, r))
+            assert len(orbit) == size and orbit[0] == r
+            rows = np.sort(W[spec._trace_dual(orbit)], axis=1)
+            assert (rows == rows[0]).all(), (f, r)
+            covered.update(orbit)
+        assert covered == set(range(1, spec.size))
+
+
+def _orbit_corpus(rng, max_n):
+    """Power maps (Frobenius and the whole group), the modified inverse
+    (Frobenius alone), binomials whose subgroup U is proper and which do
+    not commute with squaring, and maps with no symmetry."""
+    spec4, spec6 = make_field(4), make_field(6)
+    out = [gold(3, 1), gold(5, 1), gold(5, 2), gold(7, 3), kasami(5, 2), kasami(7, 3),
+           welch(1), welch(2), welch(3), niho(1), niho(2), niho(3), dobbertin(1),
+           bracken_leander(1), btt(2, 4),
+           zieve_binomial(spec6, zieve_gamma_candidates(spec6)[0]),
+           from_polynomial(spec4, [(4, 1), (1, 2)]),  # x(x^3 + 2), U of order 3
+           from_polynomial(spec6, [(10, 1), (1, 3)]),  # x(x^9 + 3), U of order 9
+           from_polynomial(spec6, [(26, 1), (5, 6)])]  # x^5(x^21 + 6), U of order 21
+    for n in range(2, max_n + 1):
+        spec = make_field(n)
+        out += [inverse_fn(n), modified_inverse(n), identity_sbox(spec),
+                random_permutation(spec, rng)]
+    return [f for f in out if f.spec.n <= max_n]
+
+
+def test_orbit_sums_equal_the_unreduced_sums(monkeypatch, rng):
+    # S_1 at n <= 8 and S_2 at n <= 5, one term per orbit against every u
+    # (and every t) as its own orbit
+    corpus = _orbit_corpus(rng, 8)
+    syms = [tables._symmetry(f) for f in corpus]
+    assert all(f.is_permutation() for f in corpus)
+    assert any(1 < s.order < f.spec.size - 1 and not s.frobenius for f, s in zip(corpus, syms))
+    assert any(s.order == 1 and s.frobenius for s in syms)
+    reduced = [_spectrum_sums(f, 2 if f.spec.n <= 5 else 1) for f in corpus]
+    monkeypatch.setattr(walsh, "_symmetry", lambda f: tables._Symmetry(False, 1, 0))
+    for f, sums in zip(corpus, reduced):
+        assert sums == _spectrum_sums(f, len(sums)), f
+        if len(sums) == 2:
+            assert sums[1] == _constrained_quad_sum(walsh_spectrum(f).values, _every_t(f.spec.n))
+
+
+def test_spectrum_sums_do_one_term_per_orbit(monkeypatch):
+    # the inverse and x^3 are one orbit of u != 0: S_1 transforms the rows
+    # of u = 0 and one more, and S_2 evaluates the terms of t = 0 and one more
+    rows, terms, autocorrelation = [], [], walsh._autocorrelation
+
+    def counted_fwht(a, axis=-1):
+        rows.append(a.shape[1])
+        return _fwht(a, axis)
+
+    def counted_autocorrelation(h):
+        terms.append(h.shape)
+        return autocorrelation(h)
+
+    monkeypatch.setattr(walsh, "_fwht", counted_fwht)
+    _spectrum_sums(inverse_fn(10), 1)
+    assert sum(rows) == 2
+    monkeypatch.setattr(walsh, "_autocorrelation", counted_autocorrelation)
+    _spectrum_sums(gold(5, 1), 2)
+    assert len(terms) == 2
+
+
+def test_first_moment_sides_agree_at_the_spectrum_cap():
+    # n = 12, the spectrum's cap: a power map's S_1 is two rows, and the
+    # modified inverse's one row per Frobenius orbit
+    for f in (inverse_fn(12), modified_inverse(12)):
+        assert bct_moment_walsh(f, 1) == bct_moment_direct(f, 1), f
