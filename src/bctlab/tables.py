@@ -24,15 +24,18 @@ of representatives of one fibre under y -> y+a, sum over beta of
 C(DDT(a, beta)/2, 2) pairs, none when Delta = 2. It packs (row, fibre,
 value) into one uint32 key, below rows * 4^n, so a block holds at most
 2^(32 - 2n) rows (one at n = 16) and every n from 2 to 16 has the same
-key width. It sorts every key once and takes the pairs from one walk,
-_equal_pairs, over the equal ones, which skips the fibres of one
-representative; the fibres with too many representatives to pair go
-through Walsh-Hadamard autocorrelations instead, many fibres to one
-batched transform. Row 0, one fibre of every y, is the autocorrelation
-of the value histogram. _bct_blocks
-runs the kernel over blocks of rows that share a top bit, in one serial
-pass, into one reused buffer, which bct_fast, the reducers below and the
-CSV export read; bct_row(f, a) is one row.
+key width. It counts the representatives per fibre, the DDT row halved,
+into an int32 buffer by np.add.at, sorts every key once and takes the
+pairs from one walk, _equal_pairs, over the equal ones, which skips the
+fibres of one representative, adding the cells of every step at once;
+the fibres with too many representatives to pair go through
+Walsh-Hadamard autocorrelations instead, many fibres to one batched
+transform. Row 0, one fibre of every y, is the autocorrelation of the
+value histogram. _bct_blocks runs the kernel over blocks of rows that
+share a top bit, in one serial pass, into one reused buffer, which
+bct_fast, the reducers below and the CSV export read, and allocates the
+kernel's work buffers (keys, halves, row offsets) once per call, so no
+block allocates them again; bct_row(f, a) is one row.
 Every builder refuses, before allocating, a table whose estimated peak
 exceeds physical memory, and the two O(2^3n) oracles refuse n > 12, which
 would take half an hour at n = 13. No builder starts a thread.
@@ -338,21 +341,22 @@ def _fast_peak_bytes(n: int) -> int:
     """Upper estimate of the bytes bct_fast allocates at dimension n: the
     int32 table plus 160 bytes per derivative value of one block (20 MiB at
     2^17 values), so from n = 12 the table dominates. A block has two
-    cells per value, so its int64 bucket counts (the DDT rows halved,
-    doubled straight into the block) take 16 bytes per value; the uint32
-    keys and their temporaries, bincount's int64 copy of the keys and the
-    pair walk's int64 positions (no step holds more than its block has
-    values) take a few dozen more. The large buckets' transforms run in
-    chunks of about _BLOCK histogram cells, so their few int64 arrays
-    (histograms, transforms, autocorrelations) are each about one int64
-    block array. Under
-    tracemalloc the kernel's arrays peak at 11.2 MiB over the table for
-    the constant 0 of GF(2^10), every row a transform, 10.4 MiB for a
-    3-valued map of GF(2^10) and 5.7 MiB for a random permutation of
-    GF(2^12). At n = 16 the kernel's blocks are int64 (see _fast_dtype),
-    one row of 2^16 cells each, and _filled converts each into the int32
-    table, so the table is 4 bytes per cell at every n: 16.02 GiB at
-    n = 16."""
+    cells per value, so the block and the int32 DDT halves, work buffers
+    allocated once per _bct_blocks call, take 8 bytes per value each (16
+    for the int64 block at n = 16); the uint32 keys, the int64 index copies
+    that np.take and np.add.at make of them and the pair walk's int64
+    positions and uint32 cells (at most about four cells per value are
+    held at once, see _bct_rows) take a few dozen more. The large
+    buckets' transforms run in chunks of about _BLOCK histogram cells, so
+    their few int64 arrays (histograms, transforms, autocorrelations) are
+    each about one int64 block array. Under tracemalloc the kernel's
+    arrays peak at 9.8 MiB over the table for the constant 0 of GF(2^10),
+    every row a transform, 8.9 MiB for a 3-valued map of GF(2^10), 8.2 MiB
+    for a 4-valued map of GF(2^10), whose walk holds more pairs than
+    values, and 4.4 MiB for a random permutation of GF(2^12). At n = 16
+    the kernel's blocks are int64 (see _fast_dtype), one row of 2^16 cells
+    each, and _filled converts each into the int32 table, so the table is
+    4 bytes per cell at every n: 16.02 GiB at n = 16."""
     return 4 * 4**n + 160 * _BLOCK
 
 
@@ -406,63 +410,92 @@ def _bct_blocks(table: np.ndarray, rows: np.ndarray):
     values through _bct_rows, whose temporaries stay near cache size, and
     at most 2^(32 - 2n) rows, so their packed keys fit in uint32 (see
     _bct_rows); counts are integer sums, so the block size changes no
-    cell. table is converted to uint32 once per call. Yields
-    (a, block, ddt_halves, half_max) per block, in increasing a: the DDT
-    rows halved and their maximum (see _bct_rows). Every block is one
-    reused buffer of _fast_dtype(n), to be read before the next is asked
-    for.
+    cell. table is converted to uint32 once per call, and the kernel's
+    work buffers are allocated once per call too: the uint32 keys, the
+    int32 DDT halves and each row's key offset i 2^n, so no block
+    allocates them again; the representatives and their values are taken
+    once per top bit. Yields (a, block, ddt_halves, half_max) per block, in
+    increasing a: the DDT rows halved and their maximum (see _bct_rows).
+    block and ddt_halves are reused buffers, block of _fast_dtype(n), to
+    be read before the next is asked for.
     """
     N = table.size
     n = N.bit_length() - 1
     table = table.astype(np.uint32)
     per = min(max(1, _BLOCK // (N // 2)), 1 << 32 - 2 * n)
-    buf = np.empty((min(per, rows.size), N), dtype=_fast_dtype(n))
+    size = min(per, rows.size)
+    buf = np.empty((size, N), dtype=_fast_dtype(n))
+    key = np.empty((size, N // 2), dtype=np.uint32)
+    half = np.empty((size, N), dtype=np.int32)
+    offs = np.arange(size, dtype=np.uint32)[:, None] * np.uint32(N)
+    y = np.arange(N, dtype=np.uint32)
     for k in range(n):
         top = rows[rows >> k == 1]  # the rows with top bit 2^k
+        if not top.size:
+            continue
+        reps = y[y & (1 << k) == 0]  # one y of each pair {y, y+a}
+        frep = table[reps]
         for i in range(0, top.size, per):
             a = top[i : i + per]
-            block = buf[: a.size]
-            yield (a, block, *_bct_rows(table, a, block))
+            m = a.size
+            block = buf[:m]
+            yield (a, block, *_bct_rows(table, a, block, reps, frep, key[:m], half[:m], offs[:m]))
 
 
-def _bct_rows(table: np.ndarray, a: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, int]:
+def _bct_rows(
+    table: np.ndarray,
+    a: np.ndarray,
+    out: np.ndarray,
+    reps: np.ndarray,
+    frep: np.ndarray,
+    key: np.ndarray,
+    half: np.ndarray,
+    offs: np.ndarray,
+) -> tuple[np.ndarray, int]:
     """Write the BCT rows a, an array of shifts sharing one top bit, into out.
 
     Row a counts the pairs (y, y') in one fibre X of the derivative
     D_a(y) = f(y+a) + f(y) at b = f(y) + f(y') (see bct_row). X is closed
     under y -> y+a, and the representatives reps hold one y of each pair
-    {y, y+a}: the y with the top bit of a clear. The pairs (y, y) add N at
-    b = 0, the pairs {y, y+a} add DDT(a, .), and each unordered pair
-    {r, r'} of representatives in one fibre beta adds 4 at f(r)+f(r') and
-    4 at f(r)+f(r')+beta. Every key is a uint32: the bucket key
-    i 2^n + beta and the packed key (i 2^n + beta) 2^n + f(r), below
-    rows * 4^n <= 2^32 (_bct_blocks caps the rows). Row i's keys lie in
-    [i 4^n, (i+1) 4^n), so sorting each row in place sorts the block, with
-    no filter in front: _equal_pairs walks the equal keys, C(m, 2) pairs
-    for a bucket of m representatives, and skips the buckets of one.
+    {y, y+a}: the y with the top bit of a clear, whose values are frep.
+    The pairs (y, y) add N at b = 0, the pairs {y, y+a} add DDT(a, .), and
+    each unordered pair {r, r'} of representatives in one fibre beta adds
+    4 at f(r)+f(r') and 4 at f(r)+f(r')+beta. Every key is a uint32: the
+    bucket key i 2^n + beta and the packed key (i 2^n + beta) 2^n + f(r),
+    below rows * 4^n <= 2^32 (_bct_blocks caps the rows). Row i's keys lie
+    in [i 4^n, (i+1) 4^n), so sorting each row in place sorts the block,
+    with no filter in front: _equal_pairs walks the equal keys, C(m, 2)
+    pairs for a bucket of m representatives, and skips the buckets of one.
+    The cells of every step of the walk are added together, by one
+    np.add.at per block, or per block's worth of pairs when a block holds
+    more pairs than values.
     A bucket with m^2 > n 2^n goes to the Walsh-Hadamard
     transform instead (see _add_bucket_transforms): timed per bucket on
     two CPUs, the two cost the same between m^2 = 0.6 n 2^n and
     1.3 n 2^n from n = 7 to 14.
     The test reads the block maximum that the DDT peak takes anyway, so a
     block with no large bucket does no extra work. table is the value
-    table as uint32 and out a C-contiguous (rows, 2^n) array. Returns the
-    halves of the DDT rows (the representatives per bucket, int64) and
-    their maximum.
+    table as uint32 and out a C-contiguous (rows, 2^n) array. key (uint32,
+    (rows, 2^(n-1))), half (int32, (rows, 2^n)) and offs (uint32 i 2^n,
+    (rows, 1)) are the caller's work buffers, overwritten here. half counts
+    the representatives per bucket, half of DDT(a, beta), by np.add.at: at
+    most 2^(n-1), so its square is exact in int32 at every n to 16. Returns
+    half, the DDT rows halved, and their maximum.
     """
     N = table.size
     n = N.bit_length() - 1
-    y = np.arange(N, dtype=np.uint32)
-    reps = y[y & (1 << int(a[0]).bit_length() - 1) == 0]
-    frep = table[reps]
     # key = i * N + beta for the element (a[i], r), beta = D_a[i](r)
-    beta = frep ^ table[reps ^ a.astype(np.uint32)[:, None]]
-    key = np.arange(a.size, dtype=np.uint32)[:, None] * N + beta
-    # reps per bucket: half of DDT(a[i], beta), doubled straight into out
-    half = np.bincount(key.ravel(), minlength=out.size)
-    np.left_shift(half.reshape(out.shape), 1, out=out, casting="unsafe")
-    out[:, 0] += N
+    np.bitwise_xor(reps, a.astype(np.uint32)[:, None], out=key)
+    np.take(table, key, out=key, mode="clip")  # every y+a is below 2^n: written in place
+    key ^= frep
+    key += offs
+    # reps per bucket: half of DDT(a[i], beta), doubled into out
+    half.fill(0)
+    flat = half.reshape(-1)
+    np.add.at(flat, key.reshape(-1), np.int32(1))
     most = int(half.max())
+    np.left_shift(half, 1, out=out)
+    out[:, 0] += N
     # key << n | f(r), one run per bucket; each row sorted is the block sorted
     key <<= n
     key |= frep
@@ -470,18 +503,26 @@ def _bct_rows(table: np.ndarray, a: np.ndarray, out: np.ndarray) -> tuple[np.nda
     packed = key.ravel()
     ks = packed >> n
     if most * most > n * N:  # some bucket goes to the transform
-        large = half[ks] ** 2 > n * N
+        large = flat[ks] ** 2 > n * N
         # int64 keys: np.diff(ks, prepend=-1) takes no uint32
         _add_bucket_transforms(out, ks[large].astype(np.int64), packed[large] & (N - 1))
         packed, ks = packed[~large], ks[~large]
     four = out.dtype.type(4)  # np.add.at with a Python int scalar takes about 3x as long
+    cells, held = [], 0
     for i, j in _equal_pairs(ks):
         # equal keys, so packed[i] ^ packed[j] = f(r) + f(r'); xored into
         # the key it is the cell (row, f(r)+f(r')+beta), and ^ beta moves
         # that to (row, f(r)+f(r'))
-        cell = ks[i] ^ packed[i] ^ packed[j]
-        np.add.at(out.reshape(-1), np.concatenate((cell, cell ^ (ks[i] & (N - 1)))), four)
-    return half.reshape(out.shape), most
+        k = ks[i]
+        cell = k ^ packed[i] ^ packed[j]
+        cells += (cell, cell ^ (k & (N - 1)))
+        held += i.size
+        if held >= ks.size:  # add once the held pairs reach the block's values
+            np.add.at(out.reshape(-1), np.concatenate(cells), four)
+            cells, held = [], 0
+    if cells:
+        np.add.at(out.reshape(-1), np.concatenate(cells), four)
+    return half, most
 
 
 def _add_bucket_transforms(out: np.ndarray, ks: np.ndarray, fr: np.ndarray) -> None:

@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 _MAX_SPECTRUM_N = 12  # full spectrum is 4^n int32 cells (|W| <= 2^n)
-_MAX_QUAD_SUM_N = 5  # S_2 costs O(n * 2^3n) and its int64 sums are exact to here
+_MAX_QUAD_SUM_N = 5  # S_2 costs O(n * 2^3n); its int64 sums are exact to n = 12
 
 
 class WalshSpectrum:
@@ -192,9 +192,16 @@ def _constrained_quad_sum(W: np.ndarray, terms) -> int:
     over a of V_t summed over g, two transforms per g (see
     gf2n._autocorrelation). terms holds each t once with the number of t
     its term stands for (see _spectrum_sums); every t with weight 1 is the
-    whole sum. Intermediates are bounded by 2^(8n), so W is cast to int64
-    first and they stay exact for n <= 5; the weighted terms are added as
-    Python ints.
+    whole sum. W is cast to int64 first, and for a permutation's spectrum
+    every intermediate is exact in int64 to n = 12. Each row of W has sum
+    of squares 2^(2n) (Parseval), so by Cauchy-Schwarz the first transform
+    of a row of V_t is at most sum over a of |W(g, a) W(g^t, a)| <= 2^(2n),
+    and its butterfly step -2y at most 2^(2n+1). Squared, that is 2^(4n);
+    the second unnormalized transform is at most 2^n times that, 2^(5n),
+    and its butterfly step at most 2^(5n+1), below 2^63 to n = 12. Divided
+    by 2^n, each autocorrelation is at most 2^(4n), and Q sums 2^n of
+    them, at most 2^(5n). The squares of Q and the weighted terms are added
+    as Python ints. _MAX_QUAD_SUM_N caps S_2 below n = 12, by its cost.
     """
     W = np.asarray(W, dtype=np.int64)
     gidx = np.arange(W.shape[0])
@@ -220,14 +227,18 @@ def _spectrum_sums(f: SBox, j: int) -> list[int]:
     has every u as its own orbit.
 
     S_1 = sum W^4: the rows come from the row kernel (_walsh_rows), with
-    no 4^n array. A row's W^4 is summed in int64: sum over v of W(u, v)^2
-    is 2^(2n) (Parseval) and |W| <= 2^n, so the sum is at most 2^(4n),
-    which int64 holds to n = 15; the weighted rows are added as Python
-    ints, exact at every n the kernel serves. S_2 is the constrained sum
-    above, which reads the whole spectrum, so the table is built for
-    j = 2 alone. The boundary correction of every spectrum-side identity
-    presumes a permutation, so any other f is refused. S_2 costs
-    O(n * 2^3n) after factorization, over the orbits of t, and is capped
+    no 4^n array. A row's sum reaches 2^(4n): row u = 0 of a permutation
+    is 2^n at v = 0 and 0 elsewhere, and 2^64 wraps to 0 in int64 at
+    n = 16. Every W of a permutation is divisible by 4 for n >= 2: W(u, 0)
+    is 0 or 2^n, and for v != 0, v.f is balanced, so v.f + u.x has even
+    weight. So a row's (W / 4)^4 is summed in int64: sum over v of
+    (W / 4)^2 is 2^(2n-4) (Parseval) and |W / 4| <= 2^(n-2), so the sum is
+    at most 2^(4n-8), exact to n = 16; the weighted rows and the factor
+    4^4 are taken in Python ints. S_2 is the constrained sum above, which
+    reads the whole spectrum, so the table is built for j = 2 alone. The
+    boundary correction of every spectrum-side identity presumes a
+    permutation, so any other f is refused. S_2 costs O(n * 2^3n) after
+    factorization, over the orbits of t, and is capped
     at n <= _MAX_QUAD_SUM_N.
     """
     if j not in (1, 2):
@@ -244,8 +255,10 @@ def _spectrum_sums(f: SBox, j: int) -> list[int]:
     s1 = 0
     for i, block in _walsh_rows(f, us):
         sq = np.square(block, dtype=np.int64)
+        sq >>= 4  # (W / 4)^2, exact (see above)
         rows = np.einsum("ij,ij->i", sq, sq).tolist()
         s1 += sum(w * r for w, r in zip(weights[i : i + len(rows)], rows))
+    s1 <<= 8
     if j == 1:
         return [s1]
     return [s1, _constrained_quad_sum(walsh_spectrum(f).values, zip(us.tolist(), weights))]

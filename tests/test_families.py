@@ -34,6 +34,7 @@ from bctlab import (
     zieve_gamma_candidates,
 )
 from bctlab.families import FAMILY_PARAMETERS, cube_condition_roots
+from bctlab.walsh import _bct_value_counts
 
 from conftest import system_solutions
 
@@ -243,6 +244,36 @@ def test_zieve_inverse_closed_form():
         assert g == inverse_table(f)
         assert compose(g, f) == ident
         assert compose(f, g) == ident
+
+
+@pytest.mark.parametrize("n", [6, 10])
+def test_zieve_gammas_fall_into_one_class(n):
+    # Theorem 10's f_gamma(x) = x^(q+2) + gamma x. With gamma' =
+    # gamma c^-(q+1), f_gamma(c x) = c^(q+2) f_gamma'(x), and f_gamma(x)^2 =
+    # f_(gamma^2)(x^2): both are linear equivalences, so gamma, gamma u for
+    # u in GF(q)* (the norms c^(q+1)) and gamma^2 have BCTs with the same
+    # value counts. Every candidate is in the class of the least one
+    spec, q = make_field(n), 1 << n // 2
+    xs = np.arange(spec.size)
+    cands = zieve_gamma_candidates(spec)
+    norms = np.unique(spec.pow_vec(xs[1:], q + 1))
+    assert norms.size == q - 1
+    seen, new = set(), {cands[0]}
+    while new:
+        seen |= new
+        g = np.array(sorted(new))
+        new = set(spec.mul_vec(g[:, None], norms).ravel().tolist()) | set(spec.mul_vec(g, g).tolist())
+        new -= seen
+    assert seen == set(cands)
+    c = spec.primitive_element
+    expect = _bct_value_counts(zieve_binomial(spec, cands[0]))
+    for gamma in cands:
+        f = zieve_binomial(spec, gamma)
+        scaled = zieve_binomial(spec, spec.mul(gamma, spec.inv(spec.pow(c, q + 1))))
+        assert np.array_equal(f.table[spec.mul_vec(c, xs)], spec.mul_vec(spec.pow(c, q + 2), scaled.table))
+        squared = zieve_binomial(spec, spec.mul(gamma, gamma))
+        assert np.array_equal(spec.mul_vec(f.table, f.table), squared.table[spec.mul_vec(xs, xs)])
+        assert _bct_value_counts(f) == expect, gamma
 
 
 # -- special-point analysis of the modified inverse -----------------------------------------

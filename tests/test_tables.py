@@ -773,7 +773,7 @@ def test_bct_blocks_keep_packed_keys_in_32_bits(monkeypatch):
     # stubbed, so every n the field supports is read in full
     sizes = []
 
-    def kernel(table, a, out):
+    def kernel(table, a, out, *work):
         assert table.dtype == np.uint32 and out.shape[0] == a.size
         sizes.append(a.size)
         return None, 0
@@ -804,6 +804,69 @@ def test_row_kernel_at_the_32_bit_key_bound(monkeypatch, rng, n, rows):
         for i in range(rows):
             assert block[i].tolist() == _row_from_representative_pairs(f, int(a[i])), (n, a[i])
     assert seen["pairs"] > 0 and seen["transforms"] > 0
+
+
+def test_row_kernel_adds_the_cells_of_pair_heavy_blocks_in_parts(monkeypatch, rng):
+    # a 4-valued map of GF(2^8): a row's fibres hold about 16-32
+    # representatives, below the transform's m^2 > n 2^n, so the walk
+    # yields several pairs per derivative value, and some block's held
+    # cells reach its values and are added before the walk ends
+    spec = make_field(8)
+    levels = rng.choice(spec.size, 4, replace=False)
+    f = SBox(spec, levels[rng.integers(0, 4, spec.size)])
+    seen = _kernel_branches(monkeypatch)
+    assert np.array_equal(bct_fast(f).counts, bct_system(f).counts)
+    assert seen["pairs"] > 4 * (spec.size - 1) * spec.size // 2
+
+
+def test_pair_heavy_blocks_stay_below_the_peak_estimate(rng):
+    # a 4-valued map of GF(2^10) yields about 20 pairs per derivative
+    # value; held to the end of each walk, their cells would take several
+    # times the estimate's 160 bytes per value
+    spec = make_field(10)
+    levels = rng.choice(spec.size, 4, replace=False)
+    f = SBox(spec, levels[rng.integers(0, 4, spec.size)])
+    tracemalloc.start()
+    try:
+        bct_fast(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= tables._fast_peak_bytes(10)
+
+
+def _literal_bct_row(f, a):
+    # T(a, b) = #{(x, y) : f(x)+f(y) = b = f(x+a)+f(y+a)}, counted as it
+    # reads: a block of x against every y, O(4^n) steps and one block of
+    # about 2^20 pairs in memory. No fibre, derivative or representative
+    # enters, so it checks the row kernel independently past the oracles' cap
+    N, t = f.spec.size, f.table
+    ta = t[np.arange(N) ^ a]
+    row = np.zeros(N, dtype=np.int64)
+    per = max(1, (1 << 20) // N)
+    for x0 in range(0, N, per):
+        b = t[x0 : x0 + per, None] ^ t
+        row += np.bincount(b[b == ta[x0 : x0 + per, None] ^ ta], minlength=N)
+    return row
+
+
+def test_row_kernel_matches_the_literal_count_past_the_oracles(rng):
+    # n = 13, where bct_naive and bct_system refuse: the least orbit
+    # representative and both witness rows of _orbit_report against the
+    # literal count, and the witnessed values against those rows and a
+    # literal DDT count. The modified inverse has Frobenius orbits, the
+    # Kasami map one orbit, and a random permutation none
+    spec = make_field(13)
+    for f in (modified_inverse(13), kasami(13, 3), random_permutation(spec, rng)):
+        report = tables._orbit_report(f, "fast")
+        (a_bct, b_bct), (a_ddt, b_ddt) = report.bct_argmax, report.ddt_argmax
+        for a in sorted({1, a_bct, a_ddt}):
+            literal = _literal_bct_row(f, a)
+            assert np.array_equal(bct_row(f, a), literal), (f, a)
+            if a == a_bct:
+                assert literal[b_bct] == literal[1:].max() == report.boomerang_uniformity
+        D = f.table ^ f.table[np.arange(spec.size) ^ a_ddt]
+        assert np.count_nonzero(D == b_ddt) == report.differential_uniformity
 
 
 def test_bct_fast_does_not_depend_on_block_size(monkeypatch, rng):

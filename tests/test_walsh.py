@@ -665,6 +665,18 @@ def test_spectrum_sums_do_one_term_per_orbit(monkeypatch):
     assert len(terms) == 2
 
 
+def test_first_moment_sides_agree_at_n16(monkeypatch):
+    # row u = 0 of every permutation sums W^4 = 2^(4n), 2^64 at n = 16,
+    # which int64 stores as 0. The identity's BCT is 2^n in every cell, so
+    # M_1 = 2^n (2^n - 1)^2. Both maps are one orbit, so S_1 is two rows;
+    # the spectrum's cap is lifted in this test alone
+    monkeypatch.setattr(walsh, "_MAX_SPECTRUM_N", 16)
+    N = 1 << 16
+    ident, f = identity_sbox(make_field(16)), inverse_fn(16)
+    assert bct_moment_walsh(ident, 1) == bct_moment_direct(ident, 1) == N * (N - 1) ** 2
+    assert bct_moment_walsh(f, 1) == bct_moment_direct(f, 1)
+
+
 def test_first_moment_sides_agree_at_the_spectrum_cap():
     # n = 12, the spectrum's cap: a power map's S_1 is two rows, and the
     # modified inverse's one row per Frobenius orbit
