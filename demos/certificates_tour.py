@@ -14,12 +14,13 @@ print(f"gold(5,1) first moment: table {direct}, spectrum {spectral}")
 assert direct == spectral
 
 # Both sides count one term per orbit of the map's symmetry: the inverse
-# over GF(2^12) is one BCT row on the table side and two Walsh rows
+# over GF(2^16) is one BCT row on the table side and two Walsh rows
 # (u = 0 and one more) on the spectrum side, so its moment takes
-# milliseconds at the spectrum's cap.
-g = B.inverse_fn(12)
+# milliseconds at n = 16, where the full table would be 16 GiB. Rows and
+# row sums refuse no n; only a table refuses, by memory.
+g = B.inverse_fn(16)
 direct, spectral = B.bct_moment_direct(g, 1), B.bct_moment_walsh(g, 1)
-print(f"inverse_fn(12) first moment: table {direct}, spectrum {spectral}")
+print(f"inverse_fn(16) first moment: table {direct}, spectrum {spectral}")
 assert direct == spectral
 
 # Second moments use a constrained 8-fold spectrum sum; both routes agree.

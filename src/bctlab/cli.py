@@ -3,21 +3,23 @@
 Verbs: ddt, bct, uniformity, walsh, moment, certify, family, reproduce.
 Input is either an S-box file (--file) or a family specification
 (--family "name key=value ..."); --field n:reduction-hex overrides the
-default reduction polynomial. Output goes to stdout or --out: ddt, bct and
-walsh print CSV, or JSON with --json; family prints the S-box file format;
-every other verb prints JSON ("schema": 1) and takes no --json. Exit codes:
-0 success, 1 failed reproduction claims, 2 usage or input errors and
-tables too large for physical memory. CSV is byte-identical across BCT
-algorithms, and JSON differs only in its "algorithm" field. The writers
-take a table's values only as a row source: the text of a table, CSV or
-JSON list, comes a block of rows at a time straight from it (a built
-table's counts as tables._blocks_of of them), and moment and certify sum
-the spectrum's rows, one per orbit of the map's symmetry, with no table
-either. Only ddt and bct --json build a table, since
-max_nonzero comes before the counts (and --algo naive and system build
-theirs); walsh writes its CSV and JSON with none. --out is opened only
-once the first chunk exists, so a request refused with exit 2 leaves no
-file.
+default reduction polynomial. Output goes to stdout or --out: ddt, bct
+and walsh print CSV, or JSON with --json; family prints the S-box file
+format; every other verb prints JSON ("schema": 1) and takes no --json.
+Exit codes: 0 success, 1 failed reproduction claims, 2 usage or input
+errors and requests refused by the one refusal rule: a table refuses by
+memory; a stream or a row sum never does; the O(2^3n) oracles and S_2
+refuse by cost. So walsh CSV and JSON and moment --j 1 serve every n to
+16. CSV is byte-identical across BCT algorithms, and JSON differs only in
+its "algorithm" field. The writers take a table's values only as a row
+source: the text of a table, CSV or JSON list, comes a block of rows at a
+time straight from it (a built table's counts as tables._blocks_of of
+them), and moment and certify sum the spectrum's rows, one per orbit of
+the map's symmetry, with no table either. Only ddt and bct --json build a
+table, since max_nonzero comes before the counts (and --algo naive and
+system build theirs); walsh writes its CSV and JSON with none. --out is
+opened only once the first chunk exists, so a request refused with exit 2
+leaves no file.
 """
 
 from __future__ import annotations
@@ -95,7 +97,8 @@ def _walsh(f: SBox, args):
 
 
 def _moment(f: SBox, args):
-    # the spectrum side first: it refuses a map past its caps before any BCT row is counted
+    # the spectrum side first: it refuses a non-permutation, or j = 2 past its
+    # cost cap, before any BCT row is counted
     spectrum_side = bct_moment_walsh(f, args.j)
     direct = bct_moment_direct(f, args.j)
     return {

@@ -36,13 +36,17 @@ share a top bit, in one serial pass, into one reused buffer, which
 bct_fast, the reducers below and the CSV export read, and allocates the
 kernel's work buffers (keys, halves, row offsets) once per call, so no
 block allocates them again; bct_row(f, a) is one row.
-Every builder refuses, before allocating, a table whose estimated peak
-exceeds physical memory, and the two O(2^3n) oracles refuse n > 12, which
-would take half an hour at n = 13. No builder starts a thread.
+One refusal rule: a table refuses by memory; a stream or a row sum never
+does; the O(2^3n) oracles and S_2 refuse by cost. Every table builder
+(ddt, bct_fast, the oracles, walsh.walsh_spectrum) refuses, before
+allocating, a table whose estimated peak exceeds physical memory, and the
+two O(2^3n) oracles refuse n > 12, which would take half an hour at
+n = 13. No builder starts a thread.
 Every table is stored as int32, by one rule, _int32: an int32 array is
 kept as it is, any other integer or bool array is converted, and a value
-int32 cannot hold, or a dtype that is not integer, is refused. KTable,
-walsh.WalshSpectrum and every fill apply it. Every count is at most 4^n,
+int32 cannot hold, or a dtype that is not integer, is refused. KTable and
+walsh.WalshSpectrum store their values by it through one helper,
+_stored, and every fill applies it. Every count is at most 4^n,
 which fits up to n = 15, but BCT(0, 0) of a constant map is exactly 4^n
 and does not fit at n = 16. No BCT count exceeds BCT(0, 0): BCT(a, b) <=
 BCT(0, b) = sum over u of h(u) h(u+b) <= sum of h^2 = BCT(0, 0), with h
@@ -77,12 +81,12 @@ Row sources. Each table has one, with one path and one mode: _ddt_blocks
 (a bincount per row), _bct_fast_blocks (row 0 the autocorrelation, then
 _bct_blocks) and walsh._walsh_blocks yield (first row, block) in
 increasing row order, every row once, each block one reused buffer of
-about _BLOCK cells, so a stream needs no memory preflight. ddt, bct_fast
-and walsh_spectrum fill their tables from them through one fill,
-_filled, after their caps and preflights. Whatever reads a table once,
-in row order, reads its source: the CSV exports and walsh --json; the
-spectrum sum S_1 (walsh) reads one row per orbit from the spectrum's row
-kernel. A table is built whole only where it is needed
+about _BLOCK cells, so a stream needs no memory preflight and serves
+every n. ddt, bct_fast and walsh_spectrum fill their tables from them
+through one fill, _filled, after their memory preflights. Whatever reads
+a table once, in row order, reads its source: the CSV exports and walsh
+--json; the spectrum sum S_1 (walsh) reads one row per orbit from the
+spectrum's row kernel. A table is built whole only where it is needed
 whole: DDT and BCT --json, the oracles, S_2, the public builders and the
 x^d route of boomerang_uniformity.
 
@@ -153,20 +157,33 @@ def _int32(values) -> np.ndarray:
     return arr.astype(np.int32, copy=False)
 
 
-class KTable:
-    """A 2^n x 2^n table of non-negative counts (DDT or BCT), stored by _int32.
+def _stored(spec: FieldSpec, values, error: str) -> np.ndarray:
+    """A stored table's values: a C-ordered, read-only int32 view of the 2^n x 2^n values.
 
-    counts is a read-only view: of an int32 input, with no copy, so the
-    table aliases that array (which stays writable for its owner), and of
-    the converted copy of any other."""
+    ValueError with the caller's error text for any other shape, and
+    _int32's for any other dtype or an out-of-range value. A C-ordered
+    int32 input is viewed with no copy, so the table aliases that array,
+    which stays writable for its owner; any other is viewed as its
+    converted copy. KTable and walsh.WalshSpectrum store by it.
+    """
+    if np.shape(values) != (spec.size, spec.size):
+        raise ValueError(error)
+    view = np.ascontiguousarray(_int32(values)).view()
+    view.flags.writeable = False
+    return view
+
+
+class KTable:
+    """A 2^n x 2^n table of non-negative counts (DDT or BCT), stored by _stored.
+
+    counts is a C-ordered, read-only view: of a C-ordered int32 input,
+    with no copy, so the table aliases that array (which stays writable
+    for its owner), and of the converted copy of any other."""
 
     def __init__(self, spec: FieldSpec, kind: str, counts, algorithm: str):
         if kind not in ("DDT", "BCT"):
             raise ValueError(f"kind must be 'DDT' or 'BCT', got {kind!r}")
-        if np.shape(counts) != (spec.size, spec.size):
-            raise ValueError("counts must be a 2^n x 2^n matrix")
-        self.counts = _int32(counts).view()
-        self.counts.flags.writeable = False
+        self.counts = _stored(spec, counts, "counts must be a 2^n x 2^n matrix")
         self.spec = spec
         self.kind = kind
         self.algorithm = algorithm
@@ -881,9 +898,10 @@ def _csv_chunks(corner: str, shape: tuple[int, int], blocks):
 
     m is the array of this shape whose rows the row source blocks yields
     (see _text_blocks). The header comes first, then one chunk per block of
-    rows, so the text is never held whole. A request is refused before its
-    source exists (the spectrum's cap when _walsh_blocks is called, the
-    builders' preflights and the oracles' caps), so before any text.
+    rows, so the text is never held whole. The one refusal rule holds: a
+    table refuses by memory, a row source never does, and the oracles
+    refuse by cost. A table's refusal (the builders' preflights and the
+    oracles' caps) comes before its source exists, so before any text.
     """
     rows, cols = shape
     yield corner + "," + ",".join(map(str, range(cols))) + "\n"

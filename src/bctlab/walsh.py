@@ -14,13 +14,13 @@ where S_j is the sum of products W(g_i,a_i) W(e_i,a_i) W(g_i,b_i) W(e_i,b_i)
 over all 4j-tuples whose a/b and g/e halves each XOR to zero. The boundary
 correction assumes a permutation (rows a=0 and b=0 all equal 2^n), so
 the spectrum side refuses any other map; the table side holds for any.
-The spectrum side is one route: _spectrum_sums refuses and caps, sums
-S_1 over the rows of the spectrum and builds the spectrum for S_2 alone,
-and _walsh_moment states the identity above. Both sums take one term per
-orbit of f's symmetry (tables._symmetry) weighted by the orbit's size, as
-the table side takes one BCT row per orbit: a power map's S_1 is two rows,
-u = 0 and one more, and a map with no symmetry has every u as its own
-orbit. The moments M_1 and M_2 come from it, and so does the two-uniform
+The spectrum side is one route: _spectrum_sums refuses a non-permutation
+and S_2 past its cost cap, sums S_1 over the rows of the spectrum and
+builds the spectrum for S_2 alone, and _walsh_moment states the identity
+above. Both sums take one term per orbit of f's symmetry
+(tables._symmetry) weighted by the orbit's size, as the table side takes
+one BCT row per orbit: a power map's S_1 is two rows, u = 0 and one more,
+and a map with no symmetry has every u as its own orbit. The moments M_1 and M_2 come from it, and so does the two-uniform
 certificate, whose gap is 2^(6n) * (M_2 - 2 M_1), the sum of T (T - 2)
 scaled.
 
@@ -30,14 +30,17 @@ delta-certificate is sum of cells * phi(value), which by linearity is
 sum_j A_j * (j-th moment) for phi(x) = sum A_j x^j.
 
 Everything here is exact integer or Fraction arithmetic; no floats. The
-spectrum is held as int32, by the tables' storage rule (tables._int32):
+spectrum is held as int32, by the tables' storage rule (tables._stored):
 |W(u, v)| <= 2^n, and the transform's partial sums are bounded the same
 way. Its rows come from one kernel, _walsh_rows, a block of any u at a
-time, which refuses past the cap when it is called. The row source
-_walsh_blocks runs it on every u in order: walsh_spectrum fills the table
-from it through the tables' one fill (tables._filled), and the CSV and
-JSON exports read it with no table. S_1 runs it on one u per orbit. Sums
-of products of spectrum values are taken in int64 or Python ints.
+time. The row source _walsh_blocks runs it on every u in order:
+walsh_spectrum fills the table from it through the tables' one fill
+(tables._filled), and the CSV and JSON exports read it with no table. S_1
+runs it on one u per orbit. Sums of products of spectrum values are taken
+in int64 or Python ints. One refusal rule holds here as in the tables: a
+table refuses by memory (walsh_spectrum); a stream or a row sum never does
+(the exports and S_1 serve every n to 16); the O(2^3n) oracles and S_2
+refuse by cost (_MAX_QUAD_SUM_N).
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ import numpy as np
 
 from .gf2n import _PARITY16, _autocorrelation, _fwht
 from .sbox import SBox
-from .tables import _BLOCK, _filled, _int32, _orbit_rows, _symmetry
+from .tables import _BLOCK, _filled, _orbit_rows, _require_memory, _stored, _symmetry
 
 __all__ = [
     "WalshSpectrum",
@@ -62,23 +65,19 @@ __all__ = [
     "delta_uniform_certificate",
 ]
 
-_MAX_SPECTRUM_N = 12  # full spectrum is 4^n int32 cells (|W| <= 2^n)
 _MAX_QUAD_SUM_N = 5  # S_2 costs O(n * 2^3n); its int64 sums are exact to n = 12
 
 
 class WalshSpectrum:
     """Full table of Walsh coefficients, values[u, v]: C-ordered, read-only
     int32, which is exact because |W(u, v)| <= 2^n. Stored by the tables'
-    one rule (tables._int32), so a value int32 cannot hold is refused, not
+    one rule (tables._stored), so a value int32 cannot hold is refused, not
     wrapped. values is a read-only view: of a C-ordered int32 input, with
     no copy, so the spectrum aliases that array (which stays writable for
     its owner), and of the converted copy of any other."""
 
     def __init__(self, spec, values):
-        if np.shape(values) != (spec.size, spec.size):
-            raise ValueError("spectrum must be a 2^n x 2^n matrix")
-        self.values = np.ascontiguousarray(_int32(values)).view()
-        self.values.flags.writeable = False
+        self.values = _stored(spec, values, "spectrum must be a 2^n x 2^n matrix")
         self.spec = spec
 
     def __repr__(self):
@@ -87,22 +86,40 @@ class WalshSpectrum:
 
 def walsh_spectrum(f: SBox) -> WalshSpectrum:
     """All 4^n Walsh coefficients, O(n * 4^n), filled from their row source
-    by the tables' one fill (see _walsh_blocks and tables._filled); capped
-    at n <= _MAX_SPECTRUM_N, refused before the table is allocated."""
+    by the tables' one fill (see _walsh_blocks and tables._filled). The
+    table refuses by memory, as every table does: MemoryError, before
+    anything is allocated, when _spectrum_peak_bytes exceeds physical
+    memory (16 GiB of int32 at n = 16). The row source and the row sums
+    refuse nothing."""
+    _require_memory("walsh_spectrum", f.spec.n, _spectrum_peak_bytes(f.spec.n))
     return WalshSpectrum(f.spec, _filled(f.spec.size, _walsh_blocks(f)))
+
+
+def _spectrum_peak_bytes(n: int) -> int:
+    """Upper estimate of the bytes walsh_spectrum allocates at dimension n:
+    the int32 table, about 8 int64 arrays of one row (the sort order, the
+    sorted values, the runs' ends, the sign table), and 32 bytes per cell
+    of one block of about _BLOCK cells (see _walsh_rows): the int32 signs
+    and G, the int64 gather indices, the transform's int32 copy and a
+    non-permutation's two int32 run sums. Under tracemalloc at n = 10 the
+    kernel's arrays peak at 3.4 MiB over the table for a random map,
+    3.0 MiB for the constant 0 and 2.5 MiB for a random permutation, so an
+    int64 table, or a copy of the table, exceeds the estimate."""
+    return 4 * 4**n + 64 * 2**n + 32 * _BLOCK
 
 
 def _walsh_blocks(f: SBox):
     """The spectrum's row source: (u0, block), the rows W(u, .) of u0 .. u0 + len(block) - 1.
 
     The row kernel (_walsh_rows) on every u in increasing order, so each
-    block's first index is its first u; refused past the cap when called.
+    block's first index is its first u. A stream, so it serves every n: it
+    holds one block, never the table.
     """
     return _walsh_rows(f, np.arange(f.spec.size))
 
 
 def _walsh_rows(f: SBox, us: np.ndarray):
-    """The spectrum's row kernel: (i, block), the rows W(u, .) of u = us[i], us[i + 1], ...
+    """The spectrum's row kernel: yield (i, block), the rows W(u, .) of u = us[i], us[i + 1], ...
 
     For a block of B values of u, about _BLOCK cells, G(y, u) = sum over
     the x with f(x) = y of (-1)^(u.x) is a (2^n, B) array, and one
@@ -115,15 +132,13 @@ def _walsh_rows(f: SBox, us: np.ndarray):
     of f. Built as (B, 2^n) and transformed along its last axis, the block
     took about 5x as long at n = 12. The signs and G are reused buffers,
     and each block is the transposed view of its transform. |G| and every
-    partial sum of the transform are at most 2^n, so int32 is exact. The
-    spectrum is 4^n cells, as a table, as text or as the terms of a sum, so
-    it is capped at n <= _MAX_SPECTRUM_N, and the cap refuses when this
-    function is called: the one statement of it, before any work or text.
-    The blocks come in the order of us from the iterator it returns.
+    partial sum of the transform are at most 2^n, so int32 is exact at
+    every n to 16. The kernel holds no policy, like tables._ddt_blocks and
+    tables._bct_fast_blocks: it holds one block, so it serves every n, and
+    only the table (walsh_spectrum) refuses, by memory. The blocks come in
+    the order of us.
     """
-    n, N, table = f.spec.n, f.spec.size, f.table
-    if n > _MAX_SPECTRUM_N:
-        raise ValueError(f"full spectrum needs 4^{n} cells; capped at n <= {_MAX_SPECTRUM_N}")
+    N, table = f.spec.size, f.table
     per = max(1, min(us.size, _BLOCK // N))
     sign = 1 - 2 * _PARITY16[:N].astype(np.int32)
     order = np.argsort(table, kind="stable")  # x by f(x): f^-1 for a permutation
@@ -132,20 +147,16 @@ def _walsh_rows(f: SBox, us: np.ndarray):
     perm = ends.size == N
     signs = np.empty((N, per), dtype=np.int32)
     G = signs if perm else np.zeros((N, per), dtype=np.int32)
-
-    def blocks():
-        for i in range(0, us.size, per):
-            u = us[i : i + per]
-            s, g = signs[:, : u.size], G[:, : u.size]
-            np.take(sign, order[:, None] & u, out=s)
-            if not perm:
-                np.cumsum(s, axis=0, out=s)
-                runs = s[ends]
-                runs[1:] -= s[ends[:-1]]
-                g[values[ends]] = runs
-            yield i, _fwht(g, axis=0).T
-
-    return blocks()
+    for i in range(0, us.size, per):
+        u = us[i : i + per]
+        s, g = signs[:, : u.size], G[:, : u.size]
+        np.take(sign, order[:, None] & u, out=s)
+        if not perm:
+            np.cumsum(s, axis=0, out=s)
+            runs = s[ends]
+            runs[1:] -= s[ends[:-1]]
+            g[values[ends]] = runs
+        yield i, _fwht(g, axis=0).T
 
 
 # -- moments ----------------------------------------------------------------------
@@ -227,7 +238,7 @@ def _spectrum_sums(f: SBox, j: int) -> list[int]:
     has every u as its own orbit.
 
     S_1 = sum W^4: the rows come from the row kernel (_walsh_rows), with
-    no 4^n array. A row's sum reaches 2^(4n): row u = 0 of a permutation
+    no 4^n array, so S_1 is a row sum and refuses no n. A row's sum reaches 2^(4n): row u = 0 of a permutation
     is 2^n at v = 0 and 0 elsewhere, and 2^64 wraps to 0 in int64 at
     n = 16. Every W of a permutation is divisible by 4 for n >= 2: W(u, 0)
     is 0 or 2^n, and for v != 0, v.f is balanced, so v.f + u.x has even
@@ -238,8 +249,9 @@ def _spectrum_sums(f: SBox, j: int) -> list[int]:
     reads the whole spectrum, so the table is built for j = 2 alone. The
     boundary correction of every spectrum-side identity presumes a
     permutation, so any other f is refused. S_2 costs O(n * 2^3n) after
-    factorization, over the orbits of t, and is capped
-    at n <= _MAX_QUAD_SUM_N.
+    factorization, over the orbits of t, and refuses by that cost past
+    n = _MAX_QUAD_SUM_N, as the O(2^3n) oracles do past theirs; its table
+    would refuse by memory (walsh_spectrum) only far past that.
     """
     if j not in (1, 2):
         raise ValueError("spectrum-side moments are implemented for j in {1, 2}")
@@ -275,8 +287,9 @@ def _walsh_moment(S: int, j: int, n: int) -> int:
 def bct_moment_walsh(f: SBox, j: int) -> int:
     """Spectrum-side evaluation of the j-th BCT moment; j in {1, 2}.
 
-    Exact for permutations, and refused for any other f; j = 2 is capped
-    at n <= _MAX_QUAD_SUM_N (see _spectrum_sums).
+    Exact for permutations, and refused for any other f; j = 1 serves
+    every n to 16, and j = 2 is capped at n <= _MAX_QUAD_SUM_N by its cost
+    (see _spectrum_sums).
     """
     return _walsh_moment(_spectrum_sums(f, j)[j - 1], j, f.spec.n)
 
@@ -375,17 +388,24 @@ def delta_uniform_certificate(
     value = sum over nonzero a, b of phi(T(a, b)), which equals
     sum_j A_j * (direct j-th moment). It is always non-negative, and zero
     exactly when every nonzero-entry count lies in {0, 2, ..., delta}, i.e.
-    the boomerang uniformity is at most delta. Every count is at most 2^n,
-    so delta above 2^n is refused before any polynomial is built.
+    the boomerang uniformity is at most delta. Every count of a permutation
+    is at most 2^n, and every count of any map at most BCT(0, 0) <= 4^n
+    (see tables), so delta above that bound is refused before any
+    polynomial is built.
 
     With no phi, the canonical product of (x - 2k) for k = 0..delta/2 is
     evaluated as a product at each distinct count, in Python ints: it
     vanishes at every even x <= delta and is positive past it by
     construction, so neither its coefficients nor those checks are needed.
-    A given phi keeps its coefficient form and is validated for the field.
+    A given phi keeps its coefficient form and is validated for the field,
+    on (delta, 2^n]; a count of a non-permutation can exceed 2^n, so phi
+    must also be positive at each distinct count above delta, or
+    ValueError names the first count where it is not.
     """
-    if delta > f.spec.size:
-        raise ValueError(f"delta must be at most 2^n = {f.spec.size}, got {delta}")
+    perm = f.is_permutation()
+    bound = f.spec.size if perm else f.spec.size**2
+    if delta > bound:
+        raise ValueError(f"delta must be at most {'2^n' if perm else '4^n'} = {bound}, got {delta}")
     if phi is None:
         _require_even(delta)
         roots = range(0, delta + 1, 2)
@@ -397,6 +417,9 @@ def delta_uniform_certificate(
         phi.validate(f.spec.n)
         counts = _bct_value_counts(f)
         scaled = phi._scaled_values([v for v, _ in counts])
+        bad = [v for (v, _), s in zip(counts, scaled) if v > delta and s <= 0]
+        if bad:
+            raise ValueError(f"certificate polynomial must be positive at the count {bad[0]}")
         value = Fraction(sum(c * s for (_, c), s in zip(counts, scaled)), phi._scale)
     if value < 0:
         raise AssertionError("certificate value must be non-negative")

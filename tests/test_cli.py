@@ -21,6 +21,7 @@ from bctlab import (
     ddt,
     gold,
     identity_sbox,
+    inverse_fn,
     ktable_to_csv,
     ktable_to_json,
     make_field,
@@ -30,6 +31,8 @@ from bctlab import (
     write_sbox,
 )
 from bctlab.cli import main
+
+from conftest import walsh_cells
 
 
 def run_cli(capsys, *argv):
@@ -179,15 +182,6 @@ def test_out_file_is_not_created_when_the_request_fails(tmp_path, capsys, monkey
     assert code == 2 and out == "" and err.startswith("error: ddt at n = 3 needs about ")
     assert not path.exists()
     monkeypatch.undo()
-    # the spectrum's row source refuses past its cap when it is called, so
-    # neither the CSV nor the JSON, whose "schema" field comes before the
-    # values, has any text yet, and no file is made
-    big = tmp_path / "big.sbox"
-    write_sbox(identity_sbox(make_field(13)), str(big))
-    for fmt in ([], ["--json"]):
-        code, out, err = run_cli(capsys, "walsh", "--file", str(big), *fmt, "--out", str(path))
-        assert code == 2 and out == "" and "capped at n <= 12" in err
-        assert not path.exists()
 
     def failing_chunks(corner, shape, blocks):  # fails while the first chunk is built
         raise ValueError("no chunk")
@@ -328,16 +322,19 @@ def test_moment_refuses_non_permutation(tmp_path, capsys):
 
 
 def test_moment_refuses_past_the_spectrum_cap_before_the_table(monkeypatch, capsys):
-    # n = 13 is past the full spectrum's cap; the refusal must come before
-    # any BCT row is counted
+    # n = 13 is past S_2's cost cap, so j = 2 is refused, and the refusal
+    # must come before any BCT row is counted; S_1 is a row sum, which
+    # refuses no n, so j = 1 is served
     def no_rows(f):
         raise AssertionError("BCT rows were counted")
 
     monkeypatch.setattr("bctlab.walsh._orbit_rows", no_rows)
-    for j in ("1", "2"):
-        code, out, err = run_cli(capsys, "moment", "--family", "inverse n=13", "--j", j)
-        assert code == 2 and out == ""
-        assert "capped at n <=" in err
+    code, out, err = run_cli(capsys, "moment", "--family", "inverse n=13", "--j", "2")
+    assert code == 2 and out == ""
+    assert "capped at n <=" in err
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "moment", "--family", "inverse n=13", "--j", "1")
+    assert code == 0 and json.loads(out)["equal"] is True
 
 
 def test_certify_delta_above_field_size_exits_2(capsys):
@@ -347,6 +344,17 @@ def test_certify_delta_above_field_size_exits_2(capsys):
     assert "at most 2^n = 32" in err
     code, out, _ = run_cli(capsys, "certify", *fam, "--delta", "32")
     assert code == 0 and json.loads(out)["is_zero"] is True
+
+
+def test_certify_delta_of_a_non_permutation_is_bounded_by_4_to_the_n(tmp_path, capsys):
+    # any map's counts are at most BCT(0, 0) <= 4^n; this one's are 0 and 32
+    path = tmp_path / "two.sbx"
+    path.write_text("n=3\n0 0 0 0 1 1 1 1\n")
+    code, out, _ = run_cli(capsys, "certify", "--file", str(path), "--delta", "32")
+    assert code == 0 and json.loads(out)["is_zero"] is True
+    code, out, err = run_cli(capsys, "certify", "--file", str(path), "--delta", "66")
+    assert code == 2 and out == ""
+    assert "at most 4^n = 64" in err
 
 
 def test_reproduce_claims(capsys):
@@ -522,15 +530,23 @@ def test_certify_odd_delta_exits_2(capsys):
     assert "even" in err
 
 
-def test_walsh_cap_exits_2(tmp_path, capsys):
-    # a 2^13 input exceeds the spectrum cap and reports an input error
-    from bctlab import identity_sbox, make_field, write_sbox
-
-    path = tmp_path / "big.sbx"
-    write_sbox(identity_sbox(make_field(13)), str(path))
-    code, _, err = run_cli(capsys, "walsh", "--file", str(path))
-    assert code == 2
-    assert "capped" in err
+def test_walsh_cap_exits_2(monkeypatch, capsys):
+    # the spectrum's rows are a stream, which refuses no n, so n = 13 is
+    # served. The request's chunks are taken unwritten, so its 4^13 cells
+    # are never written: the header and the first block of rows equal the
+    # literal sums
+    results = []
+    monkeypatch.setattr(cli, "_write", lambda result, out: results.append(result))
+    assert run_cli(capsys, "walsh", "--family", "inverse n=13") == (0, "", "")
+    (chunks,) = results
+    N = 1 << 13
+    assert next(chunks) == "u\\v," + ",".join(map(str, range(N))) + "\n"
+    block = np.array([line.split(",") for line in next(chunks).splitlines()], dtype=np.int64)
+    us = np.arange(len(block))
+    assert len(block) and np.array_equal(block[:, 0], us)
+    f = inverse_fn(13)
+    for v0 in range(0, N, 512):
+        assert np.array_equal(block[:, 1 + v0 : 513 + v0], walsh_cells(f, us, range(v0, v0 + 512)))
 
 
 # SHA-256 of stdout for one small input per verb and format. `reproduce`

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from math import gcd
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,11 +41,13 @@ from bctlab.walsh import (
     _bct_value_counts,
     _constrained_quad_sum,
     _fwht,
+    _spectrum_peak_bytes,
     _spectrum_sums,
     _walsh_blocks,
+    _walsh_rows,
 )
 
-from conftest import walsh_oracle
+from conftest import walsh_cells, walsh_oracle
 
 
 # -- spectrum ----------------------------------------------------------------------
@@ -144,9 +147,52 @@ def test_spectrum_values_are_read_only_int32(rng):
     assert W.dtype == np.int32 and W.flags.c_contiguous and not W.flags.writeable
 
 
-def test_spectrum_size_cap():
-    with pytest.raises(ValueError):
-        walsh_spectrum(identity_sbox(make_field(13)))
+def test_spectrum_size_cap(monkeypatch):
+    # the table refuses by memory, as ddt and bct_fast do, before any
+    # allocation: the 4^13 int32 table would be 256 MiB
+    need = _spectrum_peak_bytes(13)
+    monkeypatch.setattr(tables, "_memory_budget", lambda: need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match=f"walsh_spectrum at n = 13 needs about {need} bytes"):
+            walsh_spectrum(identity_sbox(make_field(13)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    need = _spectrum_peak_bytes(5)
+    monkeypatch.setattr(tables, "_memory_budget", lambda: need)
+    assert np.array_equal(walsh_spectrum(identity_sbox(make_field(5))).values, 32 * np.eye(32))
+
+
+def test_spectrum_peak_estimate_covers_allocations(rng):
+    # the int32 table is kept by WalshSpectrum without a copy; a random map
+    # takes the cumulative-sum path and peaks highest. An int64 table, or a
+    # copy of the int32 one, adds 4 MiB at this n and would exceed the estimate
+    spec = make_field(10)
+    need = _spectrum_peak_bytes(10)
+    for f in (SBox(spec, np.zeros(spec.size, dtype=np.int64)), random_permutation(spec, rng),
+              SBox(spec, rng.integers(0, spec.size, spec.size))):
+        tracemalloc.start()
+        try:
+            W = walsh_spectrum(f).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert W.dtype == np.int32
+        assert peak <= need < peak + 4 * 4**10
+
+
+@pytest.mark.parametrize("n", [13, 16])
+def test_walsh_rows_at_n13_and_n16_equal_the_literal_sum(rng, n):
+    # the row kernel serves every n: sampled cells of a random map at n = 13
+    # (the cumulative-sum path) and of the inverse at n = 16 (the gather)
+    spec = make_field(n)
+    f = SBox(spec, rng.integers(0, spec.size, spec.size)) if n == 13 else inverse_fn(16)
+    us = np.sort(rng.choice(spec.size, 5, replace=False))
+    vs = rng.choice(spec.size, 7, replace=False)
+    rows = np.concatenate([block[:, vs] for _, block in _walsh_rows(f, us)])
+    assert np.array_equal(rows, walsh_cells(f, us, vs))
 
 
 # -- moments ------------------------------------------------------------------------
@@ -390,6 +436,25 @@ def test_delta_certificate_refuses_delta_above_field_size():
     with pytest.raises(ValueError, match="at most"):
         delta_uniform_certificate(f, 34, phi=CertificatePolynomial.for_delta(34))
     assert delta_uniform_certificate(f, 32) == (0, True)
+
+
+def test_delta_certificate_bounds_a_non_permutation_by_4_to_the_n():
+    # BCT(a, b) <= BCT(0, 0) <= 4^n for any map: this two-valued map has
+    # counts 32 > 2^3, so delta up to 4^n = 64 states something
+    f = SBox(make_field(3), [0, 0, 0, 0, 1, 1, 1, 1])
+    assert _bct_value_counts(f) == [(0, 42), (32, 7)]
+    assert delta_uniform_certificate(f, 32) == (0, True)
+    assert delta_uniform_certificate(f, 64) == (0, True)
+    value, is_zero = delta_uniform_certificate(f, 30)
+    assert not is_zero and value > 0
+    with pytest.raises(ValueError, match="at most 4\\^n = 64, got 66"):
+        delta_uniform_certificate(f, 66)
+    # phi = x (x - 2) (20 - x) is positive on (2, 2^3] but negative at the count 32
+    phi = CertificatePolynomial([0, -40, 22, -1], 2, n=3)
+    with pytest.raises(ValueError, match="must be positive at the count 32"):
+        delta_uniform_certificate(f, 2, phi=phi)
+    phi = CertificatePolynomial([0, -40, 22, -1], 2)
+    assert delta_uniform_certificate(gold(3, 1), 2, phi=phi) == (0, True)
 
 
 def test_delta_certificate_modified_inverse_n4():
@@ -665,12 +730,10 @@ def test_spectrum_sums_do_one_term_per_orbit(monkeypatch):
     assert len(terms) == 2
 
 
-def test_first_moment_sides_agree_at_n16(monkeypatch):
+def test_first_moment_sides_agree_at_n16():
     # row u = 0 of every permutation sums W^4 = 2^(4n), 2^64 at n = 16,
     # which int64 stores as 0. The identity's BCT is 2^n in every cell, so
-    # M_1 = 2^n (2^n - 1)^2. Both maps are one orbit, so S_1 is two rows;
-    # the spectrum's cap is lifted in this test alone
-    monkeypatch.setattr(walsh, "_MAX_SPECTRUM_N", 16)
+    # M_1 = 2^n (2^n - 1)^2. Both maps are one orbit, so S_1 is two rows
     N = 1 << 16
     ident, f = identity_sbox(make_field(16)), inverse_fn(16)
     assert bct_moment_walsh(ident, 1) == bct_moment_direct(ident, 1) == N * (N - 1) ** 2
@@ -678,7 +741,16 @@ def test_first_moment_sides_agree_at_n16(monkeypatch):
 
 
 def test_first_moment_sides_agree_at_the_spectrum_cap():
-    # n = 12, the spectrum's cap: a power map's S_1 is two rows, and the
+    # n = 12: a power map's S_1 is two rows, and the
     # modified inverse's one row per Frobenius orbit
     for f in (inverse_fn(12), modified_inverse(12)):
+        assert bct_moment_walsh(f, 1) == bct_moment_direct(f, 1), f
+
+
+def test_streamed_first_moment_sides_agree_at_n13_and_n14(rng):
+    # S_1 is a row sum, so it serves every n: one row per orbit for the
+    # inverse (two rows), Kasami and the modified inverse, and every row of
+    # a random permutation at n = 13
+    for f in (inverse_fn(13), inverse_fn(14), kasami(13, 3), modified_inverse(13),
+              random_permutation(make_field(13), rng)):
         assert bct_moment_walsh(f, 1) == bct_moment_direct(f, 1), f
