@@ -6,20 +6,21 @@ Input is either an S-box file (--file) or a family specification
 default reduction polynomial. Output goes to stdout or --out: ddt, bct
 and walsh print CSV, or JSON with --json; family prints the S-box file
 format; every other verb prints JSON ("schema": 1) and takes no --json.
-Exit codes: 0 success, 1 failed reproduction claims, 2 usage or input
-errors and requests refused by the one refusal rule: a table refuses by
-memory; a stream or a row sum never does; the O(2^3n) oracles and S_2
-refuse by cost. So walsh CSV and JSON and moment --j 1 serve every n to
-16. CSV is byte-identical across BCT algorithms, and JSON differs only in
-its "algorithm" field. The writers take a table's values only as a row
-source: the text of a table, CSV or JSON list, comes a block of rows at a
-time straight from it (a built table's counts as tables._blocks_of of
-them), and moment and certify sum the spectrum's rows, one per orbit of
-the map's symmetry, with no table either. Only ddt and bct --json build a
-table, since max_nonzero comes before the counts (and --algo naive and
-system build theirs); walsh writes its CSV and JSON with none. --out is
-opened only once the first chunk exists, so a request refused with exit 2
-leaves no file.
+Exit codes: 0 success, 1 failed reproduction claims or a reader that
+closed stdout early (| head: the rest of the output is dropped, with
+nothing on stderr), 2 usage or input errors and requests refused by the
+one refusal rule: a table refuses by memory; a stream or a row sum never
+does; the O(2^3n) oracles and S_2 refuse by cost. So walsh CSV and JSON
+and moment --j 1 serve every n to 16. CSV is byte-identical across BCT
+algorithms, and JSON differs only in its "algorithm" field. The writers
+take a table's values only as a row source: the text of a table, CSV or
+JSON list, comes a block of rows at a time straight from it (a built
+table's counts as tables._blocks_of of them), and moment and certify sum
+the spectrum's rows, one per orbit of the map's symmetry, with no table
+either. Only ddt and bct --json build a table, since max_nonzero comes
+before the counts (and --algo naive and system build theirs); walsh
+writes its CSV and JSON with none. --out is opened only once the first
+chunk exists, so a request refused with exit 2 leaves no file.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import argparse
 import functools
 import io
 import json
+import os
 import sys
 from collections.abc import Iterator
 from contextlib import nullcontext
@@ -267,9 +269,17 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         if args.verb == "reproduce":
-            return _reproduce(args)
-        _write(args.run(_load_sbox(args), args), args.out)
-        return 0
+            status = _reproduce(args)
+        else:
+            _write(args.run(_load_sbox(args), args), args.out)
+            status = 0
+        if sys.stdout is sys.__stdout__:  # so a reader gone away shows here, not at exit
+            sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the text left in the buffer goes to /dev/null at exit, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError, ZeroDivisionError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,24 +17,27 @@ Three BCT builders with identical output:
     bct_system  O(2^3n), any function, literal pair counting
     bct_fast    representative pairs, zero for APN maps; any function
 
-Every BCT row a != 0 comes from one kernel, _bct_rows, over the fibres
-of the derivative D_a(y) = f(y+a) + f(y): the pairs (y, y) and {y, y+a}
-give N at b = 0 and the DDT row, and it enumerates only unordered pairs
-of representatives of one fibre under y -> y+a, sum over beta of
-C(DDT(a, beta)/2, 2) pairs, none when Delta = 2. It packs (row, fibre,
-value) into one uint32 key, below rows * 4^n, so a block holds at most
-2^(32 - 2n) rows (one at n = 16) and every n from 2 to 16 has the same
-key width. It counts the representatives per fibre, the DDT row halved,
-into an int32 buffer by np.add.at, sorts every key once and takes the
-pairs from one walk, _equal_pairs, over the equal ones, which skips the
-fibres of one representative, adding the cells of every step at once;
-the fibres with too many representatives to pair go through
-Walsh-Hadamard autocorrelations instead, many fibres to one batched
-transform. Row 0, one fibre of every y, is the autocorrelation of the
-value histogram. _bct_blocks runs the kernel over blocks of rows that
-share a top bit, in one serial pass, into one reused buffer, which
-bct_fast, the reducers below and the CSV export read, and allocates the
-kernel's work buffers (keys, halves, row offsets) once per call, so no
+Every DDT and BCT row a != 0 comes from one row kernel over the fibres
+of the derivative D_a(y) = f(y+a) + f(y), each closed under y -> y+a.
+Its count stage, _derivative_counts, runs over blocks of rows that share
+a top bit, in one serial pass, takes one representative of each pair
+{y, y+a} and counts the fibres into int32 DDT rows by np.add.at, 2 per
+representative: that is the DDT's row source. The BCT stage, _bct_rows,
+reads the same block: the pairs (y, y) and {y, y+a} give N at b = 0 and
+the DDT row, and it enumerates only unordered pairs of representatives
+of one fibre, sum over beta of C(DDT(a, beta)/2, 2) pairs, none when
+Delta = 2. It packs (row, fibre, value) into one uint32 key, below
+rows * 4^n, so a block holds at most 2^(32 - 2n) rows (one at n = 16)
+and every n from 2 to 16 has the same key width. It sorts every key
+once and takes the pairs from one walk, _equal_pairs, over the equal
+ones, which skips the fibres of one representative, adding the cells of
+every step at once; the fibres with too many representatives to pair go
+through Walsh-Hadamard autocorrelations instead, many fibres to one
+batched transform. Row 0, one fibre of every y, is N at b = 0 in the DDT
+and the autocorrelation of the value histogram in the BCT. _bct_blocks
+writes the BCT rows into one reused buffer, which bct_fast, the reducers
+below and the CSV export read; the kernel's work buffers (keys, DDT
+rows, row offsets, the BCT block) are allocated once per call, so no
 block allocates them again; bct_row(f, a) is one row.
 One refusal rule: a table refuses by memory; a stream or a row sum never
 does; the O(2^3n) oracles and S_2 refuse by cost. Every table builder
@@ -66,9 +69,9 @@ each shift as its own orbit, so its rows stream through in blocks. That gives
 boomerang_uniformity on every map that is not a power map and
 monomial_boomerang_uniformity their values and first row-major witnesses,
 and the moments and certificates their value counts (walsh), with no
-table. The same test shortens the row sources of the tables: each counts
-its rows by its one method, and for a one-orbit map (U = GF(2^n)*: every
-c x^d with c != 0, the nonzero constants c x^0 among them) it stops after
+table. The same test shortens the row sources of the tables, by one
+rule, _row_source: for a one-orbit map (U = GF(2^n)*: every c x^d with
+c != 0, the nonzero constants c x^0 among them) the kernel stops after
 row 1, which _power_rows rotates into every later row, T(a, b) =
 T(1, b * a^-e) in log order of b. boomerang_uniformity takes
 that table route for the one-orbit maps with f(1) = 1, exactly the x^d,
@@ -78,12 +81,12 @@ test_traced_request_counts_repeat_exactly) to one bct_fast call and one
 ddt call.
 
 Row sources. Each table has one, with one path and one mode: _ddt_blocks
-(a bincount per row), _bct_fast_blocks (row 0 the autocorrelation, then
-_bct_blocks) and walsh._walsh_blocks yield (first row, block) in
-increasing row order, every row once, each block one reused buffer of
-about _BLOCK cells, so a stream needs no memory preflight and serves
-every n. ddt, bct_fast and walsh_spectrum fill their tables from them
-through one fill, _filled, after their memory preflights. Whatever reads
+(row 0, then _derivative_counts), _bct_fast_blocks (row 0 the
+autocorrelation, then _bct_blocks) and walsh._walsh_blocks yield (first
+row, block) in increasing row order, every row once, each block one
+reused buffer of about _BLOCK cells, so a stream needs no memory
+preflight and serves every n. ddt, bct_fast and walsh_spectrum fill
+their tables from them through one fill, _filled, after their memory preflights. Whatever reads
 a table once, in row order, reads its source: the CSV exports and walsh
 --json; the spectrum sum S_1 (walsh) reads one row per orbit from the
 spectrum's row kernel. A table is built whole only where it is needed
@@ -109,6 +112,7 @@ max_nonzero before the counts, so ddt and bct --json build the table.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -240,22 +244,30 @@ def _filled(N: int, blocks) -> np.ndarray:
 def _ddt_blocks(f: SBox):
     """Yield (a0, block), the DDT rows a0 .. a0 + len(block) - 1, in increasing a0.
 
-    Each row is the bincount of one derivative, in blocks of about _BLOCK
-    cells. A one-orbit map (every c x^d with c != 0) stops after row 1,
-    and _power_rows rotates that row into rows 2 .. 2^n - 1. Every block
-    is one reused int32 buffer, to be read before the next is asked for.
+    Row 0 is N at b = 0 (D_0 vanishes on every x), and the rows a != 0
+    are the row kernel's count stage itself (see _derivative_counts);
+    _row_source states the one-orbit rule.
     """
-    N, table = f.spec.size, f.table
-    idx = np.arange(N)
-    sym = _symmetry(f)
+    row0 = np.zeros(f.spec.size, dtype=np.int32)
+    row0[0] = f.spec.size
+    return _row_source(f, row0, _derivative_counts)
+
+
+def _row_source(f: SBox, row0: np.ndarray, kernel):
+    """Yield (a0, block), row0 and then a table's rows a != 0, in increasing a0.
+
+    The one-orbit rule of both row sources, _ddt_blocks and
+    _bct_fast_blocks: kernel(table, rows) yields (a, block, ...) for the
+    increasing a in rows, and a one-orbit map (every c x^d with c != 0)
+    asks it for row 1 alone, which _power_rows rotates into rows
+    2 .. 2^n - 1. Every block after row 0 is a reused buffer, to be read
+    before the next is asked for.
+    """
+    N, sym = f.spec.size, _symmetry(f)
     counted = 2 if sym.order == N - 1 else N
-    per = min(counted, max(1, _BLOCK // N))
-    buf = np.empty((per, N), dtype=np.int32)
-    for a0 in range(0, counted, per):
-        block = buf[: min(per, counted - a0)]
-        for i, row in enumerate(block):
-            row[:] = np.bincount(table ^ table[idx ^ (a0 + i)], minlength=N)
-        yield a0, block
+    yield 0, row0[None]
+    for a, block, *_ in kernel(f.table, np.arange(1, counted)):
+        yield int(a[0]), block
     if counted < N:
         yield from _power_rows(f, sym.e, block[-1])
 
@@ -341,9 +353,16 @@ def _require_oracle(builder: str, n: int) -> None:
 
 def _ddt_peak_bytes(n: int) -> int:
     """Upper estimate of the bytes ddt allocates at dimension n: the int32
-    table, about 8 int64 arrays of one row, 2 of one power-map row block
-    (the rotation's gather indices), and two reused int32 buffers of at
-    most _BLOCK cells, the row source's and the rotation's."""
+    table, about 8 int64 arrays of one row (the uint32 value table, the
+    representatives and their values, the rotation's doubled row), and 24
+    bytes per derivative value of one row-kernel block of about _BLOCK
+    values (see _derivative_counts): the int32 DDT rows, two cells of 4
+    bytes per value, the uint32 keys, 4, and the int64 index copy that
+    np.take or np.add.at makes of them, 8. Under tracemalloc the kernel
+    peaks at 2.5-2.8 MiB over the table for a random permutation at
+    n = 10-13. A one-orbit map counts row 1 alone, and its rotation's
+    int32 block and int64 gather indices, 12 bytes per cell of about
+    _BLOCK cells, fit the same term."""
     return 4 * 4**n + 64 * 2**n + 24 * _BLOCK
 
 
@@ -358,10 +377,11 @@ def _fast_peak_bytes(n: int) -> int:
     """Upper estimate of the bytes bct_fast allocates at dimension n: the
     int32 table plus 160 bytes per derivative value of one block (20 MiB at
     2^17 values), so from n = 12 the table dominates. A block has two
-    cells per value, so the block and the int32 DDT halves, work buffers
-    allocated once per _bct_blocks call, take 8 bytes per value each (16
-    for the int64 block at n = 16); the uint32 keys, the int64 index copies
-    that np.take and np.add.at make of them and the pair walk's int64
+    cells per value, so the block and the int32 DDT rows, work buffers
+    allocated once per call (_bct_blocks, _derivative_counts), take 8
+    bytes per value each (16 for the int64 block at n = 16); the uint32
+    keys, the int64 index copies that np.take and np.add.at make of them
+    and the pair walk's int64
     positions and uint32 cells (at most about four cells per value are
     held at once, see _bct_rows) take a few dozen more. The large
     buckets' transforms run in chunks of about _BLOCK histogram cells, so
@@ -405,45 +425,42 @@ def _bct_fast_blocks(f: SBox):
 
     Row 0, the first block, is the int64 XOR autocorrelation of the value
     histogram (see bct_row). The rows a != 0 come in blocks from one
-    kernel (see _bct_blocks). A one-orbit map (every c x^d with c != 0)
-    stops after row 1, and _power_rows rotates that row into rows
-    2 .. 2^n - 1. Every later block is a reused buffer, to be read before
-    the next is asked for.
+    kernel (see _bct_blocks), and _row_source states the one-orbit rule.
     """
-    N, table = f.spec.size, f.table
-    sym = _symmetry(f)
-    counted = 2 if sym.order == N - 1 else N
-    yield 0, _autocorrelation(np.bincount(table, minlength=N))[None]
-    for a, block, _, _ in _bct_blocks(table, np.arange(1, counted)):
-        yield int(a[0]), block
-    if counted < N:
-        yield from _power_rows(f, sym.e, block[-1])
+    row0 = _autocorrelation(np.bincount(f.table, minlength=f.spec.size))
+    return _row_source(f, row0, _bct_blocks)
 
 
-def _bct_blocks(table: np.ndarray, rows: np.ndarray):
-    """Count the BCT rows a in rows, nonzero and increasing, with the row kernel.
+def _rows_per_block(n: int) -> int:
+    """The row kernel's rows per block: about _BLOCK derivative values, and
+    at most 2^(32 - 2n) rows, so the packed keys fit in uint32 (see _bct_rows)."""
+    return min(max(1, _BLOCK >> n - 1), 1 << 32 - 2 * n)
 
-    The rows sharing a top bit run in blocks of about _BLOCK derivative
-    values through _bct_rows, whose temporaries stay near cache size, and
-    at most 2^(32 - 2n) rows, so their packed keys fit in uint32 (see
-    _bct_rows); counts are integer sums, so the block size changes no
-    cell. table is converted to uint32 once per call, and the kernel's
-    work buffers are allocated once per call too: the uint32 keys, the
-    int32 DDT halves and each row's key offset i 2^n, so no block
-    allocates them again; the representatives and their values are taken
-    once per top bit. Yields (a, block, ddt_halves, half_max) per block, in
-    increasing a: the DDT rows halved and their maximum (see _bct_rows).
-    block and ddt_halves are reused buffers, block of _fast_dtype(n), to
-    be read before the next is asked for.
+
+def _derivative_counts(table: np.ndarray, rows: np.ndarray):
+    """Yield (a, ddt_rows, frep, key) per block of the rows a in rows, nonzero and increasing.
+
+    The count stage of the row kernel, which both tables read: ddt_rows
+    holds the DDT rows a, counted on the fibres of D_a(y) = f(y+a) + f(y).
+    A fibre is closed under y -> y+a, so each representative r of a pair
+    {y, y+a}, the y with the top bit of a clear, adds 2 to DDT(a, D_a(r)),
+    by one int32 np.add.at per block. The rows sharing a top bit run in
+    blocks of _rows_per_block(n) rows, whose temporaries stay near cache
+    size; counts are integer sums, so the block size changes no cell. frep
+    holds the representatives' values f(r), taken once per top bit, and
+    key (uint32, (rows, 2^(n-1))) the bucket keys i 2^n + D_a(r) of row i,
+    which the BCT kernel goes on to pack and sort in place (see
+    _bct_rows). table is converted to uint32 once per call, and ddt_rows,
+    key and each row's key offset i 2^n are allocated once per call too:
+    ddt_rows and key are reused buffers, to be read before the next block
+    is asked for.
     """
     N = table.size
     n = N.bit_length() - 1
     table = table.astype(np.uint32)
-    per = min(max(1, _BLOCK // (N // 2)), 1 << 32 - 2 * n)
-    size = min(per, rows.size)
-    buf = np.empty((size, N), dtype=_fast_dtype(n))
-    key = np.empty((size, N // 2), dtype=np.uint32)
-    half = np.empty((size, N), dtype=np.int32)
+    size = min(_rows_per_block(n), rows.size)
+    key_buf = np.empty((size, N // 2), dtype=np.uint32)
+    ddt_buf = np.empty((size, N), dtype=np.int32)
     offs = np.arange(size, dtype=np.uint32)[:, None] * np.uint32(N)
     y = np.arange(N, dtype=np.uint32)
     for k in range(n):
@@ -452,66 +469,67 @@ def _bct_blocks(table: np.ndarray, rows: np.ndarray):
             continue
         reps = y[y & (1 << k) == 0]  # one y of each pair {y, y+a}
         frep = table[reps]
-        for i in range(0, top.size, per):
-            a = top[i : i + per]
-            m = a.size
-            block = buf[:m]
-            yield (a, block, *_bct_rows(table, a, block, reps, frep, key[:m], half[:m], offs[:m]))
+        for i in range(0, top.size, size):
+            a = top[i : i + size]
+            key, ddt_rows = key_buf[: a.size], ddt_buf[: a.size]
+            # key = i * N + beta for the element (a[i], r), beta = D_a[i](r)
+            np.bitwise_xor(reps, a.astype(np.uint32)[:, None], out=key)
+            np.take(table, key, out=key, mode="clip")  # every y+a is below 2^n: written in place
+            key ^= frep
+            key += offs[: a.size]
+            ddt_rows.fill(0)
+            np.add.at(ddt_rows.reshape(-1), key.reshape(-1), np.int32(2))
+            yield a, ddt_rows, frep, key
 
 
-def _bct_rows(
-    table: np.ndarray,
-    a: np.ndarray,
-    out: np.ndarray,
-    reps: np.ndarray,
-    frep: np.ndarray,
-    key: np.ndarray,
-    half: np.ndarray,
-    offs: np.ndarray,
-) -> tuple[np.ndarray, int]:
-    """Write the BCT rows a, an array of shifts sharing one top bit, into out.
+def _bct_blocks(table: np.ndarray, rows: np.ndarray):
+    """Count the BCT rows a in rows, nonzero and increasing, with the row kernel.
+
+    Yields (a, block, ddt_rows, ddt_max) per block, in increasing a: the
+    BCT rows a, and the DDT rows a of the count stage, _derivative_counts,
+    with their maximum, from which _bct_rows counts the pairs. block and
+    ddt_rows are reused buffers, block of _fast_dtype(n), to be read before
+    the next is asked for.
+    """
+    N = table.size
+    n = N.bit_length() - 1
+    buf = np.empty((min(_rows_per_block(n), rows.size), N), dtype=_fast_dtype(n))
+    for a, ddt_rows, frep, key in _derivative_counts(table, rows):
+        block = buf[: a.size]
+        yield a, block, ddt_rows, _bct_rows(block, ddt_rows, frep, key)
+
+
+def _bct_rows(out: np.ndarray, ddt_rows: np.ndarray, frep: np.ndarray, key: np.ndarray) -> int:
+    """Write the BCT rows of one _derivative_counts block into out; return the DDT maximum.
 
     Row a counts the pairs (y, y') in one fibre X of the derivative
     D_a(y) = f(y+a) + f(y) at b = f(y) + f(y') (see bct_row). X is closed
-    under y -> y+a, and the representatives reps hold one y of each pair
-    {y, y+a}: the y with the top bit of a clear, whose values are frep.
-    The pairs (y, y) add N at b = 0, the pairs {y, y+a} add DDT(a, .), and
-    each unordered pair {r, r'} of representatives in one fibre beta adds
-    4 at f(r)+f(r') and 4 at f(r)+f(r')+beta. Every key is a uint32: the
-    bucket key i 2^n + beta and the packed key (i 2^n + beta) 2^n + f(r),
-    below rows * 4^n <= 2^32 (_bct_blocks caps the rows). Row i's keys lie
-    in [i 4^n, (i+1) 4^n), so sorting each row in place sorts the block,
+    under y -> y+a, and the representatives hold one y of each pair
+    {y, y+a}, with values frep. The pairs (y, y) add N at b = 0, the pairs
+    {y, y+a} add DDT(a, .), and each unordered pair {r, r'} of
+    representatives in one fibre beta adds 4 at f(r)+f(r') and 4 at
+    f(r)+f(r')+beta. Every key is a uint32: the bucket key i 2^n + beta
+    and the packed key (i 2^n + beta) 2^n + f(r), below rows * 4^n <= 2^32
+    (_rows_per_block caps the rows). Row i's keys lie in
+    [i 4^n, (i+1) 4^n), so sorting each row in place sorts the block,
     with no filter in front: _equal_pairs walks the equal keys, C(m, 2)
-    pairs for a bucket of m representatives, and skips the buckets of one.
-    The cells of every step of the walk are added together, by one
-    np.add.at per block, or per block's worth of pairs when a block holds
-    more pairs than values.
+    pairs for a bucket of m = DDT(a, beta) / 2 representatives, and skips
+    the buckets of one. The cells of every step of the walk are added
+    together, by one np.add.at per block, or per block's worth of pairs
+    when a block holds more pairs than values.
     A bucket with m^2 > n 2^n goes to the Walsh-Hadamard
     transform instead (see _add_bucket_transforms): timed per bucket on
     two CPUs, the two cost the same between m^2 = 0.6 n 2^n and
     1.3 n 2^n from n = 7 to 14.
     The test reads the block maximum that the DDT peak takes anyway, so a
-    block with no large bucket does no extra work. table is the value
-    table as uint32 and out a C-contiguous (rows, 2^n) array. key (uint32,
-    (rows, 2^(n-1))), half (int32, (rows, 2^n)) and offs (uint32 i 2^n,
-    (rows, 1)) are the caller's work buffers, overwritten here. half counts
-    the representatives per bucket, half of DDT(a, beta), by np.add.at: at
-    most 2^(n-1), so its square is exact in int32 at every n to 16. Returns
-    half, the DDT rows halved, and their maximum.
+    block with no large bucket does no extra work. out is a C-contiguous
+    (rows, 2^n) array, ddt_rows the int32 DDT rows and key their uint32
+    bucket keys, which are packed and sorted here, in place.
     """
-    N = table.size
+    N = out.shape[1]
     n = N.bit_length() - 1
-    # key = i * N + beta for the element (a[i], r), beta = D_a[i](r)
-    np.bitwise_xor(reps, a.astype(np.uint32)[:, None], out=key)
-    np.take(table, key, out=key, mode="clip")  # every y+a is below 2^n: written in place
-    key ^= frep
-    key += offs
-    # reps per bucket: half of DDT(a[i], beta), doubled into out
-    half.fill(0)
-    flat = half.reshape(-1)
-    np.add.at(flat, key.reshape(-1), np.int32(1))
-    most = int(half.max())
-    np.left_shift(half, 1, out=out)
+    most = int(ddt_rows.max())
+    np.copyto(out, ddt_rows)
     out[:, 0] += N
     # key << n | f(r), one run per bucket; each row sorted is the block sorted
     key <<= n
@@ -519,8 +537,9 @@ def _bct_rows(
     key.sort()
     packed = key.ravel()
     ks = packed >> n
-    if most * most > n * N:  # some bucket goes to the transform
-        large = flat[ks] ** 2 > n * N
+    cut = 2 * math.isqrt(n * N)  # m^2 > n 2^n exactly when DDT = 2 m > cut
+    if most > cut:  # some bucket goes to the transform
+        large = ddt_rows.reshape(-1)[ks] > cut
         # int64 keys: np.diff(ks, prepend=-1) takes no uint32
         _add_bucket_transforms(out, ks[large].astype(np.int64), packed[large] & (N - 1))
         packed, ks = packed[~large], ks[~large]
@@ -539,7 +558,7 @@ def _bct_rows(
             cells, held = [], 0
     if cells:
         np.add.at(out.reshape(-1), np.concatenate(cells), four)
-    return half, most
+    return most
 
 
 def _add_bucket_transforms(out: np.ndarray, ks: np.ndarray, fr: np.ndarray) -> None:
@@ -663,7 +682,7 @@ def _find_symmetry(f: SBox) -> _Symmetry:
 
 
 def _orbit_rows(f: SBox):
-    """Yield (a, size, block, ddt_halves, half_max) for the orbit representatives a.
+    """Yield (a, size, block, ddt_rows, ddt_max) for the orbit representatives a.
 
     The orbits of a != 0 under a -> c a^(2^k) (c in U, k over 0 .. n-1 when
     f commutes with squaring, k = 0 otherwise; see _symmetry), each led by
@@ -673,14 +692,14 @@ def _orbit_rows(f: SBox):
     fixed, so one row per orbit, weighted by the orbit's size, holds every
     maximum and every value count over b != 0. The representatives come in
     increasing a in blocks of the row kernel (see _bct_blocks, which also
-    gives the DDT rows halved); block is reused, and size is a read-only
-    view. A map with no symmetry has each a as its own orbit.
+    gives the DDT rows); block and ddt_rows are reused, and size is a
+    read-only view. A map with no symmetry has each a as its own orbit.
     """
     spec, sym = f.spec, _symmetry(f)
     reps, sizes = spec._shift_orbits(sym.order, sym.frobenius)
     done = 0
-    for a, block, ddt_halves, half_max in _bct_blocks(f.table, reps):
-        yield a, sizes[done : done + a.size], block, ddt_halves, half_max
+    for a, block, ddt_rows, ddt_max in _bct_blocks(f.table, reps):
+        yield a, sizes[done : done + a.size], block, ddt_rows, ddt_max
         done += a.size
 
 
@@ -690,14 +709,12 @@ def _orbit_report(f: SBox, algorithm: str) -> UniformityReport:
     The rows of an orbit share their maxima, so the least a whose row
     reaches a maximum is its orbit's least element, a representative, and
     the first row-major witnesses are the full tables' (the _peak rule).
-    The DDT rows come halved, which moves no witness, so only the maximum
-    is doubled.
     """
     delta = boom = -1
-    for a, _, block, ddt_halves, half_max in _orbit_rows(f):
-        if 2 * half_max > delta:
-            half, (i, b) = _peak(ddt_halves, 0, 0)
-            delta, ddt_arg = 2 * half, (int(a[i]), b)
+    for a, _, block, ddt_rows, ddt_max in _orbit_rows(f):
+        if ddt_max > delta:
+            delta, (i, b) = _peak(ddt_rows, 0, 0)
+            ddt_arg = (int(a[i]), b)
         value, (i, b) = _peak(block[:, 1:], 0, 1)
         if value > boom:
             boom, bct_arg = value, (int(a[i]), b)
@@ -717,9 +734,8 @@ def _power_rows(f: SBox, e: int, row1: np.ndarray):
     -e log a, a window of the doubled row, gathered in blocks of about
     _BLOCK cells into one reused buffer of row1's dtype, to be read before
     the next is asked for. row1 is read before the first block is written.
-    The caller's row source counts rows 0 and 1 by its one method and
-    stops there: _bct_fast_blocks by the autocorrelation and the row
-    kernel, _ddt_blocks by bincounts.
+    Both row sources count rows 0 and 1 and stop there (see _row_source):
+    _ddt_blocks and _bct_fast_blocks by row 0's rule and the row kernel.
     """
     spec = f.spec
     N, m = spec.size, spec.size - 1

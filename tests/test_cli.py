@@ -457,6 +457,25 @@ def test_parameters_outside_the_field_exit_2(tmp_path, family):
     assert "field element" in proc.stderr and not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["ddt", "--family", "gold n=5 i=1"],
+    ["ddt", "--family", "gold n=11 i=1"],
+    ["bct", "--json", "--family", "gold n=7 i=1"],
+])
+def test_a_reader_that_goes_away_ends_the_output_quietly(argv):
+    # stdout is a pipe whose read end is closed, as when head has its
+    # bytes: exit 1 with nothing on stderr, not exit 2 as if refused; a
+    # short text fails at the flush, a long one in a write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "bctlab", *argv], env=_child_env(),
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1 and proc.stderr == b"", argv
+
+
 _COLD_WARM_SCRIPT = r"""
 import contextlib, io, json, re, sys
 from bctlab import cli

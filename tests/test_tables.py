@@ -288,15 +288,12 @@ def _symmetric_corpus():
 
 
 def _engine_rows(f):
-    """{a: (BCT row, DDT row, orbit size)} for the representatives a.
-
-    The engine yields the DDT rows halved, so each is doubled here.
-    """
+    """{a: (BCT row, DDT row, orbit size)} for the representatives a."""
     rows = {}
-    for a, size, block, halves, half_max in tables._orbit_rows(f):
-        assert half_max == halves.max()
+    for a, size, block, ddt_rows, ddt_max in tables._orbit_rows(f):
+        assert ddt_max == ddt_rows.max()
         for i, r in enumerate(a.tolist()):
-            rows[r] = block[i].copy(), 2 * halves[i], int(size[i])
+            rows[r] = block[i].copy(), ddt_rows[i].copy(), int(size[i])
     return rows
 
 
@@ -766,24 +763,21 @@ def test_bct_rows_from_representative_pairs_of_derivative_fibres(rng):
                 assert _row_from_representative_pairs(f, a) == expect[a].tolist(), (n, a)
 
 
-def test_bct_blocks_keep_packed_keys_in_32_bits(monkeypatch):
+def test_bct_blocks_keep_packed_keys_in_32_bits():
     # the kernel packs (row, beta, f(r)) into one uint32 below rows * 4^n,
     # so no block may hold more than 2^(32 - 2n) rows: the cap binds at
-    # n = 15 (4 rows, not 8) and n = 16 (one row, not 4). The kernel is
-    # stubbed, so every n the field supports is read in full
-    sizes = []
-
-    def kernel(table, a, out, *work):
-        assert table.dtype == np.uint32 and out.shape[0] == a.size
-        sizes.append(a.size)
-        return None, 0
-
-    monkeypatch.setattr(tables, "_bct_rows", kernel)
+    # n = 15 (4 rows, not 8) and n = 16 (one row, not 4). The count stage
+    # blocks the rows, every row to n = 10 and past that the last 40,
+    # which fill whole blocks of the last top bit
     widest = {}
     for n in range(2, 17):
-        N, sizes[:] = 2**n, []
-        rows = np.arange(1, N)
-        blocks = [a for a, *_ in tables._bct_blocks(np.zeros(N, dtype=np.int64), rows)]
+        N = 2**n
+        rows = np.arange(max(1, N - 40) if n > 10 else 1, N)
+        sizes, blocks = [], []
+        for a, ddt_rows, _, key in tables._derivative_counts(np.zeros(N, dtype=np.int64), rows):
+            assert ddt_rows.shape == (a.size, N) and key.dtype == np.uint32
+            sizes.append(a.size)
+            blocks.append(a)
         assert np.array_equal(np.concatenate(blocks), rows)
         assert all(size << 2 * n <= 2**32 for size in sizes), n
         widest[n] = max(sizes)
@@ -867,6 +861,13 @@ def test_row_kernel_matches_the_literal_count_past_the_oracles(rng):
                 assert literal[b_bct] == literal[1:].max() == report.boomerang_uniformity
         D = f.table ^ f.table[np.arange(spec.size) ^ a_ddt]
         assert np.count_nonzero(D == b_ddt) == report.differential_uniformity
+
+
+def test_row_kernel_matches_the_literal_count_at_n_14(rng):
+    # one row of a random permutation of GF(2^14), two past the oracles'
+    # cap, against the O(4^n) literal count (about 1 s)
+    f = random_permutation(make_field(14), rng)
+    assert np.array_equal(bct_row(f, 1), _literal_bct_row(f, 1))
 
 
 def test_bct_fast_does_not_depend_on_block_size(monkeypatch, rng):
@@ -1088,6 +1089,28 @@ def test_bct_0_0_is_the_largest_count(rng):
             t = bct_system(f).counts
             assert t.max() == t[0, 0] == (np.bincount(f.table) ** 2).sum(), (n, f.table)
             assert (t <= t[0]).all(), (n, f.table)
+
+
+def test_ddt_rows_are_the_kernel_counts_past_the_oracles(rng):
+    # the DDT source reads the row kernel's count stage, 2 per
+    # representative r of {r, r + a} at D_a(r): at n = 13, sampled rows of
+    # the streamed DDT, the first and last of every top bit among them,
+    # against the literal bincount of f(x + a) + f(x), on a random map, a
+    # random permutation and a 3-valued map
+    spec = make_field(13)
+    N, x = spec.size, np.arange(spec.size)
+    levels = rng.choice(N, 3, replace=False)
+    for f in (SBox(spec, rng.integers(0, N, N)), random_permutation(spec, rng),
+              SBox(spec, levels[rng.integers(0, 3, N)])):
+        sample = {0, *rng.choice(N, 16).tolist()}
+        sample |= {1 << k for k in range(13)} | {(2 << k) - 1 for k in range(13)}
+        seen = set()
+        for a0, block in tables._ddt_blocks(f):
+            for a in sample & set(range(a0, a0 + len(block))):
+                literal = np.bincount(f.table ^ f.table[x ^ a], minlength=N)
+                assert np.array_equal(block[a - a0], literal), (f.table[:4], a)
+                seen.add(a)
+        assert seen == sample
 
 
 def test_ddt_refuses_tables_over_the_memory_budget(monkeypatch):

@@ -36,7 +36,6 @@ from bctlab import (
     zieve_gamma_candidates,
 )
 from bctlab import tables, walsh
-from bctlab.tables import _ddt_blocks
 from bctlab.walsh import (
     _bct_value_counts,
     _constrained_quad_sum,
@@ -575,13 +574,15 @@ def test_first_moment_equals_the_ddt_square_sum_past_the_oracles(rng):
     # sum over b of BCT(a, b) = sum over beta of DDT(a, beta)^2 for any f,
     # and a permutation's column b = 0 holds 2^n in every row a != 0, so
     # M_1 = sum over a != 0 of the DDT row's squares - 2^n (2^n - 1). The
-    # DDT side counts every y of every row, the direct side one pair of
-    # representatives per bucket and one row per orbit; n = 13 is past the
-    # oracles and the spectrum
+    # DDT side counts every y of every row literally, one bincount of
+    # f(x + a) + f(x) per row, and shares no code with the row kernel; the
+    # direct side counts one pair of representatives per bucket and one row
+    # per orbit; n = 13 is past the oracles and the spectrum
     N = 1 << 13
+    x = np.arange(N)
     for f in (random_permutation(make_field(13), rng), modified_inverse(13)):
-        squares = sum(int((block[max(0, 1 - a0):].astype(np.int64) ** 2).sum())
-                      for a0, block in _ddt_blocks(f))
+        t = f.table
+        squares = sum(int((np.bincount(t ^ t[x ^ a], minlength=N) ** 2).sum()) for a in range(1, N))
         assert bct_moment_direct(f, 1) == squares - N * (N - 1), f
 
 
