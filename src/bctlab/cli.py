@@ -273,8 +273,7 @@ def main(argv=None) -> int:
         else:
             _write(args.run(_load_sbox(args), args), args.out)
             status = 0
-        if sys.stdout is sys.__stdout__:  # so a reader gone away shows here, not at exit
-            sys.stdout.flush()
+        sys.stdout.flush()  # so a reader gone away shows here, not at exit
         return status
     except BrokenPipeError:
         # the text left in the buffer goes to /dev/null at exit, quietly

@@ -84,8 +84,10 @@ Row sources. Each table has one, with one path and one mode: _ddt_blocks
 (row 0, then _derivative_counts), _bct_fast_blocks (row 0 the
 autocorrelation, then _bct_blocks) and walsh._walsh_blocks yield (first
 row, block) in increasing row order, every row once, each block one
-reused buffer of about _BLOCK cells, so a stream needs no memory
-preflight and serves every n. ddt, bct_fast and walsh_spectrum fill
+reused buffer: about 2 _BLOCK cells for a DDT or BCT block, two cells
+per derivative value, and about _BLOCK for a spectrum block or a
+rotated power-map block, so a stream needs no memory preflight and
+serves every n. ddt, bct_fast and walsh_spectrum fill
 their tables from them through one fill, _filled, after their memory preflights. Whatever reads
 a table once, in row order, reads its source: the CSV exports and walsh
 --json; the spectrum sum S_1 (walsh) reads one row per orbit from the
@@ -378,7 +380,7 @@ def _fast_peak_bytes(n: int) -> int:
     int32 table plus 160 bytes per derivative value of one block (20 MiB at
     2^17 values), so from n = 12 the table dominates. A block has two
     cells per value, so the block and the int32 DDT rows, work buffers
-    allocated once per call (_bct_blocks, _derivative_counts), take 8
+    allocated once per call (_derivative_counts), take 8
     bytes per value each (16 for the int64 block at n = 16); the uint32
     keys, the int64 index copies that np.take and np.add.at make of them
     and the pair walk's int64
@@ -437,8 +439,8 @@ def _rows_per_block(n: int) -> int:
     return min(max(1, _BLOCK >> n - 1), 1 << 32 - 2 * n)
 
 
-def _derivative_counts(table: np.ndarray, rows: np.ndarray):
-    """Yield (a, ddt_rows, frep, key) per block of the rows a in rows, nonzero and increasing.
+def _derivative_counts(table: np.ndarray, rows: np.ndarray, out_dtype=None):
+    """Yield (a, ddt_rows, frep, key, out) per block of the rows a in rows, nonzero and increasing.
 
     The count stage of the row kernel, which both tables read: ddt_rows
     holds the DDT rows a, counted on the fibres of D_a(y) = f(y+a) + f(y).
@@ -450,10 +452,12 @@ def _derivative_counts(table: np.ndarray, rows: np.ndarray):
     holds the representatives' values f(r), taken once per top bit, and
     key (uint32, (rows, 2^(n-1))) the bucket keys i 2^n + D_a(r) of row i,
     which the BCT kernel goes on to pack and sort in place (see
-    _bct_rows). table is converted to uint32 once per call, and ddt_rows,
-    key and each row's key offset i 2^n are allocated once per call too:
-    ddt_rows and key are reused buffers, to be read before the next block
-    is asked for.
+    _bct_rows). Given out_dtype, out is a block of the same shape as
+    ddt_rows, of that dtype, for the caller's rows (None otherwise), so
+    the block size is decided here alone. table is converted to uint32
+    once per call, and ddt_rows, key, out and each row's key offset i 2^n
+    are allocated once per call too: ddt_rows, key and out are reused
+    buffers, to be read before the next block is asked for.
     """
     N = table.size
     n = N.bit_length() - 1
@@ -461,6 +465,7 @@ def _derivative_counts(table: np.ndarray, rows: np.ndarray):
     size = min(_rows_per_block(n), rows.size)
     key_buf = np.empty((size, N // 2), dtype=np.uint32)
     ddt_buf = np.empty((size, N), dtype=np.int32)
+    out_buf = None if out_dtype is None else np.empty((size, N), dtype=out_dtype)
     offs = np.arange(size, dtype=np.uint32)[:, None] * np.uint32(N)
     y = np.arange(N, dtype=np.uint32)
     for k in range(n):
@@ -479,7 +484,7 @@ def _derivative_counts(table: np.ndarray, rows: np.ndarray):
             key += offs[: a.size]
             ddt_rows.fill(0)
             np.add.at(ddt_rows.reshape(-1), key.reshape(-1), np.int32(2))
-            yield a, ddt_rows, frep, key
+            yield a, ddt_rows, frep, key, None if out_buf is None else out_buf[: a.size]
 
 
 def _bct_blocks(table: np.ndarray, rows: np.ndarray):
@@ -491,11 +496,8 @@ def _bct_blocks(table: np.ndarray, rows: np.ndarray):
     ddt_rows are reused buffers, block of _fast_dtype(n), to be read before
     the next is asked for.
     """
-    N = table.size
-    n = N.bit_length() - 1
-    buf = np.empty((min(_rows_per_block(n), rows.size), N), dtype=_fast_dtype(n))
-    for a, ddt_rows, frep, key in _derivative_counts(table, rows):
-        block = buf[: a.size]
+    n = table.size.bit_length() - 1
+    for a, ddt_rows, frep, key, block in _derivative_counts(table, rows, _fast_dtype(n)):
         yield a, block, ddt_rows, _bct_rows(block, ddt_rows, frep, key)
 
 

@@ -224,7 +224,7 @@ def test_exports_are_byte_identical_across_chunk_boundaries(tmp_path, capsys, mo
     monkeypatch.setattr(tables, "_CHUNK", 1)  # every piece its own chunk
     writes = []
     with monkeypatch.context() as m:
-        m.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+        m.setattr(sys, "stdout", SimpleNamespace(write=writes.append, flush=lambda: None))
         assert main(argv) == 0
     assert "".join(writes) == expected
     # one write per chunk: a CSV has the header and one piece per row

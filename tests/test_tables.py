@@ -763,25 +763,40 @@ def test_bct_rows_from_representative_pairs_of_derivative_fibres(rng):
                 assert _row_from_representative_pairs(f, a) == expect[a].tolist(), (n, a)
 
 
-def test_bct_blocks_keep_packed_keys_in_32_bits():
+def test_bct_blocks_keep_packed_keys_in_32_bits(monkeypatch):
     # the kernel packs (row, beta, f(r)) into one uint32 below rows * 4^n,
     # so no block may hold more than 2^(32 - 2n) rows: the cap binds at
-    # n = 15 (4 rows, not 8) and n = 16 (one row, not 4). The count stage
-    # blocks the rows, every row to n = 10 and past that the last 40,
-    # which fill whole blocks of the last top bit
+    # n = 15 (4 rows, not 8) and n = 16 (one row, not 4). The BCT stage is
+    # stubbed; the count stage blocks every row to n = 10, and past that
+    # the first and last 64 rows of every top bit, which fill whole blocks
+    sizes = []
+
+    def kernel(out, ddt_rows, frep, key):
+        n = out.shape[1].bit_length() - 1
+        assert out.dtype == tables._fast_dtype(n) and ddt_rows.shape == out.shape
+        assert key.dtype == np.uint32 and key.shape == (out.shape[0], out.shape[1] // 2)
+        sizes.append(out.shape[0])
+        return 0
+
+    monkeypatch.setattr(tables, "_bct_rows", kernel)
     widest = {}
     for n in range(2, 17):
-        N = 2**n
-        rows = np.arange(max(1, N - 40) if n > 10 else 1, N)
-        sizes, blocks = [], []
-        for a, ddt_rows, _, key in tables._derivative_counts(np.zeros(N, dtype=np.int64), rows):
-            assert ddt_rows.shape == (a.size, N) and key.dtype == np.uint32
-            sizes.append(a.size)
+        N, sizes[:] = 2**n, []
+        if n <= 10:
+            rows = np.arange(1, N)
+        else:
+            rows = np.unique([r for k in range(n) for r in (*range(1 << k, min(2 << k, (1 << k) + 64)),
+                                                              *range(max(1 << k, (2 << k) - 64), 2 << k))])
+        blocks = []
+        for a, block, ddt_rows, _ in tables._bct_blocks(np.zeros(N, dtype=np.int64), rows):
+            assert block.shape == (a.size, N) and ddt_rows.shape == (a.size, N)
+            assert (a >> int(a[0]).bit_length() - 1 == 1).all()  # one top bit
             blocks.append(a)
         assert np.array_equal(np.concatenate(blocks), rows)
+        assert sizes == [a.size for a in blocks]
         assert all(size << 2 * n <= 2**32 for size in sizes), n
         widest[n] = max(sizes)
-    assert (widest[14], widest[15], widest[16]) == (16, 4, 1)
+    assert [widest[n] for n in range(10, 17)] == [256, 128, 64, 32, 16, 4, 1]
 
 
 @pytest.mark.parametrize("n, rows", [(14, 16), (15, 4), (16, 1)])
