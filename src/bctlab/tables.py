@@ -66,7 +66,7 @@ kernel and weighted by the orbit's size. The orbits depend on the field
 and the symmetry alone, so each field computes them once per symmetry and
 keeps them read-only (FieldSpec._shift_orbits). A map with no symmetry has
 each shift as its own orbit, so its rows stream through in blocks. That gives
-boomerang_uniformity on every map that is not a power map and
+boomerang_uniformity on every map but an x^d with n <= 9 and
 monomial_boomerang_uniformity their values and first row-major witnesses,
 and the moments and certificates their value counts (walsh), with no
 table. The same test shortens the row sources of the tables, by one
@@ -74,11 +74,12 @@ rule, _row_source: for a one-orbit map (U = GF(2^n)*: every c x^d with
 c != 0, the nonzero constants c x^0 among them) the kernel stops after
 row 1, which _power_rows rotates into every later row, T(a, b) =
 T(1, b * a^-e) in log order of b. boomerang_uniformity takes
-that table route for the one-orbit maps with f(1) = 1, exactly the x^d,
-while bct_fast can hold their table, and row 1 alone past that reach:
-the benchmark pins `uniformity` on x^3 over GF(2^5) (bench/test_bench.py,
-test_traced_request_counts_repeat_exactly) to one bct_fast call and one
-ddt call.
+that table route only for the one-orbit maps with f(1) = 1, exactly the
+x^d, whose whole table the kernel counts in one block (n <= 9), and reads
+row 1 alone past it, so its route depends on the request, never on the
+machine: the benchmark pins `uniformity` on x^3 over GF(2^5)
+(bench/test_bench.py, test_traced_request_counts_repeat_exactly) to one
+bct_fast call and one ddt call.
 
 Row sources. Each table has one, with one path and one mode: _ddt_blocks
 (row 0, then _derivative_counts), _bct_fast_blocks (row 0 the
@@ -93,7 +94,7 @@ a table once, in row order, reads its source: the CSV exports and walsh
 --json; the spectrum sum S_1 (walsh) reads one row per orbit from the
 spectrum's row kernel. A table is built whole only where it is needed
 whole: DDT and BCT --json, the oracles, S_2, the public builders and the
-x^d route of boomerang_uniformity.
+x^d route of boomerang_uniformity, no larger than one kernel block.
 
 Exports are byte-identical to str() per cell, from one formatter,
 _text_blocks, over a row source (_blocks_of makes one of an array): each
@@ -782,19 +783,22 @@ def _peak(sub: np.ndarray, off_a: int, off_b: int) -> tuple[int, tuple[int, int]
 def boomerang_uniformity(f: SBox, algorithm: str = "fast") -> UniformityReport:
     """Boomerang and differential uniformities with first row-major witnesses.
 
-    With "fast", every map that is not a power map is read off one row per
-    orbit, with no table (see _orbit_report); with no symmetry each a is
-    its own orbit, so its rows stream through in blocks. So is a power map
-    past bct_fast's reach, whose table would exceed physical memory: it is
-    one orbit, read off row 1. Power maps within that reach, the one-orbit
-    maps with f(1) = 1, and the oracles take the table route: the BCT is
-    reduced to its maximum and dropped before the DDT is built, so the two
-    tables are never held at once and each builder's memory check is true.
+    With "fast", every map is read off one row per orbit, with no table
+    (see _orbit_report), except a power map whose whole table the row
+    kernel counts in one block (_rows_per_block(n) >= 2^n: n <= 9 at
+    _BLOCK = 2^17, and never past n = 10 by the uint32 key cap). A map
+    with no symmetry has each a as its own orbit, so its rows stream
+    through in blocks; a power map (a one-orbit map with f(1) = 1) is
+    read off row 1. The route depends on the request alone, never on the
+    machine. The x^d within one block and the oracles take the table
+    route: the BCT is reduced to its maximum and dropped before the DDT is
+    built, so the two tables are never held at once and each builder's
+    memory check is true.
     """
     if algorithm == "fast" and (
         _symmetry(f).order < f.spec.size - 1
         or f.table[1] != 1
-        or _fast_peak_bytes(f.spec.n) > _memory_budget()
+        or _rows_per_block(f.spec.n) < f.spec.size
     ):
         return _orbit_report(f, algorithm)
     t = bct(f, algorithm=algorithm)

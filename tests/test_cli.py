@@ -126,9 +126,7 @@ def test_count_overflow_exits_2(capsys, monkeypatch):
 
 
 def test_table_over_memory_budget_exits_2(capsys, monkeypatch):
-    # uniformity reads a power map past this budget off row 1 instead (see
-    # test_uniformity_of_a_power_map_past_the_tables_reach); --json builds
-    # the table, and CSV, which streams its rows, builds none
+    # --json builds the table, and CSV, which streams its rows, builds none
     monkeypatch.setattr(tables, "_memory_budget", lambda: 1024)
     code, out, err = run_cli(capsys, "bct", "--family", "gold n=3 i=1", "--json")
     assert code == 2
@@ -137,9 +135,9 @@ def test_table_over_memory_budget_exits_2(capsys, monkeypatch):
     assert "physical memory is 1024 bytes" in err
 
 
-def test_uniformity_of_a_power_map_past_the_tables_reach(capsys, monkeypatch):
-    # no table fits, so the inverse map is one orbit read off row 1
-    monkeypatch.setattr(tables, "_memory_budget", lambda: 0)
+def test_uniformity_of_a_power_map_past_the_tables_reach(capsys):
+    # past one kernel block the inverse map is one orbit read off row 1,
+    # whatever the machine's memory: its int32 table alone would be 16 GiB
     code, out, _ = run_cli(capsys, "uniformity", "--family", "inverse n=16")
     assert code == 0
     payload = json.loads(out)
@@ -686,6 +684,7 @@ def test_json_writer_matches_json_dumps_in_one_character_chunks(capsys, tmp_path
 # child's ru_maxrss starts at its parent's peak across exec, so it would
 # read the test runner's memory, not the request's.
 _RISE_SCRIPT = r"""
+import json
 import sys
 from bctlab.cli import main
 
@@ -693,22 +692,30 @@ def peak():
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
 
-verb, small, big, out, *extra = sys.argv[1:]
-assert main([verb, "--file", small, "--out", out, *extra]) == 0
+small, big = json.loads(sys.argv[1])
+assert main(small) == 0
 before = peak()
-assert main([verb, "--file", big, "--out", out, *extra]) == 0
+assert main(big) == 0
 print((peak() - before) * 1024)
 """
 
 
-def _rss_rise(tmp_path, verb, n, *extra):
-    rng = np.random.default_rng(n)
-    paths = []
-    for m in (6, n):
-        paths.append(str(tmp_path / f"perm{m}.sbox"))
-        write_sbox(random_permutation(make_field(m), rng), paths[-1])
+def _permutation_file(tmp_path, n, rng):
+    path = str(tmp_path / f"perm{n}.sbox")
+    write_sbox(random_permutation(make_field(n), rng), path)
+    return ["--file", path]
+
+
+def _rss_rise(tmp_path, verb, big, *extra):
+    """The rise of verb on big: n, for a random permutation of GF(2^n), or a
+    family specification. The small request reads a random permutation of GF(2^6)."""
+    rng = np.random.default_rng(big if isinstance(big, int) else 0)
+    small = _permutation_file(tmp_path, 6, rng)
+    big = _permutation_file(tmp_path, big, rng) if isinstance(big, int) else ["--family", big]
+    tail = ["--out", str(tmp_path / "out"), *extra]
+    requests = json.dumps([[verb, *small, *tail], [verb, *big, *tail]])
     proc = subprocess.run(
-        [sys.executable, "-c", _RISE_SCRIPT, verb, *paths, str(tmp_path / "out"), *extra],
+        [sys.executable, "-c", _RISE_SCRIPT, requests],
         env=_child_env(), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -730,6 +737,10 @@ def test_streamed_requests_stay_below_their_tables(tmp_path):
     # and 11 MiB measured), where the BCT alone would be 256 MiB
     for verb, *extra in (["uniformity"], ["certify", "--delta", "8"]):
         assert _rss_rise(tmp_path, verb, 13, *extra) < 160 * tables._BLOCK
+    # past one kernel block an x^d is read off row 1, whatever the machine's
+    # memory: both rose 0.3 MiB, where the table route rose 65 and 257 MiB
+    for family, n in (("kasami n=12 i=5", 12), ("inverse n=13", 13)):
+        assert _rss_rise(tmp_path, "uniformity", family) < 4**n, family
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")

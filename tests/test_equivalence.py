@@ -36,15 +36,17 @@ def _affine_image(f, rng):
     return g, a1.table ^ a1.constant, np.argsort(a2.table ^ a2.constant)
 
 
-@pytest.mark.parametrize("n", range(3, 11))
+@pytest.mark.parametrize("n", [*range(3, 11), 13])
 def test_bct_of_an_affine_image_is_the_permuted_table(n, rng):
+    # at n = 13 only the value counts and the uniformities, which hold no table
     for f in (inverse_fn(n), modified_inverse(n)):
         g, l1, l2_inv = _affine_image(f, rng)
         assert tables._symmetry(g) == (False, 1, 0), repr(g)
-        tf = bct_fast(f).counts
-        if n <= 6:
-            assert np.array_equal(tf, bct_system(f).counts)
-        assert np.array_equal(bct_fast(g).counts, tf[l1[:, None], l2_inv[None, :]])
+        if n <= 10:
+            tf = bct_fast(f).counts
+            if n <= 6:
+                assert np.array_equal(tf, bct_system(f).counts)
+            assert np.array_equal(bct_fast(g).counts, tf[l1[:, None], l2_inv[None, :]])
         assert _bct_value_counts(g) == _bct_value_counts(f)
         rep_f, rep_g = boomerang_uniformity(f), boomerang_uniformity(g)
         assert rep_g.boomerang_uniformity == rep_f.boomerang_uniformity

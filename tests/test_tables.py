@@ -168,8 +168,11 @@ def test_bct_is_invariant_under_squaring_both_indices():
 
 
 def _takes_table_route(f):
-    """boomerang_uniformity's table test: one orbit with f(1) = 1, that is x^d."""
-    return tables._symmetry(f).order == f.spec.size - 1 and f.table[1] == 1
+    """boomerang_uniformity's table test: one orbit with f(1) = 1, that is x^d,
+    whose whole table the row kernel counts in one block."""
+    N = f.spec.size
+    return (tables._symmetry(f).order == N - 1 and f.table[1] == 1
+            and tables._rows_per_block(f.spec.n) >= N)
 
 
 def _scaled_monomial(spec, c, d):
@@ -181,8 +184,8 @@ def test_power_exponent_detects_power_maps(monkeypatch, rng):
     # power maps are the case U = GF(2^n)* of the one symmetry detector:
     # f(c x) = c^e f(x) for every c, with e = d mod 2^n - 1. Of the
     # one-orbit maps, boomerang_uniformity builds tables exactly for the
-    # x^d; c x^d with c != 0, 1 and the constants other than 1 = x^0 are
-    # read off row 1 with no table
+    # x^d within one kernel block (every n here); c x^d with c != 0, 1 and
+    # the constants other than 1 = x^0 are read off row 1 with no table
     bct_, built = tables.bct, []
 
     def recorded(f, **kwargs):
@@ -1025,23 +1028,44 @@ def test_oracle_peak_estimate_covers_allocations(rng):
             assert n < 9 or peak <= 24 * 4**n, (builder.__name__, peak / 4**n)
 
 
-def test_power_map_past_the_table_budget_reads_row_one(monkeypatch):
-    # exactly where bct_fast would refuse its table, boomerang_uniformity
-    # reads the power map off row 1, with the table route's report
+def test_power_map_past_one_kernel_block_reads_row_one(monkeypatch):
+    # exactly where the row kernel would need a second block for the whole
+    # table (_rows_per_block(5) = 31 at _BLOCK = 511, 32 at 512),
+    # boomerang_uniformity reads the power map off row 1, with the table
+    # route's report
     f = gold(5, 1)
     report = boomerang_uniformity(f)
-    need = tables._fast_peak_bytes(5)
 
     def refuse(*args, **kwargs):
         raise AssertionError("table built")
 
     monkeypatch.setattr(tables, "bct", refuse)
     monkeypatch.setattr(tables, "ddt", refuse)
-    monkeypatch.setattr(tables, "_memory_budget", lambda: need - 1)
+    monkeypatch.setattr(tables, "_BLOCK", 511)
     assert boomerang_uniformity(f) == report and report.algorithm == "fast"
-    monkeypatch.setattr(tables, "_memory_budget", lambda: need)
+    monkeypatch.setattr(tables, "_BLOCK", 512)
     with pytest.raises(AssertionError, match="table built"):
         boomerang_uniformity(f)
+
+
+def test_power_maps_past_one_kernel_block_hold_no_table(monkeypatch):
+    # past n = 9 every x^d is read off row 1, whatever the machine's memory,
+    # with the report of the full tables
+    funcs = [g(n) for n in (10, 11, 12) for g in (inverse_fn, lambda n: kasami(n, 5),
+                                                   lambda n: gold(n, 1))]
+    for f in funcs:  # x^d, one block short of the table route
+        assert tables._symmetry(f).order == f.spec.size - 1 and f.table[1] == 1
+        assert tables._rows_per_block(f.spec.n) < f.spec.size
+    expected = [_table_report(f) for f in funcs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("table built")
+
+    monkeypatch.setattr(tables, "bct", refuse)
+    monkeypatch.setattr(tables, "ddt", refuse)
+    for f, ((delta, ddt_arg), (boom, bct_arg)) in zip(funcs, expected):
+        rep = boomerang_uniformity(f)
+        assert rep == tables.UniformityReport(delta, boom, ddt_arg, bct_arg, "fast"), f
 
 
 def test_bct_fast_peak_estimate_covers_allocations(rng, monkeypatch):

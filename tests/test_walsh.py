@@ -388,6 +388,21 @@ def test_two_uniform_gap_is_the_delta_two_certificate(rng):
         assert two_uniform_certificate(f)[2] == value * 2 ** (6 * n), repr(f)
 
 
+def test_orbit_reduced_second_sum_past_its_cap(monkeypatch):
+    # the cap on S_2 is by cost, not exactness: lifted here alone, the
+    # orbit-reduced S_2 at n = 7 equals the sum over every t and gives the
+    # direct M_2, and the gap is 0 exactly for the APN maps
+    monkeypatch.setattr(walsh, "_MAX_QUAD_SUM_N", 8)
+    for f in (gold(7, 1), inverse_fn(7), modified_inverse(7)):
+        s2 = _spectrum_sums(f, 2)[1]
+        assert s2 == _constrained_quad_sum(walsh_spectrum(f).values, _every_t(7)), repr(f)
+        assert walsh._walsh_moment(s2, 2, 7) == bct_moment_direct(f, 2), repr(f)
+    assert two_uniform_certificate(gold(7, 1))[2] == 0
+    assert two_uniform_certificate(inverse_fn(7))[2] == 0
+    assert two_uniform_certificate(modified_inverse(7))[2] > 0
+    assert two_uniform_certificate(inverse_fn(8))[2] > 0
+
+
 # -- certificate polynomials ----------------------------------------------------------
 
 
