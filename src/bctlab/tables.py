@@ -69,8 +69,10 @@ each shift as its own orbit, so its rows stream through in blocks. That gives
 boomerang_uniformity on every map but an x^d with n <= 9 and
 monomial_boomerang_uniformity their values and first row-major witnesses,
 and the moments and certificates their value counts (walsh), with no
-table. The same test shortens the row sources of the tables, by one
-rule, _row_source: for a one-orbit map (U = GF(2^n)*: every c x^d with
+table. One reducer, _report, takes the values and witnesses off blocks of
+rows: the orbit rows, and the table route's two tables as one block. The
+same test shortens the row sources of the tables, by one rule,
+_row_source: for a one-orbit map (U = GF(2^n)*: every c x^d with
 c != 0, the nonzero constants c x^0 among them) the kernel stops after
 row 1, which _power_rows rotates into every later row, T(a, b) =
 T(1, b * a^-e) in log order of b. boomerang_uniformity takes
@@ -89,7 +91,8 @@ reused buffer: about 2 _BLOCK cells for a DDT or BCT block, two cells
 per derivative value, and about _BLOCK for a spectrum block or a
 rotated power-map block, so a stream needs no memory preflight and
 serves every n. ddt, bct_fast and walsh_spectrum fill
-their tables from them through one fill, _filled, after their memory preflights. Whatever reads
+their tables from them through one fill, _filled, which refuses by memory
+before it allocates or asks the source for a block. Whatever reads
 a table once, in row order, reads its source: the CSV exports and walsh
 --json; the spectrum sum S_1 (walsh) reads one row per orbit from the
 spectrum's row kernel. A table is built whole only where it is needed
@@ -222,24 +225,28 @@ class UniformityReport:
 def ddt(f: SBox) -> KTable:
     """Difference distribution table: counts(a, b) = #{x : f(x+a)+f(x) = b}.
 
-    Filled from its row source, _ddt_blocks (see _filled). Raises
-    MemoryError, before allocating, when the estimated peak exceeds
-    physical memory.
+    Filled from its row source, _ddt_blocks, after the memory preflight
+    (see _filled).
     """
-    _require_memory("ddt", f.spec.n, _ddt_peak_bytes(f.spec.n))
-    return KTable(f.spec, "DDT", _filled(f.spec.size, _ddt_blocks(f)), "ddt")
+    return KTable(f.spec, "DDT", _filled("ddt", f, _ddt_blocks, _ddt_peak_bytes), "ddt")
 
 
-def _filled(N: int, blocks) -> np.ndarray:
-    """The int32 N x N table of a row source: each block copied into its rows.
+def _filled(builder: str, f: SBox, source, peak_bytes) -> np.ndarray:
+    """The int32 2^n x 2^n table of f's row source: each block copied into its rows.
 
-    blocks yields (first row, block) in increasing row order, every row
-    once (see _ddt_blocks). Each block is stored by _int32 as it comes, so
-    an int32 block is copied once, and a block int32 cannot hold is
-    refused before the source is asked for the next.
+    The one fill of every table builder, which owns its memory refusal:
+    MemoryError, before anything is allocated, when peak_bytes(n), the
+    builder's estimated peak, exceeds physical memory (_require_memory);
+    only then is source(f) asked for its blocks, (first row, block) in
+    increasing row order, every row once (see _ddt_blocks). Each
+    block is stored by _int32 as it comes, so an int32 block is copied
+    once, and a block int32 cannot hold is refused before the source is
+    asked for the next.
     """
+    n, N = f.spec.n, f.spec.size
+    _require_memory(builder, n, peak_bytes(n))
     table = np.empty((N, N), dtype=np.int32)
-    for a0, block in blocks:
+    for a0, block in source(f):
         table[a0 : a0 + len(block)] = _int32(block)
     return table
 
@@ -416,11 +423,10 @@ def bct_fast(f: SBox) -> KTable:
     Filled from its row source, _bct_fast_blocks (see _filled), whose
     first block, row 0, holds the largest count (see the module
     docstring): a table int32 cannot hold is refused there, before the
-    kernel counts any other row. Raises MemoryError, before allocating,
-    when the estimated peak exceeds physical memory.
+    kernel counts any other row. Refused by memory before that, as every
+    table is (see _filled).
     """
-    _require_memory("bct_fast", f.spec.n, _fast_peak_bytes(f.spec.n))
-    return KTable(f.spec, "BCT", _filled(f.spec.size, _bct_fast_blocks(f)), "fast")
+    return KTable(f.spec, "BCT", _filled("bct_fast", f, _bct_fast_blocks, _fast_peak_bytes), "fast")
 
 
 def _bct_fast_blocks(f: SBox):
@@ -711,10 +717,24 @@ def _orbit_report(f: SBox, algorithm: str) -> UniformityReport:
 
     The rows of an orbit share their maxima, so the least a whose row
     reaches a maximum is its orbit's least element, a representative, and
-    the first row-major witnesses are the full tables' (the _peak rule).
+    the first row-major witnesses are the full tables' (see _report).
+    """
+    return _report(_orbit_rows(f), algorithm)
+
+
+def _report(rows, algorithm: str) -> UniformityReport:
+    """Both uniformities and their first row-major witnesses, from blocks of rows.
+
+    rows yields (a, size, block, ddt_rows, ddt_max) in increasing a, as
+    _orbit_rows does: the BCT rows a in block, the DDT rows a in ddt_rows
+    and their maximum (size is not read). The first block to reach a
+    maximum holds its first row-major position (the _peak rule), so the
+    witnesses are the least a reaching each maximum and, in its row, the
+    least b (b != 0 in the BCT). The one reducer of boomerang_uniformity,
+    whose table route passes rows 1 .. 2^n - 1 of both tables as one block.
     """
     delta = boom = -1
-    for a, _, block, ddt_rows, ddt_max in _orbit_rows(f):
+    for a, _, block, ddt_rows, ddt_max in rows:
         if ddt_max > delta:
             delta, (i, b) = _peak(ddt_rows, 0, 0)
             ddt_arg = (int(a[i]), b)
@@ -791,27 +811,19 @@ def boomerang_uniformity(f: SBox, algorithm: str = "fast") -> UniformityReport:
     through in blocks; a power map (a one-orbit map with f(1) = 1) is
     read off row 1. The route depends on the request alone, never on the
     machine. The x^d within one block and the oracles take the table
-    route: the BCT is reduced to its maximum and dropped before the DDT is
-    built, so the two tables are never held at once and each builder's
-    memory check is true.
+    route: it builds the BCT and then the DDT, and hands rows 1 .. 2^n - 1
+    of both to the orbit route's reducer as one block (see _report), so the
+    two tables are held together at the end. On the x^d route each is at
+    most 1 MiB; on the oracle routes the oracle's own peak, 21-23 bytes per
+    cell, stays the larger.
     """
+    N = f.spec.size
     if algorithm == "fast" and (
-        _symmetry(f).order < f.spec.size - 1
-        or f.table[1] != 1
-        or _rows_per_block(f.spec.n) < f.spec.size
+        _symmetry(f).order < N - 1 or f.table[1] != 1 or _rows_per_block(f.spec.n) < N
     ):
         return _orbit_report(f, algorithm)
-    t = bct(f, algorithm=algorithm)
-    boom, bct_arg = _peak(t.counts[1:, 1:], 1, 1)
-    del t  # the BCT goes before any DDT is built
-    delta, ddt_arg = _peak(ddt(f).counts[1:, :], 1, 0)
-    return UniformityReport(
-        differential_uniformity=delta,
-        boomerang_uniformity=boom,
-        ddt_argmax=ddt_arg,
-        bct_argmax=bct_arg,
-        algorithm=algorithm,
-    )
+    t, d = bct(f, algorithm=algorithm).counts[1:], ddt(f).counts[1:]
+    return _report([(np.arange(1, N), None, t, d, int(d.max()))], algorithm)
 
 
 def monomial_boomerang_uniformity(spec: FieldSpec, d: int) -> UniformityReport:

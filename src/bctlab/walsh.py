@@ -53,7 +53,7 @@ import numpy as np
 
 from .gf2n import _PARITY16, _autocorrelation, _fwht
 from .sbox import SBox
-from .tables import _BLOCK, _filled, _orbit_rows, _require_memory, _stored, _symmetry
+from .tables import _BLOCK, _filled, _orbit_rows, _stored, _symmetry
 
 __all__ = [
     "WalshSpectrum",
@@ -91,8 +91,7 @@ def walsh_spectrum(f: SBox) -> WalshSpectrum:
     anything is allocated, when _spectrum_peak_bytes exceeds physical
     memory (16 GiB of int32 at n = 16). The row source and the row sums
     refuse nothing."""
-    _require_memory("walsh_spectrum", f.spec.n, _spectrum_peak_bytes(f.spec.n))
-    return WalshSpectrum(f.spec, _filled(f.spec.size, _walsh_blocks(f)))
+    return WalshSpectrum(f.spec, _filled("walsh_spectrum", f, _walsh_blocks, _spectrum_peak_bytes))
 
 
 def _spectrum_peak_bytes(n: int) -> int:

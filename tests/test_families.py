@@ -6,6 +6,7 @@ import pytest
 from bctlab import (
     FamilySpec,
     bct_fast,
+    bct_row,
     bct_system,
     boomerang_uniformity,
     bracken_leander,
@@ -26,6 +27,7 @@ from bctlab import (
     make_field,
     modified_inverse,
     modified_inverse_condition_sets,
+    modified_inverse_expected_delta,
     modified_inverse_special_solutions,
     niho,
     welch,
@@ -33,6 +35,7 @@ from bctlab import (
     zieve_binomial_inverse,
     zieve_gamma_candidates,
 )
+from bctlab import tables
 from bctlab.families import FAMILY_PARAMETERS, cube_condition_roots
 from bctlab.walsh import _bct_value_counts
 
@@ -187,6 +190,54 @@ def test_modified_inverse_values():
 )
 def test_modified_inverse_uniformity(n, delta):
     assert boomerang_uniformity(modified_inverse(n)).boomerang_uniformity == delta
+
+
+def _switched_bct_rows(n, shifts, per=64):
+    """Rows T_g(a, .) of the modified inverse g for the nonzero shifts, by switching.
+
+    g is the inverse F with its values at 0 and 1 swapped, so a solution
+    (x, y) of h(x)+h(y) = b = h(x+a)+h(y+a) none of whose points lies in
+    {0, 1} is one for h = F and h = g alike: with S' = {0, 1, a, a+1},
+    T_g(a, b) = T_F(a, b) - C_F(a, b) + C_g(a, b), where C_h counts h's
+    solutions with x or y in S'. The solutions are symmetric, so C_h is
+    twice the solving x in S', less those whose partner y is in S' too;
+    x's partners are the y with D_a h(y) = D_a h(x), at b = h(x)+h(y).
+    T_F(a, b) = T_F(1, a b), as F is x^-1. O(|S'| 2^n) per row, in blocks
+    of per shifts.
+    """
+    F, g = inverse_fn(n), modified_inverse(n)
+    spec, y = F.spec, np.arange(F.spec.size)
+    row1 = bct_row(F, 1)
+    out = []
+    for i in range(0, len(shifts), per):
+        a = np.asarray(shifts[i : i + per])[:, None]
+        x = np.array([0, 1, 0, 1]) ^ np.array([0, 0, 1, 1]) * a  # S', one row per a
+        once = (np.arange(4) < 2) | (a != 1)  # S' = {0, 1} when a = 1
+        switched = row1[spec.mul_vec(a, y)]
+        for h, sign in ((F.table, -1), (g.table, 1)):
+            D = h ^ h[y ^ a]  # D_a h, one row per a
+            r, k, z = np.nonzero(D[:, None] == np.take_along_axis(D, x, 1)[:, :, None])
+            weight = once[r, k] * (2 - ((z < 2) | ((z ^ a[r, 0]) < 2)))
+            np.add.at(switched, (r, h[x[r, k]] ^ h[z]), sign * weight)
+        out.append(switched)
+    return np.concatenate(out)
+
+
+def test_switching_oracle_gives_theorem_9_past_the_oracles():
+    # Theorem 9 by the switching method: the modified inverse's rows from
+    # the inverse's row 1 and the solutions through {0, 1, a, a+1}, equal to
+    # the row kernel's at n = 13-14, and its boomerang uniformity over every
+    # Frobenius orbit at n = 13
+    for n in (13, 14):
+        g = modified_inverse(n)
+        shifts = [1, 2, 3, g.spec.size - 1, *np.random.default_rng(n).integers(4, g.spec.size, 4)]
+        for a, row in zip(shifts, _switched_bct_rows(n, shifts)):
+            assert np.array_equal(row, bct_row(g, a)), (n, a)
+    g = modified_inverse(13)
+    reps, _ = g.spec._shift_orbits(1, True)
+    assert tables._symmetry(g) == (True, 1, 0) and reps.size == 631
+    rows = _switched_bct_rows(13, reps)
+    assert rows[:, 1:].max() == 6 == modified_inverse_expected_delta(13)
 
 
 # -- the x^(q+2) + gamma x binomial ---------------------------------------------------------

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import sys
 import tracemalloc
 
@@ -604,6 +605,36 @@ def test_quadratic_bound_all_gold_permutations():
     assert rep.boomerang_uniformity == rep.differential_uniformity == 2
 
 
+def _quadratic_bct_row(f, a):
+    """T(a, .) of a map of algebraic degree at most 2, as a sum of DDT rows.
+
+    D_a f is affine, so D_a f(x) = D_a f(y) exactly when x + y lies in
+    K_a = {z : D_a f(z) = D_a f(0)}, and T(a, b) is the sum over z in K_a
+    of DDT(z, b), each row counted literally. Returns the row and K_a.
+    """
+    N, t = f.spec.size, f.table
+    x = np.arange(N)
+    D = t ^ t[x ^ a]
+    K = np.flatnonzero(D == D[0])
+    return sum(np.bincount(t ^ t[x ^ z], minlength=N) for z in K), K
+
+
+def test_quadratic_bct_rows_are_sums_of_ddt_rows(rng):
+    # Gold maps between random affine permutations, quadratic with no
+    # detected symmetry, so the kernel counts each row with no rotation;
+    # every nonzero count of DDT(a, .) is |K_a| (2, 4 and 16 here)
+    for n, i in ((13, 1), (14, 2), (12, 4)):
+        spec = make_field(n)
+        f = affine_apply(random_affine_permutation(spec, rng), gold(n, i), "pre")
+        f = affine_apply(random_affine_permutation(spec, rng), f, "post")
+        assert tables._symmetry(f) == (False, 1, 0)
+        for a in rng.choice(np.arange(1, spec.size), 16, replace=False):
+            row, K = _quadratic_bct_row(f, a)
+            assert np.array_equal(row, bct_row(f, a)), (n, i, a)
+            counts = np.bincount(f.table ^ f.table[np.arange(spec.size) ^ a])
+            assert set(counts[counts > 0]) == {K.size} == {2 ** math.gcd(n, i)}, (n, i, a)
+
+
 # -- invariants ---------------------------------------------------------------------
 
 
@@ -1026,6 +1057,28 @@ def test_oracle_peak_estimate_covers_allocations(rng):
                 tracemalloc.stop()
             assert peak <= tables._oracle_peak_bytes(n), (builder.__name__, n)
             assert n < 9 or peak <= 24 * 4**n, (builder.__name__, peak / 4**n)
+
+
+def _uniformity_peak(f, algorithm):
+    tracemalloc.start()
+    try:
+        boomerang_uniformity(f, algorithm)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_table_route_peak_holds_both_tables_within_the_estimates(rng):
+    # the table route holds the BCT and the DDT together at its end: on the
+    # oracle routes the oracle's own peak stays the larger, and an x^d's
+    # route adds one int32 BCT to the DDT's estimate
+    f = random_permutation(make_field(8), rng)
+    for algorithm in ("naive", "system"):
+        assert _uniformity_peak(f, algorithm) <= tables._oracle_peak_bytes(8), algorithm
+    for n in (8, 9):
+        f = gold(n, 1)
+        assert _takes_table_route(f)
+        assert _uniformity_peak(f, "fast") <= tables._ddt_peak_bytes(n) + 4 * 4**n, n
 
 
 def test_power_map_past_one_kernel_block_reads_row_one(monkeypatch):
