@@ -31,6 +31,7 @@ import numpy as np
 
 from .gf2n import FieldSpec, cubic_roots, find_omega, make_field
 from .sbox import SBox, from_monomial, from_polynomial
+from .tables import _BLOCK
 
 __all__ = [
     "FamilySpec",
@@ -291,16 +292,22 @@ def modified_inverse_special_solutions(
 
 
 def modified_inverse_condition_sets(spec: FieldSpec) -> dict[str, set[tuple[int, int]]]:
-    """The four condition sets over all admissible (a, b), keyed by case."""
+    """The four condition sets over all admissible (a, b), keyed by case.
+
+    Evaluated over blocks of shifts a, about _BLOCK cells (a, b) each, so
+    no array of all 4^n cells is built.
+    """
     shifts = _excluded_shifts(spec)
     avals = np.array([a for a in range(2, spec.size) if a not in shifts], dtype=np.int64)
     bvals = np.arange(1, spec.size, dtype=np.int64)
-    A, B = np.meshgrid(avals, bvals, indexing="ij")
-    A, B = A.ravel(), B.ravel()
-    return {
-        case: {(int(x), int(y)) for x, y in zip(A[m], B[m])}
-        for case, m in _special_points(spec, A, B).items()
-    }
+    sets = {case: set() for case in ("x=0", "x=1", "x=a", "x=a+1")}
+    per = max(1, _BLOCK // bvals.size)
+    for i in range(0, avals.size, per):
+        A = np.repeat(avals[i : i + per], bvals.size)
+        B = np.tile(bvals, A.size // bvals.size)
+        for case, m in _special_points(spec, A, B).items():
+            sets[case].update(zip(A[m].tolist(), B[m].tolist()))
+    return sets
 
 
 def cube_condition_roots(spec: FieldSpec) -> set[int]:

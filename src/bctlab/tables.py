@@ -41,10 +41,11 @@ rows, row offsets, the BCT block) are allocated once per call, so no
 block allocates them again; bct_row(f, a) is one row.
 One refusal rule: a table refuses by memory; a stream or a row sum never
 does; the O(2^3n) oracles and S_2 refuse by cost. Every table builder
-(ddt, bct_fast, the oracles, walsh.walsh_spectrum) refuses, before
-allocating, a table whose estimated peak exceeds physical memory, and the
-two O(2^3n) oracles refuse n > 12, which would take half an hour at
-n = 13. No builder starts a thread.
+(ddt, bct_fast, the oracles, walsh.walsh_spectrum) fills its table
+through one fill, _filled, the only code that allocates a table, which
+refuses, before allocating, a table whose estimated peak exceeds physical
+memory; the two O(2^3n) oracles refuse n > 12 before that, which would
+take half an hour at n = 13. No builder starts a thread.
 Every table is stored as int32, by one rule, _int32: an int32 array is
 kept as it is, any other integer or bool array is converted, and a value
 int32 cannot hold, or a dtype that is not integer, is refused. KTable and
@@ -92,12 +93,14 @@ per derivative value, and about _BLOCK for a spectrum block or a
 rotated power-map block, so a stream needs no memory preflight and
 serves every n. ddt, bct_fast and walsh_spectrum fill
 their tables from them through one fill, _filled, which refuses by memory
-before it allocates or asks the source for a block. Whatever reads
-a table once, in row order, reads its source: the CSV exports and walsh
---json; the spectrum sum S_1 (walsh) reads one row per orbit from the
-spectrum's row kernel. A table is built whole only where it is needed
-whole: DDT and BCT --json, the oracles, S_2, the public builders and the
-x^d route of boomerang_uniformity, no larger than one kernel block.
+before it allocates or asks the source for a block; the oracles fill
+through it from their own rows, one row a block (_naive_rows,
+_system_rows). Whatever reads a table once, in row order, reads its
+source: the CSV exports and walsh --json; the spectrum sums (walsh) read
+the spectrum's row kernel, S_1 one row per orbit and S_2 the blocks of
+the rows g and g ^ t side by side. A table is built whole only where it is needed
+whole: DDT and BCT --json, the oracles, the public builders and the x^d
+route of boomerang_uniformity, no larger than one kernel block.
 
 Exports are byte-identical to str() per cell, from one formatter,
 _text_blocks, over a row source (_blocks_of makes one of an array): each
@@ -234,17 +237,21 @@ def ddt(f: SBox) -> KTable:
 def _filled(builder: str, f: SBox, source, peak_bytes) -> np.ndarray:
     """The int32 2^n x 2^n table of f's row source: each block copied into its rows.
 
-    The one fill of every table builder, which owns its memory refusal:
-    MemoryError, before anything is allocated, when peak_bytes(n), the
-    builder's estimated peak, exceeds physical memory (_require_memory);
-    only then is source(f) asked for its blocks, (first row, block) in
-    increasing row order, every row once (see _ddt_blocks). Each
-    block is stored by _int32 as it comes, so an int32 block is copied
-    once, and a block int32 cannot hold is refused before the source is
-    asked for the next.
+    The one fill of every table builder, and the only code that allocates
+    a table or refuses one by memory: MemoryError, before anything is
+    allocated, when peak_bytes(n), the builder's estimated peak, exceeds
+    physical memory (_memory_budget); only then is source(f) asked for its
+    blocks, (first row, block) in increasing row order, every row once
+    (see _ddt_blocks). Each block is stored by _int32 as it comes, so an
+    int32 block is copied once, and a block int32 cannot hold is refused
+    before the source is asked for the next.
     """
     n, N = f.spec.n, f.spec.size
-    _require_memory(builder, n, peak_bytes(n))
+    need, budget = peak_bytes(n), _memory_budget()
+    if need > budget:
+        raise MemoryError(
+            f"{builder} at n = {n} needs about {need} bytes; physical memory is {budget} bytes"
+        )
     table = np.empty((N, N), dtype=np.int32)
     for a0, block in source(f):
         table[a0 : a0 + len(block)] = _int32(block)
@@ -296,43 +303,45 @@ def bct_naive(f: SBox) -> KTable:
     """Inverse-based reference count, O(2^3n); requires a permutation.
 
     Entry (a, b) counts the x with finv(f(x)+b) + finv(f(x+a)+b) = a,
-    the single-variable form of the pair count at the same index. Every
-    row is counted into an int32 table, which KTable keeps without a copy:
-    a count is at most 4^n, below 2^31 under the cap. Refused past
-    n = _MAX_ORACLE_N or over physical memory, before any work (see
-    _require_oracle).
+    the single-variable form of the pair count at the same index. Refused
+    past n = _MAX_ORACLE_N (_require_oracle) and then by memory, before
+    any work; filled from its rows, _naive_rows, by the one fill (see
+    _filled).
     """
     _require_oracle("bct_naive", f.spec.n)
-    g = inverse_table(f).table
-    N = f.spec.size
-    table = f.table
-    idx = np.arange(N)
-    # M[x, b] = finv(f(x) + b), shared across rows
-    M = g[table[:, None] ^ idx[None, :]]
-    counts = np.empty((N, N), dtype=np.int32)
-    for a in range(N):
-        counts[a] = ((M ^ M[idx ^ a, :]) == a).sum(axis=0)
+    counts = _filled("bct_naive", f, _naive_rows, _oracle_peak_bytes)
     return KTable(f.spec, "BCT", counts, "naive")
+
+
+def _naive_rows(f: SBox):
+    """Yield (a, row), bct_naive's int32 row a as one block, for every a in order."""
+    g = inverse_table(f).table
+    idx = np.arange(f.spec.size)
+    # M[x, b] = finv(f(x) + b), shared across rows
+    M = g[f.table[:, None] ^ idx[None, :]]
+    for a in range(f.spec.size):
+        yield a, ((M ^ M[idx ^ a, :]) == a).sum(axis=0, dtype=np.int32, keepdims=True)
 
 
 def bct_system(f: SBox) -> KTable:
     """Literal pair count of the two-equation system, O(2^3n); any function.
 
-    Every row is counted into an int32 table, as in bct_naive. Refused
-    past n = _MAX_ORACLE_N or over physical memory, before any work (see
-    _require_oracle).
+    Refused and filled as bct_naive is, from its rows, _system_rows.
     """
     _require_oracle("bct_system", f.spec.n)
-    N = f.spec.size
-    table = f.table
+    counts = _filled("bct_system", f, _system_rows, _oracle_peak_bytes)
+    return KTable(f.spec, "BCT", counts, "system")
+
+
+def _system_rows(f: SBox):
+    """Yield (a, row), bct_system's row a as one block, for every a in order."""
+    N, table = f.spec.size, f.table
     idx = np.arange(N)
     B1 = table[:, None] ^ table[None, :]
-    counts = np.empty((N, N), dtype=np.int32)
     for a in range(N):
         fa = table[idx ^ a]
         mask = B1 == (fa[:, None] ^ fa[None, :])
-        counts[a] = np.bincount(B1[mask], minlength=N)
-    return KTable(f.spec, "BCT", counts, "system")
+        yield a, np.bincount(B1[mask], minlength=N)[None]
 
 
 def _memory_budget() -> int:
@@ -340,25 +349,13 @@ def _memory_budget() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _require_memory(builder: str, n: int, need: int) -> None:
-    """Raise MemoryError when a build's estimated peak exceeds the budget."""
-    budget = _memory_budget()
-    if need > budget:
-        raise MemoryError(
-            f"{builder} at n = {n} needs about {need} bytes; "
-            f"physical memory is {budget} bytes"
-        )
-
-
 def _require_oracle(builder: str, n: int) -> None:
-    """Refuse an O(2^3n) oracle past n = _MAX_ORACLE_N (ValueError) or
-    over physical memory (MemoryError, see _oracle_peak_bytes)."""
+    """Refuse an O(2^3n) oracle past n = _MAX_ORACLE_N (ValueError), by its cost."""
     if n > _MAX_ORACLE_N:
         raise ValueError(
             f"{builder} costs O(2^3n) steps, about 8 times as long per n "
             f"(30 s at n = 11); capped at n <= {_MAX_ORACLE_N}, got n = {n}"
         )
-    _require_memory(builder, n, _oracle_peak_bytes(n))
 
 
 def _ddt_peak_bytes(n: int) -> int:
@@ -837,8 +834,34 @@ def monomial_boomerang_uniformity(spec: FieldSpec, d: int) -> UniformityReport:
     return _orbit_report(from_monomial(spec, d), "row")
 
 
+def _algebraic_degree(f: SBox) -> int:
+    """The largest weight of a u whose monomial x^u has a nonzero ANF coefficient.
+
+    One XOR Moebius transform of the table, in place on a copy, gives the
+    algebraic normal form of every coordinate at once: bit i of entry u is
+    the coefficient of x^u in coordinate i. 0 for the constant 0.
+    """
+    anf = f.table.copy()
+    h = 1
+    while h < anf.size:
+        pairs = anf.reshape(-1, 2, h)
+        pairs[:, 1] ^= pairs[:, 0]
+        h *= 2
+    return int(np.bitwise_count(np.flatnonzero(anf)).max(initial=0))
+
+
 def quadratic_bound_check(f: SBox) -> bool:
-    """For a quadratic permutation: Delta <= delta_f <= Delta*(Delta-1)."""
+    """For a quadratic permutation: Delta <= delta_f <= Delta*(Delta-1).
+
+    ValueError, before any count, for a map that is not a permutation or
+    has algebraic degree above 2 (_algebraic_degree): the bound's
+    precondition.
+    """
+    if not f.is_permutation():
+        raise ValueError("the quadratic bound holds for permutations only")
+    degree = _algebraic_degree(f)
+    if degree > 2:
+        raise ValueError(f"the quadratic bound needs algebraic degree at most 2, got {degree}")
     rep = _orbit_report(f, "fast")
     lo = rep.differential_uniformity
     return lo <= rep.boomerang_uniformity <= lo * (lo - 1)

@@ -15,9 +15,9 @@ over all 4j-tuples whose a/b and g/e halves each XOR to zero. The boundary
 correction assumes a permutation (rows a=0 and b=0 all equal 2^n), so
 the spectrum side refuses any other map; the table side holds for any.
 The spectrum side is one route: _spectrum_sums refuses a non-permutation
-and S_2 past its cost cap, sums S_1 over the rows of the spectrum and
-builds the spectrum for S_2 alone, and _walsh_moment states the identity
-above. Both sums take one term per orbit of f's symmetry
+and S_2 past its cost cap, sums S_1 and S_2 over the rows of the
+spectrum's row kernel, with no table, and _walsh_moment states the
+identity above. Both sums take one term per orbit of f's symmetry
 (tables._symmetry) weighted by the orbit's size, as the table side takes
 one BCT row per orbit: a power map's S_1 is two rows, u = 0 and one more,
 and a map with no symmetry has every u as its own orbit. The moments M_1 and M_2 come from it, and so does the two-uniform
@@ -36,11 +36,14 @@ way. Its rows come from one kernel, _walsh_rows, a block of any u at a
 time. The row source _walsh_blocks runs it on every u in order:
 walsh_spectrum fills the table from it through the tables' one fill
 (tables._filled), and the CSV and JSON exports read it with no table. S_1
-runs it on one u per orbit. Sums of products of spectrum values are taken
-in int64 or Python ints. One refusal rule holds here as in the tables: a
-table refuses by memory (walsh_spectrum); a stream or a row sum never does
-(the exports and S_1 serve every n to 16); the O(2^3n) oracles and S_2
-refuse by cost (_MAX_QUAD_SUM_N).
+runs it on one u per orbit, and S_2 on every g and g ^ t for one t per
+orbit, a block of each at a time; walsh_spectrum has no caller here and
+serves its public name alone. Sums of products of spectrum values are
+taken in int64, each block cast as it comes, or in Python ints. One
+refusal rule holds here as in the tables: a table refuses by memory
+(walsh_spectrum); a stream or a row sum never does (the exports and S_1
+serve every n to 16); the O(2^3n) oracles and S_2 refuse by cost
+(_MAX_QUAD_SUM_N).
 """
 
 from __future__ import annotations
@@ -194,15 +197,20 @@ def bct_moment_direct(f: SBox, j: int) -> int:
     return sum(c * v**j for v, c in _bct_value_counts(f))
 
 
-def _constrained_quad_sum(W: np.ndarray, terms) -> int:
+def _constrained_quad_sum(rows, size: int, terms) -> int:
     """The 8-fold constrained spectrum sum S_2, exactly, from (t, weight) pairs.
 
-    Factorization: with V_t(g, a) = W(g, a) * W(g^t, a), the sum equals
-    sum over (t, s) of Q(t, s)^2 where Q(t, .) is the XOR-autocorrelation
-    over a of V_t summed over g, two transforms per g (see
-    gf2n._autocorrelation). terms holds each t once with the number of t
-    its term stands for (see _spectrum_sums); every t with weight 1 is the
-    whole sum. W is cast to int64 first, and for a permutation's spectrum
+    rows(us) yields (i, block), the spectrum rows W(u, .) of u = us[i],
+    us[i + 1], ... in the order of us, as the row kernel does (see
+    _walsh_rows), and size is 2^n. Factorization: with V_t(g, a) =
+    W(g, a) * W(g^t, a), the sum equals sum over (t, s) of Q(t, s)^2
+    where Q(t, .) is the XOR-autocorrelation over a of V_t summed over g,
+    two transforms per g (see gf2n._autocorrelation). For each t the
+    blocks of the rows g and of the rows g ^ t come side by side, so V_t
+    is taken one block at a time and no 4^n array is held. terms holds
+    each t once with the number of t its term stands for (see
+    _spectrum_sums); every t with weight 1 is the whole sum. Each block is
+    cast to int64 before the product, and for a permutation's spectrum
     every intermediate is exact in int64 to n = 12. Each row of W has sum
     of squares 2^(2n) (Parseval), so by Cauchy-Schwarz the first transform
     of a row of V_t is at most sum over a of |W(g, a) W(g^t, a)| <= 2^(2n),
@@ -213,11 +221,12 @@ def _constrained_quad_sum(W: np.ndarray, terms) -> int:
     them, at most 2^(5n). The squares of Q and the weighted terms are added
     as Python ints. _MAX_QUAD_SUM_N caps S_2 below n = 12, by its cost.
     """
-    W = np.asarray(W, dtype=np.int64)
-    gidx = np.arange(W.shape[0])
+    g = np.arange(size)
     total = 0
     for t, weight in terms:
-        Q = _autocorrelation(W * W[gidx ^ t, :]).sum(axis=0)
+        Q = np.zeros(size, dtype=np.int64)
+        for (_, w), (_, wt) in zip(rows(g), rows(g ^ t)):
+            Q += _autocorrelation(np.multiply(w, wt, dtype=np.int64)).sum(axis=0)
         total += weight * sum(q * q for q in Q.tolist())
     return total
 
@@ -245,12 +254,13 @@ def _spectrum_sums(f: SBox, j: int) -> list[int]:
     (W / 4)^2 is 2^(2n-4) (Parseval) and |W / 4| <= 2^(n-2), so the sum is
     at most 2^(4n-8), exact to n = 16; the weighted rows and the factor
     4^4 are taken in Python ints. S_2 is the constrained sum above, which
-    reads the whole spectrum, so the table is built for j = 2 alone. The
-    boundary correction of every spectrum-side identity presumes a
-    permutation, so any other f is refused. S_2 costs O(n * 2^3n) after
-    factorization, over the orbits of t, and refuses by that cost past
-    n = _MAX_QUAD_SUM_N, as the O(2^3n) oracles do past theirs; its table
-    would refuse by memory (walsh_spectrum) only far past that.
+    reads the blocks of the same row kernel, the rows g and g ^ t side by
+    side for each t, so it holds no 4^n array either; each t-term computes
+    the spectrum's rows twice. The boundary correction of every
+    spectrum-side identity presumes a permutation, so any other f is
+    refused. S_2 costs O(n * 2^3n) after factorization, over the orbits of
+    t, and refuses by that cost past n = _MAX_QUAD_SUM_N, as the O(2^3n)
+    oracles do past theirs.
     """
     if j not in (1, 2):
         raise ValueError("spectrum-side moments are implemented for j in {1, 2}")
@@ -272,7 +282,8 @@ def _spectrum_sums(f: SBox, j: int) -> list[int]:
     s1 <<= 8
     if j == 1:
         return [s1]
-    return [s1, _constrained_quad_sum(walsh_spectrum(f).values, zip(us.tolist(), weights))]
+    terms = zip(us.tolist(), weights)
+    return [s1, _constrained_quad_sum(lambda g: _walsh_rows(f, g), spec.size, terms)]
 
 
 def _walsh_moment(S: int, j: int, n: int) -> int:

@@ -1,5 +1,7 @@
 """Family constructors, their side conditions, and the special-point analysis."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,7 @@ from bctlab import (
     zieve_binomial_inverse,
     zieve_gamma_candidates,
 )
-from bctlab import tables
+from bctlab import families, tables
 from bctlab.families import FAMILY_PARAMETERS, cube_condition_roots
 from bctlab.walsh import _bct_value_counts
 
@@ -415,6 +417,71 @@ def test_condition_sets_match_scalar_definition(n):
             assert ((a, b) in sets["x=1"]) == (b == inv(a ^ 1) or cond_b == 0)
             assert ((a, b) in sets["x=a"]) == (cond_a == 0)
             assert ((a, b) in sets["x=a+1"]) == (cond_b == 0)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_condition_sets_match_the_special_solutions_cell_by_cell(n, monkeypatch):
+    # every admissible (a, b != 0): the cases whose sets hold the cell are
+    # the cases modified_inverse_special_solutions fires there, and blocks
+    # of one shift each give the sets of one block
+    spec = make_field(n)
+    sets = modified_inverse_condition_sets(spec)
+    monkeypatch.setattr(families, "_BLOCK", spec.size)
+    assert modified_inverse_condition_sets(spec) == sets
+    for a in _admissible_shifts(spec):
+        for b in range(1, spec.size):
+            fired = {case for case, _, _ in modified_inverse_special_solutions(spec, a, b)}
+            assert fired == {case for case, cells in sets.items() if (a, b) in cells}, (a, b)
+
+
+def test_condition_sets_build_no_grid_of_every_cell():
+    # the sets are evaluated over blocks of shifts: one int64 grid of every
+    # (a, b) at n = 10 and the masks over it peaked at 82.6 MiB
+    spec = make_field(10)
+    tracemalloc.start()
+    try:
+        modified_inverse_condition_sets(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20, peak / 2**20
+
+
+def _special_point_cells(table, A):
+    # for each case, the (a, b != 0) at which the map has a solution (x, y)
+    # of f(x)+f(y) = b, f(x+a)+f(y+a) = b with x that case's point
+    y = np.arange(table.size)
+    cells = {}
+    for case, x in (("x=0", 0 * A), ("x=1", 0 * A + 1), ("x=a", A), ("x=a+1", A ^ 1)):
+        b = table[x][:, None] ^ table[y]  # b at (a, y), a solution where the shifted sum agrees
+        i, j = np.nonzero((b == table[x ^ A][:, None] ^ table[y ^ A[:, None]]) & (b != 0))
+        cells[case] = set(zip(A[i].tolist(), b[i, j].tolist()))
+    return cells
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_condition_sets_are_the_special_point_solutions(n):
+    # Theorem 9's case analysis against a literal count: for a outside
+    # {0, 1, w, w^2} and b != 0, the (a, b) at which the modified inverse g
+    # has a solution with x = 0 or x = 1 are that case's set. (x, y) ->
+    # (x+a, y+a) maps solutions to solutions, so x = a adds the set of
+    # x = 0, and x = a+1 that of x = 1
+    spec = make_field(n)
+    sets = modified_inverse_condition_sets(spec)
+    A = np.array(_admissible_shifts(spec))
+    found = _special_point_cells(modified_inverse(n, spec).table, A)
+    assert found["x=0"] == sets["x=0"] and found["x=1"] == sets["x=1"]
+    assert found["x=a"] == sets["x=a"] | sets["x=0"]
+    assert found["x=a+1"] == sets["x=a+1"] | sets["x=1"]
+    # g's BCT differs from the inverse F's exactly where g gains a solution
+    # through {0, 1, a, a+1} (the union of the sets) or F has one there: so
+    # not only where a case fires (180 cells against 120 at n = 5)
+    union = set().union(*sets.values())
+    lost = set().union(*_special_point_cells(inverse_fn(n, spec).table, A).values())
+    diff = bct_fast(modified_inverse(n, spec)).counts != bct_fast(inverse_fn(n, spec)).counts
+    rows, cols = np.nonzero(diff[A, 1:])
+    assert set(zip(A[rows].tolist(), (cols + 1).tolist())) == union | lost
+    assert union < union | lost
 
 
 # -- FamilySpec parsing ---------------------------------------------------------------------

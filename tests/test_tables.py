@@ -605,6 +605,33 @@ def test_quadratic_bound_all_gold_permutations():
     assert rep.boomerang_uniformity == rep.differential_uniformity == 2
 
 
+def _literal_degree(f):
+    # the largest weight of a u whose ANF coefficient, the XOR of f(x) over
+    # the x covered by u, is nonzero
+    x = np.arange(f.spec.size)
+    return max(u.bit_count() for u in range(f.spec.size)
+               if np.bitwise_xor.reduce(f.table[x & u == x]))
+
+
+def test_quadratic_bound_check_refuses_maps_outside_its_precondition(rng):
+    # the bound holds for quadratic permutations: the degree comes from one
+    # XOR Moebius transform of the table, checked against the literal ANF
+    spec7 = make_field(7)
+    quadratic = [gold(5, 1), gold(6, 2), gold(7, 3)]
+    quadratic += [affine_apply(random_affine_permutation(spec7, rng), gold(7, i), side)
+                  for i, side in ((1, "pre"), (2, "post"))]
+    for f in quadratic:
+        assert tables._algebraic_degree(f) == _literal_degree(f) == 2, f
+        assert quadratic_bound_check(f), f
+    for f, degree in ((inverse_fn(5), 4), (kasami(7, 3), 4), (modified_inverse(6), 5),
+                      (random_permutation(spec7, rng), 6)):
+        assert tables._algebraic_degree(f) == _literal_degree(f) == degree, f
+        with pytest.raises(ValueError, match=f"algebraic degree at most 2, got {degree}"):
+            quadratic_bound_check(f)
+    with pytest.raises(ValueError, match="permutations only"):
+        quadratic_bound_check(gold(6, 1))  # x^3 over GF(2^6): 3 divides 63
+
+
 def _quadratic_bct_row(f, a):
     """T(a, .) of a map of algebraic degree at most 2, as a sum of DDT rows.
 
@@ -1043,6 +1070,27 @@ def test_oracles_refuse_tables_over_the_memory_budget(monkeypatch, builder):
     assert builder(f).max_nonzero() == 2
 
 
+def test_oracles_fill_through_the_one_fill_after_their_cost_cap(monkeypatch):
+    # the oracles are row sources filled by _filled, the one allocator of a
+    # table; their cost cap comes first, so n = 13 is refused by cost even
+    # with no memory at all
+    calls, filled = [], tables._filled
+
+    def counted(builder, *args):
+        calls.append(builder)
+        return filled(builder, *args)
+
+    monkeypatch.setattr(tables, "_filled", counted)
+    f = gold(5, 1)
+    assert bct_naive(f).max_nonzero() == bct_system(f).max_nonzero() == 2
+    assert calls == ["bct_naive", "bct_system"]
+    monkeypatch.setattr(tables, "_memory_budget", lambda: 0)
+    for builder in (bct_naive, bct_system):
+        with pytest.raises(ValueError, match="costs O\\(2\\^3n\\) steps"):
+            builder(identity_sbox(make_field(13)))
+    assert calls == ["bct_naive", "bct_system"]
+
+
 def test_oracle_peak_estimate_covers_allocations(rng):
     # int32 counts hold the oracles to 21-23 bytes per cell from n = 8;
     # an int64 table would read 25-26
@@ -1165,6 +1213,19 @@ def test_bct_fast_refuses_an_int32_overflow_at_row_0(monkeypatch):
     assert tables._fast_dtype(5) == np.int64
     with pytest.raises(ValueError, match="count 1024 exceeds the int32 maximum 1000"):
         bct_fast(SBox(make_field(5), np.zeros(32, dtype=int)))
+
+
+def test_row_kernel_keeps_a_count_past_int32_exact_at_n16():
+    # f = 3 Tr(x) over GF(2^16) takes each of its two values 2^15 times, and
+    # D_a f is the constant 3 Tr(a), so every pair (x, y) counts: T(a, 0) =
+    # T(a, 3) = 2 (2^15)^2 = 2^31, one past the int32 maximum, at every a.
+    # An int32 kernel block would wrap it
+    spec = make_field(16)
+    f = SBox(spec, 3 * spec.trace_vec(np.arange(spec.size)))
+    expected = np.zeros(spec.size, dtype=np.int64)
+    expected[[0, 3]] = 2**31
+    for a in (1, 2, 12345):
+        assert np.array_equal(bct_row(f, a), expected), a
 
 
 def test_bct_0_0_is_the_largest_count(rng):

@@ -281,12 +281,17 @@ def _every_t(n):
     return [(t, 1) for t in range(1 << n)]
 
 
+def _rows_of(W):
+    # a spectrum table's rows in the row kernel's form: the rows us as one block
+    return lambda us: [(0, W[us])]
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_constrained_sum_matches_brute_force(n, rng):
     spec = make_field(n)
     f = random_permutation(spec, rng)
     W = walsh_spectrum(f).values
-    assert _constrained_quad_sum(W, _every_t(n)) == _quad_sum_brute(W, n)
+    assert _constrained_quad_sum(_rows_of(W), 1 << n, _every_t(n)) == _quad_sum_brute(W, n)
 
 
 def _walsh_power_sums(f):
@@ -317,7 +322,8 @@ def test_constrained_sum_is_exact_on_int32_input(rng):
     # products overflow int32 (X(g, 0) reaches 64 * 2^(2n) = 2^16 at n = 5)
     n = 5
     W = walsh_spectrum(random_permutation(make_field(n), rng)).values
-    assert _constrained_quad_sum(8 * W, _every_t(n)) == 8**8 * _constrained_quad_sum(W, _every_t(n))
+    assert (_constrained_quad_sum(_rows_of(8 * W), 1 << n, _every_t(n))
+            == 8**8 * _constrained_quad_sum(_rows_of(W), 1 << n, _every_t(n)))
 
 
 # -- two-uniform certificate ----------------------------------------------------------
@@ -395,7 +401,8 @@ def test_orbit_reduced_second_sum_past_its_cap(monkeypatch):
     monkeypatch.setattr(walsh, "_MAX_QUAD_SUM_N", 8)
     for f in (gold(7, 1), inverse_fn(7), modified_inverse(7)):
         s2 = _spectrum_sums(f, 2)[1]
-        assert s2 == _constrained_quad_sum(walsh_spectrum(f).values, _every_t(7)), repr(f)
+        W = walsh_spectrum(f).values
+        assert s2 == _constrained_quad_sum(_rows_of(W), 1 << 7, _every_t(7)), repr(f)
         assert walsh._walsh_moment(s2, 2, 7) == bct_moment_direct(f, 2), repr(f)
     assert two_uniform_certificate(gold(7, 1))[2] == 0
     assert two_uniform_certificate(inverse_fn(7))[2] == 0
@@ -709,6 +716,38 @@ def _orbit_corpus(rng, max_n):
     return [f for f in out if f.spec.n <= max_n]
 
 
+def test_second_sum_holds_no_spectrum_table(monkeypatch):
+    # S_2 pairs the row kernel's blocks of the rows g and g ^ t, so with its
+    # cap lifted the inverse at n = 10 peaks at about 5 MiB; a 4^n int32
+    # spectrum and its int64 copies peaked at 32.2 MiB. Each t pairs 8
+    # blocks of 128 rows here, and M_2 still equals the direct one
+    monkeypatch.setattr(walsh, "_MAX_QUAD_SUM_N", 10)
+    f = inverse_fn(10)
+    tracemalloc.start()
+    try:
+        s2 = _spectrum_sums(f, 2)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak / 2**20
+    assert walsh._walsh_moment(s2, 2, 10) == bct_moment_direct(f, 2)
+
+
+def test_moments_and_certificate_build_no_spectrum(monkeypatch):
+    # walsh_spectrum serves only its public name: the sums read rows
+    expected = [_walsh_power_sums(f) for f in (gold(5, 1), inverse_fn(5))]
+
+    def refuse(f):
+        raise AssertionError("walsh_spectrum called")
+
+    monkeypatch.setattr(walsh, "walsh_spectrum", refuse)
+    (s1, s2), (_, inverse_s2) = expected
+    n = 5
+    rhs = (1 << (4 * n + 1)) * s1 + (1 << (9 * n + 1)) - 5 * (1 << (8 * n)) + (1 << (7 * n + 1))
+    assert two_uniform_certificate(gold(n, 1)) == (s2, rhs, 0)
+    assert bct_moment_walsh(inverse_fn(n), 2) == walsh._walsh_moment(inverse_s2, 2, n)
+
+
 def test_orbit_sums_equal_the_unreduced_sums(monkeypatch, rng):
     # S_1 at n <= 8 and S_2 at n <= 5, one term per orbit against every u
     # (and every t) as its own orbit
@@ -722,7 +761,8 @@ def test_orbit_sums_equal_the_unreduced_sums(monkeypatch, rng):
     for f, sums in zip(corpus, reduced):
         assert sums == _spectrum_sums(f, len(sums)), f
         if len(sums) == 2:
-            assert sums[1] == _constrained_quad_sum(walsh_spectrum(f).values, _every_t(f.spec.n))
+            W, n = walsh_spectrum(f).values, f.spec.n
+            assert sums[1] == _constrained_quad_sum(_rows_of(W), 1 << n, _every_t(n))
 
 
 def test_spectrum_sums_do_one_term_per_orbit(monkeypatch):
